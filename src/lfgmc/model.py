@@ -236,12 +236,6 @@ class Model:
     def f_nodes(self) -> frozenset[NodeId]:
         return self.fstruct.nodes
 
-    def is_tree_node(self, n: NodeId) -> bool:
-        return n in self.cstruct.nodes
-
-    def is_f_node(self, n: NodeId) -> bool:
-        return n in self.fstruct.nodes
-
     def all_nodes(self) -> list[NodeId]:
         """Every node of both domains, in the deterministic model order."""
         return sorted(self.cstruct.nodes, key=node_key) + sorted(

@@ -7,7 +7,10 @@ one:
 
 1. enumerate candidate trees from the context-free skeleton of the
    rules (annotations ignored), each token sitting under a preterminal
-   licensed by a lexical entry;
+   licensed by a lexical entry.  Candidates share sub-derivations: the
+   enumerator computes the derivations of each (cat, i, j, budget) once,
+   and skips spans that a budget-free derivability table, built
+   bottom-up by span length, shows to have none;
 2. for each candidate, read the annotations off the chosen rules and
    entries as defining equations over f-structure variables, and close
    them under union-find-style identification with congruence.  A clash
@@ -109,23 +112,26 @@ class _SkeletonEnumerator:
         self.tokens = tokens
         self.bound_hit = False
         self.derivable = self._derivable_table()
+        self.memo: dict[tuple[str, int, int, int], list] = {}
 
     def _derivable_table(self):
-        """Budget-free derivability of (cat, i, j), by fixpoint (unary
-        rule cycles make a single bottom-up pass insufficient)."""
+        """Budget-free derivability of (cat, i, j), built bottom-up by
+        span length.  Every rule element covers at least one token, so a
+        span needs only shorter spans, plus unary rules over itself;
+        those are closed by a local fixpoint (unary rule cycles)."""
         n = len(self.tokens)
         table: set[tuple[str, int, int]] = set()
         for i, tok in enumerate(self.tokens):
             for entry in self.grammar.lexicon:
                 if entry.word == tok:
                     table.add((entry.cat, i, i + 1))
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.grammar.rules:
-                k = len(rule.rhs)
-                for i in range(n):
-                    for j in range(i + 1, n + 1):
+        for length in range(1, n + 1):
+            for i in range(n - length + 1):
+                j = i + length
+                changed = True
+                while changed:
+                    changed = False
+                    for rule in self.grammar.rules:
                         if (rule.lhs, i, j) in table:
                             continue
                         if self._splits_derivable(rule, i, j, table):
@@ -147,8 +153,21 @@ class _SkeletonEnumerator:
 
     def derive(self, cat: str, i: int, j: int, budget: int):
         """All derivations of ``cat`` over tokens[i:j] using at most
-        ``budget`` tree nodes, as (derivation, node count) pairs."""
-        out = []
+        ``budget`` tree nodes, as (derivation, node count) pairs.
+
+        Results are memoised per (cat, i, j, budget), so sub-derivations
+        are shared objects across parents and the returned list must not
+        be mutated; a recursive call always has a smaller budget, so a key
+        never recurs while it is computed.  Spans outside the derivability
+        table are not entered: they have no derivations at any budget, so
+        no bound cut below them can lose one."""
+        if (cat, i, j) not in self.derivable:
+            return []
+        key = (cat, i, j, budget)
+        out = self.memo.get(key)
+        if out is not None:
+            return out
+        out = self.memo[key] = []
         if j - i == 1:
             entries = [
                 e
@@ -164,8 +183,7 @@ class _SkeletonEnumerator:
             if rule.lhs != cat:
                 continue
             if budget < 1 + 2 * (j - i):
-                if (cat, i, j) in self.derivable:
-                    self.bound_hit = True
+                self.bound_hit = True
                 continue
             for children, used in self._sequences(rule, 0, i, j, budget - 1):
                 out.append((_DPhrase(rule, children), 1 + used))

@@ -471,3 +471,108 @@ def test_convergent_zoomin_micro_grammar_blind_check():
     a1, a2 = m.cstruct.daughters[root]
     assert m.zoomin[root] == m.zoomin[a1] == m.zoomin[a2]
     assert len(m.fstruct.nodes) == 1
+
+
+# --- shared sub-derivations in the skeleton enumerator --------------------
+
+# The PP-attachment grammar: "the man saw the man" + k x "with the tel"
+# has Catalan(k + 1) parses (1, 2, 5, 14, 42 for k = 0..4).
+PP_GRAMMAR_TEXT = """
+signature {
+  cat: S NP VP PP Det N V P;
+  atom: the man tel saw with;
+  feat: subj obj adj spec pred rel;
+  gf: subj obj;
+}
+start S;
+rule S -> NP {(up subj)=down} VP {up=down};
+rule NP -> Det N;
+rule NP -> NP {up=down} PP {(up adj)=down};
+rule VP -> V {up=down} NP {(up obj)=down};
+rule VP -> VP {up=down} PP {(up adj)=down};
+rule PP -> P {up=down} NP {(up obj)=down};
+lex "the" Det {(up spec)=the};
+lex "man" N {(up pred)=man()};
+lex "tel" N {(up pred)=tel()};
+lex "saw" V {(up pred)=saw(subj, obj)};
+lex "with" P {(up pred)=with(obj)};
+"""
+
+
+def test_skeleton_enumeration_shares_sub_derivations(monkeypatch):
+    from lfgmc import compile_grammar, parse_grammar
+    from lfgmc.search import _SkeletonEnumerator
+
+    calls = [0]
+    derive = _SkeletonEnumerator.derive
+
+    def counted(self, *args):
+        calls[0] += 1
+        return derive(self, *args)
+
+    monkeypatch.setattr(_SkeletonEnumerator, "derive", counted)
+    g = parse_grammar(PP_GRAMMAR_TEXT)
+    tokens = "the man saw the man".split() + "with the tel".split() * 4
+    out = parse_sentence(compile_grammar(g), g, tokens, SearchBounds(64, 256, 64))
+    assert len(out.models) == 42
+    assert not out.bound_exceeded
+    # recomputing every sub-span per parent takes about 1.9 million calls
+    assert calls[0] < 5000
+
+
+# A unary cycle S -> A -> S above a binary rule.  A -> S comes first, so
+# closing the unary rules over one span takes a second round.
+UNARY_CYCLE_GRAMMAR_TEXT = """
+signature { cat: S A C; atom: x; feat: f; gf: ; }
+start S;
+rule A -> S;
+rule S -> A;
+rule S -> C C;
+lex "c" C;
+"""
+
+
+def test_unary_cycle_agrees_with_both_oracles():
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(UNARY_CYCLE_GRAMMAR_TEXT)
+    theory = compile_grammar(g)
+    for tokens, max_tree, count, run_blind in (
+        (["c"], 5, 0, True),
+        (["c", "c"], 5, 1, True),  # S(C C)
+        (["c", "c"], 7, 2, False),  # also S(A(S(C C))); too big to enumerate blind
+        (["c", "c", "c"], 7, 0, True),
+    ):
+        primary = parse_sentence(theory, g, tokens, SearchBounds(max_tree, 1, 10))
+        primary_set = sorted(model_to_text(m) for m in primary.models)
+        oracle_set = oracle_parse(theory, g.sig, "S", tokens, max_tree=max_tree, max_f=1)
+        assert primary_set == oracle_set, tokens
+        if run_blind:
+            blind_set = blind_parse(theory, g.sig, "S", tokens, max_tree=max_tree, max_f=1)
+            assert primary_set == blind_set, tokens
+        assert len(primary_set) == count, tokens
+        # once "c c" parses, S -> A -> S can always go round once more
+        assert primary.bound_exceeded == (count > 0), tokens
+
+
+def test_bound_not_reported_for_spans_without_derivations():
+    # "a a" has no parse at any size; the cut chain A -> C below the first
+    # token cannot be part of one, so no bound is reported
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(
+        """
+        signature { cat: S A B C; atom: x; feat: f; gf: ; }
+        rule S -> A B;
+        rule A -> C;
+        lex "a" C;
+        lex "b" B;
+        """
+    )
+    theory = compile_grammar(g)
+    out = parse_sentence(theory, g, ["a", "a"], SearchBounds(5, 80, 10))
+    assert out.models == () and not out.bound_exceeded
+    out = parse_sentence(theory, g, ["a", "b"], SearchBounds(5, 80, 10))
+    assert out.models == () and out.bound_exceeded
+    out = parse_sentence(theory, g, ["a", "b"], SearchBounds(6, 80, 10))
+    assert len(out.models) == 1 and not out.bound_exceeded
