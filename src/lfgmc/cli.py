@@ -26,7 +26,7 @@ from .errors import LfgError
 from .formula import parse_formula, render_formula
 from .grammar import compile_grammar, parse_grammar
 from .model import model_from_text, model_to_json, model_to_text, validate_model
-from .search import SearchBounds, parse_sentence
+from .search import SearchBounds, check_parse, parse_sentence
 from .semantics import valid
 
 EXIT_OK = 0
@@ -96,18 +96,11 @@ def cmd_validate(args) -> int:
 def cmd_check(args) -> int:
     model = _load_model(args.model)
     if args.formula is not None:
-        phi = parse_formula(args.formula, model.sig)
-        results = [("formula", phi)]
+        rows = [("formula", valid(model, parse_formula(args.formula, model.sig)))]
     else:
         theory = compile_grammar(parse_grammar(_read(args.grammar)))
-        results = list(theory.labeled())
-
-    rows = []
-    ok = True
-    for label, phi in results:
-        node = valid(model, phi)
-        rows.append((label, node))
-        ok = ok and node is None
+        rows = [(e.label, e.counterexample) for e in check_parse(theory, model)]
+    ok = all(node is None for _label, node in rows)
 
     if args.format == "json":
         _emit_json(

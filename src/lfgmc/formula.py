@@ -37,6 +37,7 @@ Quoted strings are always word forms.  ``<up>``, ``<down>`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FormulaSyntaxError, SignatureError
 from .model import _IDENT_RE, RESERVED_WORDS, Signature
@@ -44,7 +45,12 @@ from .model import _IDENT_RE, RESERVED_WORDS, Signature
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    @cached_property
+    def names(self) -> dict[str, frozenset[str]]:
+        """The names used anywhere in the formula, per :class:`Signature`
+        field; computed once per formula object, without recursion."""
+        used = [pair for g in _preorder(self) for pair in _own_names(g)]
+        return {kind: frozenset(n for k, n in used if k == kind) for kind in _NAME_KINDS}
 
 
 @dataclass(frozen=True)
@@ -496,32 +502,49 @@ def render_formula(f: Formula) -> str:
     raise TypeError("not a formula: %r" % (f,))
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Feat, Up, Down, Zoomin)):
+        return (f.sub,)
+    if isinstance(f, Bullet):
+        return f.args
+    return ()
+
+
+def _preorder(f: Formula):
+    """``f`` and its subformulas in pre-order, left to right, iteratively."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_children(g)))
+
+
+#: Signature field -> how an undeclared name of that kind is reported.
+_NAME_KINDS = {"cats": "category", "atoms": "atom", "words": "word form", "feats": "feature"}
+_LITERAL_FIELD = {CatLit: "cats", AtomLit: "atoms", WordLit: "words"}
+
+
+def _own_names(f: Formula) -> tuple[tuple[str, str], ...]:
+    """(signature field, name) pairs used by ``f`` itself, not its operands."""
+    if type(f) in _LITERAL_FIELD:
+        return ((_LITERAL_FIELD[type(f)], f.name),)
+    if isinstance(f, Feat):
+        return (("feats", f.feat),)
+    if isinstance(f, PathEq):
+        return tuple(("feats", name) for name in f.left_feats + f.right_feats)
+    return ()
+
+
 def validate_names(f: Formula, sig: Signature) -> None:
-    """Raise :class:`SignatureError` unless every name in ``f`` is declared."""
-    if isinstance(f, CatLit):
-        if f.name not in sig.cats:
-            raise SignatureError("unknown category %r" % f.name)
-    elif isinstance(f, AtomLit):
-        if f.name not in sig.atoms:
-            raise SignatureError("unknown atom %r" % f.name)
-    elif isinstance(f, WordLit):
-        if f.name not in sig.words:
-            raise SignatureError("unknown word form %r" % f.name)
-    elif isinstance(f, Feat):
-        if f.feat not in sig.feats:
-            raise SignatureError("unknown feature %r" % f.feat)
-        validate_names(f.sub, sig)
-    elif isinstance(f, Not):
-        validate_names(f.sub, sig)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        validate_names(f.left, sig)
-        validate_names(f.right, sig)
-    elif isinstance(f, (Up, Down, Zoomin)):
-        validate_names(f.sub, sig)
-    elif isinstance(f, Bullet):
-        for a in f.args:
-            validate_names(a, sig)
-    elif isinstance(f, PathEq):
-        for name in f.left_feats + f.right_feats:
-            if name not in sig.feats:
-                raise SignatureError("unknown feature %r" % name)
+    """Raise :class:`SignatureError` unless every name in ``f`` is declared.
+
+    Four subset tests against the cached :attr:`Formula.names`; only if one
+    fails is ``f`` walked in pre-order to report the first undeclared name."""
+    if all(names <= getattr(sig, kind) for kind, names in f.names.items()):
+        return
+    for g in _preorder(f):
+        for kind, name in _own_names(g):
+            if name not in getattr(sig, kind):
+                raise SignatureError("unknown %s %r" % (_NAME_KINDS[kind], name))

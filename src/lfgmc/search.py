@@ -106,6 +106,12 @@ class _DPhrase:
     children: tuple
 
 
+def _ends(remaining: int, pos: int, j: int) -> range:
+    """End positions of a rule element at ``pos`` with ``remaining`` more
+    elements (one token each at least) before the span ends at ``j``."""
+    return range(j if remaining == 0 else pos + 1, j - remaining + 1)
+
+
 class _SkeletonEnumerator:
     def __init__(self, grammar: Grammar, tokens):
         self.grammar = grammar
@@ -142,9 +148,8 @@ class _SkeletonEnumerator:
     def _splits_derivable(self, rule, i, j, table) -> bool:
         def rec(idx, pos):
             if idx == len(rule.rhs):
-                return pos == j
-            remaining = len(rule.rhs) - idx - 1
-            for end in range(pos + 1, j - remaining + 1):
+                return True
+            for end in _ends(len(rule.rhs) - idx - 1, pos, j):
                 if (rule.rhs[idx].cat, pos, end) in table and rec(idx + 1, end):
                     return True
             return False
@@ -191,11 +196,9 @@ class _SkeletonEnumerator:
 
     def _sequences(self, rule, idx, pos, j, avail):
         if idx == len(rule.rhs):
-            if pos == j:
-                yield (), 0
+            yield (), 0
             return
-        remaining = len(rule.rhs) - idx - 1
-        for end in range(pos + 1, j - remaining + 1):
+        for end in _ends(len(rule.rhs) - idx - 1, pos, j):
             reserve = 2 * (j - end)  # least any continuation can cost
             for d, c in self.derive(rule.rhs[idx].cat, pos, end, avail - reserve):
                 for rest, used in self._sequences(rule, idx + 1, end, j, avail - c):

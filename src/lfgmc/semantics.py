@@ -1,16 +1,24 @@
 """Satisfaction and validity of formulas over tripartite models.
 
-``satisfies(m, n, phi)`` is the three-place truth relation.  The clauses
-are sorted: category and word literals only ever hold at tree nodes,
-atoms only at final feature nodes, feature modalities only move inside
-the feature graph, ``up``/``down``/``bullet``/``zoomin`` only act at
-tree nodes, and a path equality holds at a tree node exactly when some
-feature node is reachable through both of its composite relation paths.
-Everything else is classical propositional logic.
+The clauses are sorted: category and word literals only ever hold at
+tree nodes, atoms only at final feature nodes, feature modalities only
+move inside the feature graph, ``up``/``down``/``bullet``/``zoomin`` only
+act at tree nodes, and a path equality holds at a tree node exactly when
+some feature node is reachable through both of its composite relation
+paths.  Everything else is classical propositional logic.
 
-``valid(m, phi)`` quantifies over every node of both domains and, when
-the formula fails somewhere, returns the least failing node in the
+Evaluation is set-at-a-time: ``_holds`` computes the set of nodes at
+which a formula holds, each subformula once, on the nodes where it can
+still matter (a modality on the successors of its nodes).  Left-nested
+``&``/``|`` chains, such as the lexical disjunction over a whole lexicon,
+are walked iteratively rather than by recursion.  The names a formula
+uses are collected once per formula object; each call only checks them
+against the model's signature.
+
+``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
+when it fails somewhere, returns the least failing node in the
 deterministic model order so counterexamples are stable.
+``satisfies(m, n, phi)`` evaluates it on ``{n}``.
 """
 
 from __future__ import annotations
@@ -82,65 +90,89 @@ def eval_patheq(m: Model, n: NodeId, spec: PathEq) -> bool:
     return bool(left & right)
 
 
-def _sat(m: Model, n: NodeId, f: Formula) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, CStructConst):
-        return n in m.cstruct.nodes
-    if isinstance(f, FStructConst):
-        return n in m.fstruct.nodes
-    if isinstance(f, CatLit):
-        return n in m.cstruct.nodes and m.cstruct.label.get(n) == f.name
-    if isinstance(f, WordLit):
-        return n in m.cstruct.nodes and m.cstruct.label.get(n) == f.name
-    if isinstance(f, AtomLit):
-        return (
-            n in m.fstruct.nodes
-            and n in m.fstruct.final
-            and m.fstruct.atomval.get(n) == f.name
-        )
-    if isinstance(f, Not):
-        return not _sat(m, n, f.sub)
+def _spine(f: Formula) -> list[Formula]:
+    """Operands of the left-nested ``type(f)`` chain at ``f``, in order."""
+    kind, ops = type(f), []
+    while type(f) is kind:
+        ops.append(f.right)
+        f = f.left
+    return [f] + ops[::-1]
+
+
+def _holds(m: Model, f: Formula, dom):
+    """The nodes of ``dom`` at which ``f`` holds.
+
+    Each clause lifts the pointwise truth condition to a node set, so any
+    id gets the same answer, even one a malformed model points to without
+    declaring it.  Operands are only evaluated where they can still change
+    the result.  Sets passed in or returned are never mutated."""
+    if not dom:
+        return dom
+    cs, fs = m.cstruct, m.fstruct
     if isinstance(f, And):
-        return _sat(m, n, f.left) and _sat(m, n, f.right)
+        for g in _spine(f):
+            dom = _holds(m, g, dom)
+            if not dom:
+                break
+        return dom
     if isinstance(f, Or):
-        return _sat(m, n, f.left) or _sat(m, n, f.right)
-    if isinstance(f, Implies):
-        return (not _sat(m, n, f.left)) or _sat(m, n, f.right)
-    if isinstance(f, Iff):
-        return _sat(m, n, f.left) == _sat(m, n, f.right)
-    if isinstance(f, Feat):
-        if n not in m.fstruct.nodes:
-            return False
-        w = m.fstruct.trans.get(n, {}).get(f.feat)
-        return w is not None and _sat(m, w, f.sub)
-    if isinstance(f, Up):
-        if n not in m.cstruct.nodes:
-            return False
-        mo = m.cstruct.mother.get(n)
-        return mo is not None and _sat(m, mo, f.sub)
-    if isinstance(f, Down):
-        if n not in m.cstruct.nodes:
-            return False
-        return any(_sat(m, d, f.sub) for d in m.cstruct.daughters.get(n, ()))
-    if isinstance(f, Zoomin):
-        if n not in m.cstruct.nodes:
-            return False
-        w = m.zoomin.get(n)
-        return w is not None and _sat(m, w, f.sub)
+        out, rest = set(), dom
+        for g in _spine(f):
+            got = _holds(m, g, rest)
+            if got:
+                out |= got
+                rest = rest - got
+                if not rest:
+                    break
+        return out
+    if isinstance(f, (CatLit, WordLit)):
+        return {n for n in dom if n in cs.nodes and cs.label.get(n) == f.name}
     if isinstance(f, Bullet):
-        if n not in m.cstruct.nodes:
-            return False
-        ds = m.cstruct.daughters.get(n, ())
-        if len(ds) != len(f.args):
-            return False
-        return all(_sat(m, d, sub) for d, sub in zip(ds, f.args))
+        alive = [
+            n for n in dom
+            if n in cs.nodes and len(cs.daughters.get(n, ())) == len(f.args)
+        ]
+        for pos, sub in enumerate(f.args):
+            good = _holds(m, sub, {cs.daughters[n][pos] for n in alive})
+            alive = [n for n in alive if cs.daughters[n][pos] in good]
+            if not alive:
+                break
+        return set(alive)
+    if isinstance(f, TrueF):
+        return dom
+    if isinstance(f, FalseF):
+        return set()
+    if isinstance(f, CStructConst):
+        return dom & cs.nodes
+    if isinstance(f, FStructConst):
+        return dom & fs.nodes
+    if isinstance(f, AtomLit):
+        return {
+            n for n in dom
+            if n in fs.nodes and n in fs.final and fs.atomval.get(n) == f.name
+        }
+    if isinstance(f, Not):
+        return dom - _holds(m, f.sub, dom)
+    if isinstance(f, Implies):
+        left = _holds(m, f.left, dom)
+        return (dom - left) | _holds(m, f.right, left)
+    if isinstance(f, Iff):
+        return dom - (_holds(m, f.left, dom) ^ _holds(m, f.right, dom))
+    if isinstance(f, (Feat, Up, Zoomin)):
+        if isinstance(f, Feat):
+            succ = {n: fs.trans.get(n, {}).get(f.feat) for n in dom if n in fs.nodes}
+        elif isinstance(f, Up):
+            succ = {n: cs.mother.get(n) for n in dom if n in cs.nodes}
+        else:
+            succ = {n: m.zoomin.get(n) for n in dom if n in cs.nodes}
+        good = _holds(m, f.sub, {w for w in succ.values() if w is not None})
+        return {n for n, w in succ.items() if w is not None and w in good}
+    if isinstance(f, Down):
+        kids = {n: cs.daughters.get(n, ()) for n in dom if n in cs.nodes}
+        good = _holds(m, f.sub, {d for ds in kids.values() for d in ds})
+        return {n for n, ds in kids.items() if any(d in good for d in ds)}
     if isinstance(f, PathEq):
-        if n not in m.cstruct.nodes:
-            return False
-        return eval_patheq(m, n, f)
+        return {n for n in dom if n in cs.nodes and eval_patheq(m, n, f)}
     raise TypeError("not a formula: %r" % (f,))
 
 
@@ -149,14 +181,13 @@ def satisfies(m: Model, n: NodeId, phi: Formula) -> bool:
     if n not in m.cstruct.nodes and n not in m.fstruct.nodes:
         raise UnknownNodeError("node %r is not in the model" % n)
     validate_names(phi, m.sig)
-    return _sat(m, n, phi)
+    return n in _holds(m, phi, {n})
 
 
 def valid(m: Model, phi: Formula) -> NodeId | None:
     """None when ``phi`` holds at every node of both domains; otherwise
     the least falsifying node in model order."""
     validate_names(phi, m.sig)
-    for n in m.all_nodes():
-        if not _sat(m, n, phi):
-            return n
-    return None
+    nodes = m.all_nodes()
+    good = _holds(m, phi, frozenset(nodes))
+    return next((n for n in nodes if n not in good), None)

@@ -6,6 +6,10 @@ pipeline it checks:
 * ``denotation`` evaluates formulas bottom-up as node sets, with path
   equalities done by explicit relation composition over pair sets;
   ``oracle_valid`` derives validity from it.
+* ``pointwise_sat`` is the original one-node-at-a-time truth relation,
+  kept verbatim as a reference for models the validator rejects (the
+  denotation oracle clips to the two domains, so it cannot speak about
+  dangling ids).
 * ``oracle_parse`` re-does parsing from the *compiled theory* instead of
   the grammar source: candidate trees come from matching licensing and
   lexical disjuncts over spans, and the defining equations are solved by
@@ -158,6 +162,98 @@ def oracle_valid(m, phi):
         if n not in den:
             return n
     return None
+
+
+# ---------------------------------------------------------------------------
+# Pointwise truth relation
+# ---------------------------------------------------------------------------
+
+
+def _pointwise_image(m, n, tree_steps, feat_steps):
+    cur = {n}
+    for step in tree_steps:
+        nxt = set()
+        for t in cur:
+            if step == "up":
+                mo = m.cstruct.mother.get(t)
+                if mo is not None:
+                    nxt.add(mo)
+            else:
+                nxt.update(m.cstruct.daughters.get(t, ()))
+        cur = nxt
+    cur = {m.zoomin[t] for t in cur if t in m.zoomin}
+    for feat in feat_steps:
+        cur = {
+            m.fstruct.trans[w][feat]
+            for w in cur
+            if feat in m.fstruct.trans.get(w, {})
+        }
+    return cur
+
+
+def pointwise_sat(m, n, f) -> bool:
+    """Truth of ``f`` at the id ``n``, by recursion on ``f`` one node at a
+    time.  Defined for any id, so it also fixes what happens at the
+    dangling targets of a malformed model."""
+    if isinstance(f, TrueF):
+        return True
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, CStructConst):
+        return n in m.cstruct.nodes
+    if isinstance(f, FStructConst):
+        return n in m.fstruct.nodes
+    if isinstance(f, (CatLit, WordLit)):
+        return n in m.cstruct.nodes and m.cstruct.label.get(n) == f.name
+    if isinstance(f, AtomLit):
+        return (
+            n in m.fstruct.nodes
+            and n in m.fstruct.final
+            and m.fstruct.atomval.get(n) == f.name
+        )
+    if isinstance(f, Not):
+        return not pointwise_sat(m, n, f.sub)
+    if isinstance(f, And):
+        return pointwise_sat(m, n, f.left) and pointwise_sat(m, n, f.right)
+    if isinstance(f, Or):
+        return pointwise_sat(m, n, f.left) or pointwise_sat(m, n, f.right)
+    if isinstance(f, Implies):
+        return (not pointwise_sat(m, n, f.left)) or pointwise_sat(m, n, f.right)
+    if isinstance(f, Iff):
+        return pointwise_sat(m, n, f.left) == pointwise_sat(m, n, f.right)
+    if isinstance(f, Feat):
+        if n not in m.fstruct.nodes:
+            return False
+        w = m.fstruct.trans.get(n, {}).get(f.feat)
+        return w is not None and pointwise_sat(m, w, f.sub)
+    if isinstance(f, Up):
+        if n not in m.cstruct.nodes:
+            return False
+        mo = m.cstruct.mother.get(n)
+        return mo is not None and pointwise_sat(m, mo, f.sub)
+    if isinstance(f, Down):
+        if n not in m.cstruct.nodes:
+            return False
+        return any(pointwise_sat(m, d, f.sub) for d in m.cstruct.daughters.get(n, ()))
+    if isinstance(f, Zoomin):
+        if n not in m.cstruct.nodes:
+            return False
+        w = m.zoomin.get(n)
+        return w is not None and pointwise_sat(m, w, f.sub)
+    if isinstance(f, Bullet):
+        if n not in m.cstruct.nodes:
+            return False
+        ds = m.cstruct.daughters.get(n, ())
+        if len(ds) != len(f.args):
+            return False
+        return all(pointwise_sat(m, d, sub) for d, sub in zip(ds, f.args))
+    if isinstance(f, PathEq):
+        if n not in m.cstruct.nodes:
+            return False
+        left = _pointwise_image(m, n, f.left_tree, f.left_feats)
+        right = _pointwise_image(m, n, f.right_tree, f.right_feats)
+        return bool(left & right)
+    raise TypeError(f)
 
 
 # ---------------------------------------------------------------------------

@@ -576,3 +576,64 @@ def test_bound_not_reported_for_spans_without_derivations():
     assert out.models == () and out.bound_exceeded
     out = parse_sentence(theory, g, ["a", "b"], SearchBounds(6, 80, 10))
     assert len(out.models) == 1 and not out.bound_exceeded
+
+
+def test_last_rule_element_ends_at_the_span_end():
+    # S -> A cannot cover "c c" (A only covers one token), so the small
+    # budget that cuts A -> B -> C over the first "c" loses nothing
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(
+        """
+        signature { cat: S A B C; atom: x; feat: f; gf: ; }
+        start S;
+        rule S -> A;
+        rule S -> C C;
+        rule A -> B;
+        rule B -> C;
+        lex "c" C;
+        """
+    )
+    theory = compile_grammar(g)
+    for max_tree in (5, 6):
+        out = parse_sentence(theory, g, ["c", "c"], SearchBounds(max_tree, 80, 10))
+        assert len(out.models) == 1 and not out.bound_exceeded, max_tree
+    out = parse_sentence(theory, g, ["c", "c"], SearchBounds(4, 80, 10))
+    assert out.models == () and out.bound_exceeded
+
+
+def _embedding_grammar(nouns):
+    lines = [
+        "signature {",
+        "  cat: S NP VP CP Det N V C;",
+        "  atom: the say sleep %s;" % " ".join(nouns),
+        "  feat: subj comp spec pred rel;",
+        "  gf: subj comp;",
+        "}",
+        "start S;",
+        "rule S -> NP {(up subj)=down} VP {up=down};",
+        "rule NP -> Det N;",
+        "rule VP -> V {up=down} CP {(up comp)=down};",
+        "rule VP -> V {up=down};",
+        "rule CP -> C {up=down} S {up=down};",
+        'lex "the" Det {(up spec)=the};',
+        'lex "said" V {(up pred)=say(subj, comp)};',
+        'lex "slept" V {(up pred)=sleep(subj)};',
+        'lex "that" C;',
+    ]
+    lines += ['lex "%s" N {(up pred)=%s()};' % (n, n) for n in nouns]
+    return "\n".join(lines) + "\n"
+
+
+def test_large_lexicon_parses():
+    # the lexical axiom is a left-nested disjunction over every entry and
+    # every word form; its evaluation must not recurse along it
+    from lfgmc import compile_grammar, parse_grammar
+
+    nouns = ["noun%d" % k for k in range(1500)]
+    g = parse_grammar(_embedding_grammar(nouns))
+    theory = compile_grammar(g)
+    tokens = "the noun3 said that the noun1499 slept".split()
+    out = parse_sentence(theory, g, tokens)
+    assert len(out.models) == 1 and not out.bound_exceeded
+    assert check_parse(theory, out.models[0]).ok

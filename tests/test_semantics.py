@@ -1,26 +1,38 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from lfgmc import (
+    And,
+    AtomLit,
     Bullet,
     CatLit,
+    CStructure,
     Down,
     Feat,
+    FStructure,
+    Implies,
+    Model,
+    Not,
+    Or,
     PathEq,
+    Signature,
     SignatureError,
     TRUE,
     UnknownNodeError,
     Up,
+    WordLit,
     Zoomin,
     eval_patheq,
     parse_formula,
     satisfies,
     valid,
+    validate_names,
 )
 
-from generators import RAND_SIG, rand_formula, rand_model
-from oracles import denotation, oracle_valid
+from generators import CORRUPTORS, RAND_SIG, rand_formula, rand_model
+from oracles import denotation, oracle_valid, pointwise_sat
 
 
 def test_s_node_has_np_vp_daughters(fig_model):
@@ -201,3 +213,124 @@ def test_patheq_strictly_existential_when_zoomin_undefined(fig_model):
     # at the node, both sides denote the empty set and the equality fails
     assert not eval_patheq(fig_model, "n2", PathEq((), (), (), ()))
     assert not eval_patheq(fig_model, "n3", PathEq((), (), (), ()))
+
+
+# --- malformed models: agreement with the pointwise reference -------------
+
+
+def test_matches_pointwise_reference_on_malformed_models():
+    # corrupted models point at ids outside both domains (dangling
+    # daughters, zoomin and transition targets); the set-valued evaluator
+    # must give exactly the one-node-at-a-time answer there too
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(60):
+        base = rand_model(rng)
+        for _code, corrupt in CORRUPTORS:
+            m = corrupt(rng, base)
+            if m is None:
+                continue
+            phi = rand_formula(rng, RAND_SIG, depth=4)
+            try:
+                validate_names(phi, m.sig)
+            except SignatureError:
+                with pytest.raises(SignatureError):
+                    valid(m, phi)
+                continue
+            failing = [n for n in m.all_nodes() if not pointwise_sat(m, n, phi)]
+            assert valid(m, phi) == (failing[0] if failing else None), phi
+            for n in m.all_nodes():
+                assert satisfies(m, n, phi) == pointwise_sat(m, n, phi), (phi, n)
+            checked += 1
+    assert checked > 1000
+
+
+def test_dangling_targets_are_evaluated_like_any_id(fig_model):
+    c = fig_model.cstruct
+    daughters = dict(c.daughters)
+    daughters["n0"] = daughters["n0"] + ("t_ghost",)
+    zoomin = dict(fig_model.zoomin)
+    zoomin["n1"] = "w_ghost"
+    m = Model(
+        fig_model.sig,
+        CStructure(c.nodes, c.root, c.mother, daughters, c.label),
+        fig_model.fstruct,
+        zoomin,
+    )
+    for phi in (
+        Down(Not(Or(parse_formula("cstruct", m.sig), parse_formula("fstruct", m.sig)))),
+        Bullet((CatLit("NP"), CatLit("VP"), TRUE)),
+        Zoomin(TRUE),
+        Zoomin(Not(parse_formula("fstruct", m.sig))),
+    ):
+        for n in m.all_nodes():
+            assert satisfies(m, n, phi) == pointwise_sat(m, n, phi), (phi, n)
+    assert satisfies(m, "n0", Bullet((CatLit("NP"), CatLit("VP"), TRUE)))
+    assert satisfies(m, "n1", Zoomin(Not(parse_formula("fstruct", m.sig))))
+
+
+# --- deep formulas and the name check --------------------------------------
+
+
+def _fold(op, parts):
+    f = parts[0]
+    for p in parts[1:]:
+        f = op(f, p)
+    return f
+
+
+def test_deep_chains_do_not_recurse():
+    words = ["w%d" % k for k in range(3000)]
+    sig = Signature(cats={"S"}, atoms={"a"}, feats={"f"}, words=words)
+    m = Model(
+        sig,
+        CStructure.build("n0", {"n0": ("n1",)}, {"n0": "S", "n1": "w2999"}),
+        FStructure({"f0"}, "f0", {"f0": {}}),
+        {},
+    )
+    any_word = _fold(Or, [WordLit(w) for w in words])
+    assert valid(m, any_word) == "n0"
+    assert satisfies(m, "n1", any_word)
+    assert not satisfies(m, "f0", any_word)
+    no_word = _fold(And, [Not(WordLit(w)) for w in words])
+    assert valid(m, no_word) == "n1"
+    assert satisfies(m, "n0", no_word)
+    assert valid(m, Implies(Bullet((TRUE,)), Bullet((any_word,)))) is None
+    assert valid(m, _fold(Or, [CatLit("S")] + [WordLit(w) for w in words] + [TRUE])) is None
+
+
+@pytest.mark.parametrize(
+    "phi,message",
+    [
+        (Or(WordLit("zzz"), CatLit("Nope")), "unknown word form 'zzz'"),
+        (And(Feat("nofeat", CatLit("Nope")), AtomLit("bad")), "unknown feature 'nofeat'"),
+        (Implies(AtomLit("bad"), WordLit("zzz")), "unknown atom 'bad'"),
+        (
+            Bullet((TRUE, PathEq((), ("subj",), (), ("nope",)), CatLit("Nope"))),
+            "unknown feature 'nope'",
+        ),
+        (Up(Not(And(CatLit("NP"), CatLit("Nope")))), "unknown category 'Nope'"),
+    ],
+)
+def test_first_undeclared_name_in_preorder_is_reported(fig_model, phi, message):
+    for check in (
+        lambda: validate_names(phi, fig_model.sig),
+        lambda: valid(fig_model, phi),
+        lambda: satisfies(fig_model, "n0", phi),
+    ):
+        with pytest.raises(SignatureError) as info:
+            check()
+        assert str(info.value) == message
+
+
+def test_name_check_follows_the_model_signature(fig_model):
+    # the names of a formula are cached on it; the verdict is not
+    narrow = replace(fig_model.sig, cats=fig_model.sig.cats - {"NP"})
+    other = Model(narrow, fig_model.cstruct, fig_model.fstruct, fig_model.zoomin)
+    phi = Implies(CatLit("NP"), Bullet((CatLit("Det"), CatLit("N"))))
+    assert valid(fig_model, phi) is None
+    with pytest.raises(SignatureError, match="unknown category 'NP'"):
+        valid(other, phi)
+    with pytest.raises(SignatureError, match="unknown category 'NP'"):
+        satisfies(other, "n0", phi)
+    assert valid(fig_model, phi) is None
