@@ -10,9 +10,10 @@ Four subcommands cover the library surface:
 
 Exit codes: 0 success, 1 semantic failure (violations, counterexamples,
 or zero parses), 2 malformed input, 3 search bounds exceeded before the
-space was exhausted.  Output is deterministic; ``--format json`` makes
-it machine readable, and ANSI color is used only on a terminal and can
-be disabled with ``LFGMC_COLOR=0``.
+space was exhausted, 4 internal error (a fault of the program, reported
+as one ``error:`` line without a traceback).  Output is deterministic;
+``--format json`` makes it machine readable, and ANSI color is used only
+on a terminal and can be disabled with ``LFGMC_COLOR=0``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BOUNDS = 3
+EXIT_INTERNAL = 4
 
 
 def _color_enabled() -> bool:
@@ -240,6 +242,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program, not of the input
+        detail = " ".join(str(exc).split())  # one line
+        print("error: internal error (%s): %s" % (type(exc).__name__, detail), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -106,6 +106,25 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    @cached_property
+    def by_label(self) -> tuple[list[Formula], dict]:
+        """The operands of the left-nested ``|`` chain at this node, as
+        ``(plain, keyed)``; computed once per formula object.
+
+        ``keyed[label][daughters]`` lists the operands that can only hold
+        at tree nodes carrying ``label`` whose daughters carry exactly the
+        labels ``daughters``, and ``keyed[label][None]`` those that can
+        only hold at nodes carrying ``label``.  ``plain`` holds all other
+        operands.  Every list keeps chain order."""
+        plain, keyed = [], {}
+        for op in _spine(self):
+            key = _label_key(op)
+            if key is None:
+                plain.append(op)
+            else:
+                keyed.setdefault(key[0], {}).setdefault(key[1], []).append(op)
+        return plain, keyed
+
 
 @dataclass(frozen=True)
 class Implies(Formula):
@@ -471,16 +490,24 @@ def _operand(f: Formula) -> str:
     return "(%s)" % render_formula(f)
 
 
+_CHAIN_OPS = {And: "&", Or: "|"}
+
+
 def render_formula(f: Formula) -> str:
-    """Render to concrete syntax; the output re-parses to an equal AST."""
+    """Render to concrete syntax; the output re-parses to an equal AST.
+
+    A left-nested ``&``/``|`` chain, such as the lexical disjunction over
+    a whole lexicon, is rendered along its spine without recursion."""
     if isinstance(f, _LEAVES):
         return _leaf_text(f)
+    if type(f) in _CHAIN_OPS:
+        first, *rest = _spine(f)
+        sep = " %s " % _CHAIN_OPS[type(f)]
+        return "(" * len(rest) + render_formula(first) + "".join(
+            "%s%s)" % (sep, render_formula(g)) for g in rest
+        )
     if isinstance(f, Not):
         return "!(%s)" % render_formula(f.sub)
-    if isinstance(f, And):
-        return "(%s & %s)" % (render_formula(f.left), render_formula(f.right))
-    if isinstance(f, Or):
-        return "(%s | %s)" % (render_formula(f.left), render_formula(f.right))
     if isinstance(f, Implies):
         return "(%s -> %s)" % (render_formula(f.left), render_formula(f.right))
     if isinstance(f, Iff):
@@ -500,6 +527,40 @@ def render_formula(f: Formula) -> str:
         right = " ".join(list(f.right_tree) + ["zoomin"] + list(f.right_feats))
         return "(%s ~ %s)" % (left, right)
     raise TypeError("not a formula: %r" % (f,))
+
+
+def _spine(f: Formula) -> list[Formula]:
+    """Operands of the left-nested ``type(f)`` chain at ``f``, in order."""
+    kind, ops = type(f), []
+    while type(f) is kind:
+        ops.append(f.right)
+        f = f.left
+    return [f] + ops[::-1]
+
+
+def _literal_label(f: Formula) -> str | None:
+    """The label a tree node must carry for ``f`` to hold there, when
+    ``f`` is a category or word literal or an ``&`` chain with one among
+    its conjuncts; otherwise None."""
+    for g in _spine(f) if isinstance(f, And) else (f,):
+        if isinstance(g, (CatLit, WordLit)):
+            return g.name
+    return None
+
+
+def _label_key(f: Formula) -> tuple[str, tuple[str, ...] | None] | None:
+    """``(label, daughter labels)`` under which :attr:`Or.by_label` files
+    ``f``: the daughter labels come from a ``bullet`` conjunct whose every
+    argument has a literal label, and are None when there is none."""
+    label = _literal_label(f)
+    if label is None:
+        return None
+    for g in _spine(f) if isinstance(f, And) else ():
+        if isinstance(g, Bullet):
+            kids = tuple(_literal_label(a) for a in g.args)
+            if None not in kids:
+                return label, kids
+    return label, None
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:

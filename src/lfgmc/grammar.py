@@ -45,7 +45,10 @@ a suitable preterminal simply fail to license it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
@@ -144,7 +147,15 @@ class Grammar:
     lexicon: tuple[LexEntry, ...]
 
     def entries_for(self, word: str) -> tuple[LexEntry, ...]:
-        return tuple(e for e in self.lexicon if e.word == word)
+        """The entries for ``word``, in lexicon order."""
+        return self._by_word.get(word, ())
+
+    @cached_property
+    def _by_word(self) -> dict[str, tuple[LexEntry, ...]]:
+        by_word: dict[str, list[LexEntry]] = {}
+        for e in self.lexicon:
+            by_word.setdefault(e.word, []).append(e)
+        return {w: tuple(es) for w, es in by_word.items()}
 
 
 @dataclass(frozen=True)
@@ -335,65 +346,49 @@ def compile_grammar(grammar: Grammar) -> Theory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _GTok:
+class _GTok(NamedTuple):
     kind: str  # IDENT STRING OP EOF
     value: str
     line: int
     col: int
 
 
-_G_OPS = ("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "=")
+#: One token of a line, after blanks.  An identifier starts with a letter
+#: or ``_`` (re-checked in Python, because ``[^\W\d]`` also admits digits
+#: that are not decimal) and continues with ``\w``, which is
+#: ``str.isalnum()`` or ``_``; ``=c`` is an operator unless a name
+#: character follows (``=cat`` is ``=`` then ``cat``).  A ``"`` that opens
+#: no complete string, and any other character, is ``BAD``.
+_G_TOKEN_RE = re.compile(
+    r"""[ \t\r]*
+    (?: (?P<IDENT>[^\W\d]\w*)
+      | (?P<STRING>"[^"\n]*")
+      | (?P<OP>->|=c(?!\w)|[{}();:,.=])
+      | (?P<COMMENT>\#.*)
+      | (?P<BAD>.)
+      | \Z )""",
+    re.VERBOSE,
+)
 
 
 def _g_tokenize(text: str) -> list[_GTok]:
     toks: list[_GTok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise GrammarSyntaxError("unterminated string literal", line, col)
-            toks.append(_GTok("STRING", text[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_GTok("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for op in _G_OPS:
-            if text.startswith(op, i):
-                if op == "=c" and i + 2 < n and (text[i + 2].isalnum() or text[i + 2] == "_"):
-                    continue  # '=cat' is '=' followed by a name
-                toks.append(_GTok("OP", op, start_line, start_col))
-                i += len(op)
-                col += len(op)
+    for line, row in enumerate(text.split("\n"), start=1):
+        col = len(row) + 1  # where the input ends, if it ends on this row
+        for m in _G_TOKEN_RE.finditer(row):
+            kind = m.lastgroup
+            if kind is None:  # blanks up to the end of the row
                 break
-        else:
-            raise GrammarSyntaxError("unexpected character %r" % ch, line, col)
+            start = m.start(kind)
+            if kind == "COMMENT":
+                col = start + 1
+                break
+            value = m.group(kind)
+            if kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
+                if value[0] == '"':
+                    raise GrammarSyntaxError("unterminated string literal", line, start + 1)
+                raise GrammarSyntaxError("unexpected character %r" % value[0], line, start + 1)
+            toks.append(_GTok(kind, value[1:-1] if kind == "STRING" else value, line, start + 1))
     toks.append(_GTok("EOF", "", line, col))
     return toks
 

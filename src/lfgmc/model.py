@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ModelFormatError, SignatureError, UnknownNodeError
 
@@ -236,11 +237,17 @@ class Model:
     def f_nodes(self) -> frozenset[NodeId]:
         return self.fstruct.nodes
 
+    @cached_property
+    def node_order(self) -> tuple[NodeId, ...]:
+        """Every node of both domains, in the deterministic model order;
+        sorted once per model (both node sets are frozen)."""
+        return tuple(sorted(self.cstruct.nodes, key=node_key)) + tuple(
+            sorted(self.fstruct.nodes, key=node_key)
+        )
+
     def all_nodes(self) -> list[NodeId]:
         """Every node of both domains, in the deterministic model order."""
-        return sorted(self.cstruct.nodes, key=node_key) + sorted(
-            self.fstruct.nodes, key=node_key
-        )
+        return list(self.node_order)
 
 
 def tree_relatives(c: CStructure, n: NodeId):

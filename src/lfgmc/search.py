@@ -128,9 +128,8 @@ class _SkeletonEnumerator:
         n = len(self.tokens)
         table: set[tuple[str, int, int]] = set()
         for i, tok in enumerate(self.tokens):
-            for entry in self.grammar.lexicon:
-                if entry.word == tok:
-                    table.add((entry.cat, i, i + 1))
+            for entry in self.grammar.entries_for(tok):
+                table.add((entry.cat, i, i + 1))
         for length in range(1, n + 1):
             for i in range(n - length + 1):
                 j = i + length
@@ -174,11 +173,7 @@ class _SkeletonEnumerator:
             return out
         out = self.memo[key] = []
         if j - i == 1:
-            entries = [
-                e
-                for e in self.grammar.lexicon
-                if e.word == self.tokens[i] and e.cat == cat
-            ]
+            entries = [e for e in self.grammar.entries_for(self.tokens[i]) if e.cat == cat]
             if entries:
                 if budget >= 2:
                     out.extend((_DLex(e), 2) for e in entries)

@@ -15,9 +15,19 @@ are walked iteratively rather than by recursion.  The names a formula
 uses are collected once per formula object; each call only checks them
 against the model's signature.
 
+A ``|`` chain is evaluated through its label index (:attr:`Or.by_label`,
+built once per formula object): operands that can only hold at tree
+nodes with a given label, and possibly given daughter labels, are tried
+only on the nodes whose label and daughter labels match; the others on
+every node.  The lexical axiom, one disjunct per lexicon entry, thus
+tries about one entry per preterminal.  An indexed operand is false
+wherever its labels do not match (an unlabelled node, a dangling
+daughter), so the result is the same as trying every operand everywhere.
+
 ``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
 when it fails somewhere, returns the least failing node in the
-deterministic model order so counterexamples are stable.
+deterministic model order (``Model.node_order``, sorted once per model)
+so counterexamples are stable.
 ``satisfies(m, n, phi)`` evaluates it on ``{n}``.
 """
 
@@ -44,6 +54,7 @@ from .formula import (
     Up,
     WordLit,
     Zoomin,
+    _spine,
     validate_names,
 )
 from .model import Model, NodeId
@@ -90,15 +101,6 @@ def eval_patheq(m: Model, n: NodeId, spec: PathEq) -> bool:
     return bool(left & right)
 
 
-def _spine(f: Formula) -> list[Formula]:
-    """Operands of the left-nested ``type(f)`` chain at ``f``, in order."""
-    kind, ops = type(f), []
-    while type(f) is kind:
-        ops.append(f.right)
-        f = f.left
-    return [f] + ops[::-1]
-
-
 def _holds(m: Model, f: Formula, dom):
     """The nodes of ``dom`` at which ``f`` holds.
 
@@ -116,14 +118,22 @@ def _holds(m: Model, f: Formula, dom):
                 break
         return dom
     if isinstance(f, Or):
-        out, rest = set(), dom
-        for g in _spine(f):
-            got = _holds(m, g, rest)
-            if got:
-                out |= got
-                rest = rest - got
-                if not rest:
-                    break
+        plain, keyed = f.by_label
+        out, rest = _holds_any(m, plain, dom)
+        if keyed and rest:
+            label_of = cs.label.get
+            groups: dict[tuple, set[NodeId]] = {}
+            for n in rest:
+                label = label_of(n)
+                if label in keyed:
+                    key = (label, tuple(map(label_of, cs.daughters.get(n, ()))))
+                    if key in groups:
+                        groups[key].add(n)
+                    else:
+                        groups[key] = {n}
+            for (label, kids), nodes in groups.items():
+                by_kids = keyed[label]
+                out |= _holds_any(m, by_kids.get(kids, []) + by_kids.get(None, []), nodes)[0]
         return out
     if isinstance(f, (CatLit, WordLit)):
         return {n for n in dom if n in cs.nodes and cs.label.get(n) == f.name}
@@ -176,6 +186,20 @@ def _holds(m: Model, f: Formula, dom):
     raise TypeError("not a formula: %r" % (f,))
 
 
+def _holds_any(m: Model, ops, dom):
+    """``(nodes of dom where some operand holds, the other nodes)``; each
+    operand is tried, in order, only on the nodes not yet satisfied."""
+    out, rest = set(), dom
+    for g in ops:
+        got = _holds(m, g, rest)
+        if got:
+            out |= got
+            rest = rest - got
+            if not rest:
+                break
+    return out, rest
+
+
 def satisfies(m: Model, n: NodeId, phi: Formula) -> bool:
     """Truth of ``phi`` at node ``n`` (tree or feature node) of ``m``."""
     if n not in m.cstruct.nodes and n not in m.fstruct.nodes:
@@ -188,6 +212,6 @@ def valid(m: Model, phi: Formula) -> NodeId | None:
     """None when ``phi`` holds at every node of both domains; otherwise
     the least falsifying node in model order."""
     validate_names(phi, m.sig)
-    nodes = m.all_nodes()
+    nodes = m.node_order
     good = _holds(m, phi, frozenset(nodes))
     return next((n for n in nodes if n not in good), None)

@@ -60,6 +60,29 @@ rule S -> A {up=down} A {(up f)=down};
 lex "b" A;
 """
 
+# A PP-attachment grammar with number agreement, shaped like the
+# benchmark's agreement ladder: "man" is ambiguous between sg and pl.
+PP_AGREE_GRAMMAR_TEXT = """
+signature {
+  cat: S NP VP PP Det N V P;
+  atom: the man saw with sg pl;
+  feat: subj obj adj spec pred rel num;
+  gf: subj obj;
+}
+start S;
+rule S -> NP {(up subj)=down} VP {up=down};
+rule NP -> Det N;
+rule NP -> NP {up=down} PP {(up adj)=down};
+rule VP -> V {up=down} NP {(up obj)=down};
+rule VP -> VP {up=down} PP {(up adj)=down};
+rule PP -> P {up=down} NP {(up obj)=down};
+lex "the" Det {(up spec)=the; (up num)=sg};
+lex "man" N {(up pred)=man(); (up num)=sg};
+lex "man" N {(up pred)=man(); (up num)=pl};
+lex "saw" V {(up pred)=saw(subj, obj)};
+lex "with" P {(up pred)=with(obj)};
+"""
+
 
 def build_fig_sig() -> Signature:
     return Signature(

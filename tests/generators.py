@@ -146,6 +146,31 @@ def rand_formula(rng: random.Random, sig: Signature = RAND_SIG, depth=5):
     return rec(depth)
 
 
+def embedding_grammar_text(nouns):
+    """The sentential-embedding grammar ("the N said that ... the N
+    slept") with one noun entry per name in ``nouns``."""
+    lines = [
+        "signature {",
+        "  cat: S NP VP CP Det N V C;",
+        "  atom: the say sleep %s;" % " ".join(nouns),
+        "  feat: subj comp spec pred rel;",
+        "  gf: subj comp;",
+        "}",
+        "start S;",
+        "rule S -> NP {(up subj)=down} VP {up=down};",
+        "rule NP -> Det N;",
+        "rule VP -> V {up=down} CP {(up comp)=down};",
+        "rule VP -> V {up=down};",
+        "rule CP -> C {up=down} S {up=down};",
+        'lex "the" Det {(up spec)=the};',
+        'lex "said" V {(up pred)=say(subj, comp)};',
+        'lex "slept" V {(up pred)=sleep(subj)};',
+        'lex "that" C;',
+    ]
+    lines += ['lex "%s" N {(up pred)=%s()};' % (n, n) for n in nouns]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Corruptors: each flips one invariant and names the violation class the
 # validator must report.  A corruptor may return None when the model

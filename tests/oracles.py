@@ -16,6 +16,9 @@ pipeline it checks:
   naive saturation over explicit path-term equivalence classes (batch
   component recomputation, no union-find).  Validity filtering uses the
   denotation oracle.
+* ``reference_g_tokenize`` is the original character-at-a-time grammar
+  tokenizer, kept verbatim apart from its name, as the reference for the
+  regular-expression scanner that replaced it.
 * ``blind_parse`` enumerates every preterminal-form tree, every
   f-structure and every zoomin map within tiny bounds, filters by
   validity, and keeps the subsumption-minimal models per tree.  Only
@@ -37,6 +40,7 @@ from lfgmc import (
     Feat,
     FStructConst,
     FStructure,
+    GrammarSyntaxError,
     Iff,
     Implies,
     Model,
@@ -51,6 +55,7 @@ from lfgmc import (
     model_to_text,
     validate_model,
 )
+from lfgmc.grammar import _GTok
 
 # ---------------------------------------------------------------------------
 # Denotation-set semantics
@@ -254,6 +259,65 @@ def pointwise_sat(m, n, f) -> bool:
         right = _pointwise_image(m, n, f.right_tree, f.right_feats)
         return bool(left & right)
     raise TypeError(f)
+
+
+# ---------------------------------------------------------------------------
+# Grammar tokenizer, one character at a time
+# ---------------------------------------------------------------------------
+
+_G_OPS = ("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "=")
+
+
+def reference_g_tokenize(text: str) -> list[_GTok]:
+    toks: list[_GTok] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                raise GrammarSyntaxError("unterminated string literal", line, col)
+            toks.append(_GTok("STRING", text[i + 1 : j], start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(_GTok("IDENT", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        for op in _G_OPS:
+            if text.startswith(op, i):
+                if op == "=c" and i + 2 < n and (text[i + 2].isalnum() or text[i + 2] == "_"):
+                    continue  # '=cat' is '=' followed by a name
+                toks.append(_GTok("OP", op, start_line, start_col))
+                i += len(op)
+                col += len(op)
+                break
+        else:
+            raise GrammarSyntaxError("unexpected character %r" % ch, line, col)
+    toks.append(_GTok("EOF", "", line, col))
+    return toks
 
 
 # ---------------------------------------------------------------------------

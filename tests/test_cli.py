@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,13 @@ import pytest
 
 from lfgmc import model_to_text, parse_formula
 
-from conftest import DEVOUR_GRAMMAR_TEXT, FIG_GRAMMAR_TEXT, build_fig_model
+from conftest import (
+    DEVOUR_GRAMMAR_TEXT,
+    FIG_GRAMMAR_TEXT,
+    PP_AGREE_GRAMMAR_TEXT,
+    build_fig_model,
+)
+from generators import embedding_grammar_text
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -226,3 +233,70 @@ def test_no_ansi_color_when_disabled(fig_files):
     grammar, model = fig_files
     proc = run_cli("check", str(model), "--grammar", str(grammar), env_extra={"LFGMC_COLOR": "0"})
     assert "\x1b[" not in proc.stdout
+
+
+FIG_COMPILED = """\
+licensing:
+  ((cstruct & down (down true)) -> (((S & bullet((NP & (up zoomin subj ~ zoomin)), \
+(VP & (up zoomin ~ zoomin)))) | (NP & bullet(Det, N))) | (VP & bullet((V & (up zoomin ~ zoomin))))))
+lexical:
+  ((cstruct & bullet((("a" | "girl") | "walks"))) -> (((((Det & bullet("a")) & up (zoomin \
+(<spec> a))) & up (zoomin (<num> sing))) | (((N & bullet("girl")) & up (zoomin (<pred> \
+(<rel> girl)))) & up (zoomin (<num> sing)))) | (((V & bullet("walks")) & up (zoomin (<pred> \
+((<rel> walk & <subj> true))))) & up (zoomin (<tense> pst)))))
+completeness:
+  [subj] (<pred> (<subj> true) -> <subj> true)
+coherence:
+  [subj] ((<subj> true & <pred> true) -> <pred> (<subj> true))
+"""
+
+
+@pytest.mark.parametrize(
+    "text,fmt,sha256",
+    [
+        (FIG_GRAMMAR_TEXT, "json",
+         "37db2c286600c35fcab85840b5fce97afcf1d5fbf4727d73cfe7572cc0b9bbb4"),
+        (PP_AGREE_GRAMMAR_TEXT, "plain",
+         "9aac594a455465a9005ef62ab2234fb78ce1a6f8649f436cd1e028382cfe82f5"),
+        (PP_AGREE_GRAMMAR_TEXT, "json",
+         "b3a0ea75d4dccd1dc9b0868ea507a46de9c702e6a7c136da5d16809f4beacb2f"),
+    ],
+)
+def test_compile_output_is_pinned(tmp_path, text, fmt, sha256):
+    # the rendered text must not change; digests of the recursive renderer's output
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(text)
+    proc = run_cli("compile", str(grammar), "--format", fmt)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+def test_compile_fig_output_is_pinned(fig_files):
+    grammar, _ = fig_files
+    proc = run_cli("compile", str(grammar))
+    assert proc.returncode == 0
+    assert proc.stdout == FIG_COMPILED
+
+
+def test_compile_large_lexicon(tmp_path):
+    grammar = tmp_path / "big.lfg"
+    grammar.write_text(embedding_grammar_text(["noun%d" % k for k in range(5000)]))
+    plain = run_cli("compile", str(grammar))
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.count('bullet("noun') == 5000 and not plain.stderr
+    doc = run_cli("compile", str(grammar), "--format", "json")
+    assert doc.returncode == 0, doc.stderr
+    assert json.loads(doc.stdout)["lexical"] == plain.stdout.splitlines()[3].strip()
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys, fig_files):
+    from lfgmc import cli
+
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_compile", broken)
+    grammar, _ = fig_files
+    assert cli.main(["compile", str(grammar)]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err == "error: internal error (RuntimeError): first line second line\n"

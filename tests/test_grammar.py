@@ -334,3 +334,49 @@ def test_grammar_parser_totality_fuzz():
             parse_grammar(text)
         except LfgError:
             pass
+
+
+# --- the scanner against the character-at-a-time reference ----------------
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except GrammarSyntaxError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def test_scanner_matches_reference_tokenizer():
+    import random
+
+    from conftest import (
+        DEVOUR_GRAMMAR_TEXT,
+        FIG_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+    )
+    from generators import embedding_grammar_text
+    from lfgmc.grammar import _g_tokenize
+    from oracles import reference_g_tokenize
+
+    texts = [
+        FIG_GRAMMAR_TEXT,
+        DEVOUR_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+        embedding_grammar_text(["noun%d" % k for k in range(500)]),
+        FIG_GRAMMAR_TEXT.replace("\n", "\r\n") + "# trailing comment",
+        "", "#", "x #c", "\n\t #c\n  ", "=c", "=cat", "=c_", "=c(", "->", "-",
+    ]
+    rng = random.Random(47)
+    pieces = [
+        "signature", "rule", "lex", "x", "_y1", "é", "Ab9", "{", "}", "(", ")",
+        ";", ":", ",", ".", "=", "=c", "=cat", "=c1", "->", "-", '"b"', '"', '"ab',
+        '""', "#c", "#", "\n", "\r", "\t", " ", "  ", "@", "1", "²", "٣", "½",
+        "\f", "\xa0", "\x00", "$", "'", "x²", "a٣",
+    ]
+    for _ in range(3000):
+        texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(0, 25))))
+    for text in texts:
+        assert _tokens_or_error(_g_tokenize, text) == _tokens_or_error(
+            reference_g_tokenize, text
+        ), repr(text)

@@ -17,6 +17,7 @@ from lfgmc import (
 )
 
 from conftest import build_fig_model
+from generators import embedding_grammar_text
 from oracles import blind_parse, oracle_parse, oracle_valid, subsumes
 
 
@@ -602,38 +603,41 @@ def test_last_rule_element_ends_at_the_span_end():
     assert out.models == () and out.bound_exceeded
 
 
-def _embedding_grammar(nouns):
-    lines = [
-        "signature {",
-        "  cat: S NP VP CP Det N V C;",
-        "  atom: the say sleep %s;" % " ".join(nouns),
-        "  feat: subj comp spec pred rel;",
-        "  gf: subj comp;",
-        "}",
-        "start S;",
-        "rule S -> NP {(up subj)=down} VP {up=down};",
-        "rule NP -> Det N;",
-        "rule VP -> V {up=down} CP {(up comp)=down};",
-        "rule VP -> V {up=down};",
-        "rule CP -> C {up=down} S {up=down};",
-        'lex "the" Det {(up spec)=the};',
-        'lex "said" V {(up pred)=say(subj, comp)};',
-        'lex "slept" V {(up pred)=sleep(subj)};',
-        'lex "that" C;',
-    ]
-    lines += ['lex "%s" N {(up pred)=%s()};' % (n, n) for n in nouns]
-    return "\n".join(lines) + "\n"
-
-
 def test_large_lexicon_parses():
     # the lexical axiom is a left-nested disjunction over every entry and
     # every word form; its evaluation must not recurse along it
     from lfgmc import compile_grammar, parse_grammar
 
     nouns = ["noun%d" % k for k in range(1500)]
-    g = parse_grammar(_embedding_grammar(nouns))
+    g = parse_grammar(embedding_grammar_text(nouns))
     theory = compile_grammar(g)
     tokens = "the noun3 said that the noun1499 slept".split()
     out = parse_sentence(theory, g, tokens)
     assert len(out.models) == 1 and not out.bound_exceeded
     assert check_parse(theory, out.models[0]).ok
+
+
+def test_lexical_axiom_work_does_not_grow_with_the_lexicon(monkeypatch):
+    # the lexical disjunction is indexed by tree label, so each preterminal
+    # only tries the entries of its own word
+    from lfgmc import compile_grammar, parse_grammar, semantics
+
+    counts = []
+    for size in (500, 5000):
+        nouns = ["noun%d" % k for k in range(size)]
+        g = parse_grammar(embedding_grammar_text(nouns))
+        theory = compile_grammar(g)
+        tokens = []
+        for noun in nouns[1:size:size // 4][:3]:
+            tokens += ["the", noun, "said", "that"]
+        tokens += ["the", nouns[-1], "slept"]
+        (model,) = parse_sentence(theory, g, tokens, SearchBounds(100, 100, 10)).models
+        calls = []
+        holds = semantics._holds
+        monkeypatch.setattr(
+            semantics, "_holds", lambda m, f, dom: calls.append(f) or holds(m, f, dom)
+        )
+        assert semantics.valid(model, theory.lexical) is None
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 200, counts

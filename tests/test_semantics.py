@@ -8,6 +8,7 @@ from lfgmc import (
     AtomLit,
     Bullet,
     CatLit,
+    CSTRUCT,
     CStructure,
     Down,
     Feat,
@@ -334,3 +335,101 @@ def test_name_check_follows_the_model_signature(fig_model):
     with pytest.raises(SignatureError, match="unknown category 'NP'"):
         satisfies(other, "n0", phi)
     assert valid(fig_model, phi) is None
+
+
+# --- the label index of | chains ---------------------------------------------
+
+
+def _labelled(rng, label):
+    """A formula that can only hold at tree nodes carrying ``label``."""
+    lit = CatLit(label) if label in RAND_SIG.cats else WordLit(label)
+    if rng.random() < 0.3:
+        return lit
+    parts = [rand_formula(rng, RAND_SIG, depth=1) for _ in range(rng.randint(0, 2))]
+    parts.insert(rng.randint(0, len(parts)), lit)
+    return _fold(And, parts)
+
+
+def _rand_indexed_chain(rng, m):
+    """A | chain mixing every kind of operand the label index files:
+    bare literals, literal-led & chains, & chains with a bullet whose
+    arguments all have literal labels or not all, and plain operands.
+    Labels repeat often, and most are copied from a node of ``m`` and
+    its daughters, so that operands have nodes to match."""
+    names = sorted(RAND_SIG.cats | RAND_SIG.words)
+    tree = sorted(m.cstruct.nodes)
+
+    def name(n):
+        label = m.cstruct.label.get(n)
+        return label if label in names and rng.random() < 0.8 else rng.choice(names)
+
+    ops = []
+    for _ in range(rng.randint(1, 10)):
+        pick = rng.randrange(5)
+        n = rng.choice(tree)
+        if pick == 0:
+            ops.append(rand_formula(rng, RAND_SIG, depth=2))
+        elif pick == 1:
+            ops.append(_labelled(rng, name(n)))
+        else:
+            args = tuple(
+                _labelled(rng, name(d))
+                if pick < 4 or rng.random() < 0.5
+                else rand_formula(rng, RAND_SIG, depth=1)
+                for d in m.cstruct.daughters.get(n, ()) or tree[:1]
+            )
+            ops.append(And(_labelled(rng, name(n)), Bullet(args)))
+    return _fold(Or, ops)
+
+
+def _dangle_and_unlabel(rng, m):
+    """``m`` with a dangling daughter under one tree node and the label of
+    another removed."""
+    c = m.cstruct
+    nodes = sorted(c.nodes)
+    daughters = dict(c.daughters)
+    host = rng.choice(nodes)
+    daughters[host] = daughters.get(host, ()) + ("t_ghost",)
+    label = dict(c.label)
+    label.pop(rng.choice(nodes), None)
+    return Model(m.sig, CStructure(c.nodes, c.root, c.mother, daughters, label), m.fstruct, m.zoomin)
+
+
+def test_label_index_matches_pointwise_reference():
+    rng = random.Random(5151)
+    keyed = 0
+    for _ in range(40):
+        base = rand_model(rng)
+        models = [base, _dangle_and_unlabel(rng, base)]
+        models += [corrupt(rng, base) for _code, corrupt in CORRUPTORS]
+        for m in models:
+            if m is None:
+                continue
+            phi = _rand_indexed_chain(rng, m)
+            if isinstance(phi, Or):
+                keyed += sum(len(by_kids) for by_kids in phi.by_label[1].values())
+            for f in (phi, Implies(CSTRUCT, phi), Down(phi), Not(phi)):
+                try:
+                    validate_names(f, m.sig)
+                except SignatureError:
+                    continue
+                failing = [n for n in m.all_nodes() if not pointwise_sat(m, n, f)]
+                assert valid(m, f) == (failing[0] if failing else None), f
+                for n in m.all_nodes():
+                    assert satisfies(m, n, f) == pointwise_sat(m, n, f), (f, n)
+    assert keyed > 1000
+
+
+def test_label_index_files_operands_in_chain_order():
+    a, b = CatLit("NP"), CatLit("VP")
+    det_n = And(a, Bullet((CatLit("Det"), CatLit("N"))))
+    any_np = And(a, Not(b))
+    loose = And(a, Bullet((CatLit("Det"), TRUE)))
+    other = Down(TRUE)
+    phi = _fold(Or, [det_n, other, any_np, b, loose, det_n])
+    plain, keyed = phi.by_label
+    assert plain == [other]
+    assert keyed == {
+        "NP": {("Det", "N"): [det_n, det_n], None: [any_np, loose]},
+        "VP": {None: [b]},
+    }
