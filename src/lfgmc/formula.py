@@ -37,7 +37,7 @@ Quoted strings are always word forms.  ``<up>``, ``<down>`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import FormulaSyntaxError, SignatureError
 from .model import _IDENT_RE, RESERVED_WORDS, Signature
@@ -292,11 +292,32 @@ def _tokenize(text: str) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 
 
+#: Deepest nesting a formula may have, in levels.  A ``!``, ``<f>`` or
+#: ``zoomin`` prefix and a pending right operand of ``->`` or ``<->`` take
+#: one level each, and the evaluator recurses once through each; a
+#: parenthesised group or ``bullet`` argument list takes
+#: ``_GROUP_LEVELS``.  ``up`` and ``down`` steps are free.  This admits
+#: every formula that fits Python's default stack of 1000 frames when
+#: parsed by plain recursive descent (six frames a group, one a prefix or
+#: right operand), and evaluating one still fits that stack under the CLI.
+MAX_NESTING = 991
+_GROUP_LEVELS = 6
+
+# binary operators: precedence (loosest first), right associativity, node
+_BINARY = {
+    "<->": (1, True, Iff),
+    "->": (2, True, Implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+}
+
+
 class _Parser:
     def __init__(self, toks: list[_Tok], sig: Signature):
         self.toks = toks
         self.pos = 0
         self.sig = sig
+        self.depth = 0
 
     @property
     def cur(self) -> _Tok:
@@ -323,79 +344,95 @@ class _Parser:
     def err(self, msg):
         raise FormulaSyntaxError(msg, self.cur.line, self.cur.col)
 
-    # precedence climbing, loosest first
+    def nest(self, tok: _Tok, levels: int = 1):
+        """Enter ``levels`` more levels of nesting, opened by ``tok``."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nested too deeply (more than %d levels)" % MAX_NESTING,
+                tok.line,
+                tok.col,
+            )
+
     def parse_formula(self) -> Formula:
-        left = self.parse_implies()
-        if self.at("OP", "<->"):
-            self.advance()
-            return Iff(left, self.parse_formula())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.at("OP", "->"):
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.at("OP", "|"):
-            self.advance()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while self.at("OP", "&"):
-            self.advance()
-            f = And(f, self.parse_unary())
-        return f
+        """Operands joined by binary operators, grouped by precedence with
+        an operator stack, so that chains of any length do not recurse."""
+        depth = self.depth
+        operands = [self.parse_unary()]
+        ops: list[str] = []
+        while self.cur.kind == "OP" and self.cur.value in _BINARY:
+            prec, right, _node = _BINARY[self.cur.value]
+            while ops:
+                top, top_right, _node = _BINARY[ops[-1]]
+                if top < prec or (top == prec and right):
+                    break
+                _reduce(operands, ops.pop())
+                self.depth -= top_right  # a right operand is no longer pending
+            if right:
+                self.nest(self.cur)
+            ops.append(self.advance().value)
+            operands.append(self.parse_unary())
+        while ops:
+            _reduce(operands, ops.pop())
+        self.depth = depth
+        return operands[0]
 
     def parse_unary(self) -> Formula:
-        if self.at("OP", "!"):
-            self.advance()
-            return Not(self.parse_unary())
-        if self.at("KW", "up") or self.at("KW", "down") or self.at("KW", "zoomin"):
-            return self.parse_treewalk()
-        if self.cur.kind == "FEATMOD":
-            t = self.advance()
-            if t.value not in self.sig.feats:
-                raise SignatureError("unknown feature %r" % t.value, t.line, t.col)
-            return Feat(t.value, self.parse_unary())
-        return self.parse_primary()
+        """Prefix operators, collected in a loop and applied to their
+        operand innermost first."""
+        depth = self.depth
+        wrap: list = []
+        while True:
+            if self.at("OP", "!"):
+                self.nest(self.cur)
+                self.advance()
+                wrap.append(Not)
+                continue
+            if self.cur.kind == "FEATMOD":
+                self.nest(self.cur)
+                t = self.advance()
+                if t.value not in self.sig.feats:
+                    raise SignatureError("unknown feature %r" % t.value, t.line, t.col)
+                wrap.append(partial(Feat, t.value))
+                continue
+            if not (self.at("KW", "up") or self.at("KW", "down") or self.at("KW", "zoomin")):
+                sub = self.parse_primary()
+                break
+            steps = self.tree_steps()
+            modal = [Up if step == "up" else Down for step in steps]
+            if not self.at("KW", "zoomin"):
+                wrap.extend(modal)  # a plain modal chain like "up down phi"
+                continue
+            zoomin = self.advance()
+            feats = self.feature_path()
+            if self.at("OP", "~"):
+                self.advance()
+                rtree = self.tree_steps()
+                self.expect("KW", "zoomin")
+                sub = PathEq(steps, feats, rtree, self.feature_path())
+                break
+            if feats:
+                self.err("expected '~' after the feature path of a path equality")
+            # modal chain ending in a zoomin modality
+            self.nest(zoomin)
+            wrap.extend(modal)
+            wrap.append(Zoomin)
+        for make in reversed(wrap):
+            sub = make(sub)
+        self.depth = depth
+        return sub
 
-    def parse_treewalk(self) -> Formula:
-        steps: list[str] = []
+    def tree_steps(self) -> tuple[str, ...]:
+        steps = []
         while self.at("KW", "up") or self.at("KW", "down"):
             steps.append(self.advance().value)
-        if not self.at("KW", "zoomin"):
-            # a plain modal chain like "up down phi"
-            sub = self.parse_unary()
-            for step in reversed(steps):
-                sub = Up(sub) if step == "up" else Down(sub)
-            return sub
-        self.advance()  # zoomin
-        feats: list[str] = []
+        return tuple(steps)
+
+    def feature_path(self) -> tuple[str, ...]:
+        feats = []
         while self.cur.kind == "IDENT" and self.cur.value in self.sig.feats:
             feats.append(self.advance().value)
-        if self.at("OP", "~"):
-            self.advance()
-            rtree: list[str] = []
-            while self.at("KW", "up") or self.at("KW", "down"):
-                rtree.append(self.advance().value)
-            self.expect("KW", "zoomin")
-            rfeats: list[str] = []
-            while self.cur.kind == "IDENT" and self.cur.value in self.sig.feats:
-                rfeats.append(self.advance().value)
-            return PathEq(tuple(steps), tuple(feats), tuple(rtree), tuple(rfeats))
-        if feats:
-            self.err("expected '~' after the feature path of a path equality")
-        # modal chain ending in a zoomin modality
-        sub = Zoomin(self.parse_unary())
-        for step in reversed(steps):
-            sub = Up(sub) if step == "up" else Down(sub)
-        return sub
+        return tuple(feats)
 
     def parse_primary(self) -> Formula:
         t = self.cur
@@ -414,18 +451,20 @@ class _Parser:
                 return FSTRUCT
             if t.value == "bullet":
                 self.advance()
-                self.expect("OP", "(")
+                self.nest(self.expect("OP", "("), _GROUP_LEVELS)
                 args = [self.parse_formula()]
                 while self.at("OP", ","):
                     self.advance()
                     args.append(self.parse_formula())
                 self.expect("OP", ")")
+                self.depth -= _GROUP_LEVELS
                 return Bullet(tuple(args))
             self.err("unexpected keyword %r" % t.value)
         if t.kind == "OP" and t.value == "(":
-            self.advance()
+            self.nest(self.advance(), _GROUP_LEVELS)
             f = self.parse_formula()
             self.expect("OP", ")")
+            self.depth -= _GROUP_LEVELS
             return f
         if t.kind == "STRING":
             self.advance()
@@ -450,6 +489,12 @@ class _Parser:
                 )
             raise SignatureError("unknown name %r" % t.value, t.line, t.col)
         self.err("expected a formula, got %r" % (t.value or "end of input"))
+
+
+def _reduce(operands: list[Formula], op: str):
+    """Replace the last two operands by their combination under ``op``."""
+    right = operands.pop()
+    operands[-1] = _BINARY[op][2](operands[-1], right)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

@@ -30,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ModelFormatError, SignatureError, UnknownNodeError
 
@@ -150,6 +151,24 @@ class Signature:
         if name in self.words:
             return "word"
         return None
+
+    @cached_property
+    def _text_block(self) -> str:
+        """The ``"signature"`` object of the model text, rendered once per
+        signature (its fields are frozen)."""
+        pad = " " * 4
+        return _text_object(
+            [
+                ("atoms", _text_array([_quote(a) for a in sorted(self.atoms)], pad)),
+                ("cats", _text_array([_quote(c) for c in sorted(self.cats)], pad)),
+                ("feats", _text_array([_quote(f) for f in sorted(self.feats)], pad)),
+                ("gf", _text_array(
+                    [_text_array([_quote(f) for f in seq], pad + "  ") for seq in self.gf], pad
+                )),
+                ("words", _text_array([_quote(w) for w in sorted(self.words)], pad)),
+            ],
+            "  ",
+        )
 
 
 @dataclass(frozen=True)
@@ -287,6 +306,7 @@ def validate_model(m: Model) -> ValidationReport:
     out.extend(m.sig.violations())
 
     c, f = m.cstruct, m.fstruct
+    tree_order = m.node_order[: len(c.nodes)]
 
     shared = c.nodes & f.nodes
     if shared:
@@ -329,7 +349,7 @@ def validate_model(m: Model) -> ValidationReport:
             )
         )
 
-    for n in sorted(c.nodes, key=node_key):
+    for n in tree_order:
         if n not in c.label:
             out.append(Violation("tree-label-missing", "node has no label", (n,)))
 
@@ -357,7 +377,7 @@ def validate_model(m: Model) -> ValidationReport:
 
     if c.mother.get(c.root) is not None:
         out.append(Violation("tree-root-has-mother", "root has a mother", (c.root,)))
-    for n in sorted(c.nodes, key=node_key):
+    for n in tree_order:
         if n != c.root and n not in c.mother:
             out.append(
                 Violation("tree-orphan", "non-root node has no mother", (n,))
@@ -404,7 +424,7 @@ def validate_model(m: Model) -> ValidationReport:
                 )
             )
 
-    for n in sorted(c.nodes, key=node_key):
+    for n in tree_order:
         lab = c.label.get(n)
         if lab in m.sig.words and c.daughters.get(n, ()):
             out.append(
@@ -564,13 +584,16 @@ def canonicalize(m: Model) -> Model:
         if w not in fmap:
             fmap[w] = "f%d" % len(fmap)
 
-    cstruct = CStructure(
-        nodes=frozenset(tmap.values()),
-        root=tmap[c.root],
-        mother={tmap[d]: tmap[mo] for d, mo in c.mother.items()},
-        daughters={tmap[n]: tuple(tmap[d] for d in ds) for n, ds in c.daughters.items()},
-        label={tmap[n]: lab for n, lab in c.label.items()},
-    )
+    if _is_identity(tmap, c):
+        cstruct = c  # already numbered in preorder, as the search builds trees
+    else:
+        cstruct = CStructure(
+            nodes=frozenset(tmap.values()),
+            root=tmap[c.root],
+            mother={tmap[d]: tmap[mo] for d, mo in c.mother.items()},
+            daughters={tmap[n]: tuple(tmap[d] for d in ds) for n, ds in c.daughters.items()},
+            label={tmap[n]: lab for n, lab in c.label.items()},
+        )
     fstruct = FStructure(
         nodes=frozenset(fmap.values()),
         initial=fmap[f.initial],
@@ -582,6 +605,19 @@ def canonicalize(m: Model) -> Model:
     return Model(m.sig, cstruct, fstruct, zoomin)
 
 
+def _is_identity(tmap: dict[NodeId, NodeId], c: CStructure) -> bool:
+    """Whether renaming ``c`` by ``tmap`` would rebuild ``c`` itself: every
+    node keeps its id and every id ``c`` mentions is renamed."""
+    return (
+        all(old == new for old, new in tmap.items())
+        and c.nodes == tmap.keys()
+        and c.daughters.keys() <= tmap.keys()
+        and c.mother.keys() <= tmap.keys()
+        and all(mo in tmap for mo in c.mother.values())
+        and c.label.keys() <= tmap.keys()
+    )
+
+
 # ---------------------------------------------------------------------------
 # JSON serialization.
 #
@@ -590,6 +626,13 @@ def canonicalize(m: Model) -> Model:
 # "root"; f-structure nodes as {"id", "trans"} with an optional "atom",
 # plus "initial"; zoomin as a flat {treeId: fnodeId} object.  Unknown keys
 # are rejected.  Final nodes are exactly the nodes carrying an "atom" key.
+#
+# The model text is byte-exact: what json.dumps(model_to_json(m), indent=2,
+# sort_keys=True) + "\n" prints, with every key sorted as a plain string
+# (so "trans" and "zoomin" keys are not in node_key order), strings in
+# ASCII escapes, and [] / {} for empty containers.  model_to_text writes it
+# directly, because with an indent json.dumps runs its pure-Python encoder,
+# and the text is also the dedup and sort key of parse_sentence.
 # ---------------------------------------------------------------------------
 
 
@@ -624,8 +667,60 @@ def model_to_json(m: Model) -> dict:
     }
 
 
+def _text_array(items: list[str], pad: str) -> str:
+    """A JSON array of rendered ``items`` whose closing bracket is
+    indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _text_object(pairs, pad: str) -> str:
+    """A JSON object of ``(key, rendered value)`` pairs, keys already in
+    sorted order, whose closing brace is indented by ``pad``."""
+    if not pairs:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + ",\n".join(
+        "%s%s: %s" % (inner, _quote(k), v) for k, v in pairs
+    ) + "\n" + pad + "}"
+
+
 def model_to_text(m: Model) -> str:
-    return json.dumps(model_to_json(m), indent=2, sort_keys=True) + "\n"
+    """The model's canonical JSON text (see the layout above)."""
+    c, f = m.cstruct, m.fstruct
+    order = m.node_order
+    tree_nodes = [
+        '{\n        "daughters": %s,\n        "id": %s,\n        "label": %s\n      }' % (
+            _text_array([_quote(d) for d in c.daughters.get(n, ())], " " * 8),
+            _quote(n),
+            _quote(c.label.get(n, "")),
+        )
+        for n in order[: len(c.nodes)]
+    ]
+    f_nodes = []
+    for w in order[len(c.nodes) :]:
+        trans = _text_object(
+            [(feat, _quote(w2)) for feat, w2 in sorted(f.trans.get(w, {}).items())], " " * 8
+        )
+        atom = '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else ""
+        f_nodes.append(
+            '{\n        %s"id": %s,\n        "trans": %s\n      }' % (atom, _quote(w), trans)
+        )
+    return (
+        '{\n  "fstruct": {\n    "initial": %s,\n    "nodes": %s\n  },\n'
+        '  "signature": %s,\n'
+        '  "tree": {\n    "nodes": %s,\n    "root": %s\n  },\n'
+        '  "zoomin": %s\n}\n'
+    ) % (
+        _quote(f.initial),
+        _text_array(f_nodes, " " * 4),
+        m.sig._text_block,
+        _text_array(tree_nodes, " " * 4),
+        _quote(c.root),
+        _text_object([(t, _quote(w)) for t, w in sorted(m.zoomin.items())], "  "),
+    )
 
 
 def _need(obj: dict, keys: set[str], what: str, optional: set[str] = frozenset()):

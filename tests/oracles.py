@@ -19,12 +19,20 @@ pipeline it checks:
 * ``reference_g_tokenize`` is the original character-at-a-time grammar
   tokenizer, kept verbatim apart from its name, as the reference for the
   regular-expression scanner that replaced it.
+* ``reference_model_to_text`` is the original serializer, which builds
+  the JSON document and hands it to ``json.dumps``, and
+  ``reference_canonicalize`` the original renaming that always rebuilds
+  both structures; both are kept verbatim apart from their names, as the
+  references for the direct text writer and for ``canonicalize``.
+  ``oracle_parse`` and ``blind_parse`` use them, so the benchmark's
+  reference digests do not share the writer under test.
 * ``blind_parse`` enumerates every preterminal-form tree, every
   f-structure and every zoomin map within tiny bounds, filters by
   validity, and keeps the subsumption-minimal models per tree.  Only
   usable for very small signatures; it backstops the other two.
 """
 
+import json
 from collections import defaultdict
 from itertools import product
 
@@ -51,8 +59,6 @@ from lfgmc import (
     Up,
     WordLit,
     Zoomin,
-    canonicalize,
-    model_to_text,
     validate_model,
 )
 from lfgmc.grammar import _GTok
@@ -318,6 +324,93 @@ def reference_g_tokenize(text: str) -> list[_GTok]:
             raise GrammarSyntaxError("unexpected character %r" % ch, line, col)
     toks.append(_GTok("EOF", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Canonical renaming and the JSON text, through json.dumps
+# ---------------------------------------------------------------------------
+
+
+def _node_key(node):
+    return (len(node), node)
+
+
+def reference_canonicalize(m: Model) -> Model:
+    c, f = m.cstruct, m.fstruct
+
+    tmap = {}
+    stack = [c.root]
+    while stack:
+        n = stack.pop()
+        tmap[n] = "n%d" % len(tmap)
+        stack.extend(reversed(c.daughters.get(n, ())))
+
+    fmap = {}
+    if f.initial in f.nodes:
+        fmap[f.initial] = "f0"
+        queue = [f.initial]
+        while queue:
+            w = queue.pop(0)
+            for feat in sorted(f.trans.get(w, {})):
+                w2 = f.trans[w][feat]
+                if w2 not in fmap:
+                    fmap[w2] = "f%d" % len(fmap)
+                    queue.append(w2)
+    for w in sorted(f.nodes, key=_node_key):
+        if w not in fmap:
+            fmap[w] = "f%d" % len(fmap)
+
+    cstruct = CStructure(
+        nodes=frozenset(tmap.values()),
+        root=tmap[c.root],
+        mother={tmap[d]: tmap[mo] for d, mo in c.mother.items()},
+        daughters={tmap[n]: tuple(tmap[d] for d in ds) for n, ds in c.daughters.items()},
+        label={tmap[n]: lab for n, lab in c.label.items()},
+    )
+    fstruct = FStructure(
+        nodes=frozenset(fmap.values()),
+        initial=fmap[f.initial],
+        trans={fmap[w]: {ft: fmap[w2] for ft, w2 in t.items()} for w, t in f.trans.items()},
+        final=frozenset(fmap[w] for w in f.final),
+        atomval={fmap[w]: a for w, a in f.atomval.items()},
+    )
+    zoomin = {tmap[t]: fmap[w] for t, w in m.zoomin.items()}
+    return Model(m.sig, cstruct, fstruct, zoomin)
+
+
+def _reference_model_json(m: Model) -> dict:
+    c, f = m.cstruct, m.fstruct
+    tree_nodes = []
+    for n in sorted(c.nodes, key=_node_key):
+        tree_nodes.append(
+            {
+                "id": n,
+                "label": c.label.get(n, ""),
+                "daughters": list(c.daughters.get(n, ())),
+            }
+        )
+    f_nodes = []
+    for w in sorted(f.nodes, key=_node_key):
+        entry = {"id": w, "trans": dict(sorted(f.trans.get(w, {}).items()))}
+        if w in f.atomval:
+            entry["atom"] = f.atomval[w]
+        f_nodes.append(entry)
+    return {
+        "signature": {
+            "cats": sorted(m.sig.cats),
+            "atoms": sorted(m.sig.atoms),
+            "feats": sorted(m.sig.feats),
+            "gf": [list(g) for g in m.sig.gf],
+            "words": sorted(m.sig.words),
+        },
+        "tree": {"root": c.root, "nodes": tree_nodes},
+        "fstruct": {"initial": f.initial, "nodes": f_nodes},
+        "zoomin": dict(sorted(m.zoomin.items(), key=lambda kv: _node_key(kv[0]))),
+    }
+
+
+def reference_model_to_text(m: Model) -> str:
+    return json.dumps(_reference_model_json(m), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +754,7 @@ def oracle_parse(theory, sig, start, tokens, max_tree=40, max_f=80):
             continue
         if any(oracle_valid(model, f) is not None for _, f in theory.labeled()):
             continue
-        found.add(model_to_text(canonicalize(model)))
+        found.add(reference_model_to_text(reference_canonicalize(model)))
     return sorted(found)
 
 
@@ -887,5 +980,5 @@ def blind_parse(theory, sig, start, tokens, max_tree, max_f):
                 for other in valid_here
             ):
                 continue
-            results.append(model_to_text(canonicalize(m)))
+            results.append(reference_model_to_text(reference_canonicalize(m)))
     return sorted(set(results))

@@ -101,6 +101,29 @@ def test_check_name_error_is_input_error(fig_files):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "formula,code",
+    [
+        ("(" * 165 + "true" + ")" * 165, 0),
+        ("!" * 991 + "true", 1),
+        ("true -> " * 991 + "false", 1),
+        ("(" * 166 + "true" + ")" * 166, 2),
+        ("(" * 3000 + "true" + ")" * 3000, 2),
+        ("!" * 3000 + "true", 2),
+    ],
+    ids=["parens-165", "not-991", "implies-991", "parens-166", "parens-3000", "not-3000"],
+)
+def test_check_deeply_nested_formula(fig_files, formula, code):
+    _, model = fig_files
+    proc = run_cli("check", str(model), "--formula", formula)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "nested too deeply" in proc.stderr and "Traceback" not in proc.stderr
+    else:
+        assert proc.stderr == ""
+
+
 def test_parse_fig_sentence(fig_files):
     grammar, _ = fig_files
     proc = run_cli("parse", str(grammar), "a", "girl", "walks")
@@ -276,6 +299,56 @@ def test_compile_fig_output_is_pinned(fig_files):
     proc = run_cli("compile", str(grammar))
     assert proc.returncode == 0
     assert proc.stdout == FIG_COMPILED
+
+
+PP_SENTENCE = "the man saw the man with the man with the man".split()
+
+
+@pytest.mark.parametrize(
+    "text,tokens,fmt,sha256",
+    [
+        (FIG_GRAMMAR_TEXT, ["a", "girl", "walks"], "plain",
+         "069c0d744e2970fdc0e8e43d57d62689f3b8c310e27ea905defe2092895eb681"),
+        (FIG_GRAMMAR_TEXT, ["a", "girl", "walks"], "json",
+         "27ba991ead3b89c6c16b5530dac7046cc07990c3201b493cd412135374c79286"),
+        (PP_AGREE_GRAMMAR_TEXT, PP_SENTENCE, "plain",
+         "0649341eada532dceebc828967f7b2e3b3421c0cc481f7fc95928bfde271d2bd"),
+        (PP_AGREE_GRAMMAR_TEXT, PP_SENTENCE, "json",
+         "1252863bc884dd57b503ccaf7b503c005733559f08ffe66b69ca679b46bb5287"),
+    ],
+    ids=["fig-plain", "fig-json", "pp-plain", "pp-json"],
+)
+def test_parse_output_is_pinned(tmp_path, text, tokens, fmt, sha256):
+    # digests of the output of the json.dumps serializer
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(text)
+    proc = run_cli("parse", str(grammar), *tokens, "--format", fmt)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "text,tokens,files,sha256",
+    [
+        (FIG_GRAMMAR_TEXT, ["a", "girl", "walks"], 1,
+         "dbd2f344367d1a0707ae022d5b01a503578ad8d7810c1e8dda1b903dbc0574fb"),
+        (PP_AGREE_GRAMMAR_TEXT, PP_SENTENCE, 5,
+         "1b50a929864f541e3a4fe5121b01e717027f52e80edb4a750a2b439c9ac396b9"),
+    ],
+    ids=["fig", "pp"],
+)
+def test_parse_out_files_are_pinned(tmp_path, text, tokens, files, sha256):
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(text)
+    out = tmp_path / "models"
+    assert run_cli("parse", str(grammar), *tokens, "--out", str(out)).returncode == 0
+    names = sorted(os.listdir(out))
+    assert len(names) == files
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode())
+        digest.update((out / name).read_bytes())
+    assert digest.hexdigest() == sha256
 
 
 def test_compile_large_lexicon(tmp_path):

@@ -75,6 +75,76 @@ def test_parse_precedence(fig_sig):
     assert isinstance(f.left.left.right, And)
 
 
+def test_parse_associativity(fig_sig):
+    from lfgmc import Iff, Implies, Or
+
+    t, f, c = TRUE, parse_formula("false", fig_sig), CStructConst()
+    assert parse_formula("true -> false -> cstruct", fig_sig) == Implies(t, Implies(f, c))
+    assert parse_formula("true <-> false <-> cstruct", fig_sig) == Iff(t, Iff(f, c))
+    assert parse_formula("true | false | cstruct", fig_sig) == Or(Or(t, f), c)
+    assert parse_formula("true & false & cstruct", fig_sig) == And(And(t, f), c)
+    assert parse_formula("true -> false <-> cstruct -> true", fig_sig) == Iff(
+        Implies(t, f), Implies(c, t)
+    )
+
+
+def _depth(f, kind):
+    n = 0
+    while isinstance(f, kind):
+        f, n = f.sub, n + 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 165 + "true" + ")" * 165,
+        "bullet(" * 165 + "true" + ")" * 165,
+        "!" * 991 + "true",
+        "<subj>" * 991 + "true",
+        "zoomin " * 991 + "true",
+        "true -> " * 991 + "true",
+        "up down " * 3000 + "true",
+        "true & " * 3000 + "true",
+        "(!" * 141 + "true" + ")" * 141,
+    ],
+    ids=["parens", "bullets", "not", "feat", "zoomin", "implies", "tree-steps", "and-chain", "mixed"],
+)
+def test_deepest_accepted_nesting(fig_sig, text):
+    # the most a formula could nest when the parser recursed on every level
+    f = parse_formula(text, fig_sig)
+    if text.startswith("!"):
+        assert _depth(f, Not) == 991
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 166 + "true" + ")" * 166,
+        "(" * 3000 + "true" + ")" * 3000,
+        "bullet(" * 166 + "true" + ")" * 166,
+        "!" * 992 + "true",
+        "!" * 3000 + "true",
+        "<subj>" * 3000 + "true",
+        "zoomin " * 3000 + "true",
+        "true -> " * 3000 + "true",
+        "true <-> " * 3000 + "true",
+        "(!" * 142 + "true" + ")" * 142,
+    ],
+    ids=["parens-166", "parens-3000", "bullets", "not-992", "not-3000", "feat", "zoomin",
+         "implies", "iff", "mixed"],
+)
+def test_nesting_beyond_the_limit_is_a_syntax_error(fig_sig, text):
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_formula(text, fig_sig)
+
+
+def test_nesting_error_position(fig_sig):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("true &\n" + "(" * 200 + "true" + ")" * 200, fig_sig)
+    assert (err.value.line, err.value.col) == (2, 166)
+
+
 def test_word_literals_quote_and_resolve(fig_sig):
     # "a" is both an atom and a word; bare identifiers resolve to the atom,
     # the quoted form always means the word

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from lfgmc import (
     canonicalize,
     feature_image,
     model_from_text,
+    model_to_json,
     model_to_text,
     tree_relatives,
     validate_model,
@@ -19,7 +21,8 @@ from lfgmc import (
 from lfgmc.errors import ModelFormatError
 
 from generators import CORRUPTORS, rand_model
-from conftest import build_fig_model
+from conftest import PP_AGREE_GRAMMAR_TEXT, build_fig_model
+from oracles import reference_canonicalize, reference_model_to_text
 
 
 def test_fig_model_is_valid(fig_model):
@@ -229,8 +232,6 @@ def test_serialization_deterministic(fig_model):
 
 
 def test_unknown_keys_rejected(fig_model):
-    import json
-
     doc = json.loads(model_to_text(fig_model))
     doc["surprise"] = 1
     with pytest.raises(ModelFormatError):
@@ -248,12 +249,143 @@ def test_truncated_document_rejected(fig_model):
 
 
 def test_reserved_signature_names_rejected(fig_model):
-    import json
-
     doc = json.loads(model_to_text(fig_model))
     doc["signature"]["feats"].append("zoomin")
     with pytest.raises(ModelFormatError):
         model_from_text(json.dumps(doc))
+
+
+def _broken_models(seed, count, max_nodes):
+    """Random models, each followed by every corruption that applies to it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rand_model(rng, max_tree=max_nodes, max_f=max_nodes)
+        yield None, m
+        for name, corrupt in CORRUPTORS:
+            bad = corrupt(rng, m)
+            if bad is not None:
+                yield name, bad
+
+
+def _odd_model():
+    """Empty gf and words, a node without transitions or daughters, an
+    unlabelled node, and ids and values that need JSON escapes."""
+    sig = Signature(cats={"S", "X"}, atoms={"a"}, feats={"f"})
+    c = CStructure.build(
+        'r"1',
+        {'r"1': ("k\\2", "\u00e9"), "k\\2": (), "\u00e9": ()},
+        {'r"1': "S", "k\\2": "X"},
+    )
+    f = FStructure(
+        frozenset(["w0", "w\n1"]), "w0", {"w0": {"f": "w\n1"}}, {"w\n1"}, {"w\n1": "a"}
+    )
+    return Model(sig, c, f, {})
+
+
+def _escaped_words_model():
+    words = ['say "hi"', "back\\slash", "caf\u00e9", "\u65e5\u672c", "tab\there", "\u2028", ""]
+    sig = Signature(cats={"S"}, atoms={"a"}, feats={"f"}, gf=(("f",),), words=words)
+    daughters = {"n0": tuple("n%d" % (k + 1) for k in range(len(words)))}
+    label = {"n0": "S", **{"n%d" % (k + 1): w for k, w in enumerate(words)}}
+    c = CStructure.build("n0", daughters, label)
+    f = FStructure(frozenset(["f0"]), "f0", {"f0": {}})
+    return Model(sig, c, f, {"n0": "f0"})
+
+
+def test_model_text_matches_reference_on_broken_models():
+    # up to 30 nodes a side: ids t10.., w10.. sort differently as plain
+    # strings than by node_key, in the nodes lists and the trans and
+    # zoomin keys
+    for name, m in _broken_models(31, 150, 30):
+        assert model_to_text(m) == reference_model_to_text(m), name
+        if name is None:
+            cm = canonicalize(m)
+            assert model_to_text(cm) == reference_model_to_text(cm)
+
+
+def test_model_text_matches_reference_on_odd_models(fig_model, tiny_model):
+    big_words = Signature(
+        cats={"S"}, atoms={"a"}, feats={"f"}, words=["w%d" % k for k in range(5000)]
+    )
+    for m in (
+        fig_model,
+        tiny_model,
+        _odd_model(),
+        _escaped_words_model(),
+        Model(big_words, tiny_model.cstruct, tiny_model.fstruct, {}),
+    ):
+        text = model_to_text(m)
+        assert text == reference_model_to_text(m)
+        assert text.isascii()
+
+
+def test_model_text_is_the_json_of_the_model(fig_model):
+    for m in (fig_model, _odd_model(), _escaped_words_model()):
+        assert json.loads(model_to_text(m)) == model_to_json(m)
+
+
+def _outcome(fn, m):
+    try:
+        return "ok", fn(m)
+    except Exception as exc:  # the exception is the result compared
+        return type(exc), exc.args
+
+
+def test_canonicalize_matches_reference():
+    # renaming follows the daughter links from the root, so on a cyclic
+    # tree neither version terminates; every other corruption is kept.
+    # Half the models are numbered in preorder before they are broken,
+    # so the corruption hits trees canonicalize would otherwise keep.
+    cases = list(_broken_models(32, 100, 14))
+    rng = random.Random(33)
+    for _ in range(100):
+        m = canonicalize(rand_model(rng, max_tree=14, max_f=14))
+        cases.append((None, m))
+        cases.extend((name, corrupt(rng, m)) for name, corrupt in CORRUPTORS)
+    cases.append((None, _odd_model()))
+    checked = 0
+    for name, m in cases:
+        if m is None or name == "tree-cycle":
+            continue
+        got, want = _outcome(canonicalize, m), _outcome(reference_canonicalize, m)
+        assert got == want, name
+        checked += 1
+    assert checked > 3000
+
+
+def test_canonicalize_keeps_a_preorder_tree(fig_model):
+    once = canonicalize(fig_model)
+    assert canonicalize(once).cstruct is once.cstruct
+    # a preorder tree with one stray id anywhere is renamed, or fails, as
+    # the reference does
+    c = once.cstruct
+    stray = [
+        CStructure(c.nodes | {"n99"}, c.root, c.mother, c.daughters, c.label),
+        CStructure(c.nodes, c.root, c.mother, c.daughters, {**c.label, "n99": "S"}),
+        CStructure(c.nodes, c.root, {**c.mother, "n1": "n99"}, c.daughters, c.label),
+        CStructure(c.nodes, c.root, {**c.mother, "n99": "n0"}, c.daughters, c.label),
+        CStructure(c.nodes, c.root, c.mother, {**c.daughters, "n99": ()}, c.label),
+    ]
+    for tree in stray:
+        m = Model(once.sig, tree, once.fstruct, once.zoomin)
+        got = _outcome(canonicalize, m)
+        assert got == _outcome(reference_canonicalize, m)
+        assert got[0] != "ok" or got[1].cstruct is not tree
+
+
+def test_parsing_never_calls_json_dumps(monkeypatch, fig_grammar, fig_theory):
+    from lfgmc import compile_grammar, parse_grammar, parse_sentence
+
+    pp = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    pp_theory = compile_grammar(pp)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert len(parse_sentence(fig_theory, fig_grammar, ["a", "girl", "walks"]).models) == 1
+    tokens = "the man saw the man with the man with the man".split()
+    assert len(parse_sentence(pp_theory, pp, tokens).models) == 5
 
 
 # --- canonicalization and immutability ----------------------------------
