@@ -49,8 +49,10 @@ class Formula:
     def names(self) -> dict[str, frozenset[str]]:
         """The names used anywhere in the formula, per :class:`Signature`
         field; computed once per formula object, without recursion."""
-        used = [pair for g in _preorder(self) for pair in _own_names(g)]
-        return {kind: frozenset(n for k, n in used if k == kind) for kind in _NAME_KINDS}
+        used: dict[str, set[str]] = {kind: set() for kind in _NAME_KINDS}
+        for kind, name in _used_names(self):
+            used[kind].add(name)
+        return {kind: frozenset(names) for kind, names in used.items()}
 
 
 @dataclass(frozen=True)
@@ -118,11 +120,23 @@ class Or(Formula):
         operands.  Every list keeps chain order."""
         plain, keyed = [], {}
         for op in _spine(self):
-            key = _label_key(op)
-            if key is None:
+            # one pass over the operand's conjuncts: the first literal
+            # gives the label, the first bullet whose arguments all have
+            # literal labels the daughter labels
+            label = kids = None
+            for g in _spine(op) if type(op) is And else (op,):
+                t = type(g)
+                if t is CatLit or t is WordLit:
+                    if label is None:
+                        label = g.name
+                elif t is Bullet and kids is None:
+                    kids = tuple(map(_literal_label, g.args))
+                    if None in kids:
+                        kids = None
+            if label is None:
                 plain.append(op)
             else:
-                keyed.setdefault(key[0], {}).setdefault(key[1], []).append(op)
+                keyed.setdefault(label, {}).setdefault(kids, []).append(op)
         return plain, keyed
 
 
@@ -529,20 +543,38 @@ def _leaf_text(f: Formula) -> str:
     raise TypeError(f)
 
 
-def _operand(f: Formula) -> str:
-    if isinstance(f, _LEAVES):
-        return _leaf_text(f)
-    return "(%s)" % render_formula(f)
-
-
 _CHAIN_OPS = {And: "&", Or: "|"}
+_PREFIX_TEXT = {Up: "up ", Down: "down ", Zoomin: "zoomin "}
 
 
 def render_formula(f: Formula) -> str:
     """Render to concrete syntax; the output re-parses to an equal AST.
 
     A left-nested ``&``/``|`` chain, such as the lexical disjunction over
-    a whole lexicon, is rendered along its spine without recursion."""
+    a whole lexicon, is rendered along its spine, and a run of prefix
+    operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``) in a loop,
+    so neither recurses."""
+    opened: list[str] = []  # text before the operand of a prefix run
+    closes = 0  # parentheses that text leaves open
+    while True:
+        t = type(f)
+        if t is Not:
+            opened.append("!(")
+        elif t is Feat or t in _PREFIX_TEXT:
+            opened.append("<%s> " % f.feat if t is Feat else _PREFIX_TEXT[t])
+            if isinstance(f.sub, _LEAVES):
+                f = f.sub
+                break  # a leaf operand goes without parentheses
+            opened.append("(")
+        else:
+            break
+        closes += 1
+        f = f.sub
+    return "".join(opened) + _render_operand(f) + ")" * closes
+
+
+def _render_operand(f: Formula) -> str:
+    """``f`` rendered, when it is not a prefix operator."""
     if isinstance(f, _LEAVES):
         return _leaf_text(f)
     if type(f) in _CHAIN_OPS:
@@ -551,20 +583,10 @@ def render_formula(f: Formula) -> str:
         return "(" * len(rest) + render_formula(first) + "".join(
             "%s%s)" % (sep, render_formula(g)) for g in rest
         )
-    if isinstance(f, Not):
-        return "!(%s)" % render_formula(f.sub)
     if isinstance(f, Implies):
         return "(%s -> %s)" % (render_formula(f.left), render_formula(f.right))
     if isinstance(f, Iff):
         return "(%s <-> %s)" % (render_formula(f.left), render_formula(f.right))
-    if isinstance(f, Up):
-        return "up %s" % _operand(f.sub)
-    if isinstance(f, Down):
-        return "down %s" % _operand(f.sub)
-    if isinstance(f, Zoomin):
-        return "zoomin %s" % _operand(f.sub)
-    if isinstance(f, Feat):
-        return "<%s> %s" % (f.feat, _operand(f.sub))
     if isinstance(f, Bullet):
         return "bullet(%s)" % ", ".join(render_formula(a) for a in f.args)
     if isinstance(f, PathEq):
@@ -587,70 +609,54 @@ def _literal_label(f: Formula) -> str | None:
     """The label a tree node must carry for ``f`` to hold there, when
     ``f`` is a category or word literal or an ``&`` chain with one among
     its conjuncts; otherwise None."""
-    for g in _spine(f) if isinstance(f, And) else (f,):
-        if isinstance(g, (CatLit, WordLit)):
+    for g in _spine(f) if type(f) is And else (f,):
+        if type(g) is CatLit or type(g) is WordLit:
             return g.name
     return None
-
-
-def _label_key(f: Formula) -> tuple[str, tuple[str, ...] | None] | None:
-    """``(label, daughter labels)`` under which :attr:`Or.by_label` files
-    ``f``: the daughter labels come from a ``bullet`` conjunct whose every
-    argument has a literal label, and are None when there is none."""
-    label = _literal_label(f)
-    if label is None:
-        return None
-    for g in _spine(f) if isinstance(f, And) else ():
-        if isinstance(g, Bullet):
-            kids = tuple(_literal_label(a) for a in g.args)
-            if None not in kids:
-                return label, kids
-    return label, None
-
-
-def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, (Not, Feat, Up, Down, Zoomin)):
-        return (f.sub,)
-    if isinstance(f, Bullet):
-        return f.args
-    return ()
-
-
-def _preorder(f: Formula):
-    """``f`` and its subformulas in pre-order, left to right, iteratively."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(reversed(_children(g)))
 
 
 #: Signature field -> how an undeclared name of that kind is reported.
 _NAME_KINDS = {"cats": "category", "atoms": "atom", "words": "word form", "feats": "feature"}
 _LITERAL_FIELD = {CatLit: "cats", AtomLit: "atoms", WordLit: "words"}
+_TWO_OPERANDS = frozenset((And, Or, Implies, Iff))
+_ONE_OPERAND = frozenset((Not, Up, Down, Zoomin))  # and Feat, which names a feature
 
 
-def _own_names(f: Formula) -> tuple[tuple[str, str], ...]:
-    """(signature field, name) pairs used by ``f`` itself, not its operands."""
-    if type(f) in _LITERAL_FIELD:
-        return ((_LITERAL_FIELD[type(f)], f.name),)
-    if isinstance(f, Feat):
-        return (("feats", f.feat),)
-    if isinstance(f, PathEq):
-        return tuple(("feats", name) for name in f.left_feats + f.right_feats)
-    return ()
+def _used_names(f: Formula) -> list[tuple[str, str]]:
+    """``(signature field, name)`` for each literal and feature step in
+    ``f``, in pre-order, left to right; one iterative walk."""
+    used: list[tuple[str, str]] = []
+    add = used.append
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t in _TWO_OPERANDS:
+            push(g.right)
+            push(g.left)
+        elif t is Feat:
+            add(("feats", g.feat))
+            push(g.sub)
+        elif t in _ONE_OPERAND:
+            push(g.sub)
+        elif t in _LITERAL_FIELD:
+            add((_LITERAL_FIELD[t], g.name))
+        elif t is Bullet:
+            stack.extend(reversed(g.args))
+        elif t is PathEq:
+            used.extend(("feats", name) for name in g.left_feats + g.right_feats)
+    return used
 
 
 def validate_names(f: Formula, sig: Signature) -> None:
     """Raise :class:`SignatureError` unless every name in ``f`` is declared.
 
     Four subset tests against the cached :attr:`Formula.names`; only if one
-    fails is ``f`` walked in pre-order to report the first undeclared name."""
+    fails are the names walked again, in pre-order, to report the first
+    undeclared one."""
     if all(names <= getattr(sig, kind) for kind, names in f.names.items()):
         return
-    for g in _preorder(f):
-        for kind, name in _own_names(g):
-            if name not in getattr(sig, kind):
-                raise SignatureError("unknown %s %r" % (_NAME_KINDS[kind], name))
+    for kind, name in _used_names(f):
+        if name not in getattr(sig, kind):
+            raise SignatureError("unknown %s %r" % (_NAME_KINDS[kind], name))

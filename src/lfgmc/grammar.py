@@ -26,6 +26,12 @@ declared grammatical functions (multi-step ones are written
 ``obl.obj``).  Only defining equations exist here; the check-only
 ``=c`` variant is rejected at parse time.
 
+The file is read in one pass: a regular-expression scanner over the
+whole text yields ``(kind, value, line, column)`` tuples, and a parser
+that holds the current token's kind and value and the declared names in
+sets reads them front to back.  A syntax or name error is a
+:class:`GrammarSyntaxError` at the first token that cannot be read.
+
 Compilation produces a :class:`Theory`:
 
 * one licensing axiom: any tree node with at least one grandchild must
@@ -48,7 +54,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
@@ -108,7 +113,7 @@ class SemForm:
     args: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(tuple(a) for a in self.args))
+        object.__setattr__(self, "args", tuple(map(tuple, self.args)))
 
 
 @dataclass(frozen=True)
@@ -346,135 +351,131 @@ def compile_grammar(grammar: Grammar) -> Theory:
 # ---------------------------------------------------------------------------
 
 
-class _GTok(NamedTuple):
-    kind: str  # IDENT STRING OP EOF
-    value: str
-    line: int
-    col: int
-
-
-#: One token of a line, after blanks.  An identifier starts with a letter
-#: or ``_`` (re-checked in Python, because ``[^\W\d]`` also admits digits
-#: that are not decimal) and continues with ``\w``, which is
-#: ``str.isalnum()`` or ``_``; ``=c`` is an operator unless a name
+#: One token after blanks, in the numbered group of its kind.  An
+#: identifier starts with a letter or ``_`` and continues with ``\w``,
+#: which is ``str.isalnum()`` or ``_``; one that starts with a non-ASCII
+#: character is re-checked in Python, because ``[^\W\d]`` also admits
+#: digits that are not decimal.  ``=c`` is an operator unless a name
 #: character follows (``=cat`` is ``=`` then ``cat``).  A ``"`` that opens
-#: no complete string, and any other character, is ``BAD``.
+#: no complete string, and any other character, is an error.
 _G_TOKEN_RE = re.compile(
     r"""[ \t\r]*
-    (?: (?P<IDENT>[^\W\d]\w*)
-      | (?P<STRING>"[^"\n]*")
-      | (?P<OP>->|=c(?!\w)|[{}();:,.=])
-      | (?P<COMMENT>\#.*)
-      | (?P<BAD>.)
+    (?: (->|=c(?!\w)|[{}();:,.=])
+      | ([A-Za-z_]\w*)
+      | (\n)
+      | ("[^"\n]*")
+      | ([^\W\d]\w*)
+      | (\#.*)
+      | (.)
       | \Z )""",
     re.VERBOSE,
 )
+_OP, _IDENT, _NL, _STRING, _UIDENT, _COMMENT = range(1, 7)
 
 
-def _g_tokenize(text: str) -> list[_GTok]:
-    toks: list[_GTok] = []
-    for line, row in enumerate(text.split("\n"), start=1):
-        col = len(row) + 1  # where the input ends, if it ends on this row
-        for m in _G_TOKEN_RE.finditer(row):
-            kind = m.lastgroup
-            if kind is None:  # blanks up to the end of the row
-                break
-            start = m.start(kind)
-            if kind == "COMMENT":
-                col = start + 1
-                break
-            value = m.group(kind)
-            if kind == "BAD" or (kind == "IDENT" and not (value[0].isalpha() or value[0] == "_")):
-                if value[0] == '"':
-                    raise GrammarSyntaxError("unterminated string literal", line, start + 1)
-                raise GrammarSyntaxError("unexpected character %r" % value[0], line, start + 1)
-            toks.append(_GTok(kind, value[1:-1] if kind == "STRING" else value, line, start + 1))
-    toks.append(_GTok("EOF", "", line, col))
+def _g_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, value, line, column)`` tuples, kinds IDENT STRING OP and a
+    final EOF, from one pass over the whole text."""
+    toks = []
+    append = toks.append
+    line, line_start, end = 1, 0, len(text)
+    for m in _G_TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == _OP:
+            append(("OP", m[_OP], line, m.start(_OP) - line_start + 1))
+        elif group == _IDENT:
+            append(("IDENT", m[_IDENT], line, m.start(_IDENT) - line_start + 1))
+        elif group == _NL:
+            line += 1
+            line_start = m.end()
+        elif group == _STRING:
+            append(("STRING", m[_STRING][1:-1], line, m.start(_STRING) - line_start + 1))
+        elif group == _COMMENT:
+            if m.end() == len(text):
+                end = m.start(_COMMENT)  # the input ends where the comment starts
+        elif group is not None:  # blanks up to the end are the last match
+            value, col = m[group], m.start(group) - line_start + 1
+            if group == _UIDENT and value[0].isalpha():
+                append(("IDENT", value, line, col))
+            elif value[0] == '"':
+                raise GrammarSyntaxError("unterminated string literal", line, col)
+            else:
+                raise GrammarSyntaxError("unexpected character %r" % value[0], line, col)
+    append(("EOF", "", line, end - line_start + 1))
     return toks
 
 
 class _GParser:
+    """Reads the tokens of :func:`_g_tokenize` front to back, holding the
+    current token's ``kind`` and ``value`` (only a string token can share
+    an operator's value) and the signature's names in sets."""
+
     def __init__(self, toks):
         self.toks = toks
         self.pos = 0
-        self.cats: list[str] = []
-        self.atoms: list[str] = []
-        self.feats: list[str] = []
+        self.kind, self.value = toks[0][:2]
+        self.cats: set[str] = set()
+        self.atoms: set[str] = set()
+        self.feats: set[str] = set()
         self.gf: list[tuple[str, ...]] = []
+        self.gf_set: set[tuple[str, ...]] = set()
         self.rules: list[AnnotatedRule] = []
         self.lexicon: list[LexEntry] = []
         self.start: str | None = None
         self.have_signature = False
 
-    @property
-    def cur(self):
-        return self.toks[self.pos]
-
-    def advance(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def at(self, kind, value=None):
-        t = self.cur
-        return t.kind == kind and (value is None or t.value == value)
+    def advance(self) -> str:
+        """Step past the current token and return its value."""
+        value = self.value
+        self.pos = pos = self.pos + 1
+        self.kind, self.value, _line, _col = self.toks[pos]
+        return value
 
     def err(self, msg, tok=None):
-        tok = tok or self.cur
-        raise GrammarSyntaxError(msg, tok.line, tok.col)
+        _kind, _value, line, col = tok or self.toks[self.pos]
+        raise GrammarSyntaxError(msg, line, col)
 
-    def expect(self, kind, value=None):
-        if not self.at(kind, value):
-            self.err(
-                "expected %s, got %r" % (value or kind, self.cur.value or "end of input")
-            )
+    def err_got(self, what):
+        self.err("expected %s, got %r" % (what, self.value or "end of input"))
+
+    def expect_op(self, op):
+        if self.value != op or self.kind != "OP":
+            self.err_got(op)
+        self.advance()
+
+    def ident(self, what) -> str:
+        if self.kind != "IDENT":
+            self.err_got(what)
         return self.advance()
-
-    def ident(self, what):
-        if self.cur.kind != "IDENT":
-            self.err("expected %s, got %r" % (what, self.cur.value or "end of input"))
-        return self.advance().value
 
     # -- declarations ------------------------------------------------------
 
     def parse(self) -> Grammar:
-        while not self.at("EOF"):
-            if self.at("IDENT", "signature"):
-                self.parse_signature()
-            elif self.at("IDENT", "rule"):
-                self.parse_rule()
-            elif self.at("IDENT", "lex"):
+        while self.kind != "EOF":
+            word = self.value if self.kind == "IDENT" else None
+            if word == "lex":
                 self.parse_lex()
-            elif self.at("IDENT", "start"):
+            elif word == "rule":
+                self.parse_rule()
+            elif word == "signature":
+                self.parse_signature()
+            elif word == "start":
                 self.advance()
-                tok = self.cur
+                tok = self.toks[self.pos]
                 self.start = self.ident("a category name")
                 if self.start not in self.cats:
                     self.err("unknown start category %r" % self.start, tok)
-                self.expect("OP", ";")
+                self.expect_op(";")
             else:
-                self.err(
-                    "expected 'signature', 'rule', 'lex' or 'start', got %r"
-                    % (self.cur.value or "end of input")
-                )
+                self.err_got("'signature', 'rule', 'lex' or 'start'")
         if not self.have_signature:
             self.err("grammar has no signature block")
-        words = sorted({e.word for e in self.lexicon})
-        feats = list(self.feats)
         # semantic forms and the well-formedness axioms rely on pred/rel
         if any(isinstance(s, SemForm) for e in self.lexicon for s in e.schemata):
-            for needed in (PRED_FEAT, REL_FEAT):
-                if needed not in feats:
-                    feats.append(needed)
-        if self.gf and PRED_FEAT not in feats:
-            feats.append(PRED_FEAT)
-        sig = Signature(
-            frozenset(self.cats),
-            frozenset(self.atoms),
-            frozenset(feats),
-            tuple(self.gf),
-            frozenset(words),
-        )
+            self.feats.update((PRED_FEAT, REL_FEAT))
+        if self.gf:
+            self.feats.add(PRED_FEAT)
+        sig = Signature(self.cats, self.atoms, self.feats, self.gf, {e.word for e in self.lexicon})
         start = self.start or (self.rules[0].lhs if self.rules else "")
         return Grammar(sig, start, tuple(self.rules), tuple(self.lexicon))
 
@@ -482,30 +483,30 @@ class _GParser:
         if self.have_signature:
             self.err("duplicate signature block")
         self.advance()
-        self.expect("OP", "{")
+        self.expect_op("{")
         seen = set()
-        while not self.at("OP", "}"):
-            tok = self.cur
+        while self.value != "}" or self.kind != "OP":
+            tok = self.toks[self.pos]
             section = self.ident("a section name (cat, atom, feat or gf)")
             if section not in ("cat", "atom", "feat", "gf"):
                 self.err("unknown signature section %r" % section, tok)
             if section in seen:
                 self.err("duplicate %r section" % section, tok)
             seen.add(section)
-            self.expect("OP", ":")
+            self.expect_op(":")
             if section == "gf":
-                while not self.at("OP", ";"):
+                while self.value != ";" or self.kind != "OP":
                     seq = [self.sig_name("feature")]
-                    while self.at("OP", "."):
+                    while self.value == "." and self.kind == "OP":
                         self.advance()
                         seq.append(self.sig_name("feature"))
                     self.gf.append(tuple(seq))
             else:
                 target = {"cat": self.cats, "atom": self.atoms, "feat": self.feats}[section]
-                while not self.at("OP", ";"):
-                    target.append(self.sig_name(section))
-            self.expect("OP", ";")
-        self.expect("OP", "}")
+                while self.value != ";" or self.kind != "OP":
+                    target.add(self.sig_name(section))
+            self.expect_op(";")
+        self.expect_op("}")
         for required in ("cat", "atom", "feat"):
             if required not in seen:
                 self.err("signature block lacks a %r section" % required)
@@ -513,50 +514,51 @@ class _GParser:
             for f in seq:
                 if f not in self.feats:
                     self.err("gf step %r is not a declared feature" % f)
+        self.gf_set.update(self.gf)
         self.have_signature = True
 
-    def sig_name(self, what):
-        tok = self.cur
-        name = self.ident("a %s name" % what)
-        if name in RESERVED_WORDS:
-            self.err("%r is reserved syntax and cannot name a %s" % (name, what), tok)
-        return name
+    def sig_name(self, what) -> str:
+        if self.kind != "IDENT":
+            self.err_got("a %s name" % what)
+        if self.value in RESERVED_WORDS:
+            self.err("%r is reserved syntax and cannot name a %s" % (self.value, what))
+        return self.advance()
 
     def need_signature(self):
         if not self.have_signature:
             self.err("the signature block must precede rules and lexical entries")
 
-    def category(self):
-        tok = self.cur
-        name = self.ident("a category name")
-        if name not in self.cats:
-            self.err("unknown category %r" % name, tok)
-        return name
+    def category(self) -> str:
+        if self.kind != "IDENT":
+            self.err_got("a category name")
+        if self.value not in self.cats:
+            self.err("unknown category %r" % self.value)
+        return self.advance()
 
-    def feature(self):
-        tok = self.cur
-        name = self.ident("a feature name")
+    def feature(self) -> str:
+        if self.kind != "IDENT":
+            self.err_got("a feature name")
+        name = self.value
         if name not in self.feats:
             # the semantic-form features may be used without declaration
-            if name in (PRED_FEAT, REL_FEAT):
-                self.feats.append(name)
-            else:
-                self.err("unknown feature %r" % name, tok)
-        return name
+            if name != PRED_FEAT and name != REL_FEAT:
+                self.err("unknown feature %r" % name)
+            self.feats.add(name)
+        return self.advance()
 
     def parse_rule(self):
         self.need_signature()
         self.advance()
         lhs = self.category()
-        self.expect("OP", "->")
+        self.expect_op("->")
         elements = []
-        while not self.at("OP", ";"):
+        while self.value != ";" or self.kind != "OP":
             cat = self.category()
             schemata = ()
-            if self.at("OP", "{"):
+            if self.value == "{" and self.kind == "OP":
                 schemata = self.parse_schemata(lexical=False)
             elements.append(RuleElement(cat, schemata))
-        self.expect("OP", ";")
+        self.advance()
         if not elements:
             self.err("rule for %r has no right-hand side" % lhs)
         self.rules.append(AnnotatedRule(lhs, tuple(elements)))
@@ -564,93 +566,89 @@ class _GParser:
     def parse_lex(self):
         self.need_signature()
         self.advance()
-        word = self.expect("STRING").value
+        if self.kind != "STRING":
+            self.err_got("STRING")
+        word = self.advance()
         if not word:
             self.err("empty word form")
         cat = self.category()
         schemata = ()
-        if self.at("OP", "{"):
+        if self.value == "{" and self.kind == "OP":
             schemata = self.parse_schemata(lexical=True)
-        self.expect("OP", ";")
+        self.expect_op(";")
         self.lexicon.append(LexEntry(word, cat, schemata))
 
     def parse_schemata(self, lexical: bool):
-        self.expect("OP", "{")
+        self.advance()  # the '{' the caller saw
         out = []
-        while not self.at("OP", "}"):
+        while self.value != "}" or self.kind != "OP":
             out.append(self.parse_schema(lexical))
-            if self.at("OP", ";"):
+            if self.value == ";" and self.kind == "OP":
                 self.advance()
-            elif not self.at("OP", "}"):
+            elif self.value != "}" or self.kind != "OP":
                 self.err("expected ';' or '}' after a schema")
-        self.expect("OP", "}")
+        self.advance()
         return tuple(out)
 
     def parse_updown_path(self, keyword):
         # 'up' | '(' 'up' feature* ')'
-        if self.at("IDENT", keyword):
+        if self.value == keyword and self.kind == "IDENT":
             self.advance()
             return ()
-        self.expect("OP", "(")
-        tok = self.cur
-        head = self.ident("'%s'" % keyword)
-        if head != keyword:
-            self.err("expected %r, got %r" % (keyword, head), tok)
+        self.expect_op("(")
+        if self.value != keyword or self.kind != "IDENT":
+            self.err_got(repr(keyword))
+        self.advance()
         path = []
-        while not self.at("OP", ")"):
+        while self.value != ")" or self.kind != "OP":
             path.append(self.feature())
-        self.expect("OP", ")")
+        self.advance()
         return tuple(path)
 
     def parse_schema(self, lexical: bool):
         up_path = self.parse_updown_path("up")
-        if self.at("OP", "=c"):
+        if self.value == "=c" and self.kind == "OP":
             self.err(
                 "constraining equations (=c) are not supported; only defining "
                 "equations can be stated"
             )
-        self.expect("OP", "=")
+        self.expect_op("=")
         # right-hand side: down form, atom, or semantic form
-        if self.at("IDENT", "down") or (self.at("OP", "(") and self._peek_down()):
+        ahead = self.toks[self.pos + 1][:2] if self.value == "(" and self.kind == "OP" else ()
+        if self.kind == "IDENT" and self.value == "down" or ahead == ("IDENT", "down"):
             if lexical:
                 self.err("'down' cannot appear in a lexical schema")
-            down_path = self.parse_updown_path("down")
-            return PathEqSchema(up_path, down_path)
-        tok = self.cur
+            return PathEqSchema(up_path, self.parse_updown_path("down"))
+        tok = self.toks[self.pos]
         name = self.ident("an atom or semantic form")
-        if self.at("OP", "("):
-            if not lexical:
-                self.err("semantic forms are only allowed in lexical entries", tok)
-            if name not in self.atoms:
-                self.err("unknown atom %r" % name, tok)
-            self.advance()
-            args = []
-            while not self.at("OP", ")"):
-                seq = [self.feature()]
-                while self.at("OP", "."):
-                    self.advance()
-                    seq.append(self.feature())
-                args.append(tuple(seq))
-                if self.at("OP", ","):
-                    self.advance()
-                elif not self.at("OP", ")"):
-                    self.err("expected ',' or ')' in semantic-form arguments")
-            self.expect("OP", ")")
-            for seq in args:
-                if tuple(seq) not in [tuple(g) for g in self.gf]:
-                    self.err(
-                        "semantic-form argument %r is not a declared grammatical "
-                        "function" % ".".join(seq),
-                        tok,
-                    )
-            return SemForm(name, tuple(args))
+        semantic = self.value == "(" and self.kind == "OP"
+        if semantic and not lexical:
+            self.err("semantic forms are only allowed in lexical entries", tok)
         if name not in self.atoms:
             self.err("unknown atom %r" % name, tok)
-        return AtomValueSchema(up_path, name)
-
-    def _peek_down(self) -> bool:
-        nxt = self.toks[self.pos + 1]
-        return nxt.kind == "IDENT" and nxt.value == "down"
+        if not semantic:
+            return AtomValueSchema(up_path, name)
+        self.advance()
+        args = []
+        while self.value != ")" or self.kind != "OP":
+            seq = [self.feature()]
+            while self.value == "." and self.kind == "OP":
+                self.advance()
+                seq.append(self.feature())
+            args.append(tuple(seq))
+            if self.value == "," and self.kind == "OP":
+                self.advance()
+            elif self.value != ")" or self.kind != "OP":
+                self.err("expected ',' or ')' in semantic-form arguments")
+        self.advance()
+        for seq in args:
+            if seq not in self.gf_set:
+                self.err(
+                    "semantic-form argument %r is not a declared grammatical "
+                    "function" % ".".join(seq),
+                    tok,
+                )
+        return SemForm(name, tuple(args))
 
 
 def parse_grammar(text: str) -> Grammar:

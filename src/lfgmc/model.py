@@ -558,14 +558,22 @@ def canonicalize(m: Model) -> Model:
     node following features in sorted order.
 
     Intended for valid models; unreachable f-nodes, if any, are appended
-    in their old order so the operation is total.
+    in their old order so the operation is total.  Daughter links that
+    form a cycle raise :class:`ModelFormatError` naming the node that
+    closes it, since the preorder walk would never end.
     """
     c, f = m.cstruct, m.fstruct
 
     tmap: dict[NodeId, NodeId] = {}
     stack = [c.root]
+    acyclic = False  # known once a node has been reached twice
     while stack:
         n = stack.pop()
+        if n in tmap and not acyclic:
+            cycle_at = _first_cycle_node(c)
+            if cycle_at is not None:
+                raise ModelFormatError("daughter links form a cycle through node %r" % cycle_at)
+            acyclic = True  # a shared daughter: renamed again on each visit
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 
@@ -603,6 +611,25 @@ def canonicalize(m: Model) -> Model:
     )
     zoomin = {tmap[t]: fmap[w] for t, w in m.zoomin.items()}
     return Model(m.sig, cstruct, fstruct, zoomin)
+
+
+def _first_cycle_node(c: CStructure) -> NodeId | None:
+    """The first node, in preorder from the root, that a daughter link
+    leads back to while it is still open (an ancestor of that link's
+    source or its source itself); None when the links form no cycle."""
+    state: dict[NodeId, bool] = {}  # True while open, False once closed
+    stack: list[tuple[NodeId, bool]] = [(c.root, True)]
+    while stack:
+        n, entering = stack.pop()
+        if not entering:
+            state[n] = False
+        elif state.get(n) is None:
+            state[n] = True
+            stack.append((n, False))
+            stack.extend((d, True) for d in reversed(c.daughters.get(n, ())))
+        elif state[n]:
+            return n
+    return None
 
 
 def _is_identity(tmap: dict[NodeId, NodeId], c: CStructure) -> bool:

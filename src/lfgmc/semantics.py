@@ -11,7 +11,9 @@ Evaluation is set-at-a-time: ``_holds`` computes the set of nodes at
 which a formula holds, each subformula once, on the nodes where it can
 still matter (a modality on the successors of its nodes).  Left-nested
 ``&``/``|`` chains, such as the lexical disjunction over a whole lexicon,
-are walked iteratively rather than by recursion.  The names a formula
+and runs of prefix operators (``!``, ``<f>``, ``up``, ``down``,
+``zoomin``), such as a long feature path, are walked iteratively rather
+than by recursion.  The names a formula
 uses are collected once per formula object; each call only checks them
 against the model's signature.
 
@@ -101,6 +103,9 @@ def eval_patheq(m: Model, n: NodeId, spec: PathEq) -> bool:
     return bool(left & right)
 
 
+_PREFIX = frozenset((Not, Feat, Up, Down, Zoomin))
+
+
 def _holds(m: Model, f: Formula, dom):
     """The nodes of ``dom`` at which ``f`` holds.
 
@@ -161,26 +166,45 @@ def _holds(m: Model, f: Formula, dom):
             n for n in dom
             if n in fs.nodes and n in fs.final and fs.atomval.get(n) == f.name
         }
-    if isinstance(f, Not):
-        return dom - _holds(m, f.sub, dom)
+    if type(f) in _PREFIX:
+        # a run of prefix operators, walked without recursion: map dom down
+        # the run to the nodes its operand is needed on, evaluate the
+        # operand there once, then map the result back up the run
+        outer = []  # (type, nodes or successor map) of each operator above the last
+        while True:
+            t = type(f)
+            if t is Not:
+                seen = dom
+            elif t is Down:
+                seen = {n: cs.daughters.get(n, ()) for n in dom if n in cs.nodes}
+                dom = {d for ds in seen.values() for d in ds}
+            else:  # at most one successor
+                if t is Feat:
+                    seen = {n: fs.trans.get(n, {}).get(f.feat) for n in dom if n in fs.nodes}
+                else:
+                    step = (cs.mother if t is Up else m.zoomin).get
+                    seen = {n: step(n) for n in dom if n in cs.nodes}
+                dom = {w for w in seen.values() if w is not None}
+            f = f.sub
+            if not dom or type(f) not in _PREFIX:
+                break
+            outer.append((t, seen))
+        good = _holds(m, f, dom)  # at once when dom is empty
+        while True:
+            if t is Not:
+                good = seen - good
+            elif t is Down:
+                good = {n for n, ds in seen.items() if any(d in good for d in ds)}
+            else:
+                good = {n for n, w in seen.items() if w is not None and w in good}
+            if not outer:
+                return good
+            t, seen = outer.pop()
     if isinstance(f, Implies):
         left = _holds(m, f.left, dom)
         return (dom - left) | _holds(m, f.right, left)
     if isinstance(f, Iff):
         return dom - (_holds(m, f.left, dom) ^ _holds(m, f.right, dom))
-    if isinstance(f, (Feat, Up, Zoomin)):
-        if isinstance(f, Feat):
-            succ = {n: fs.trans.get(n, {}).get(f.feat) for n in dom if n in fs.nodes}
-        elif isinstance(f, Up):
-            succ = {n: cs.mother.get(n) for n in dom if n in cs.nodes}
-        else:
-            succ = {n: m.zoomin.get(n) for n in dom if n in cs.nodes}
-        good = _holds(m, f.sub, {w for w in succ.values() if w is not None})
-        return {n for n, w in succ.items() if w is not None and w in good}
-    if isinstance(f, Down):
-        kids = {n: cs.daughters.get(n, ()) for n in dom if n in cs.nodes}
-        good = _holds(m, f.sub, {d for ds in kids.values() for d in ds})
-        return {n for n, ds in kids.items() if any(d in good for d in ds)}
     if isinstance(f, PathEq):
         return {n for n in dom if n in cs.nodes and eval_patheq(m, n, f)}
     raise TypeError("not a formula: %r" % (f,))

@@ -171,6 +171,92 @@ def embedding_grammar_text(nouns):
     return "\n".join(lines) + "\n"
 
 
+def chain_model_doc(lexicon, nouns, swap=None):
+    """The model document of "the N said that ... the N slept" under
+    ``embedding_grammar_text(lexicon)``, one clause per name in ``nouns``,
+    written out by hand in the documented JSON layout (the construction
+    of the benchmark's check-models inputs).  ``swap=(clause, word)``
+    replaces that clause's noun leaf by another word, which breaks the
+    lexical axiom at the clause's N preterminal.  Returns (document, N
+    preterminal id of the swapped clause or None)."""
+    tree = []
+    fnodes = {}
+    zoomin = {}
+    counter = {"n": 0, "f": 0}
+    failing = None
+
+    def tnode(label, daughters):
+        # ids follow creation order, so node "nK" is tree[K]
+        nid = "n%d" % counter["n"]
+        counter["n"] += 1
+        tree.append({"id": nid, "label": label, "daughters": daughters})
+        return nid
+
+    def fnode(atom=None):
+        wid = "f%d" % counter["f"]
+        counter["f"] += 1
+        fnodes[wid] = {"id": wid, "trans": {}}
+        if atom is not None:
+            fnodes[wid]["atom"] = atom
+        return wid
+
+    def pre(cat, word):
+        # preorder ids: the preterminal before its leaf
+        nid = tnode(cat, [])
+        leaf = tnode(word, [])
+        tree[-2]["daughters"] = [leaf]
+        return nid
+
+    clause_f = [fnode() for _ in nouns]
+    for i, noun in enumerate(nouns):
+        f = clause_f[i]
+        last = i == len(nouns) - 1
+        s = tnode("S", [])
+        np_ = tnode("NP", [])
+        det = pre("Det", "the")
+        word = swap[1] if swap is not None and swap[0] == i else noun
+        n = pre("N", word)
+        if word != noun:
+            failing = n
+        tree[int(np_[1:])]["daughters"] = [det, n]
+        vp = tnode("VP", [])
+        v = pre("V", "slept" if last else "said")
+        tree[int(s[1:])]["daughters"] = [np_, vp]
+        g = fnode()
+        gpred = fnode()
+        fnodes[g]["trans"] = {"pred": gpred, "spec": fnode("the")}
+        fnodes[gpred]["trans"] = {"rel": fnode(noun)}
+        pred = fnode()
+        fnodes[f]["trans"] = {"pred": pred, "subj": g}
+        fnodes[pred]["trans"] = {"rel": fnode("sleep" if last else "say"), "subj": g}
+        zoomin.update({s: f, np_: g, vp: f, v: f})
+        if last:
+            tree[int(vp[1:])]["daughters"] = [v]
+        else:
+            cp = tnode("CP", [])
+            c = pre("C", "that")
+            tree[int(vp[1:])]["daughters"] = [v, cp]
+            # the next clause's S is created next, so its id is known
+            tree[int(cp[1:])]["daughters"] = [c, "n%d" % counter["n"]]
+            nxt = clause_f[i + 1]
+            fnodes[f]["trans"]["comp"] = nxt
+            fnodes[pred]["trans"]["comp"] = nxt
+            zoomin.update({cp: nxt, c: nxt})
+    doc = {
+        "signature": {
+            "cats": sorted("S NP VP CP Det N V C".split()),
+            "atoms": sorted({"the", "say", "sleep"} | set(lexicon)),
+            "feats": sorted("subj comp spec pred rel".split()),
+            "gf": [["subj"], ["comp"]],
+            "words": sorted({"the", "said", "slept", "that"} | set(lexicon)),
+        },
+        "tree": {"root": "n0", "nodes": tree},
+        "fstruct": {"initial": clause_f[0], "nodes": list(fnodes.values())},
+        "zoomin": zoomin,
+    }
+    return doc, failing
+
+
 # ---------------------------------------------------------------------------
 # Corruptors: each flips one invariant and names the violation class the
 # validator must report.  A corruptor may return None when the model

@@ -18,7 +18,16 @@ pipeline it checks:
   denotation oracle.
 * ``reference_g_tokenize`` is the original character-at-a-time grammar
   tokenizer, kept verbatim apart from its name, as the reference for the
-  regular-expression scanner that replaced it.
+  regular-expression scanner that replaced it; it has its own token type.
+* ``reference_parse_grammar`` is the original method-per-construct
+  grammar parser, kept verbatim apart from its class name and run on
+  ``reference_g_tokenize``, as the reference for the token-dispatch
+  parser that replaced it.
+* ``reference_names`` and ``reference_validate_names`` are the original
+  generic pre-order names walk (``_children`` and ``_own_names`` per
+  subformula) and the first-undeclared-name check built on it, kept
+  verbatim, as the references for ``Formula.names`` and
+  ``validate_names``.
 * ``reference_model_to_text`` is the original serializer, which builds
   the JSON document and hands it to ``json.dumps``, and
   ``reference_canonicalize`` the original renaming that always rebuilds
@@ -35,10 +44,13 @@ pipeline it checks:
 import json
 from collections import defaultdict
 from itertools import product
+from typing import NamedTuple
 
 from lfgmc import (
     And,
+    AnnotatedRule,
     AtomLit,
+    AtomValueSchema,
     Bullet,
     CatLit,
     CStructConst,
@@ -46,22 +58,29 @@ from lfgmc import (
     Down,
     FalseF,
     Feat,
+    Formula,
     FStructConst,
     FStructure,
+    Grammar,
     GrammarSyntaxError,
     Iff,
     Implies,
+    LexEntry,
     Model,
     Not,
     Or,
     PathEq,
+    PathEqSchema,
+    RuleElement,
+    SemForm,
+    Signature,
+    SignatureError,
     TrueF,
     Up,
     WordLit,
     Zoomin,
     validate_model,
 )
-from lfgmc.grammar import _GTok
 
 # ---------------------------------------------------------------------------
 # Denotation-set semantics
@@ -274,6 +293,13 @@ def pointwise_sat(m, n, f) -> bool:
 _G_OPS = ("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "=")
 
 
+class _GTok(NamedTuple):
+    kind: str  # IDENT STRING OP EOF
+    value: str
+    line: int
+    col: int
+
+
 def reference_g_tokenize(text: str) -> list[_GTok]:
     toks: list[_GTok] = []
     i, line, col = 0, 1, 1
@@ -324,6 +350,345 @@ def reference_g_tokenize(text: str) -> list[_GTok]:
             raise GrammarSyntaxError("unexpected character %r" % ch, line, col)
     toks.append(_GTok("EOF", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Grammar file parser, method by method over the reference tokens
+# ---------------------------------------------------------------------------
+
+#: The names the formula language reserves, and the semantic-form features.
+RESERVED_WORDS = frozenset(
+    ["true", "false", "cstruct", "fstruct", "up", "down", "zoomin", "bullet"]
+)
+REL_FEAT = "rel"
+PRED_FEAT = "pred"
+
+
+class _ReferenceGParser:
+    def __init__(self, toks):
+        self.toks = toks
+        self.pos = 0
+        self.cats: list[str] = []
+        self.atoms: list[str] = []
+        self.feats: list[str] = []
+        self.gf: list[tuple[str, ...]] = []
+        self.rules: list[AnnotatedRule] = []
+        self.lexicon: list[LexEntry] = []
+        self.start: str | None = None
+        self.have_signature = False
+
+    @property
+    def cur(self):
+        return self.toks[self.pos]
+
+    def advance(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def at(self, kind, value=None):
+        t = self.cur
+        return t.kind == kind and (value is None or t.value == value)
+
+    def err(self, msg, tok=None):
+        tok = tok or self.cur
+        raise GrammarSyntaxError(msg, tok.line, tok.col)
+
+    def expect(self, kind, value=None):
+        if not self.at(kind, value):
+            self.err(
+                "expected %s, got %r" % (value or kind, self.cur.value or "end of input")
+            )
+        return self.advance()
+
+    def ident(self, what):
+        if self.cur.kind != "IDENT":
+            self.err("expected %s, got %r" % (what, self.cur.value or "end of input"))
+        return self.advance().value
+
+    # -- declarations ------------------------------------------------------
+
+    def parse(self) -> Grammar:
+        while not self.at("EOF"):
+            if self.at("IDENT", "signature"):
+                self.parse_signature()
+            elif self.at("IDENT", "rule"):
+                self.parse_rule()
+            elif self.at("IDENT", "lex"):
+                self.parse_lex()
+            elif self.at("IDENT", "start"):
+                self.advance()
+                tok = self.cur
+                self.start = self.ident("a category name")
+                if self.start not in self.cats:
+                    self.err("unknown start category %r" % self.start, tok)
+                self.expect("OP", ";")
+            else:
+                self.err(
+                    "expected 'signature', 'rule', 'lex' or 'start', got %r"
+                    % (self.cur.value or "end of input")
+                )
+        if not self.have_signature:
+            self.err("grammar has no signature block")
+        words = sorted({e.word for e in self.lexicon})
+        feats = list(self.feats)
+        # semantic forms and the well-formedness axioms rely on pred/rel
+        if any(isinstance(s, SemForm) for e in self.lexicon for s in e.schemata):
+            for needed in (PRED_FEAT, REL_FEAT):
+                if needed not in feats:
+                    feats.append(needed)
+        if self.gf and PRED_FEAT not in feats:
+            feats.append(PRED_FEAT)
+        sig = Signature(
+            frozenset(self.cats),
+            frozenset(self.atoms),
+            frozenset(feats),
+            tuple(self.gf),
+            frozenset(words),
+        )
+        start = self.start or (self.rules[0].lhs if self.rules else "")
+        return Grammar(sig, start, tuple(self.rules), tuple(self.lexicon))
+
+    def parse_signature(self):
+        if self.have_signature:
+            self.err("duplicate signature block")
+        self.advance()
+        self.expect("OP", "{")
+        seen = set()
+        while not self.at("OP", "}"):
+            tok = self.cur
+            section = self.ident("a section name (cat, atom, feat or gf)")
+            if section not in ("cat", "atom", "feat", "gf"):
+                self.err("unknown signature section %r" % section, tok)
+            if section in seen:
+                self.err("duplicate %r section" % section, tok)
+            seen.add(section)
+            self.expect("OP", ":")
+            if section == "gf":
+                while not self.at("OP", ";"):
+                    seq = [self.sig_name("feature")]
+                    while self.at("OP", "."):
+                        self.advance()
+                        seq.append(self.sig_name("feature"))
+                    self.gf.append(tuple(seq))
+            else:
+                target = {"cat": self.cats, "atom": self.atoms, "feat": self.feats}[section]
+                while not self.at("OP", ";"):
+                    target.append(self.sig_name(section))
+            self.expect("OP", ";")
+        self.expect("OP", "}")
+        for required in ("cat", "atom", "feat"):
+            if required not in seen:
+                self.err("signature block lacks a %r section" % required)
+        for seq in self.gf:
+            for f in seq:
+                if f not in self.feats:
+                    self.err("gf step %r is not a declared feature" % f)
+        self.have_signature = True
+
+    def sig_name(self, what):
+        tok = self.cur
+        name = self.ident("a %s name" % what)
+        if name in RESERVED_WORDS:
+            self.err("%r is reserved syntax and cannot name a %s" % (name, what), tok)
+        return name
+
+    def need_signature(self):
+        if not self.have_signature:
+            self.err("the signature block must precede rules and lexical entries")
+
+    def category(self):
+        tok = self.cur
+        name = self.ident("a category name")
+        if name not in self.cats:
+            self.err("unknown category %r" % name, tok)
+        return name
+
+    def feature(self):
+        tok = self.cur
+        name = self.ident("a feature name")
+        if name not in self.feats:
+            # the semantic-form features may be used without declaration
+            if name in (PRED_FEAT, REL_FEAT):
+                self.feats.append(name)
+            else:
+                self.err("unknown feature %r" % name, tok)
+        return name
+
+    def parse_rule(self):
+        self.need_signature()
+        self.advance()
+        lhs = self.category()
+        self.expect("OP", "->")
+        elements = []
+        while not self.at("OP", ";"):
+            cat = self.category()
+            schemata = ()
+            if self.at("OP", "{"):
+                schemata = self.parse_schemata(lexical=False)
+            elements.append(RuleElement(cat, schemata))
+        self.expect("OP", ";")
+        if not elements:
+            self.err("rule for %r has no right-hand side" % lhs)
+        self.rules.append(AnnotatedRule(lhs, tuple(elements)))
+
+    def parse_lex(self):
+        self.need_signature()
+        self.advance()
+        word = self.expect("STRING").value
+        if not word:
+            self.err("empty word form")
+        cat = self.category()
+        schemata = ()
+        if self.at("OP", "{"):
+            schemata = self.parse_schemata(lexical=True)
+        self.expect("OP", ";")
+        self.lexicon.append(LexEntry(word, cat, schemata))
+
+    def parse_schemata(self, lexical: bool):
+        self.expect("OP", "{")
+        out = []
+        while not self.at("OP", "}"):
+            out.append(self.parse_schema(lexical))
+            if self.at("OP", ";"):
+                self.advance()
+            elif not self.at("OP", "}"):
+                self.err("expected ';' or '}' after a schema")
+        self.expect("OP", "}")
+        return tuple(out)
+
+    def parse_updown_path(self, keyword):
+        # 'up' | '(' 'up' feature* ')'
+        if self.at("IDENT", keyword):
+            self.advance()
+            return ()
+        self.expect("OP", "(")
+        tok = self.cur
+        head = self.ident("'%s'" % keyword)
+        if head != keyword:
+            self.err("expected %r, got %r" % (keyword, head), tok)
+        path = []
+        while not self.at("OP", ")"):
+            path.append(self.feature())
+        self.expect("OP", ")")
+        return tuple(path)
+
+    def parse_schema(self, lexical: bool):
+        up_path = self.parse_updown_path("up")
+        if self.at("OP", "=c"):
+            self.err(
+                "constraining equations (=c) are not supported; only defining "
+                "equations can be stated"
+            )
+        self.expect("OP", "=")
+        # right-hand side: down form, atom, or semantic form
+        if self.at("IDENT", "down") or (self.at("OP", "(") and self._peek_down()):
+            if lexical:
+                self.err("'down' cannot appear in a lexical schema")
+            down_path = self.parse_updown_path("down")
+            return PathEqSchema(up_path, down_path)
+        tok = self.cur
+        name = self.ident("an atom or semantic form")
+        if self.at("OP", "("):
+            if not lexical:
+                self.err("semantic forms are only allowed in lexical entries", tok)
+            if name not in self.atoms:
+                self.err("unknown atom %r" % name, tok)
+            self.advance()
+            args = []
+            while not self.at("OP", ")"):
+                seq = [self.feature()]
+                while self.at("OP", "."):
+                    self.advance()
+                    seq.append(self.feature())
+                args.append(tuple(seq))
+                if self.at("OP", ","):
+                    self.advance()
+                elif not self.at("OP", ")"):
+                    self.err("expected ',' or ')' in semantic-form arguments")
+            self.expect("OP", ")")
+            for seq in args:
+                if tuple(seq) not in [tuple(g) for g in self.gf]:
+                    self.err(
+                        "semantic-form argument %r is not a declared grammatical "
+                        "function" % ".".join(seq),
+                        tok,
+                    )
+            return SemForm(name, tuple(args))
+        if name not in self.atoms:
+            self.err("unknown atom %r" % name, tok)
+        return AtomValueSchema(up_path, name)
+
+    def _peek_down(self) -> bool:
+        nxt = self.toks[self.pos + 1]
+        return nxt.kind == "IDENT" and nxt.value == "down"
+
+
+def reference_parse_grammar(text: str) -> Grammar:
+    return _ReferenceGParser(reference_g_tokenize(text)).parse()
+
+
+# ---------------------------------------------------------------------------
+# The names a formula uses, by generic pre-order walk
+# ---------------------------------------------------------------------------
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Feat, Up, Down, Zoomin)):
+        return (f.sub,)
+    if isinstance(f, Bullet):
+        return f.args
+    return ()
+
+
+def _preorder(f: Formula):
+    """``f`` and its subformulas in pre-order, left to right, iteratively."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_children(g)))
+
+
+def _preorder(f):
+    """``f`` and its subformulas in pre-order, left to right, iteratively."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_children(g)))
+
+
+#: Signature field -> how an undeclared name of that kind is reported.
+_NAME_KINDS = {"cats": "category", "atoms": "atom", "words": "word form", "feats": "feature"}
+_LITERAL_FIELD = {CatLit: "cats", AtomLit: "atoms", WordLit: "words"}
+
+
+def _own_names(f: Formula) -> tuple[tuple[str, str], ...]:
+    """(signature field, name) pairs used by ``f`` itself, not its operands."""
+    if type(f) in _LITERAL_FIELD:
+        return ((_LITERAL_FIELD[type(f)], f.name),)
+    if isinstance(f, Feat):
+        return (("feats", f.feat),)
+    if isinstance(f, PathEq):
+        return tuple(("feats", name) for name in f.left_feats + f.right_feats)
+    return ()
+
+
+def reference_names(f) -> dict[str, frozenset[str]]:
+    used = [pair for g in _preorder(f) for pair in _own_names(g)]
+    return {kind: frozenset(n for k, n in used if k == kind) for kind in _NAME_KINDS}
+
+
+def reference_validate_names(f, sig: Signature) -> None:
+    if all(names <= getattr(sig, kind) for kind, names in reference_names(f).items()):
+        return
+    for g in _preorder(f):
+        for kind, name in _own_names(g):
+            if name not in getattr(sig, kind):
+                raise SignatureError("unknown %s %r" % (_NAME_KINDS[kind], name))
 
 
 # ---------------------------------------------------------------------------

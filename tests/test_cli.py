@@ -373,3 +373,84 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys, fig_files):
     assert cli.main(["compile", str(grammar)]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err == "error: internal error (RuntimeError): first line second line\n"
+
+
+# --- lfgmc check: long prefix runs, deep schemata, pinned output ------------
+
+
+@pytest.mark.parametrize(
+    "formula,code",
+    [("up down " * 3000 + "true", 1), ("!up down " * 400 + "true", 0)],
+    ids=["up-down-3000", "not-up-down-400"],
+)
+def test_check_long_prefix_runs(fig_files, formula, code):
+    _, model = fig_files
+    proc = run_cli("check", str(model), "--formula", formula)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == ("formula: valid\n" if code == 0 else "formula: counterexample at n0\n")
+
+
+def test_compile_long_schema_path(tmp_path):
+    grammar = tmp_path / "deep.lfg"
+    grammar.write_text(FIG_GRAMMAR_TEXT.replace("(up spec)=a", "(up" + " spec" * 3000 + ")=a"))
+    proc = run_cli("compile", str(grammar))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "up (zoomin (" + "<spec> (" * 2999 + "<spec> a" + ")" * 2999 + "))" in proc.stdout
+
+
+CHAIN_LEXICON = ["noun%03d" % k for k in range(500)]
+CHAIN_NOUNS = CHAIN_LEXICON[7::41]
+
+
+def _check_files(tmp_path, case):
+    from generators import chain_model_doc
+
+    if case == "fig":
+        grammar = FIG_GRAMMAR_TEXT
+        doc = json.loads(model_to_text(build_fig_model()))
+    else:
+        grammar = embedding_grammar_text(CHAIN_LEXICON)
+        swap = (len(CHAIN_NOUNS) - 1, "noun250") if case == "perturbed" else None
+        doc, _failing = chain_model_doc(CHAIN_LEXICON, CHAIN_NOUNS, swap)
+        if case == "missing-atom":
+            doc["signature"]["atoms"].remove("noun100")
+            doc["signature"]["atoms"].remove("noun300")
+    (tmp_path / "g.lfg").write_text(grammar)
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    return str(tmp_path / "m.json"), str(tmp_path / "g.lfg")
+
+
+@pytest.mark.parametrize(
+    "case,fmt,code,sha256",
+    [
+        ("fig", "plain", 0,
+         "5882e8e56388484de49421bb880e7491679a525e925a97c825900e1d934b4239"),
+        ("fig", "json", 0,
+         "ab7f06437dfaff850fc5630921c52c7477daccf74d1bbfff593cd810531ee49c"),
+        ("intact", "plain", 0,
+         "b767059d5435ef30c944cd84d13577e4b698d6bdd978001db81dbfbd2a7f3103"),
+        ("intact", "json", 0,
+         "4eaa928ca8cfc6f043ed25b176eeb25cab7de625d0013ae09676db44beacb9bf"),
+        ("perturbed", "plain", 1,
+         "a7be49e8245fb54cbbea86923c36048beb05b1e9dd6d53a3cc47f722d9896953"),
+        ("perturbed", "json", 1,
+         "e83ce891b7da489ce7e55a8ac76410518a77424611aca7df3a0e155ca3c3a333"),
+    ],
+)
+def test_check_output_is_pinned(tmp_path, case, fmt, code, sha256):
+    # digests of the output before the grammar reader and names walk were rewritten
+    model, grammar = _check_files(tmp_path, case)
+    proc = run_cli("check", model, "--grammar", grammar, "--format", fmt)
+    assert proc.returncode == code and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_check_reports_the_first_undeclared_name(tmp_path, fmt):
+    model, grammar = _check_files(tmp_path, "missing-atom")
+    proc = run_cli("check", model, "--grammar", grammar, "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown atom 'noun100'\n"

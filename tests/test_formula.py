@@ -209,6 +209,29 @@ def test_round_trip_random():
         assert parse_formula(text, RAND_SIG) == f, text
 
 
+def test_render_long_prefix_runs():
+    from lfgmc import AtomLit, Up, Zoomin
+
+    pairs = TRUE
+    for _ in range(3000):
+        pairs = Up(Down(pairs))
+    assert render_formula(pairs) == "up (down (" * 2999 + "up (down true" + ")" * 5999
+    negated = CatLit("S")
+    for _ in range(400):
+        negated = Not(Up(Down(negated)))
+    assert render_formula(negated) == "!(up (down (" * 399 + "!(up (down S" + ")" * 1199
+    spec = AtomLit("a")
+    for _ in range(3000):
+        spec = Feat("spec", spec)
+    assert render_formula(Up(Zoomin(spec))) == (
+        "up (zoomin (" + "<spec> (" * 2999 + "<spec> a" + ")" * 2999 + "))"
+    )
+    # a short run reads back as the same formula
+    assert parse_formula(render_formula(Not(Up(Down(Feat("subj", TRUE))))), RAND_SIG) == Not(
+        Up(Down(Feat("subj", TRUE)))
+    )
+
+
 def test_parser_totality_fuzz():
     # every input either parses or raises a positioned package error
     rng = random.Random(8)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lfgmc import (
@@ -317,19 +319,34 @@ def test_reserved_name_rejected_in_signature():
         parse_grammar("signature { cat: S zoomin; atom: x; feat: f; gf: ; }")
 
 
-def test_grammar_parser_totality_fuzz():
-    import random
-
-    from lfgmc import LfgError
-
+def _totality_corpus():
+    """3000 random texts over grammar keywords and punctuation."""
     rng = random.Random(31)
     pieces = [
         "signature", "rule", "lex", "start", "cat", "atom", "feat", "gf",
         "{", "}", "(", ")", ";", ":", ",", ".", "=", "->", "=c", "up",
         "down", "S", "A", "x", "f", '"b"', "#c\n", " ", "\n",
     ]
-    for _ in range(3000):
-        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 30))) for _ in range(3000)]
+
+
+def _scanner_corpus():
+    """3000 random texts with bad characters, non-decimal digits,
+    unterminated strings, ``=c``/``=cat``, ``\\r`` and comments."""
+    rng = random.Random(47)
+    pieces = [
+        "signature", "rule", "lex", "x", "_y1", "é", "Ab9", "{", "}", "(", ")",
+        ";", ":", ",", ".", "=", "=c", "=cat", "=c1", "->", "-", '"b"', '"', '"ab',
+        '""', "#c", "#", "\n", "\r", "\t", " ", "  ", "@", "1", "²", "٣", "½",
+        "\f", "\xa0", "\x00", "$", "'", "x²", "a٣",
+    ]
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 25))) for _ in range(3000)]
+
+
+def test_grammar_parser_totality_fuzz():
+    from lfgmc import LfgError
+
+    for text in _totality_corpus():
         try:
             parse_grammar(text)
         except LfgError:
@@ -346,8 +363,6 @@ def _tokens_or_error(tokenize, text):
 
 
 def test_scanner_matches_reference_tokenizer():
-    import random
-
     from conftest import (
         DEVOUR_GRAMMAR_TEXT,
         FIG_GRAMMAR_TEXT,
@@ -367,16 +382,80 @@ def test_scanner_matches_reference_tokenizer():
         FIG_GRAMMAR_TEXT.replace("\n", "\r\n") + "# trailing comment",
         "", "#", "x #c", "\n\t #c\n  ", "=c", "=cat", "=c_", "=c(", "->", "-",
     ]
-    rng = random.Random(47)
-    pieces = [
-        "signature", "rule", "lex", "x", "_y1", "é", "Ab9", "{", "}", "(", ")",
-        ";", ":", ",", ".", "=", "=c", "=cat", "=c1", "->", "-", '"b"', '"', '"ab',
-        '""', "#c", "#", "\n", "\r", "\t", " ", "  ", "@", "1", "²", "٣", "½",
-        "\f", "\xa0", "\x00", "$", "'", "x²", "a٣",
-    ]
-    for _ in range(3000):
-        texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(0, 25))))
-    for text in texts:
+    for text in texts + _scanner_corpus():
         assert _tokens_or_error(_g_tokenize, text) == _tokens_or_error(
             reference_g_tokenize, text
         ), repr(text)
+
+
+# --- the parser against the method-per-construct reference ----------------
+
+def _parse_outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except GrammarSyntaxError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+def _token_edits(text):
+    """``text`` with each of its tokens deleted, and with each doubled."""
+    from oracles import reference_g_tokenize
+
+    starts = [0]
+    for row in text.split("\n"):
+        starts.append(starts[-1] + len(row) + 1)
+    for kind, value, line, col in reference_g_tokenize(text)[:-1]:
+        at = starts[line - 1] + col - 1
+        end = at + len(value) + (2 if kind == "STRING" else 0)
+        yield text[:at] + text[end:]
+        yield text[:end] + " " + text[at:]
+
+
+def test_parser_matches_reference_parser():
+    from conftest import (
+        DEVOUR_GRAMMAR_TEXT,
+        FIG_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+    )
+    from generators import embedding_grammar_text
+    from oracles import reference_parse_grammar
+
+    valid_texts = [
+        FIG_GRAMMAR_TEXT,
+        DEVOUR_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+        embedding_grammar_text(["noun%d" % k for k in range(3)]),
+    ]
+    big = [embedding_grammar_text(["noun%d" % k for k in range(n)]) for n in (500, 5000)]
+    edited = [t for text in valid_texts for t in _token_edits(text)]
+    sig = "signature { cat: S A; atom: x r; feat: f; gf: f; }\n"
+    edge = [
+        sig + sig,
+        "signature { cat: S; cat: A; }",
+        "signature { cat: S; feat: f; }",
+        "signature { cat: S up; atom: x; feat: f; }",
+        "signature { cat: S; atom: x; feat: f; gf: f.up; }",
+        sig + "rule S -> ;",
+        sig + 'lex "" A;',
+        sig + 'lex "b" A {(up f)=c x};',
+        sig + 'lex "b" A {(up f)=(down f)};',
+        sig + 'lex "b" A {(up pred)=r(f, f.f)};',
+        sig + 'lex "b" A {(up pred)=r(f,)};',
+        sig + 'lex "b" A {(up pred)=x(f) (up f)=x};',
+        sig + 'lex "b" A {(up f)=x;;}',
+        sig + "rule S -> A {(up pred)=r()};",
+        sig + "rule S -> A {(up f)=(down)} A {up=down; (up rel f)=down};",
+        sig + 'lex ";" A {(up f)=x}',
+        sig + "start A; start S; start B;",
+    ]
+    checked = errors = 0
+    for text in valid_texts + big + edited + edge + _totality_corpus() + _scanner_corpus():
+        got = _parse_outcome(parse_grammar, text)
+        assert got == _parse_outcome(reference_parse_grammar, text), repr(text)
+        checked += 1
+        errors += got[0] == "error"
+    # the edits reach the parser's error paths, not only the scanner's
+    assert len(edited) > 1000 and errors > 3000 and checked - errors > 7
+

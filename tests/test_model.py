@@ -333,7 +333,9 @@ def _outcome(fn, m):
 
 def test_canonicalize_matches_reference():
     # renaming follows the daughter links from the root, so on a cyclic
-    # tree neither version terminates; every other corruption is kept.
+    # tree the reference never terminates: there canonicalize must name
+    # the node that closes the cycle (the corruptor links a leaf back to
+    # the root).  Every other corruption is compared with the reference.
     # Half the models are numbered in preorder before they are broken,
     # so the corruption hits trees canonicalize would otherwise keep.
     cases = list(_broken_models(32, 100, 14))
@@ -343,14 +345,32 @@ def test_canonicalize_matches_reference():
         cases.append((None, m))
         cases.extend((name, corrupt(rng, m)) for name, corrupt in CORRUPTORS)
     cases.append((None, _odd_model()))
-    checked = 0
+    checked = cycles = 0
     for name, m in cases:
-        if m is None or name == "tree-cycle":
+        if m is None:
             continue
-        got, want = _outcome(canonicalize, m), _outcome(reference_canonicalize, m)
-        assert got == want, name
+        got = _outcome(canonicalize, m)
+        if name == "tree-cycle":
+            message = "daughter links form a cycle through node %r" % m.cstruct.root
+            assert got == (ModelFormatError, (message,))
+            cycles += 1
+            continue
+        assert got == _outcome(reference_canonicalize, m), name
         checked += 1
-    assert checked > 3000
+    assert checked > 3000 and cycles > 150
+
+
+def test_canonicalize_names_the_node_closing_a_cycle():
+    # a shared daughter is renamed on each visit, as before; a link back
+    # to an open node below the root is reported there
+    sig = Signature(cats={"S", "A"}, atoms={"x"}, feats={"f"})
+    fs = FStructure({"w"}, "w", {"w": {}})
+    shared = CStructure.build("r", {"r": ("a", "b"), "a": ("b",)}, {"r": "S", "a": "A"})
+    m = Model(sig, shared, fs, {})
+    assert _outcome(canonicalize, m) == _outcome(reference_canonicalize, m)
+    cyclic = CStructure.build("r", {"r": ("a", "b"), "a": ("b",), "b": ("c",), "c": ("a",)}, {})
+    with pytest.raises(ModelFormatError, match="cycle through node 'a'"):
+        canonicalize(Model(sig, cyclic, fs, {}))
 
 
 def test_canonicalize_keeps_a_preorder_tree(fig_model):

@@ -641,3 +641,19 @@ def test_lexical_axiom_work_does_not_grow_with_the_lexicon(monkeypatch):
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1] < 200, counts
+
+
+def test_long_schema_path_parses():
+    # a 3000-step lexical path builds a 3000-node feature chain, which the
+    # theory is evaluated over without recursing once per step
+    from conftest import FIG_GRAMMAR_TEXT
+    from lfgmc import compile_grammar, parse_grammar
+
+    text = FIG_GRAMMAR_TEXT.replace("(up spec)=a", "(up" + " spec" * 3000 + ")=a")
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    bounds = SearchBounds(max_tree_nodes=40, max_f_nodes=3100)
+    out = parse_sentence(theory, grammar, ["a", "girl", "walks"], bounds)
+    assert len(out.models) == 1 and not out.bound_exceeded
+    assert len(out.models[0].fstruct.nodes) == 3008
+    assert [e.counterexample for e in check_parse(theory, out.models[0])] == [None] * 4

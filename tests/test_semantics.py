@@ -433,3 +433,125 @@ def test_label_index_files_operands_in_chain_order():
         "NP": {("Det", "N"): [det_n, det_n], None: [any_np, loose]},
         "VP": {None: [b]},
     }
+
+
+def test_label_index_takes_first_literal_and_first_labelled_bullet():
+    np_, vp, det = CatLit("NP"), CatLit("VP"), CatLit("Det")
+    later_bullet = _fold(And, [np_, Bullet((TRUE,)), vp, Bullet((det, WordLit("a")))])
+    bullet_first = _fold(And, [Bullet((det,)), np_])
+    no_literal = _fold(And, [Bullet((det,)), Down(TRUE)])
+    first_bullet = _fold(And, [np_, Bullet((det,)), Bullet((TRUE,)), Bullet((vp,))])
+    word = WordLit("a")
+    phi = _fold(Or, [later_bullet, bullet_first, no_literal, first_bullet, word])
+    plain, keyed = phi.by_label
+    assert plain == [no_literal]
+    assert keyed == {
+        "NP": {("Det", "a"): [later_bullet], ("Det",): [bullet_first, first_bullet]},
+        "a": {None: [word]},
+    }
+
+
+# --- the names walk --------------------------------------------------------
+
+
+def test_names_walk_matches_reference(fig_theory):
+    from conftest import PP_AGREE_GRAMMAR_TEXT
+    from generators import embedding_grammar_text
+    from lfgmc import compile_grammar, parse_grammar
+    from oracles import reference_names, reference_validate_names
+
+    def outcome(check, f, sig):
+        try:
+            check(f, sig)
+        except SignatureError as exc:
+            return str(exc)
+        return None
+
+    rng = random.Random(6161)
+    fields = ("cats", "atoms", "feats", "words")
+    def keep_two(ks):
+        return {k: frozenset(rng.sample(sorted(getattr(RAND_SIG, k)), 2)) for k in ks}
+
+    narrow = [replace(RAND_SIG, **keep_two(ks)) for ks in [(k,) for k in fields] + [fields] * 8]
+    formulas = [rand_formula(rng, RAND_SIG, depth=rng.randint(0, 7)) for _ in range(1500)]
+    for f in formulas:
+        assert f.names == reference_names(f), f
+        for sig in narrow:
+            assert outcome(validate_names, f, sig) == outcome(reference_validate_names, f, sig)
+    texts = [PP_AGREE_GRAMMAR_TEXT, embedding_grammar_text(["noun%d" % k for k in range(500)])]
+    theories = [fig_theory] + [compile_grammar(parse_grammar(t)) for t in texts]
+    for theory in theories:
+        for _label, f in theory.labeled():
+            assert f.names == reference_names(f)
+            assert outcome(validate_names, f, narrow[-1]) == outcome(
+                reference_validate_names, f, narrow[-1]
+            )
+
+
+# --- runs of prefix operators ------------------------------------------------
+
+
+_PREFIXES = [Not, Up, Down, Zoomin, lambda f: Feat("subj", f), lambda f: Feat("pred", f)]
+
+
+def test_prefix_runs_match_pointwise_reference():
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(40):
+        base = rand_model(rng)
+        for m in [base] + [corrupt(rng, base) for _code, corrupt in CORRUPTORS]:
+            if m is None:
+                continue
+            phi = rand_formula(rng, RAND_SIG, depth=2)
+            for make in (rng.choice(_PREFIXES) for _ in range(rng.choice([1, 2, 5, 12]))):
+                phi = make(phi)
+            try:
+                validate_names(phi, m.sig)
+            except SignatureError:
+                continue
+            failing = [n for n in m.all_nodes() if not pointwise_sat(m, n, phi)]
+            assert valid(m, phi) == (failing[0] if failing else None), phi
+            for n in m.all_nodes():
+                assert satisfies(m, n, phi) == pointwise_sat(m, n, phi), (phi, n)
+            checked += 1
+    assert checked > 500
+
+
+def _pointwise_holds(m, phi):
+    return {n for n in m.all_nodes() if pointwise_sat(m, n, phi)}
+
+
+@pytest.mark.parametrize("unit,reps", [("up down ", 3000), ("!up down ", 400)])
+def test_long_prefix_runs_do_not_recurse(fig_model, unit, reps):
+    # the truth set of unit^k true is eventually periodic in k; find the
+    # period from pointwise_sat at depths it can evaluate, then check the
+    # long run against the member of the cycle it lands on
+    short = [
+        _pointwise_holds(fig_model, parse_formula(unit * k + "true", fig_model.sig))
+        for k in range(24)
+    ]
+    period = next(
+        p for p in range(1, 5) if all(short[k] == short[k + p] for k in range(12, 24 - p))
+    )
+    want = short[12 + (reps - 12) % period]
+    phi = parse_formula(unit * reps + "true", fig_model.sig)
+    assert {n for n in fig_model.all_nodes() if satisfies(fig_model, n, phi)} == want
+    failing = [n for n in fig_model.all_nodes() if n not in want]
+    assert valid(fig_model, phi) == (failing[0] if failing else None)
+
+
+def test_long_feature_chain():
+    # a feature loop keeps the node set from emptying along the chain
+    sig = Signature(cats={"S"}, atoms={"a"}, feats={"subj"})
+    m = Model(
+        sig,
+        CStructure.build("n0", {}, {"n0": "S"}),
+        FStructure({"f0"}, "f0", {"f0": {"subj": "f0"}}),
+        {"n0": "f0"},
+    )
+    chain = TRUE
+    for _ in range(5000):
+        chain = Feat("subj", chain)
+    assert valid(m, chain) == "n0"
+    assert satisfies(m, "f0", chain)
+    assert valid(m, Implies(CSTRUCT, Zoomin(chain))) is None
