@@ -11,13 +11,18 @@ one:
    enumerator computes the derivations of each (cat, i, j, budget) once,
    and skips spans that a budget-free derivability table, built
    bottom-up by span length, shows to have none;
-2. for each candidate, read the annotations off the chosen rules and
-   entries as defining equations over f-structure variables, and close
-   them under union-find-style identification with congruence.  A clash
-   (two distinct atoms, or an atom on a node with outgoing transitions)
-   kills the candidate; otherwise the closure *is* the least solution,
-   i.e. the candidate f-structure contains nothing the equations do not
-   force.
+2. read the annotations off the chosen rules and entries as defining
+   equations over f-structure variables, and close them under
+   union-find-style identification with congruence.  A clash (two
+   distinct atoms, or an atom on a node with outgoing transitions) kills
+   the candidate; otherwise the closure *is* the least solution, i.e.
+   the candidate f-structure contains nothing the equations do not
+   force.  The lexical variants of one tree shape share its tree and
+   phrase equations, which are built and solved once; the entries then
+   follow one preterminal at a time over a trie of the variants' entry
+   tuples, so a clash under a shared prefix rejects all of its variants
+   at once (after Maxwell & Kaplan 1991).  Each candidate still meets
+   its equations in the order it would alone.
 
 Semantic forms get one special reading, mirroring how argument lists
 behave in LFG proper: ``walk(subj)`` makes the slot ``pred subj`` exist,
@@ -200,38 +205,57 @@ class _SkeletonEnumerator:
                     yield (d,) + rest, c + used
 
 
+def _shape(deriv):
+    """A derivation's tree shape (rules by identity and preterminal
+    categories, in preorder) and its entries in token order.  The lexical
+    variants of one shape share their ``CStructure`` and phrase equations."""
+    key, entries, stack = [], [], [deriv]
+    while stack:
+        d = stack.pop()
+        if type(d) is _DLex:
+            key.append(d.entry.cat)
+            entries.append(d.entry)
+        else:
+            key.append(id(d.rule))
+            stack.extend(reversed(d.children))
+    return tuple(key), tuple(entries)
+
+
 def _build_tree(deriv):
     """Materialize a derivation as a CStructure with preorder node ids.
 
     Returns the structure plus the instantiation points: (node, rule,
-    daughter ids) triples and (preterminal, entry) pairs.
+    daughter ids) triples in postorder and the preterminals in token
+    order.
     """
     labels: dict[NodeId, str] = {}
     daughters: dict[NodeId, tuple[NodeId, ...]] = {}
     phrases = []
     preterminals = []
-    counter = [0]
-
-    def walk(d) -> NodeId:
-        nid = "n%d" % counter[0]
-        counter[0] += 1
-        if isinstance(d, _DLex):
-            leaf = "n%d" % counter[0]
-            counter[0] += 1
+    # (derivation, its siblings' ids) to enter, or ((node, rule), its
+    # daughters' ids) to leave once the daughters are built
+    stack = [(deriv, [])]
+    while stack:
+        d, ids = stack.pop()
+        if type(d) is tuple:
+            daughters[d[0]] = kids = tuple(ids)
+            phrases.append((d[0], d[1], kids))
+            continue
+        nid = "n%d" % len(labels)
+        ids.append(nid)
+        if type(d) is _DLex:
+            leaf = "n%d" % (len(labels) + 1)
             labels[nid] = d.entry.cat
             labels[leaf] = d.entry.word
             daughters[nid] = (leaf,)
             daughters[leaf] = ()
-            preterminals.append((nid, d.entry))
+            preterminals.append(nid)
         else:
             labels[nid] = d.rule.lhs
-            kids = tuple(walk(c) for c in d.children)
-            daughters[nid] = kids
-            phrases.append((nid, d.rule, kids))
-        return nid
-
-    root = walk(deriv)
-    return CStructure.build(root, daughters, labels), phrases, preterminals
+            kids = []
+            stack.append(((nid, d.rule), kids))
+            stack.extend((c, kids) for c in reversed(d.children))
+    return CStructure.build("n0", daughters, labels), phrases, preterminals
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +264,37 @@ def _build_tree(deriv):
 
 
 class _Clash(Exception):
-    def __init__(self, detail):
-        super().__init__(detail)
-        self.detail = detail
+    """The equations have no solution; the one argument says why."""
 
 
 class _UnionFind:
     """f-structure skeleton under construction: classes with functional
-    transition tables and optional atoms, merged with congruence."""
+    transition tables and optional atoms, merged with congruence, plus
+    the tree nodes' variables and the semantic-form slots to close."""
 
     def __init__(self):
         self.parent: list[int] = []
         self.trans: list[dict[str, int]] = []
         self.atom: list[str | None] = []
+        self.zvar: dict[NodeId, int] = {}
+        self.semform_args: list[tuple[int, tuple[str, ...]]] = []
+
+    def copy(self) -> _UnionFind:
+        c = _UnionFind()
+        c.parent, c.atom, c.semform_args = self.parent[:], self.atom[:], self.semform_args[:]
+        c.trans, c.zvar = [t.copy() for t in self.trans], self.zvar.copy()
+        return c
 
     def make(self) -> int:
         self.parent.append(len(self.parent))
         self.trans.append({})
         self.atom.append(None)
         return len(self.parent) - 1
+
+    def z(self, n: NodeId) -> int:
+        if n not in self.zvar:
+            self.zvar[n] = self.make()
+        return self.zvar[n]
 
     def find(self, i: int) -> int:
         while self.parent[i] != i:
@@ -275,37 +311,25 @@ class _UnionFind:
                 continue
             self.parent[rb] = ra
             if self.atom[rb] is not None:
-                if self.atom[ra] is None:
-                    self.atom[ra] = self.atom[rb]
-                elif self.atom[ra] != self.atom[rb]:
-                    raise _Clash(
-                        "distinct atoms %r and %r forced onto one node"
-                        % (self.atom[ra], self.atom[rb])
-                    )
+                self.set_atom(ra, self.atom[rb])
             for feat, tgt in self.trans[rb].items():
                 if feat in self.trans[ra]:
                     queue.append((self.trans[ra][feat], tgt))
                 else:
                     self.trans[ra][feat] = tgt
 
-    def step(self, i: int, feat: str, create: bool):
-        r = self.find(i)
-        tgt = self.trans[r].get(feat)
-        if tgt is not None:
-            return self.find(tgt)
-        if not create:
-            return None
-        w = self.make()
-        self.trans[r][feat] = w
-        return w
-
     def walk(self, i: int, path, create: bool):
-        cur = i
+        """Follow ``path`` from ``i``, making missing steps if ``create`` (else None)."""
         for feat in path:
-            cur = self.step(cur, feat, create)
-            if cur is None:
+            r = self.find(i)
+            i = self.trans[r].get(feat)
+            if i is not None:
+                i = self.find(i)
+            elif not create:
                 return None
-        return cur
+            else:
+                i = self.trans[r][feat] = self.make()
+        return i
 
     def set_atom(self, i: int, value: str):
         r = self.find(i)
@@ -318,57 +342,51 @@ class _UnionFind:
             )
 
 
-def _solve(cstruct, phrases, preterminals):
-    """Instantiate the defining equations for one derivation and return
-    (union-find, zoom-variable map), or raise _Clash."""
+def _solve_phrases(phrases) -> _UnionFind:
+    """The union-find of a tree shape's rule equations, or raise _Clash."""
     uf = _UnionFind()
-    zvar: dict[NodeId, int] = {}
-
-    def z(n: NodeId) -> int:
-        if n not in zvar:
-            zvar[n] = uf.make()
-        return zvar[n]
-
-    semform_args: list[tuple[int, tuple[str, ...]]] = []
-
     for n, rule, kids in phrases:
         for elem, kid in zip(rule.rhs, kids):
             for schema in elem.schemata:
                 if isinstance(schema, PathEqSchema):
-                    a = uf.walk(z(n), schema.up_path, create=True)
-                    b = uf.walk(z(kid), schema.down_path, create=True)
+                    a = uf.walk(uf.z(n), schema.up_path, create=True)
+                    b = uf.walk(uf.z(kid), schema.down_path, create=True)
                     uf.union(a, b)
                 elif isinstance(schema, AtomValueSchema):
-                    uf.set_atom(uf.walk(z(n), schema.path, create=True), schema.value)
+                    uf.set_atom(uf.walk(uf.z(n), schema.path, create=True), schema.value)
                 else:
                     raise GrammarError("semantic forms are only allowed in lexical entries")
+    return uf
 
-    for p, entry in preterminals:
-        if not entry.schemata:
-            continue
-        mo = cstruct.mother.get(p)
-        if mo is None:
-            raise _Clash("lexical schemata of %r need a node above the preterminal" % entry.word)
-        base = z(mo)
-        for schema in entry.schemata:
-            if isinstance(schema, AtomValueSchema):
-                uf.set_atom(uf.walk(base, schema.path, create=True), schema.value)
-            elif isinstance(schema, SemForm):
-                uf.set_atom(
-                    uf.walk(base, (PRED_FEAT, REL_FEAT), create=True), schema.rel
-                )
-                for g in schema.args:
-                    uf.walk(base, (PRED_FEAT,) + g, create=True)
-                    semform_args.append((base, g))
-            else:
-                raise GrammarError("'down' cannot appear in a lexical schema")
 
+def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry):
+    """Add one preterminal's lexical equations; ``mother`` is the node
+    above the preterminal."""
+    if not entry.schemata:
+        return
+    if mother is None:
+        raise _Clash("lexical schemata of %r need a node above the preterminal" % entry.word)
+    base = uf.z(mother)
+    for schema in entry.schemata:
+        if isinstance(schema, AtomValueSchema):
+            uf.set_atom(uf.walk(base, schema.path, create=True), schema.value)
+        elif isinstance(schema, SemForm):
+            uf.set_atom(uf.walk(base, (PRED_FEAT, REL_FEAT), create=True), schema.rel)
+            for g in schema.args:
+                uf.walk(base, (PRED_FEAT,) + g, create=True)
+                uf.semform_args.append((base, g))
+        else:
+            raise GrammarError("'down' cannot appear in a lexical schema")
+
+
+def _close(uf: _UnionFind):
+    """Link the semantic-form slots and check uniqueness, or raise _Clash."""
     # argument slots link up with local paths that the other equations
     # define; iterate because one identification can define another path
     changed = True
     while changed:
         changed = False
-        for base, g in semform_args:
+        for base, g in uf.semform_args:
             slot = uf.walk(base, (PRED_FEAT,) + g, create=False)
             local = uf.walk(base, g, create=False)
             if local is not None and uf.find(slot) != uf.find(local):
@@ -379,14 +397,45 @@ def _solve(cstruct, phrases, preterminals):
     for i in range(len(uf.parent)):
         r = uf.find(i)
         if uf.atom[r] is not None and uf.trans[r]:
-            raise _Clash(
-                "atom %r forced onto a node with outgoing transitions" % uf.atom[r]
-            )
-
-    return uf, zvar
+            raise _Clash("atom %r forced onto a node with outgoing transitions" % uf.atom[r])
 
 
-def _extract_model(sig, cstruct, uf: _UnionFind, zvar) -> tuple[Model | None, str | None]:
+def _solve_shape(cstruct, phrases, preterminals, members):
+    """Solve every lexical variant of one tree shape (step 2 above).
+    ``members`` are (candidate index, entries) pairs; yields (members,
+    union-find or clash Rejection) pairs.  The union-find is copied only
+    where the trie of entry tuples branches."""
+    mothers = [cstruct.mother.get(p) for p in preterminals]
+    # (union-find, k, members): the members share entries[:k], all
+    # added to the union-find except the last one (or the phrases, k=0)
+    stack = [(None, 0, members)]
+    while stack:
+        uf, k, members = stack.pop()
+        entries = members[0][1]
+        try:
+            if uf is None:
+                uf = _solve_phrases(phrases)
+            else:
+                _solve_entry(uf, mothers[k - 1], entries[k - 1])
+            while len(members) == 1 and k < len(mothers):  # no branch below
+                _solve_entry(uf, mothers[k], entries[k])
+                k += 1
+            if k == len(mothers):
+                _close(uf)
+                yield members, uf
+                continue
+        except _Clash as clash:
+            yield members, Rejection("clash", clash.args[0])
+            continue
+        groups: dict[int, list] = {}
+        for m in members:
+            groups.setdefault(id(m[1][k]), []).append(m)
+        *branches, last = groups.values()
+        stack.extend((uf.copy(), k + 1, group) for group in branches)
+        stack.append((uf, k + 1, last))  # after the copies: changed in place
+
+
+def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model | None, str | None]:
     """Build the least-solution model; (None, reason) when no sensible
     f-structure exists (entry point missing or not unique)."""
     roots: list[int] = []
@@ -403,7 +452,7 @@ def _extract_model(sig, cstruct, uf: _UnionFind, zvar) -> tuple[Model | None, st
 
     name = {r: "w%d" % k for k, r in enumerate(roots)}
 
-    root_var = zvar.get(cstruct.root)
+    root_var = uf.zvar.get(cstruct.root)
     if root_var is not None:
         initial = uf.find(root_var)
     else:
@@ -424,8 +473,26 @@ def _extract_model(sig, cstruct, uf: _UnionFind, zvar) -> tuple[Model | None, st
     fstruct = FStructure(
         frozenset(name.values()), name[initial], trans, frozenset(atomval), atomval
     )
-    zoomin = {n: name[uf.find(v)] for n, v in zvar.items()}
+    zoomin = {n: name[uf.find(v)] for n, v in uf.zvar.items()}
     return Model(sig, cstruct, fstruct, zoomin), None
+
+
+def _check(theory, sig, cstruct, uf, bounds):
+    """The outcome of one solved candidate (see ``parse_sentence``)."""
+    model, why = _extract_model(sig, cstruct, uf)
+    if model is None:
+        return Rejection("structure", why)
+    if len(model.fstruct.nodes) > bounds.max_f_nodes:
+        return None
+    report = validate_model(model)
+    if not report.ok:
+        return Rejection("structure", "; ".join(sorted(report.codes())))
+    for label, f in theory.labeled():
+        node = valid(model, f)
+        if node is not None:
+            return Rejection("formula", label, node)
+    cm = canonicalize(model)
+    return model_to_text(cm), cm
 
 
 # ---------------------------------------------------------------------------
@@ -449,39 +516,31 @@ def parse_sentence(
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
     bound_exceeded = enum.bound_hit
 
+    shapes: dict[tuple, list] = {}
+    for idx, (deriv, _count) in enumerate(derivations):
+        key, entries = _shape(deriv)
+        shapes.setdefault(key, []).append((idx, entries))
+    # each candidate's outcome: a Rejection, None when it exceeds the
+    # f-node bound, or its canonical (text, model) pair
+    outcomes: list = [None] * len(derivations)
+    for members in shapes.values():
+        cstruct, phrases, preterminals = _build_tree(derivations[members[0][0]][0])
+        for group, solved in _solve_shape(cstruct, phrases, preterminals, members):
+            for idx, _entries in group:
+                outcomes[idx] = (
+                    solved if isinstance(solved, Rejection)
+                    else _check(theory, grammar.sig, cstruct, solved, bounds)
+                )
+
     rejections: list[Rejection] = []
     found: dict[str, Model] = {}
-    for deriv, _count in derivations:
-        cstruct, phrases, preterminals = _build_tree(deriv)
-        try:
-            uf, zvar = _solve(cstruct, phrases, preterminals)
-        except _Clash as clash:
-            rejections.append(Rejection("clash", clash.detail))
-            continue
-        model, why = _extract_model(grammar.sig, cstruct, uf, zvar)
-        if model is None:
-            rejections.append(Rejection("structure", why))
-            continue
-        if len(model.fstruct.nodes) > bounds.max_f_nodes:
+    for outcome in outcomes:
+        if outcome is None:
             bound_exceeded = True
-            continue
-        report = validate_model(model)
-        if not report.ok:
-            rejections.append(
-                Rejection("structure", "; ".join(sorted(report.codes())))
-            )
-            continue
-        bad = None
-        for label, f in theory.labeled():
-            node = valid(model, f)
-            if node is not None:
-                bad = Rejection("formula", label, node)
-                break
-        if bad is not None:
-            rejections.append(bad)
-            continue
-        cm = canonicalize(model)
-        found.setdefault(model_to_text(cm), cm)
+        elif isinstance(outcome, Rejection):
+            rejections.append(outcome)
+        else:
+            found.setdefault(*outcome)
 
     models = [found[k] for k in sorted(found)]
     if len(models) > bounds.max_models:

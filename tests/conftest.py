@@ -83,6 +83,14 @@ lex "saw" V {(up pred)=saw(subj, obj)};
 lex "with" P {(up pred)=with(obj)};
 """
 
+# "V NP (P NP)^2" for the PP grammar above: Catalan(3) = 5 tree shapes,
+# each with 2^4 lexical variants (four ambiguous nouns).
+PP_SENTENCE = "the man saw the man with the man with the man".split()
+
+# The same with three PPs, as at the top of the benchmark's agreement
+# ladder: 14 shapes x 2^5 variants, 434 of which clash.
+PP3_SENTENCE = PP_SENTENCE + "with the man".split()
+
 
 def build_fig_sig() -> Signature:
     return Signature(

@@ -146,6 +146,53 @@ def rand_formula(rng: random.Random, sig: Signature = RAND_SIG, depth=5):
     return rec(depth)
 
 
+def rand_grammar(rng: random.Random) -> str:
+    """The text of a small random grammar over the words u, v, w: every
+    word has one to three entries, often of one category with different
+    schemata, so candidates come in lexical variants of one tree shape;
+    rule elements carry path equations and atom assignments (the empty
+    path included); entries carry atoms and semantic forms; rules may be
+    unary, cycles included."""
+    cats = ["S", "A", "B"]
+
+    def path(*must):
+        return " ".join(must or [rng.choice("fg") for _ in range(rng.randint(0, 2))])
+
+    def side(kw, p):
+        return "(%s %s)" % (kw, p) if p else kw
+
+    def rule_schema():
+        if rng.random() < 0.7:
+            return "%s=%s" % (side("up", path()), side("down", path()))
+        return "%s=%s" % (side("up", path() if rng.random() < 0.2 else path("f")), rng.choice("ab"))
+
+    def atom_schema():
+        return "%s=%s" % (side("up", path() if rng.random() < 0.2 else path("g")), rng.choice("ab"))
+
+    def block(make, semform=False):
+        parts = [make() for _ in range(rng.choice((0, 1, 1, 2)))]
+        if semform and rng.random() < 0.5:
+            args = rng.sample(["f", "g"], rng.randint(0, 2))
+            parts.append("(up pred)=%s(%s)" % (rng.choice("pq"), ", ".join(args)))
+        return " {%s}" % "; ".join(parts) if parts else ""
+
+    lines = [
+        "signature { cat: S A B; atom: a b p q; feat: f g pred rel; gf: f g; }",
+        "start S;",
+    ]
+    for k in range(rng.randint(2, 6)):
+        lhs = "S" if k == 0 else rng.choice(cats)
+        rhs = " ".join(rng.choice(cats) + block(rule_schema) for _ in range(rng.choice((1, 2, 2, 3))))
+        lines.append("rule %s -> %s;" % (lhs, rhs))
+    for word in "uvw":
+        cat = rng.choice(cats)
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                cat = rng.choice(cats)
+            lines.append('lex "%s" %s%s;' % (word, cat, block(atom_schema, semform=True)))
+    return "\n".join(lines) + "\n"
+
+
 def embedding_grammar_text(nouns):
     """The sentential-embedding grammar ("the N said that ... the N
     slept") with one noun entry per name in ``nouns``."""

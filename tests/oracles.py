@@ -35,6 +35,13 @@ pipeline it checks:
   references for the direct text writer and for ``canonicalize``.
   ``oracle_parse`` and ``blind_parse`` use them, so the benchmark's
   reference digests do not share the writer under test.
+* ``reference_two_phase_parse`` is the original candidate loop of
+  ``parse_sentence``, with its skeleton enumerator, recursive tree
+  builder, union-find and one-candidate-at-a-time equation solver, kept
+  verbatim apart from names, as the reference for the solver that shares
+  a tree shape's phrase equations and lexical prefixes across
+  candidates.  It returns its own outcome and rejection types and uses
+  ``reference_canonicalize`` and ``reference_model_to_text``.
 * ``blind_parse`` enumerates every preterminal-form tree, every
   f-structure and every zoomin map within tiny bounds, filters by
   validity, and keeps the subsumption-minimal models per tree.  Only
@@ -43,6 +50,7 @@ pipeline it checks:
 
 import json
 from collections import defaultdict
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -81,6 +89,10 @@ from lfgmc import (
     Zoomin,
     validate_model,
 )
+from lfgmc.errors import GrammarError
+from lfgmc.grammar import PRED_FEAT, REL_FEAT
+from lfgmc.model import NodeId
+from lfgmc.semantics import valid
 
 # ---------------------------------------------------------------------------
 # Denotation-set semantics
@@ -1347,3 +1359,411 @@ def blind_parse(theory, sig, start, tokens, max_tree, max_f):
                 continue
             results.append(reference_model_to_text(reference_canonicalize(m)))
     return sorted(set(results))
+
+
+# ---------------------------------------------------------------------------
+# Two-phase parsing, one candidate at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceRejection:
+    reason: str
+    detail: str
+    node: NodeId | None = None
+
+
+@dataclass(frozen=True)
+class ReferenceOutcome:
+    models: tuple
+    bound_exceeded: bool
+    rejections: tuple = ()
+
+
+@dataclass(frozen=True)
+class _RefDLex:
+    entry: LexEntry
+
+
+@dataclass(frozen=True)
+class _RefDPhrase:
+    rule: AnnotatedRule
+    children: tuple
+
+
+def _ref_ends(remaining: int, pos: int, j: int) -> range:
+    """End positions of a rule element at ``pos`` with ``remaining`` more
+    elements (one token each at least) before the span ends at ``j``."""
+    return range(j if remaining == 0 else pos + 1, j - remaining + 1)
+
+
+class _RefSkeletonEnumerator:
+    def __init__(self, grammar: Grammar, tokens):
+        self.grammar = grammar
+        self.tokens = tokens
+        self.bound_hit = False
+        self.derivable = self._derivable_table()
+        self.memo: dict[tuple[str, int, int, int], list] = {}
+
+    def _derivable_table(self):
+        """Budget-free derivability of (cat, i, j), built bottom-up by
+        span length.  Every rule element covers at least one token, so a
+        span needs only shorter spans, plus unary rules over itself;
+        those are closed by a local fixpoint (unary rule cycles)."""
+        n = len(self.tokens)
+        table: set[tuple[str, int, int]] = set()
+        for i, tok in enumerate(self.tokens):
+            for entry in self.grammar.entries_for(tok):
+                table.add((entry.cat, i, i + 1))
+        for length in range(1, n + 1):
+            for i in range(n - length + 1):
+                j = i + length
+                changed = True
+                while changed:
+                    changed = False
+                    for rule in self.grammar.rules:
+                        if (rule.lhs, i, j) in table:
+                            continue
+                        if self._splits_derivable(rule, i, j, table):
+                            table.add((rule.lhs, i, j))
+                            changed = True
+        return table
+
+    def _splits_derivable(self, rule, i, j, table) -> bool:
+        def rec(idx, pos):
+            if idx == len(rule.rhs):
+                return True
+            for end in _ref_ends(len(rule.rhs) - idx - 1, pos, j):
+                if (rule.rhs[idx].cat, pos, end) in table and rec(idx + 1, end):
+                    return True
+            return False
+
+        return rec(0, i)
+
+    def derive(self, cat: str, i: int, j: int, budget: int):
+        """All derivations of ``cat`` over tokens[i:j] using at most
+        ``budget`` tree nodes, as (derivation, node count) pairs.
+
+        Results are memoised per (cat, i, j, budget), so sub-derivations
+        are shared objects across parents and the returned list must not
+        be mutated; a recursive call always has a smaller budget, so a key
+        never recurs while it is computed.  Spans outside the derivability
+        table are not entered: they have no derivations at any budget, so
+        no bound cut below them can lose one."""
+        if (cat, i, j) not in self.derivable:
+            return []
+        key = (cat, i, j, budget)
+        out = self.memo.get(key)
+        if out is not None:
+            return out
+        out = self.memo[key] = []
+        if j - i == 1:
+            entries = [e for e in self.grammar.entries_for(self.tokens[i]) if e.cat == cat]
+            if entries:
+                if budget >= 2:
+                    out.extend((_RefDLex(e), 2) for e in entries)
+                else:
+                    self.bound_hit = True
+        for rule in self.grammar.rules:
+            if rule.lhs != cat:
+                continue
+            if budget < 1 + 2 * (j - i):
+                self.bound_hit = True
+                continue
+            for children, used in self._sequences(rule, 0, i, j, budget - 1):
+                out.append((_RefDPhrase(rule, children), 1 + used))
+        return out
+
+    def _sequences(self, rule, idx, pos, j, avail):
+        if idx == len(rule.rhs):
+            yield (), 0
+            return
+        for end in _ref_ends(len(rule.rhs) - idx - 1, pos, j):
+            reserve = 2 * (j - end)  # least any continuation can cost
+            for d, c in self.derive(rule.rhs[idx].cat, pos, end, avail - reserve):
+                for rest, used in self._sequences(rule, idx + 1, end, j, avail - c):
+                    yield (d,) + rest, c + used
+
+
+def _ref_build_tree(deriv):
+    """Materialize a derivation as a CStructure with preorder node ids.
+
+    Returns the structure plus the instantiation points: (node, rule,
+    daughter ids) triples and (preterminal, entry) pairs.
+    """
+    labels: dict[NodeId, str] = {}
+    daughters: dict[NodeId, tuple[NodeId, ...]] = {}
+    phrases = []
+    preterminals = []
+    counter = [0]
+
+    def walk(d) -> NodeId:
+        nid = "n%d" % counter[0]
+        counter[0] += 1
+        if isinstance(d, _RefDLex):
+            leaf = "n%d" % counter[0]
+            counter[0] += 1
+            labels[nid] = d.entry.cat
+            labels[leaf] = d.entry.word
+            daughters[nid] = (leaf,)
+            daughters[leaf] = ()
+            preterminals.append((nid, d.entry))
+        else:
+            labels[nid] = d.rule.lhs
+            kids = tuple(walk(c) for c in d.children)
+            daughters[nid] = kids
+            phrases.append((nid, d.rule, kids))
+        return nid
+
+    root = walk(deriv)
+    return CStructure.build(root, daughters, labels), phrases, preterminals
+
+
+# ---------------------------------------------------------------------------
+# Equation solving (union-find with congruence)
+# ---------------------------------------------------------------------------
+
+
+class _RefClash(Exception):
+    def __init__(self, detail):
+        super().__init__(detail)
+        self.detail = detail
+
+
+class _RefUnionFind:
+    """f-structure skeleton under construction: classes with functional
+    transition tables and optional atoms, merged with congruence."""
+
+    def __init__(self):
+        self.parent: list[int] = []
+        self.trans: list[dict[str, int]] = []
+        self.atom: list[str | None] = []
+
+    def make(self) -> int:
+        self.parent.append(len(self.parent))
+        self.trans.append({})
+        self.atom.append(None)
+        return len(self.parent) - 1
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int):
+        queue = [(i, j)]
+        while queue:
+            a, b = queue.pop()
+            ra, rb = self.find(a), self.find(b)
+            if ra == rb:
+                continue
+            self.parent[rb] = ra
+            if self.atom[rb] is not None:
+                if self.atom[ra] is None:
+                    self.atom[ra] = self.atom[rb]
+                elif self.atom[ra] != self.atom[rb]:
+                    raise _RefClash(
+                        "distinct atoms %r and %r forced onto one node"
+                        % (self.atom[ra], self.atom[rb])
+                    )
+            for feat, tgt in self.trans[rb].items():
+                if feat in self.trans[ra]:
+                    queue.append((self.trans[ra][feat], tgt))
+                else:
+                    self.trans[ra][feat] = tgt
+
+    def step(self, i: int, feat: str, create: bool):
+        r = self.find(i)
+        tgt = self.trans[r].get(feat)
+        if tgt is not None:
+            return self.find(tgt)
+        if not create:
+            return None
+        w = self.make()
+        self.trans[r][feat] = w
+        return w
+
+    def walk(self, i: int, path, create: bool):
+        cur = i
+        for feat in path:
+            cur = self.step(cur, feat, create)
+            if cur is None:
+                return None
+        return cur
+
+    def set_atom(self, i: int, value: str):
+        r = self.find(i)
+        if self.atom[r] is None:
+            self.atom[r] = value
+        elif self.atom[r] != value:
+            raise _RefClash(
+                "distinct atoms %r and %r forced onto one node"
+                % (self.atom[r], value)
+            )
+
+
+def _ref_solve(cstruct, phrases, preterminals):
+    """Instantiate the defining equations for one derivation and return
+    (union-find, zoom-variable map), or raise _RefClash."""
+    uf = _RefUnionFind()
+    zvar: dict[NodeId, int] = {}
+
+    def z(n: NodeId) -> int:
+        if n not in zvar:
+            zvar[n] = uf.make()
+        return zvar[n]
+
+    semform_args: list[tuple[int, tuple[str, ...]]] = []
+
+    for n, rule, kids in phrases:
+        for elem, kid in zip(rule.rhs, kids):
+            for schema in elem.schemata:
+                if isinstance(schema, PathEqSchema):
+                    a = uf.walk(z(n), schema.up_path, create=True)
+                    b = uf.walk(z(kid), schema.down_path, create=True)
+                    uf.union(a, b)
+                elif isinstance(schema, AtomValueSchema):
+                    uf.set_atom(uf.walk(z(n), schema.path, create=True), schema.value)
+                else:
+                    raise GrammarError("semantic forms are only allowed in lexical entries")
+
+    for p, entry in preterminals:
+        if not entry.schemata:
+            continue
+        mo = cstruct.mother.get(p)
+        if mo is None:
+            raise _RefClash("lexical schemata of %r need a node above the preterminal" % entry.word)
+        base = z(mo)
+        for schema in entry.schemata:
+            if isinstance(schema, AtomValueSchema):
+                uf.set_atom(uf.walk(base, schema.path, create=True), schema.value)
+            elif isinstance(schema, SemForm):
+                uf.set_atom(
+                    uf.walk(base, (PRED_FEAT, REL_FEAT), create=True), schema.rel
+                )
+                for g in schema.args:
+                    uf.walk(base, (PRED_FEAT,) + g, create=True)
+                    semform_args.append((base, g))
+            else:
+                raise GrammarError("'down' cannot appear in a lexical schema")
+
+    # argument slots link up with local paths that the other equations
+    # define; iterate because one identification can define another path
+    changed = True
+    while changed:
+        changed = False
+        for base, g in semform_args:
+            slot = uf.walk(base, (PRED_FEAT,) + g, create=False)
+            local = uf.walk(base, g, create=False)
+            if local is not None and uf.find(slot) != uf.find(local):
+                uf.union(slot, local)
+                changed = True
+
+    # uniqueness: an atom may not share a node with outgoing transitions
+    for i in range(len(uf.parent)):
+        r = uf.find(i)
+        if uf.atom[r] is not None and uf.trans[r]:
+            raise _RefClash(
+                "atom %r forced onto a node with outgoing transitions" % uf.atom[r]
+            )
+
+    return uf, zvar
+
+
+def _ref_extract_model(sig, cstruct, uf: _RefUnionFind, zvar) -> tuple[Model | None, str | None]:
+    """Build the least-solution model; (None, reason) when no sensible
+    f-structure exists (entry point missing or not unique)."""
+    roots: list[int] = []
+    seen = set()
+    for i in range(len(uf.parent)):
+        r = uf.find(i)
+        if r not in seen:
+            seen.add(r)
+            roots.append(r)
+
+    if not roots:
+        fstruct = FStructure(frozenset(["w0"]), "w0", {"w0": {}})
+        return Model(sig, cstruct, fstruct, {}), None
+
+    name = {r: "w%d" % k for k, r in enumerate(roots)}
+
+    root_var = zvar.get(cstruct.root)
+    if root_var is not None:
+        initial = uf.find(root_var)
+    else:
+        incoming = set()
+        for r in roots:
+            for tgt in uf.trans[r].values():
+                incoming.add(uf.find(tgt))
+        sources = [r for r in roots if r not in incoming]
+        if len(sources) != 1:
+            return None, "no unique entry point into the f-structure"
+        initial = sources[0]
+
+    trans = {
+        name[r]: {feat: name[uf.find(t)] for feat, t in sorted(uf.trans[r].items())}
+        for r in roots
+    }
+    atomval = {name[r]: uf.atom[r] for r in roots if uf.atom[r] is not None}
+    fstruct = FStructure(
+        frozenset(name.values()), name[initial], trans, frozenset(atomval), atomval
+    )
+    zoomin = {n: name[uf.find(v)] for n, v in zvar.items()}
+    return Model(sig, cstruct, fstruct, zoomin), None
+
+
+def reference_two_phase_parse(theory, grammar, tokens, bounds):
+    """All minimal models of ``theory`` with the given yield, root label
+    equal to the grammar's start category, within ``bounds``; every
+    candidate tree is built and solved on its own."""
+    tokens = list(tokens)
+    if not tokens:
+        raise GrammarError("no tokens to parse")
+    for tok in tokens:
+        if tok not in grammar.sig.words:
+            raise SignatureError("unknown token %r" % tok)
+
+    enum = _RefSkeletonEnumerator(grammar, tokens)
+    derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
+    bound_exceeded = enum.bound_hit
+
+    rejections: list[ReferenceRejection] = []
+    found: dict[str, Model] = {}
+    for deriv, _count in derivations:
+        cstruct, phrases, preterminals = _ref_build_tree(deriv)
+        try:
+            uf, zvar = _ref_solve(cstruct, phrases, preterminals)
+        except _RefClash as clash:
+            rejections.append(ReferenceRejection("clash", clash.detail))
+            continue
+        model, why = _ref_extract_model(grammar.sig, cstruct, uf, zvar)
+        if model is None:
+            rejections.append(ReferenceRejection("structure", why))
+            continue
+        if len(model.fstruct.nodes) > bounds.max_f_nodes:
+            bound_exceeded = True
+            continue
+        report = validate_model(model)
+        if not report.ok:
+            rejections.append(
+                ReferenceRejection("structure", "; ".join(sorted(report.codes())))
+            )
+            continue
+        bad = None
+        for label, f in theory.labeled():
+            node = valid(model, f)
+            if node is not None:
+                bad = ReferenceRejection("formula", label, node)
+                break
+        if bad is not None:
+            rejections.append(bad)
+            continue
+        cm = reference_canonicalize(model)
+        found.setdefault(reference_model_to_text(cm), cm)
+
+    models = [found[k] for k in sorted(found)]
+    if len(models) > bounds.max_models:
+        models = models[: bounds.max_models]
+        bound_exceeded = True
+    return ReferenceOutcome(tuple(models), bound_exceeded, tuple(rejections))

@@ -11,7 +11,9 @@ from lfgmc import model_to_text, parse_formula
 from conftest import (
     DEVOUR_GRAMMAR_TEXT,
     FIG_GRAMMAR_TEXT,
+    PP3_SENTENCE,
     PP_AGREE_GRAMMAR_TEXT,
+    PP_SENTENCE,
     build_fig_model,
 )
 from generators import embedding_grammar_text
@@ -301,9 +303,6 @@ def test_compile_fig_output_is_pinned(fig_files):
     assert proc.stdout == FIG_COMPILED
 
 
-PP_SENTENCE = "the man saw the man with the man with the man".split()
-
-
 @pytest.mark.parametrize(
     "text,tokens,fmt,sha256",
     [
@@ -325,6 +324,29 @@ def test_parse_output_is_pinned(tmp_path, text, tokens, fmt, sha256):
     proc = run_cli("parse", str(grammar), *tokens, "--format", fmt)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "fmt,sha256",
+    [
+        ("plain", "36ca832aa41847aac4747cfdb78a663ce60fc679c17cdd58a0af7383c28e397e"),
+        ("json", "8af2aaa05d7a3a7680707e94fe37d5e93258fa5e0437647cd77cf0075a4aaff9"),
+    ],
+)
+def test_parse_three_pp_output_is_pinned(tmp_path, fmt, sha256):
+    # digests of the output of the loop that built and solved each
+    # candidate on its own; 14 models and 434 clashing lexical variants
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(PP_AGREE_GRAMMAR_TEXT)
+    bounds = ("--max-tree", "64", "--max-fnodes", "256", "--max-models", "64")
+    proc = run_cli("parse", str(grammar), *PP3_SENTENCE, *bounds, "--format", fmt)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+    if fmt == "plain":
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "models: 14"
+        clash = "rejected candidate (clash: distinct atoms 'sg' and 'pl' forced onto one node)"
+        assert lines.count(clash) == 434
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,23 @@ from lfgmc import (
     validate_model,
 )
 
-from conftest import build_fig_model
-from generators import embedding_grammar_text
-from oracles import blind_parse, oracle_parse, oracle_valid, subsumes
+from conftest import (
+    DEVOUR_GRAMMAR_TEXT,
+    FIG_GRAMMAR_TEXT,
+    MICRO_GRAMMAR_TEXT,
+    PP_AGREE_GRAMMAR_TEXT,
+    PP_SENTENCE,
+    build_fig_model,
+)
+from generators import embedding_grammar_text, rand_grammar
+from oracles import (
+    blind_parse,
+    oracle_parse,
+    oracle_valid,
+    reference_model_to_text,
+    reference_two_phase_parse,
+    subsumes,
+)
 
 
 def test_fig_sentence_parses_to_the_fixture(fig_theory, fig_grammar):
@@ -657,3 +671,245 @@ def test_long_schema_path_parses():
     assert len(out.models) == 1 and not out.bound_exceeded
     assert len(out.models[0].fstruct.nodes) == 3008
     assert [e.counterexample for e in check_parse(theory, out.models[0])] == [None] * 4
+
+
+# --- one solve per tree shape, against the one-candidate-at-a-time loop ----
+
+
+def _same_as_two_phase(theory, grammar, tokens, bounds):
+    """Parse and compare the whole outcome with the reference loop."""
+    got = parse_sentence(theory, grammar, tokens, bounds)
+    want = reference_two_phase_parse(theory, grammar, tokens, bounds)
+    assert [model_to_text(m) for m in got.models] == [
+        reference_model_to_text(m) for m in want.models
+    ], tokens
+    assert got.models == want.models, tokens
+    assert [(r.reason, r.detail, r.node) for r in got.rejections] == [
+        (r.reason, r.detail, r.node) for r in want.rejections
+    ], tokens
+    assert got.bound_exceeded == want.bound_exceeded, tokens
+    return got
+
+
+def test_shape_sharing_matches_two_phase_on_random_grammars():
+    from lfgmc import compile_grammar, parse_grammar
+    from lfgmc.search import _shape, _SkeletonEnumerator
+
+    rng = random.Random(2024)
+    seen = {"models": 0, "bound": 0, "shared shapes": 0}
+    for _ in range(2000):
+        grammar = parse_grammar(rand_grammar(rng))
+        theory = compile_grammar(grammar)
+        tokens = [rng.choice("uvw") for _ in range(rng.randint(1, 3))]
+        bounds = SearchBounds(
+            rng.choice((5, 7, 9, 12)), rng.choice((2, 4, 8, 80)), rng.choice((1, 2, 10))
+        )
+        out = _same_as_two_phase(theory, grammar, tokens, bounds)
+        seen["models"] += len(out.models)
+        seen["bound"] += out.bound_exceeded
+        for r in out.rejections:
+            kind = r.detail.split(" ")[0] if r.reason == "clash" else r.reason
+            seen[kind] = seen.get(kind, 0) + 1
+        derivations = _SkeletonEnumerator(grammar, tokens).derive(
+            grammar.start, 0, len(tokens), bounds.max_tree_nodes
+        )
+        keys = [_shape(d)[0] for d, _ in derivations]
+        seen["shared shapes"] += len(keys) - len(set(keys))
+    # the corpus reaches every kind of outcome: clashes between atoms, of
+    # an atom with transitions and at a root preterminal, structure and
+    # formula rejections, models, bounds and lexical variants of one shape
+    for kind in ("distinct", "atom", "lexical", "structure", "formula"):
+        assert seen.get(kind, 0) >= 20, seen
+    assert min(seen.values()) >= 20, seen
+
+
+def _strings(words, lengths):
+    return [list(t) for k in lengths for t in itertools.product(words.split(), repeat=k)]
+
+
+def _pp_sentences(noun):
+    return ["the man saw the man".split() + ["with", "the", noun] * k for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "text,sentences,bounds",
+    [
+        (FIG_GRAMMAR_TEXT, _strings("a girl walks", (1, 2, 3)), (12, 12, 10)),
+        (DEVOUR_GRAMMAR_TEXT, _strings("a girl walks devours", (1, 2, 3)), (12, 12, 10)),
+        (MICRO_GRAMMAR_TEXT, _strings("b", (1, 2, 3, 4)), (9, 4, 10)),
+        (UNARY_CYCLE_GRAMMAR_TEXT, _strings("c", (1, 2, 3)), (9, 1, 10)),
+        (PP_GRAMMAR_TEXT, _pp_sentences("tel"), (64, 256, 64)),
+        (PP_AGREE_GRAMMAR_TEXT, _pp_sentences("man"), (64, 256, 64)),
+        (PP_AGREE_GRAMMAR_TEXT, _pp_sentences("man"), (40, 80, 3)),
+        (
+            embedding_grammar_text(["n1", "n2"]),
+            ["the n1 slept".split(), "the n2 said that the n1 slept".split()],
+            (40, 80, 10),
+        ),
+    ],
+    ids=["fig", "devour", "micro", "unary-cycle", "pp", "pp-agree", "pp-agree-capped",
+         "embed"],
+)
+def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bounds):
+    from lfgmc import compile_grammar, parse_grammar
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    for tokens in sentences:
+        _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds))
+
+
+def test_phrase_clash_rejects_every_lexical_variant(monkeypatch):
+    # the rule annotations clash whatever the entries say: the shape is
+    # solved once and its four variants get the one message, in order
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    g = parse_grammar(
+        """
+        signature { cat: S A; atom: a b; feat: f g; gf: ; }
+        rule S -> A {(up f)=a} A {(up f)=b};
+        lex "u" A {(up g)=a};
+        lex "u" A {(up g)=b};
+        """
+    )
+    entries = [0]
+    solve_entry = search._solve_entry
+    monkeypatch.setattr(
+        search, "_solve_entry", lambda *a: entries.__setitem__(0, entries[0] + 1) or solve_entry(*a)
+    )
+    out = _same_as_two_phase(compile_grammar(g), g, ["u", "u"], SearchBounds())
+    assert out.models == ()
+    assert [(r.reason, r.detail) for r in out.rejections] == [
+        ("clash", "distinct atoms 'a' and 'b' forced onto one node")
+    ] * 4
+    assert entries[0] == 0
+
+
+# "u" sets an atom on the argument slot of its semantic form; "v" defines
+# the local f that the slot closes over, as an atom or with a transition
+SLOT_GRAMMAR_TEXT = """
+signature { cat: S X Y A B; atom: a b p; feat: f g pred rel; gf: f; }
+rule S -> X {up=down} Y {(up f)=down};
+rule X -> A;
+rule Y -> B;
+lex "u" A {(up pred)=p(f); (up pred f)=a};
+lex "u" A {(up pred)=p(f)};
+lex "v" B {up=b};
+lex "v" B {(up g)=b};
+"""
+
+
+def test_clashes_found_only_by_closing_the_semantic_form_slots(monkeypatch):
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    g = parse_grammar(SLOT_GRAMMAR_TEXT)
+    raised = []
+    close = search._close
+
+    def spy(uf):
+        try:
+            close(uf)
+        except search._Clash as clash:
+            raised.append(clash.args[0])
+            raise
+
+    monkeypatch.setattr(search, "_close", spy)
+    out = _same_as_two_phase(compile_grammar(g), g, ["u", "v"], SearchBounds())
+    # candidates in enumeration order: (u1, v1), (u1, v2), (u2, v1), (u2, v2)
+    assert [(r.reason, r.detail) for r in out.rejections] == [
+        ("clash", "distinct atoms 'a' and 'b' forced onto one node"),
+        ("clash", "atom 'a' forced onto a node with outgoing transitions"),
+    ]
+    assert sorted(raised) == sorted(r.detail for r in out.rejections)
+    # the variants without the slot atom are models
+    assert len(out.models) == 2
+
+
+def test_lexical_schemata_need_a_node_above_a_root_preterminal():
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(
+        """
+        signature { cat: S; atom: a b; feat: f; gf: ; }
+        rule S -> S S;
+        lex "u" S {(up f)=a};
+        lex "u" S;
+        lex "u" S {(up f)=b};
+        """
+    )
+    out = _same_as_two_phase(compile_grammar(g), g, ["u"], SearchBounds())
+    message = "lexical schemata of 'u' need a node above the preterminal"
+    assert [(r.reason, r.detail) for r in out.rejections] == [("clash", message)] * 2
+    assert len(out.models) == 1 and not out.bound_exceeded
+
+
+def test_f_node_bound_hit_by_one_lexical_variant():
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(
+        """
+        signature { cat: S A; atom: a; feat: f g; gf: ; }
+        rule S -> A {up=down};
+        lex "u" A {(up f g f g)=a};
+        lex "u" A {(up f)=a};
+        """
+    )
+    theory = compile_grammar(g)
+    out = _same_as_two_phase(theory, g, ["u"], SearchBounds(40, 2, 10))
+    assert len(out.models) == 1 and out.bound_exceeded
+    assert out.rejections == ()
+    out = _same_as_two_phase(theory, g, ["u"], SearchBounds(40, 5, 10))
+    assert len(out.models) == 2 and not out.bound_exceeded
+
+
+def test_each_tree_shape_is_built_and_solved_once(monkeypatch):
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    calls = {"build": 0, "make": 0}
+    build, make = search._build_tree, search._UnionFind.make
+
+    def counted_build(deriv):
+        calls["build"] += 1
+        return build(deriv)
+
+    def counted_make(self):
+        calls["make"] += 1
+        return make(self)
+
+    monkeypatch.setattr(search, "_build_tree", counted_build)
+    monkeypatch.setattr(search._UnionFind, "make", counted_make)
+    g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    out = parse_sentence(compile_grammar(g), g, PP_SENTENCE)
+    assert len(out.models) == 5 and len(out.rejections) == 75
+    # one tree per shape; building and solving each of the 80 candidates
+    # on its own takes 80 trees and 2310 union-find classes
+    assert calls["build"] == 5
+    assert calls["make"] < 400
+
+
+def test_deep_unary_derivation_builds_without_recursion():
+    from lfgmc import parse_grammar
+    from lfgmc.search import _DLex, _DPhrase, _build_tree, _shape, _solve_shape
+
+    g = parse_grammar(
+        """
+        signature { cat: S; atom: a; feat: f; gf: ; }
+        rule S -> S {up=down};
+        lex "u" S {(up f)=a};
+        """
+    )
+    deriv = _DLex(g.lexicon[0])
+    for _ in range(5000):
+        deriv = _DPhrase(g.rules[0], (deriv,))
+    key, entries = _shape(deriv)
+    assert len(key) == 5001 and entries == (g.lexicon[0],)
+    cstruct, phrases, preterminals = _build_tree(deriv)
+    assert len(cstruct.nodes) == 5002
+    assert cstruct.label["n5000"] == "S" and cstruct.label["n5001"] == "u"
+    assert preterminals == ["n5000"]
+    # phrases in postorder: the lowest first
+    assert [n for n, _, _ in phrases] == ["n%d" % k for k in range(4999, -1, -1)]
+    [(members, uf)] = _solve_shape(cstruct, phrases, preterminals, [(0, entries)])
+    assert members == [(0, entries)]
+    assert len({uf.find(v) for v in uf.zvar.values()}) == 1
+
