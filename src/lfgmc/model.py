@@ -558,22 +558,22 @@ def canonicalize(m: Model) -> Model:
     node following features in sorted order.
 
     Intended for valid models; unreachable f-nodes, if any, are appended
-    in their old order so the operation is total.  Daughter links that
-    form a cycle raise :class:`ModelFormatError` naming the node that
-    closes it, since the preorder walk would never end.
+    in their old order so the operation is total.  A tree node reached
+    twice from the root has no single preorder name, so it raises
+    :class:`ModelFormatError`: daughter links that form a cycle name the
+    node that closes it, and a shared daughter is named itself.
     """
     c, f = m.cstruct, m.fstruct
 
     tmap: dict[NodeId, NodeId] = {}
     stack = [c.root]
-    acyclic = False  # known once a node has been reached twice
     while stack:
         n = stack.pop()
-        if n in tmap and not acyclic:
+        if n in tmap:
             cycle_at = _first_cycle_node(c)
             if cycle_at is not None:
                 raise ModelFormatError("daughter links form a cycle through node %r" % cycle_at)
-            acyclic = True  # a shared daughter: renamed again on each visit
+            raise ModelFormatError("tree node %r is reached twice from the root" % n)
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 

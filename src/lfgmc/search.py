@@ -7,10 +7,13 @@ one:
 
 1. enumerate candidate trees from the context-free skeleton of the
    rules (annotations ignored), each token sitting under a preterminal
-   licensed by a lexical entry.  Candidates share sub-derivations: the
-   enumerator computes the derivations of each (cat, i, j, budget) once,
-   and skips spans that a budget-free derivability table, built
-   bottom-up by span length, shows to have none;
+   licensed by a lexical entry.  A budget-free chart, built once
+   bottom-up by span length, holds the edges (cat, i, j) as the
+   ascending ends of each category at each start; its unary rules are
+   closed per span by an agenda.  The enumerator reads the child ends
+   off the chart, computes the derivations of each (cat, i, j, budget)
+   once on an explicit stack, and so shares sub-derivations between
+   candidates;
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
@@ -41,6 +44,7 @@ relation: ``valid`` itself happily accepts models with junk material.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import GrammarError, SignatureError
@@ -111,10 +115,67 @@ class _DPhrase:
     children: tuple
 
 
-def _ends(remaining: int, pos: int, j: int) -> range:
-    """End positions of a rule element at ``pos`` with ``remaining`` more
-    elements (one token each at least) before the span ends at ``j``."""
-    return range(j if remaining == 0 else pos + 1, j - remaining + 1)
+def _element_ends(found: list[int], j: int, remaining: int) -> list[int]:
+    """The ends in the ascending list ``found`` that a rule element can
+    take with ``remaining`` more elements before the span ends at ``j``:
+    the last element ends at ``j``, the others leave a token for each
+    element after them."""
+    lo = j if remaining == 0 else 0
+    return found[bisect_left(found, lo):bisect_right(found, j - remaining)]
+
+
+def _chart(grammar: Grammar, tokens) -> list[dict[str, list[int]]]:
+    """Budget-free derivability: ``ends[i][cat]`` lists, ascending, the
+    ends ``j`` of the edges (cat, i, j), the spans tokens[i:j] that ``cat``
+    derives.  Spans come bottom-up by length.  Every rule element covers
+    at least one token, so a rule of two or more elements needs only the
+    shorter spans; the unary rules are then closed over the span with an
+    agenda (unary rule cycles).  At each start the ends are found in
+    ascending order, so a list only grows at its end."""
+    unary: dict[str, list[str]] = {}  # element category -> lhs
+    longer: dict[str, list] = {}  # first element category -> (lhs, categories)
+    for rule in grammar.rules:
+        if not rule.rhs:
+            raise GrammarError("rule for %r has an empty right-hand side" % rule.lhs)
+        cats = [elem.cat for elem in rule.rhs]
+        if len(cats) == 1:
+            unary.setdefault(cats[0], []).append(rule.lhs)
+        else:
+            longer.setdefault(cats[0], []).append((rule.lhs, cats))
+    n = len(tokens)
+    ends: list[dict[str, list[int]]] = [{} for _ in range(n + 1)]
+    for length in range(1, n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            row = ends[i]
+            if length == 1:
+                agenda = [entry.cat for entry in grammar.entries_for(tokens[i])]
+            else:
+                agenda = [
+                    lhs
+                    for first, found in row.items() if first in longer and found[0] < j
+                    for lhs, cats in longer[first]
+                    if len(cats) <= length and _covers(ends, cats, i, j)
+                ]
+            while agenda:
+                cat = agenda.pop()
+                found = row.setdefault(cat, [])
+                if found and found[-1] == j:
+                    continue
+                found.append(j)
+                agenda.extend(unary.get(cat, ()))
+    return ends
+
+
+def _covers(ends, cats, i, j) -> bool:
+    """Whether edges in ``ends`` cover tokens[i:j] with ``cats`` in turn."""
+    frontier = {i}
+    for idx, cat in enumerate(cats):
+        remaining = len(cats) - 1 - idx
+        frontier = {e for pos in frontier for e in _element_ends(ends[pos].get(cat, []), j, remaining)}
+        if not frontier:
+            return False
+    return True
 
 
 class _SkeletonEnumerator:
@@ -122,43 +183,8 @@ class _SkeletonEnumerator:
         self.grammar = grammar
         self.tokens = tokens
         self.bound_hit = False
-        self.derivable = self._derivable_table()
+        self.ends = _chart(grammar, tokens)
         self.memo: dict[tuple[str, int, int, int], list] = {}
-
-    def _derivable_table(self):
-        """Budget-free derivability of (cat, i, j), built bottom-up by
-        span length.  Every rule element covers at least one token, so a
-        span needs only shorter spans, plus unary rules over itself;
-        those are closed by a local fixpoint (unary rule cycles)."""
-        n = len(self.tokens)
-        table: set[tuple[str, int, int]] = set()
-        for i, tok in enumerate(self.tokens):
-            for entry in self.grammar.entries_for(tok):
-                table.add((entry.cat, i, i + 1))
-        for length in range(1, n + 1):
-            for i in range(n - length + 1):
-                j = i + length
-                changed = True
-                while changed:
-                    changed = False
-                    for rule in self.grammar.rules:
-                        if (rule.lhs, i, j) in table:
-                            continue
-                        if self._splits_derivable(rule, i, j, table):
-                            table.add((rule.lhs, i, j))
-                            changed = True
-        return table
-
-    def _splits_derivable(self, rule, i, j, table) -> bool:
-        def rec(idx, pos):
-            if idx == len(rule.rhs):
-                return True
-            for end in _ends(len(rule.rhs) - idx - 1, pos, j):
-                if (rule.rhs[idx].cat, pos, end) in table and rec(idx + 1, end):
-                    return True
-            return False
-
-        return rec(0, i)
 
     def derive(self, cat: str, i: int, j: int, budget: int):
         """All derivations of ``cat`` over tokens[i:j] using at most
@@ -166,17 +192,41 @@ class _SkeletonEnumerator:
 
         Results are memoised per (cat, i, j, budget), so sub-derivations
         are shared objects across parents and the returned list must not
-        be mutated; a recursive call always has a smaller budget, so a key
-        never recurs while it is computed.  Spans outside the derivability
-        table are not entered: they have no derivations at any budget, so
-        no bound cut below them can lose one."""
-        if (cat, i, j) not in self.derivable:
+        be mutated.  Spans without an edge in the chart are not entered:
+        they have no derivations at any budget, so no bound cut below them
+        can lose one.  The keys under computation are kept on an explicit
+        stack, innermost last; a key needs only keys of smaller budgets,
+        so it never recurs while it is computed."""
+        if j not in self.ends[i].get(cat, ()):
             return []
         key = (cat, i, j, budget)
         out = self.memo.get(key)
         if out is not None:
             return out
-        out = self.memo[key] = []
+        # each frame's generator yields the keys it needs but the memo
+        # lacks, is sent their lists, and returns its own list
+        frames = [(key, self._derivations(*key))]
+        sent = None
+        while True:
+            key, frame = frames[-1]
+            try:
+                need = frame.send(sent)
+            except StopIteration as done:
+                self.memo[key] = sent = done.value
+                frames.pop()
+                if not frames:
+                    return sent
+            else:
+                frames.append((need, self._derivations(*need)))
+                sent = None
+
+    def _derivations(self, cat, i, j, budget):
+        """The list ``derive`` returns for one key, in order: the lexical
+        entries, then each rule's child sequences, chosen element by
+        element by ascending end and then in the order of the children's
+        own lists."""
+        memo = self.memo
+        out = []
         if j - i == 1:
             entries = [e for e in self.grammar.entries_for(self.tokens[i]) if e.cat == cat]
             if entries:
@@ -190,19 +240,23 @@ class _SkeletonEnumerator:
             if budget < 1 + 2 * (j - i):
                 self.bound_hit = True
                 continue
-            for children, used in self._sequences(rule, 0, i, j, budget - 1):
-                out.append((_DPhrase(rule, children), 1 + used))
+            # (children so far, their end, budget left, nodes used)
+            partial = [((), i, budget - 1, 0)]
+            for idx, elem in enumerate(rule.rhs):
+                remaining = len(rule.rhs) - 1 - idx
+                grown = []
+                for children, pos, avail, used in partial:
+                    for end in _element_ends(self.ends[pos].get(elem.cat, []), j, remaining):
+                        reserve = 2 * (j - end)  # least any continuation can cost
+                        need = (elem.cat, pos, end, avail - reserve)
+                        derivs = memo.get(need)
+                        if derivs is None:
+                            derivs = yield need
+                        for d, c in derivs:
+                            grown.append((children + (d,), end, avail - c, used + c))
+                partial = grown
+            out.extend((_DPhrase(rule, children), 1 + used) for children, _, _, used in partial)
         return out
-
-    def _sequences(self, rule, idx, pos, j, avail):
-        if idx == len(rule.rhs):
-            yield (), 0
-            return
-        for end in _ends(len(rule.rhs) - idx - 1, pos, j):
-            reserve = 2 * (j - end)  # least any continuation can cost
-            for d, c in self.derive(rule.rhs[idx].cat, pos, end, avail - reserve):
-                for rest, used in self._sequences(rule, idx + 1, end, j, avail - c):
-                    yield (d,) + rest, c + used
 
 
 def _shape(deriv):

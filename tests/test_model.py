@@ -331,13 +331,29 @@ def _outcome(fn, m):
         return type(exc), exc.args
 
 
+def _reached_twice(c):
+    """The first tree node a preorder walk from the root reaches a second
+    time, or None."""
+    seen, stack = set(), [c.root]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            return n
+        seen.add(n)
+        stack.extend(reversed(c.daughters.get(n, ())))
+    return None
+
+
 def test_canonicalize_matches_reference():
     # renaming follows the daughter links from the root, so on a cyclic
     # tree the reference never terminates: there canonicalize must name
     # the node that closes the cycle (the corruptor links a leaf back to
-    # the root).  Every other corruption is compared with the reference.
-    # Half the models are numbered in preorder before they are broken,
-    # so the corruption hits trees canonicalize would otherwise keep.
+    # the root).  A node reached twice without a cycle (a duplicate or
+    # shared daughter) has no single name, so canonicalize names it where
+    # the reference renames it on each visit.  Every other corruption is
+    # compared with the reference.  Half the models are numbered in
+    # preorder before they are broken, so the corruption hits trees
+    # canonicalize would otherwise keep.
     cases = list(_broken_models(32, 100, 14))
     rng = random.Random(33)
     for _ in range(100):
@@ -345,7 +361,7 @@ def test_canonicalize_matches_reference():
         cases.append((None, m))
         cases.extend((name, corrupt(rng, m)) for name, corrupt in CORRUPTORS)
     cases.append((None, _odd_model()))
-    checked = cycles = 0
+    checked = cycles = shared = 0
     for name, m in cases:
         if m is None:
             continue
@@ -355,19 +371,25 @@ def test_canonicalize_matches_reference():
             assert got == (ModelFormatError, (message,))
             cycles += 1
             continue
+        twice = _reached_twice(m.cstruct)
+        if twice is not None:
+            message = "tree node %r is reached twice from the root" % twice
+            assert got == (ModelFormatError, (message,)), name
+            shared += 1
+            continue
         assert got == _outcome(reference_canonicalize, m), name
         checked += 1
-    assert checked > 3000 and cycles > 150
+    assert checked > 3000 and cycles > 150 and shared > 150
 
 
 def test_canonicalize_names_the_node_closing_a_cycle():
-    # a shared daughter is renamed on each visit, as before; a link back
-    # to an open node below the root is reported there
+    # a daughter of two nodes is named; a link back to an open node below
+    # the root is reported there
     sig = Signature(cats={"S", "A"}, atoms={"x"}, feats={"f"})
     fs = FStructure({"w"}, "w", {"w": {}})
     shared = CStructure.build("r", {"r": ("a", "b"), "a": ("b",)}, {"r": "S", "a": "A"})
-    m = Model(sig, shared, fs, {})
-    assert _outcome(canonicalize, m) == _outcome(reference_canonicalize, m)
+    with pytest.raises(ModelFormatError, match="^tree node 'b' is reached twice from the root$"):
+        canonicalize(Model(sig, shared, fs, {}))
     cyclic = CStructure.build("r", {"r": ("a", "b"), "a": ("b",), "b": ("c",), "c": ("a",)}, {})
     with pytest.raises(ModelFormatError, match="cycle through node 'a'"):
         canonicalize(Model(sig, cyclic, fs, {}))

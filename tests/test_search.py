@@ -26,6 +26,7 @@ from conftest import (
 )
 from generators import embedding_grammar_text, rand_grammar
 from oracles import (
+    _RefSkeletonEnumerator,
     blind_parse,
     oracle_parse,
     oracle_valid,
@@ -33,6 +34,7 @@ from oracles import (
     reference_two_phase_parse,
     subsumes,
 )
+from test_cli import run_cli
 
 
 def test_fig_sentence_parses_to_the_fixture(fig_theory, fig_grammar):
@@ -515,24 +517,31 @@ lex "with" P {(up pred)=with(obj)};
 
 
 def test_skeleton_enumeration_shares_sub_derivations(monkeypatch):
-    from lfgmc import compile_grammar, parse_grammar
-    from lfgmc.search import _SkeletonEnumerator
+    from lfgmc import compile_grammar, parse_grammar, search
 
-    calls = [0]
-    derive = _SkeletonEnumerator.derive
+    made, computed = [], []
 
-    def counted(self, *args):
-        calls[0] += 1
-        return derive(self, *args)
+    class Recorded(search._SkeletonEnumerator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
 
-    monkeypatch.setattr(_SkeletonEnumerator, "derive", counted)
+        def _derivations(self, *key):
+            computed.append(key)
+            return super()._derivations(*key)
+
+    monkeypatch.setattr(search, "_SkeletonEnumerator", Recorded)
     g = parse_grammar(PP_GRAMMAR_TEXT)
     tokens = "the man saw the man".split() + "with the tel".split() * 4
     out = parse_sentence(compile_grammar(g), g, tokens, SearchBounds(64, 256, 64))
     assert len(out.models) == 42
     assert not out.bound_exceeded
-    # recomputing every sub-span per parent takes about 1.9 million calls
-    assert calls[0] < 5000
+    # each (cat, i, j, budget) is computed once and memoised: 95 keys;
+    # recomputing every sub-span per parent takes about 1.9 million
+    # derive calls
+    (enum,) = made
+    assert sorted(computed) == sorted(enum.memo)
+    assert 0 < len(computed) < 5000
 
 
 # A unary cycle S -> A -> S above a binary rule.  A -> S comes first, so
@@ -727,8 +736,8 @@ def _strings(words, lengths):
     return [list(t) for k in lengths for t in itertools.product(words.split(), repeat=k)]
 
 
-def _pp_sentences(noun):
-    return ["the man saw the man".split() + ["with", "the", noun] * k for k in range(4)]
+def _pp_sentences(noun, count=4):
+    return ["the man saw the man".split() + ["with", "the", noun] * k for k in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -913,3 +922,132 @@ def test_deep_unary_derivation_builds_without_recursion():
     assert members == [(0, entries)]
     assert len({uf.find(v) for v in uf.zvar.values()}) == 1
 
+
+# --- the derivability chart, against the fixpoint table -----------------
+
+
+def _chart_edges(grammar, tokens):
+    from lfgmc.search import _SkeletonEnumerator
+
+    ends = _SkeletonEnumerator(grammar, tokens).ends
+    for row in ends:
+        for found in row.values():
+            assert found == sorted(set(found))
+    return {(cat, i, j) for i, row in enumerate(ends) for cat, found in row.items() for j in found}
+
+
+def _same_chart(grammar, tokens):
+    want = _RefSkeletonEnumerator(grammar, tokens).derivable
+    assert _chart_edges(grammar, tokens) == want, tokens
+    return len(want)
+
+
+def test_chart_matches_the_fixpoint_table_on_random_grammars():
+    from lfgmc import parse_grammar
+
+    rng = random.Random(808)
+    edges = 0
+    for _ in range(300):
+        grammar = parse_grammar(rand_grammar(rng))
+        for length in range(1, 8):
+            edges += _same_chart(grammar, [rng.choice("uvw") for _ in range(length)])
+    assert edges > 10000
+
+
+def _tree(deriv):
+    if hasattr(deriv, "entry"):
+        return deriv.entry
+    return (id(deriv.rule),) + tuple(_tree(c) for c in deriv.children)
+
+
+def test_enumerator_matches_the_recursive_one_on_random_grammars():
+    # the same derivations in the same order, the same memo keys and the
+    # same bound flag as the recursive enumerator over the fixpoint table
+    from lfgmc import parse_grammar
+    from lfgmc.search import _SkeletonEnumerator
+
+    rng = random.Random(809)
+    seen = {"derivations": 0, "bound": 0}
+    for _ in range(300):
+        grammar = parse_grammar(rand_grammar(rng))
+        tokens = [rng.choice("uvw") for _ in range(rng.randint(1, 5))]
+        budget = rng.choice((3, 5, 7, 9, 12, 15))
+        got = _SkeletonEnumerator(grammar, tokens)
+        want = _RefSkeletonEnumerator(grammar, tokens)
+        derivs = got.derive(grammar.start, 0, len(tokens), budget)
+        assert [(_tree(d), c) for d, c in derivs] == [
+            (_tree(d), c) for d, c in want.derive(grammar.start, 0, len(tokens), budget)
+        ]
+        assert got.bound_hit == want.bound_hit
+        assert set(got.memo) == set(want.memo)
+        seen["derivations"] += len(derivs)
+        seen["bound"] += got.bound_hit
+    assert seen["derivations"] > 1000 and seen["bound"] > 20, seen
+
+
+@pytest.mark.parametrize(
+    "text,sentences",
+    [
+        (UNARY_CYCLE_GRAMMAR_TEXT, _strings("c", range(1, 8))),
+        (PP_GRAMMAR_TEXT, _pp_sentences("tel", 5)),
+        (PP_AGREE_GRAMMAR_TEXT, _pp_sentences("man", 5)),
+        (
+            embedding_grammar_text(["noun%d" % k for k in range(500)]),
+            [
+                "the noun1 said that".split() * d + "the noun499 slept".split()
+                for d in range(5)
+            ],
+        ),
+    ],
+    ids=["unary-cycle", "pp", "pp-agree", "embed"],
+)
+def test_chart_matches_the_fixpoint_table_on_fixture_grammars(text, sentences):
+    from lfgmc import parse_grammar
+
+    grammar = parse_grammar(text)
+    for tokens in sentences:
+        assert _same_chart(grammar, tokens) > 0
+
+
+def test_rule_without_elements_is_a_grammar_error():
+    # parse_grammar and compile_grammar reject such a rule; a hand-built
+    # one is rejected before any derivation is made
+    from dataclasses import replace
+
+    from lfgmc import parse_grammar
+    from lfgmc.grammar import AnnotatedRule
+
+    g = parse_grammar(UNARY_CYCLE_GRAMMAR_TEXT)
+    g = replace(g, rules=g.rules + (AnnotatedRule("S", ()),))
+    with pytest.raises(GrammarError, match="rule for 'S' has an empty right-hand side"):
+        parse_sentence(Theory(TrueF(), TrueF()), g, ["c"])
+
+
+def _long_chain(clauses):
+    nouns = ["noun%d" % k for k in range(500)]
+    tokens = []
+    for k in range(clauses - 1):
+        tokens += ["the", nouns[k % 499], "said", "that"]
+    return embedding_grammar_text(nouns), tokens + ["the", nouns[-1], "slept"]
+
+
+def test_long_embedding_chain_parses(tmp_path):
+    # 121 clauses, 483 tokens: the chart is built by loops and the
+    # enumerator keeps its pending keys on an explicit stack, so a
+    # derivation 363 levels deep parses under the default recursion
+    # limit, through the API and the CLI
+    from lfgmc import compile_grammar, parse_grammar
+
+    text, tokens = _long_chain(121)
+    assert len(tokens) == 483
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    out = parse_sentence(theory, grammar, tokens, SearchBounds(100000, 5000, 10))
+    assert len(out.models) == 1 and not out.bound_exceeded and not out.rejections
+    assert check_parse(theory, out.models[0]).ok
+
+    path = tmp_path / "chain.lfg"
+    path.write_text(text)
+    proc = run_cli("parse", str(path), *tokens, "--max-tree", "100000", "--max-fnodes", "5000")
+    assert proc.returncode == 0, proc.stderr
+    assert "models: 1" in proc.stdout and not proc.stderr
