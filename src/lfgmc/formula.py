@@ -45,6 +45,9 @@ from .model import _IDENT_RE, RESERVED_WORDS, Signature
 
 @dataclass(frozen=True)
 class Formula:
+    #: the evaluation plan lfgmc.semantics builds on first use (not a field)
+    _plan = None
+
     @cached_property
     def names(self) -> dict[str, frozenset[str]]:
         """The names used anywhere in the formula, per :class:`Signature`
@@ -53,6 +56,11 @@ class Formula:
         for kind, name in _used_names(self):
             used[kind].add(name)
         return {kind: frozenset(names) for kind, names in used.items()}
+
+    def __getstate__(self):
+        # the evaluation plan cached by lfgmc.semantics is a closure; it is
+        # left out and built again on first use after unpickling
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
 
 
 @dataclass(frozen=True)

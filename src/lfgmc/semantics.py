@@ -7,24 +7,35 @@ act at tree nodes, and a path equality holds at a tree node exactly when
 some feature node is reachable through both of its composite relation
 paths.  Everything else is classical propositional logic.
 
-Evaluation is set-at-a-time: ``_holds`` computes the set of nodes at
-which a formula holds, each subformula once, on the nodes where it can
-still matter (a modality on the successors of its nodes).  Left-nested
-``&``/``|`` chains, such as the lexical disjunction over a whole lexicon,
-and runs of prefix operators (``!``, ``<f>``, ``up``, ``down``,
-``zoomin``), such as a long feature path, are walked iteratively rather
-than by recursion.  The names a formula
-uses are collected once per formula object; each call only checks them
-against the model's signature.
+Evaluation is set-at-a-time, through a *plan* per formula object: a
+function ``(model, dom)`` returning the nodes of ``dom`` at which the
+formula holds.  A plan is built on first use and cached on the formula,
+as its ``names`` and label index are, so what depends only on the
+formula is fixed once: the operand lists of left-nested ``&``/``|``
+chains (such as the lexical disjunction over a whole lexicon), each run
+of prefix operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``, such
+as a long feature path) as a list of steps, and for a path equality
+with ``up`` steps only, a walk of one node per side.  Each subformula is
+evaluated once per call, on the nodes where it can still matter (a
+modality on the successors of its nodes).  Plans are built with an
+explicit stack, and a plan calls the plans of its parts directly, so
+evaluation takes one Python frame per nesting level, runs of prefix
+operators and chains none.  The names a formula uses are collected
+once per formula object; each call only checks them against the
+model's signature.  Plans are closures: a pickled formula leaves them
+out and builds them again on use.
 
 A ``|`` chain is evaluated through its label index (:attr:`Or.by_label`,
 built once per formula object): operands that can only hold at tree
 nodes with a given label, and possibly given daughter labels, are tried
 only on the nodes whose label and daughter labels match; the others on
 every node.  The lexical axiom, one disjunct per lexicon entry, thus
-tries about one entry per preterminal.  An indexed operand is false
-wherever its labels do not match (an unlabelled node, a dangling
-daughter), so the result is the same as trying every operand everywhere.
+tries about one entry per preterminal, and only the entries a model
+meets ever get a plan.  An indexed operand is false wherever its labels
+do not match (an unlabelled node, a dangling daughter), so the result
+is the same as trying every operand everywhere.  Where they match, its
+literal for the label and a ``bullet`` of literals for the daughter
+labels hold, so its plan there leaves them out.
 
 ``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
 when it fails somewhere, returns the least failing node in the
@@ -104,124 +115,362 @@ def eval_patheq(m: Model, n: NodeId, spec: PathEq) -> bool:
 
 
 _PREFIX = frozenset((Not, Feat, Up, Down, Zoomin))
+_LITERALS = (CatLit, WordLit)
+_NO_TRANS: dict = {}
 
 
-def _holds(m: Model, f: Formula, dom):
-    """The nodes of ``dom`` at which ``f`` holds.
+# ---------------------------------------------------------------------------
+# Plans
+# ---------------------------------------------------------------------------
 
-    Each clause lifts the pointwise truth condition to a node set, so any
-    id gets the same answer, even one a malformed model points to without
+
+def _plan(f: Formula):
+    """The plan of ``f``: a function ``(model, dom) -> nodes of dom where f
+    holds``.  Built on first use and kept on the formula object, together
+    with the plans it calls that are still missing, bottom-up with an
+    explicit stack.  The operands of a ``|`` chain that are filed under a
+    label are left out: the chain's plan asks for them here when it first
+    meets a node with their label.
+
+    Each plan lifts the pointwise truth condition to a node set, so any id
+    gets the same answer, even one a malformed model points to without
     declaring it.  Operands are only evaluated where they can still change
     the result.  Sets passed in or returned are never mutated."""
-    if not dom:
-        return dom
-    cs, fs = m.cstruct, m.fstruct
-    if isinstance(f, And):
-        for g in _spine(f):
-            dom = _holds(m, g, dom)
+    if f._plan is not None:
+        return f._plan
+    stack = [(f, None)]  # (formula, its parts once they are being built)
+    while stack:
+        g, parts = stack.pop()
+        if parts is None:
+            if type(g) not in _BUILD:
+                raise TypeError("not a formula: %r" % (g,))
+            if g._plan is not None:
+                continue
+            parts = _parts(g)
+            stack.append((g, parts))
+            waiting = len(stack)
+            for h in parts:
+                if type(h) not in _LEAVES:
+                    stack.append((h, None))
+                elif h._plan is None:  # built at once: it has no parts
+                    object.__setattr__(h, "_plan", _BUILD[type(h)](h, ()))
+            if len(stack) > waiting:
+                continue
+            stack.pop()
+        object.__setattr__(g, "_plan", _BUILD[type(g)](g, [h._plan for h in parts]))
+    return f._plan
+
+
+def _parts(f: Formula):
+    """The subformulas whose plans the plan of ``f`` calls directly."""
+    t = type(f)
+    if t is And:
+        return _spine(f)
+    if t is Or:
+        return f.by_label[0]
+    if t is Implies or t is Iff:
+        return (f.left, f.right)
+    if t is Bullet:
+        return f.args
+    if t in _PREFIX:
+        while type(f) in _PREFIX:
+            f = f.sub
+        return (f,)
+    return ()
+
+
+def _and_plan(f, plans):
+    def plan(m, dom):
+        for p in plans:
+            dom = p(m, dom)
             if not dom:
                 break
         return dom
-    if isinstance(f, Or):
-        plain, keyed = f.by_label
-        out, rest = _holds_any(m, plain, dom)
-        if keyed and rest:
-            label_of = cs.label.get
-            groups: dict[tuple, set[NodeId]] = {}
-            for n in rest:
-                label = label_of(n)
-                if label in keyed:
-                    key = (label, tuple(map(label_of, cs.daughters.get(n, ()))))
-                    if key in groups:
-                        groups[key].add(n)
-                    else:
-                        groups[key] = {n}
-            for (label, kids), nodes in groups.items():
-                by_kids = keyed[label]
-                out |= _holds_any(m, by_kids.get(kids, []) + by_kids.get(None, []), nodes)[0]
+
+    return plan
+
+
+def _or_plan(f, plain):
+    """Each operand is tried, in chain order, only on the nodes no earlier
+    operand holds at: a plain one on every node, an indexed one only on
+    the tree nodes whose label (and daughter labels) it is filed under."""
+    keyed = f.by_label[1]
+    grouped = {}  # (label, daughter labels) -> operand plans, built when first met
+
+    def operands(key):
+        by_kids = keyed[key[0]]
+        todo = by_kids.get(key[1], []) + by_kids.get(None, [])
+        plans = grouped[key] = [_residual(g, key) for g in todo]
+        return plans
+
+    def plan(m, dom):
+        out, rest = set(), dom
+        for p in plain:
+            got = p(m, rest)
+            if got:
+                out |= got
+                rest = rest - got
+                if not rest:
+                    return out
+        if not keyed:
+            return out
+        cs = m.cstruct
+        tree, label_of, daughters = cs.nodes, cs.label.get, cs.daughters
+        if not cs.label.keys() <= tree:  # only tree nodes may count as labelled
+
+            def label_of(n, label_of=label_of):
+                return label_of(n) if n in tree else None
+
+        groups: dict[tuple, set[NodeId]] = {}
+        for n in rest:
+            label = label_of(n)
+            if label not in keyed:
+                continue
+            key = (label, tuple(map(label_of, daughters.get(n, ()))))
+            if key in groups:
+                groups[key].add(n)
+            else:
+                groups[key] = {n}
+        for key, nodes in groups.items():
+            plans = grouped.get(key)
+            if plans is None:
+                plans = operands(key)
+            for p in plans:
+                got = p(m, nodes)
+                if got:
+                    out |= got
+                    nodes = nodes - got
+                    if not nodes:
+                        break
         return out
-    if isinstance(f, (CatLit, WordLit)):
-        return {n for n in dom if n in cs.nodes and cs.label.get(n) == f.name}
-    if isinstance(f, Bullet):
-        alive = [
-            n for n in dom
-            if n in cs.nodes and len(cs.daughters.get(n, ())) == len(f.args)
-        ]
-        for pos, sub in enumerate(f.args):
-            good = _holds(m, sub, {cs.daughters[n][pos] for n in alive})
-            alive = [n for n in alive if cs.daughters[n][pos] in good]
+
+    return plan
+
+
+def _residual(op, key):
+    """The plan of ``op`` on the tree nodes filed under ``key``: a node
+    there carries ``label``, and each daughter whose label in ``kids`` is
+    not None is a tree node carrying it.  So the literals for ``label``
+    and a bullet of literals for ``kids`` hold there and are left out."""
+    label, kids = key
+    rest = []
+    for g in _spine(op) if type(op) is And else (op,):
+        t = type(g)
+        if (t is CatLit or t is WordLit) and g.name == label:
+            continue
+        if t is Bullet and len(g.args) == len(kids):
+            if all(type(a) in _LITERALS and a.name == k for a, k in zip(g.args, kids)):
+                continue
+        rest.append(g)
+    if not rest:
+        return _all
+    if len(rest) == 1:
+        return _plan(rest[0])
+    return _and_plan(op, [_plan(g) for g in rest])
+
+
+def _implies_plan(f, plans):
+    left_plan, right_plan = plans
+
+    def plan(m, dom):
+        left = left_plan(m, dom)
+        if not left:
+            return dom
+        if len(left) == len(dom):
+            return right_plan(m, dom)
+        return (dom - left) | right_plan(m, left)
+
+    return plan
+
+
+def _iff_plan(f, plans):
+    left_plan, right_plan = plans
+
+    def plan(m, dom):
+        return dom - (left_plan(m, dom) ^ right_plan(m, dom))
+
+    return plan
+
+
+def _bullet_plan(f, plans):
+    arity = len(plans)
+
+    def plan(m, dom):
+        daughters = m.cstruct.daughters
+        get = daughters.get
+        alive = [n for n in dom & m.cstruct.nodes if len(get(n, ())) == arity]
+        for pos, p in enumerate(plans):
             if not alive:
                 break
+            good = p(m, {daughters[n][pos] for n in alive})
+            alive = [n for n in alive if daughters[n][pos] in good]
         return set(alive)
-    if isinstance(f, TrueF):
-        return dom
-    if isinstance(f, FalseF):
-        return set()
-    if isinstance(f, CStructConst):
-        return dom & cs.nodes
-    if isinstance(f, FStructConst):
-        return dom & fs.nodes
-    if isinstance(f, AtomLit):
-        return {
-            n for n in dom
-            if n in fs.nodes and n in fs.final and fs.atomval.get(n) == f.name
-        }
-    if type(f) in _PREFIX:
-        # a run of prefix operators, walked without recursion: map dom down
-        # the run to the nodes its operand is needed on, evaluate the
-        # operand there once, then map the result back up the run
-        outer = []  # (type, nodes or successor map) of each operator above the last
-        while True:
-            t = type(f)
-            if t is Not:
+
+    return plan
+
+
+def _prefix_plan(f, plans):
+    """A run of prefix operators as a list of steps: map dom down the run
+    to the nodes its operand is needed on, evaluate the operand there once,
+    then map the result back up the run.  Consecutive ``up``, ``zoomin``
+    and ``<f>`` operators, which have at most one successor each, make one
+    step that walks each node to the end of all of them."""
+    (operand,) = plans
+    steps = []  # Not, Down, or a walk: a list of (Up, Zoomin or Feat, feature)
+    while type(f) in _PREFIX:
+        t = type(f)
+        if t is Not or t is Down:
+            steps.append(t)
+        elif steps and type(steps[-1]) is list:
+            steps[-1].append((t, f.feat if t is Feat else None))
+        else:
+            steps.append([(t, f.feat if t is Feat else None)])
+        f = f.sub
+
+    def plan(m, dom):
+        cs, fs = m.cstruct, m.fstruct
+        taken = []  # (step, nodes or successor map) per step taken
+        for step in steps:
+            if step is Not:
                 seen = dom
-            elif t is Down:
-                seen = {n: cs.daughters.get(n, ()) for n in dom if n in cs.nodes}
+            elif step is Down:
+                get = cs.daughters.get
+                seen = {n: get(n, ()) for n in dom & cs.nodes}
                 dom = {d for ds in seen.values() for d in ds}
-            else:  # at most one successor
-                if t is Feat:
-                    seen = {n: fs.trans.get(n, {}).get(f.feat) for n in dom if n in fs.nodes}
-                else:
-                    step = (cs.mother if t is Up else m.zoomin).get
-                    seen = {n: step(n) for n in dom if n in cs.nodes}
-                dom = {w for w in seen.values() if w is not None}
-            f = f.sub
-            if not dom or type(f) not in _PREFIX:
+            else:  # a walk: n -> the end of the walk from n
+                tree, feats = cs.nodes, fs.nodes
+                mother, zoomin, trans = cs.mother.get, m.zoomin.get, fs.trans.get
+                seen = {}
+                for n in dom & (feats if step[0][0] is Feat else tree):
+                    w = n
+                    for t, feat in step:
+                        if t is Feat:
+                            w = trans(w, _NO_TRANS).get(feat) if w in feats else None
+                        elif w in tree:
+                            w = mother(w) if t is Up else zoomin(w)
+                        else:
+                            w = None
+                        if w is None:
+                            break
+                    else:
+                        seen[n] = w
+                dom = set(seen.values())
+            taken.append((step, seen))
+            if not dom:
                 break
-            outer.append((t, seen))
-        good = _holds(m, f, dom)  # at once when dom is empty
-        while True:
-            if t is Not:
+        good = operand(m, dom) if dom else dom
+        for step, seen in reversed(taken):
+            if step is Not:
                 good = seen - good
-            elif t is Down:
-                good = {n for n, ds in seen.items() if any(d in good for d in ds)}
+            elif step is Down:
+                good = {n for n, ds in seen.items() if not good.isdisjoint(ds)}
             else:
-                good = {n for n, w in seen.items() if w is not None and w in good}
-            if not outer:
-                return good
-            t, seen = outer.pop()
-    if isinstance(f, Implies):
-        left = _holds(m, f.left, dom)
-        return (dom - left) | _holds(m, f.right, left)
-    if isinstance(f, Iff):
-        return dom - (_holds(m, f.left, dom) ^ _holds(m, f.right, dom))
-    if isinstance(f, PathEq):
-        return {n for n in dom if n in cs.nodes and eval_patheq(m, n, f)}
-    raise TypeError("not a formula: %r" % (f,))
+                good = {n for n, w in seen.items() if w in good}
+        return good
+
+    return plan
 
 
-def _holds_any(m: Model, ops, dom):
-    """``(nodes of dom where some operand holds, the other nodes)``; each
-    operand is tried, in order, only on the nodes not yet satisfied."""
-    out, rest = set(), dom
-    for g in ops:
-        got = _holds(m, g, rest)
-        if got:
-            out |= got
-            rest = rest - got
-            if not rest:
-                break
-    return out, rest
+def _patheq_plan(f, plans):
+    """With ``up`` steps only, each side reaches at most one feature node:
+    one walk per side (mother, zoomin, one transition per feature), and the
+    equality holds where both walks end at the same node.  A missing step
+    gives None, which every later step maps to None again."""
+    if "down" in f.left_tree or "down" in f.right_tree:
+
+        def plan(m, dom):
+            nodes = m.cstruct.nodes
+            return {n for n in dom if n in nodes and eval_patheq(m, n, f)}
+
+        return plan
+    left_ups, left_feats = range(len(f.left_tree)), f.left_feats
+    right_ups, right_feats = range(len(f.right_tree)), f.right_feats
+
+    def plan(m, dom):
+        nodes, mother = m.cstruct.nodes, m.cstruct.mother.get
+        zoomin, trans = m.zoomin.get, m.fstruct.trans.get
+        out = set()
+        for n in dom:
+            if n not in nodes:
+                continue
+            left = n
+            for _ in left_ups:
+                left = mother(left)
+            left = zoomin(left)
+            for feat in left_feats:
+                left = trans(left, _NO_TRANS).get(feat)
+            if left is None:
+                continue
+            right = n
+            for _ in right_ups:
+                right = mother(right)
+            right = zoomin(right)
+            for feat in right_feats:
+                right = trans(right, _NO_TRANS).get(feat)
+            if left == right:
+                out.add(n)
+        return out
+
+    return plan
+
+
+def _literal_plan(f, plans):
+    name = f.name
+
+    def plan(m, dom):
+        nodes, label = m.cstruct.nodes, m.cstruct.label.get
+        return {n for n in dom & nodes if label(n) == name}
+
+    return plan
+
+
+def _atom_plan(f, plans):
+    name = f.name
+
+    def plan(m, dom):
+        fs = m.fstruct
+        final, atomval = fs.final, fs.atomval.get
+        return {n for n in dom if n in fs.nodes and n in final and atomval(n) == name}
+
+    return plan
+
+
+def _all(m, dom):
+    return dom
+
+
+def _none(m, dom):
+    return set()
+
+
+def _tree_nodes(m, dom):
+    return dom & m.cstruct.nodes
+
+
+def _feature_nodes(m, dom):
+    return dom & m.fstruct.nodes
+
+
+#: formula types whose plans call no other plan
+_LEAVES = frozenset((TrueF, FalseF, CStructConst, FStructConst, CatLit, WordLit, AtomLit, PathEq))
+
+#: formula type -> ``(formula, plans of its parts) -> its plan``
+_BUILD = {
+    And: _and_plan,
+    Or: _or_plan,
+    Implies: _implies_plan,
+    Iff: _iff_plan,
+    Bullet: _bullet_plan,
+    PathEq: _patheq_plan,
+    CatLit: _literal_plan,
+    WordLit: _literal_plan,
+    AtomLit: _atom_plan,
+    TrueF: lambda f, plans: _all,
+    FalseF: lambda f, plans: _none,
+    CStructConst: lambda f, plans: _tree_nodes,
+    FStructConst: lambda f, plans: _feature_nodes,
+    **{t: _prefix_plan for t in _PREFIX},
+}
 
 
 def satisfies(m: Model, n: NodeId, phi: Formula) -> bool:
@@ -229,7 +478,7 @@ def satisfies(m: Model, n: NodeId, phi: Formula) -> bool:
     if n not in m.cstruct.nodes and n not in m.fstruct.nodes:
         raise UnknownNodeError("node %r is not in the model" % n)
     validate_names(phi, m.sig)
-    return n in _holds(m, phi, {n})
+    return n in _plan(phi)(m, {n})
 
 
 def valid(m: Model, phi: Formula) -> NodeId | None:
@@ -237,5 +486,8 @@ def valid(m: Model, phi: Formula) -> NodeId | None:
     the least falsifying node in model order."""
     validate_names(phi, m.sig)
     nodes = m.node_order
-    good = _holds(m, phi, frozenset(nodes))
-    return next((n for n in nodes if n not in good), None)
+    dom = frozenset(nodes)  # an id in both domains is listed twice in nodes
+    good = _plan(phi)(m, dom)
+    if len(good) == len(dom):
+        return None
+    return next(n for n in nodes if n not in good)

@@ -641,29 +641,38 @@ def test_large_lexicon_parses():
 
 
 def test_lexical_axiom_work_does_not_grow_with_the_lexicon(monkeypatch):
-    # the lexical disjunction is indexed by tree label, so each preterminal
-    # only tries the entries of its own word
+    # both lexical disjunctions are indexed by tree label, so each
+    # preterminal only tries the entries of its own word and each leaf its
+    # own word form: count the operands whose plans are evaluated
     from lfgmc import compile_grammar, parse_grammar, semantics
+    from lfgmc.formula import Or, _spine
 
     counts = []
     for size in (500, 5000):
         nouns = ["noun%d" % k for k in range(size)]
         g = parse_grammar(embedding_grammar_text(nouns))
-        theory = compile_grammar(g)
         tokens = []
         for noun in nouns[1:size:size // 4][:3]:
             tokens += ["the", noun, "said", "that"]
         tokens += ["the", nouns[-1], "slept"]
-        (model,) = parse_sentence(theory, g, tokens, SearchBounds(100, 100, 10)).models
+        (model,) = parse_sentence(compile_grammar(g), g, tokens, SearchBounds(100, 100, 10)).models
+        lexical = compile_grammar(g).lexical  # no plan built yet
+        chains = [lexical.right, lexical.left.right.args[0]]  # entries, word forms
+        assert all(type(chain) is Or for chain in chains)
+        operands = {id(op) for chain in chains for op in _spine(chain)}
         calls = []
-        holds = semantics._holds
-        monkeypatch.setattr(
-            semantics, "_holds", lambda m, f, dom: calls.append(f) or holds(m, f, dom)
-        )
-        assert semantics.valid(model, theory.lexical) is None
+        residual = semantics._residual
+
+        def counting(op, key):
+            plan = residual(op, key)
+            assert id(op) in operands
+            return lambda m, dom: calls.append(op) or plan(m, dom)
+
+        monkeypatch.setattr(semantics, "_residual", counting)
+        assert semantics.valid(model, lexical) is None
         monkeypatch.undo()
         counts.append(len(calls))
-    assert counts[0] == counts[1] < 200, counts
+    assert 0 < counts[0] == counts[1] < 200, counts
 
 
 def test_long_schema_path_parses():

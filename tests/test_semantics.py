@@ -1,4 +1,6 @@
+import pickle
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -31,6 +33,8 @@ from lfgmc import (
     valid,
     validate_names,
 )
+
+from lfgmc.formula import MAX_NESTING
 
 from generators import CORRUPTORS, RAND_SIG, rand_formula, rand_model
 from oracles import denotation, oracle_valid, pointwise_sat
@@ -395,12 +399,22 @@ def _dangle_and_unlabel(rng, m):
     return Model(m.sig, CStructure(c.nodes, c.root, c.mother, daughters, label), m.fstruct, m.zoomin)
 
 
+def _label_outsiders(rng, m):
+    """``m`` with labels on a dangling daughter and on a feature node."""
+    c = _dangle_and_unlabel(rng, m).cstruct
+    names = sorted(RAND_SIG.cats | RAND_SIG.words)
+    label = dict(c.label)
+    label["t_ghost"] = rng.choice(names)
+    label[rng.choice(sorted(m.fstruct.nodes))] = rng.choice(names)
+    return Model(m.sig, CStructure(c.nodes, c.root, c.mother, c.daughters, label), m.fstruct, m.zoomin)
+
+
 def test_label_index_matches_pointwise_reference():
     rng = random.Random(5151)
     keyed = 0
     for _ in range(40):
         base = rand_model(rng)
-        models = [base, _dangle_and_unlabel(rng, base)]
+        models = [base, _dangle_and_unlabel(rng, base), _label_outsiders(rng, base)]
         models += [corrupt(rng, base) for _code, corrupt in CORRUPTORS]
         for m in models:
             if m is None:
@@ -555,3 +569,156 @@ def test_long_feature_chain():
     assert valid(m, chain) == "n0"
     assert satisfies(m, "f0", chain)
     assert valid(m, Implies(CSTRUCT, Zoomin(chain))) is None
+
+
+# --- one frame per nesting level ---------------------------------------------
+
+
+def _stack_depth():
+    """Frames on the stack below the caller's, the caller's included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def _within_frames(extra, fn):
+    """``fn()`` with the recursion limit set ``extra`` frames above here."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + extra)
+    try:
+        return fn()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["true -> " * MAX_NESTING + "false", "!" * MAX_NESTING + "true", "<subj>" * MAX_NESTING + "true"],
+    ids=["implies", "not", "feature"],
+)
+def test_deepest_formulas_take_one_frame_per_level(fig_model, text):
+    # the deepest formulas parse_formula accepts, each false everywhere on
+    # the fig model (an odd number of negations, no subj path that long);
+    # a clause that spent two frames per level would need about twice this
+    phi = parse_formula(text, fig_model.sig)
+    budget = MAX_NESTING + 20
+    assert _within_frames(budget, lambda: valid(fig_model, phi)) == fig_model.all_nodes()[0]
+    for n in fig_model.all_nodes():
+        assert not _within_frames(budget, lambda: satisfies(fig_model, n, phi)), n
+
+
+@pytest.mark.parametrize("op", [Or, And])
+def test_long_patheq_chains_build_plans_without_recursion(fig_model, op):
+    # all hold at n1, none at feature nodes, and some at other tree nodes
+    kinds = [
+        PathEq(("up",), ("subj",), (), ()),
+        PathEq((), (), ("up",), ("subj",)),
+        PathEq((), ("spec",), (), ("spec",)),
+        PathEq(("up",), (), ("up",), ()),
+        PathEq(("up", "down"), (), ("up",), ()),
+    ]
+    # distinct objects, so that every operand gets a plan of its own
+    chain = _fold(op, [replace(kinds[k % len(kinds)]) for k in range(5000)])
+    holds = {n: [pointwise_sat(fig_model, n, f) for f in kinds] for n in fig_model.all_nodes()}
+    want = {n for n, got in holds.items() if (any if op is Or else all)(got)}
+    failing = [n for n in fig_model.all_nodes() if n not in want]
+    assert _within_frames(40, lambda: valid(fig_model, chain)) == (failing[0] if failing else None)
+    for n in fig_model.all_nodes():
+        assert _within_frames(40, lambda: satisfies(fig_model, n, chain)) == (n in want), n
+    assert want and failing
+
+
+# --- plans and pickling --------------------------------------------------------
+
+
+def test_used_theory_round_trips_through_pickle():
+    from conftest import FIG_GRAMMAR_TEXT
+    from lfgmc import check_parse, compile_grammar, parse_grammar, parse_sentence
+
+    grammar = parse_grammar(FIG_GRAMMAR_TEXT)
+    theory = compile_grammar(grammar)
+    (model,) = parse_sentence(theory, grammar, ["a", "girl", "walks"]).models
+    broken = Model(model.sig, model.cstruct, model.fstruct, {})
+    reports = [check_parse(theory, m) for m in (model, broken)]
+    copy = pickle.loads(pickle.dumps(theory))
+    assert copy == theory
+    assert [check_parse(copy, m) for m in (model, broken)] == reports
+    assert any(e.counterexample for e in reports[1])
+
+
+# --- the walk of a path equality with up steps only ----------------------------
+
+
+def _rand_patheq(rng, mixed):
+    feats = sorted(RAND_SIG.feats)
+
+    def side():
+        steps = ("up", "down") if mixed else ("up",)
+        tree = tuple(rng.choice(steps) for _ in range(rng.randint(0, 4)))
+        return tree, tuple(rng.choice(feats) for _ in range(rng.randint(0, 3)))
+
+    left = side()
+    right = left if rng.random() < 0.5 else side()
+    return PathEq(left[0], left[1], right[0], right[1])
+
+
+def test_up_only_patheq_walk_matches_pointwise_reference():
+    rng = random.Random(7373)
+    checked = held = 0
+    for _ in range(40):
+        base = rand_model(rng)
+        for m in [base] + [corrupt(rng, base) for _code, corrupt in CORRUPTORS]:
+            if m is None:
+                continue
+            for k in range(8):
+                phi = _rand_patheq(rng, mixed=k == 7)
+                try:
+                    validate_names(phi, m.sig)
+                except SignatureError:
+                    continue
+                good = [n for n in m.all_nodes() if pointwise_sat(m, n, phi)]
+                failing = [n for n in m.all_nodes() if n not in good]
+                assert valid(m, phi) == (failing[0] if failing else None), phi
+                for n in m.all_nodes():
+                    assert satisfies(m, n, phi) == (n in good), (phi, n)
+                checked += 1
+                held += bool(good)
+    assert checked > 5000 and held > 400, (checked, held)
+
+
+def _two_node_model(mother, zoomin, trans, f_nodes=("f0", "f1")):
+    sig = Signature(cats={"S", "A"}, atoms={"x"}, feats={"subj", "obj"})
+    c = CStructure(frozenset({"n0", "n1"}), "n0", mother, {"n0": ("n1",), "n1": ()}, {"n0": "S", "n1": "A"})
+    return Model(sig, c, FStructure(frozenset(f_nodes), "f0", trans), zoomin)
+
+
+@pytest.mark.parametrize(
+    "m,phi,where",
+    [
+        # the mother of n1 lies outside the tree but has a zoomin target
+        (
+            _two_node_model({"n1": "t_out"}, {"t_out": "f0", "n1": "f0"}, {"f0": {}, "f1": {}}),
+            PathEq(("up",), (), (), ()),
+            {"n1"},
+        ),
+        # n0 zooms into a node that is not an f-node, whose subj is f1
+        (
+            _two_node_model({"n1": "n0"}, {"n0": "w_ghost", "n1": "f1"}, {"w_ghost": {"subj": "f1"}}),
+            PathEq(("up",), ("subj",), (), ()),
+            {"n1"},
+        ),
+        # both sides reach an undeclared node through a transition
+        (
+            _two_node_model({"n1": "n0"}, {"n0": "f0", "n1": "f1"}, {"f0": {"subj": "w_out"}, "f1": {"obj": "w_out"}}),
+            PathEq(("up",), ("subj",), (), ("obj",)),
+            {"n1"},
+        ),
+    ],
+    ids=["mother-outside-tree", "zoomin-not-f-node", "transition-undeclared"],
+)
+def test_up_only_patheq_on_dangling_links(m, phi, where):
+    assert {n for n in m.all_nodes() if pointwise_sat(m, n, phi)} == where
+    assert {n for n in m.all_nodes() if satisfies(m, n, phi)} == where
+    assert valid(m, phi) == next(n for n in m.all_nodes() if n not in where)
