@@ -106,6 +106,12 @@ class Signature:
         object.__setattr__(self, "words", frozenset(self.words))
 
     def violations(self) -> list[Violation]:
+        return list(self._violations)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """What :meth:`violations` lists, found once per signature (its
+        fields are frozen)."""
         out = []
         for a, b, aname, bname in [
             (self.cats, self.atoms, "cat", "atom"),
@@ -136,7 +142,7 @@ class Signature:
                             "gf step %r is not a declared feature" % f,
                         )
                     )
-        return out
+        return tuple(out)
 
     def kind_of(self, name: str):
         """Classify a bare identifier as it is read in formulas.
@@ -259,14 +265,17 @@ class Model:
     @cached_property
     def node_order(self) -> tuple[NodeId, ...]:
         """Every node of both domains, in the deterministic model order;
-        sorted once per model (both node sets are frozen)."""
+        sorted once per model (both node sets are frozen).  An id in both
+        domains appears twice, so the first ``len(cstruct.nodes)`` entries
+        are the tree nodes."""
         return tuple(sorted(self.cstruct.nodes, key=node_key)) + tuple(
             sorted(self.fstruct.nodes, key=node_key)
         )
 
     def all_nodes(self) -> list[NodeId]:
-        """Every node of both domains, in the deterministic model order."""
-        return list(self.node_order)
+        """Every node of both domains, in the deterministic model order;
+        an id in both domains is listed once, among the tree nodes."""
+        return list(dict.fromkeys(self.node_order))
 
 
 def tree_relatives(c: CStructure, n: NodeId):
@@ -300,12 +309,13 @@ def validate_model(m: Model) -> ValidationReport:
 
     Violations are data, not failures: arbitrary candidate structures
     are accepted and each broken clause is reported with the offending
-    node ids.
+    node ids.  Each group of checks is first decided by set and dict
+    tests; nodes are walked in order only for a group that fails, to
+    name its offenders.
     """
-    out: list[Violation] = []
-    out.extend(m.sig.violations())
+    out: list[Violation] = list(m.sig._violations)
 
-    c, f = m.cstruct, m.fstruct
+    c, f, sig = m.cstruct, m.fstruct, m.sig
     tree_order = m.node_order[: len(c.nodes)]
 
     shared = c.nodes & f.nodes
@@ -321,127 +331,154 @@ def validate_model(m: Model) -> ValidationReport:
     # --- tree shape ---
     if c.root not in c.nodes:
         out.append(Violation("tree-root-unknown", "root %r is not a node" % c.root))
-    bad_refs = set()
-    for n, ds in c.daughters.items():
-        if n not in c.nodes:
-            bad_refs.add(n)
-        bad_refs.update(d for d in ds if d not in c.nodes)
-        seen = set()
-        for d in ds:
-            if d in seen:
-                out.append(
-                    Violation(
-                        "tree-duplicate-daughter",
-                        "node occurs twice among the daughters of %r" % n,
-                        (d,),
+    # the mother map is the inverse of the daughter lists, no id is listed
+    # twice and every id is a node: then no link check below can fail
+    inverse = {d: n for n, ds in c.daughters.items() for d in ds}
+    links_ok = (
+        inverse == c.mother
+        and len(inverse) == sum(map(len, c.daughters.values()))
+        and c.daughters.keys() <= c.nodes
+        and c.mother.keys() <= c.nodes
+    )
+    if not links_ok:
+        bad_refs = set()
+        for n, ds in c.daughters.items():
+            if n not in c.nodes:
+                bad_refs.add(n)
+            bad_refs.update(d for d in ds if d not in c.nodes)
+            seen = set()
+            for d in ds:
+                if d in seen:
+                    out.append(
+                        Violation(
+                            "tree-duplicate-daughter",
+                            "node occurs twice among the daughters of %r" % n,
+                            (d,),
+                        )
                     )
+                seen.add(d)
+        for d, mo in c.mother.items():
+            if d not in c.nodes or mo not in c.nodes:
+                bad_refs.update(x for x in (d, mo) if x not in c.nodes)
+        if bad_refs:
+            out.append(
+                Violation(
+                    "tree-unknown-ref",
+                    "links mention ids that are not tree nodes",
+                    tuple(sorted(bad_refs, key=node_key)),
                 )
-            seen.add(d)
-    for d, mo in c.mother.items():
-        if d not in c.nodes or mo not in c.nodes:
-            bad_refs.update(x for x in (d, mo) if x not in c.nodes)
-    if bad_refs:
-        out.append(
-            Violation(
-                "tree-unknown-ref",
-                "links mention ids that are not tree nodes",
-                tuple(sorted(bad_refs, key=node_key)),
             )
-        )
 
-    for n in tree_order:
-        if n not in c.label:
-            out.append(Violation("tree-label-missing", "node has no label", (n,)))
+    if not c.label.keys() >= c.nodes:
+        for n in tree_order:
+            if n not in c.label:
+                out.append(Violation("tree-label-missing", "node has no label", (n,)))
 
     # mother and daughters must tell the same story
-    for n, ds in c.daughters.items():
-        for d in ds:
-            if c.mother.get(d) != n:
+    if not links_ok:
+        for n, ds in c.daughters.items():
+            for d in ds:
+                if c.mother.get(d) != n:
+                    out.append(
+                        Violation(
+                            "tree-mother-daughters-mismatch",
+                            "%r is listed as a daughter of %r but records a "
+                            "different mother" % (d, n),
+                            (d, n),
+                        )
+                    )
+        for d, mo in c.mother.items():
+            if d not in c.daughters.get(mo, ()):
                 out.append(
                     Violation(
                         "tree-mother-daughters-mismatch",
-                        "%r is listed as a daughter of %r but records a "
-                        "different mother" % (d, n),
-                        (d, n),
+                        "%r records mother %r but is not among its daughters" % (d, mo),
+                        (d, mo),
                     )
                 )
-    for d, mo in c.mother.items():
-        if d not in c.daughters.get(mo, ()):
-            out.append(
-                Violation(
-                    "tree-mother-daughters-mismatch",
-                    "%r records mother %r but is not among its daughters" % (d, mo),
-                    (d, mo),
-                )
-            )
 
     if c.mother.get(c.root) is not None:
         out.append(Violation("tree-root-has-mother", "root has a mother", (c.root,)))
-    for n in tree_order:
-        if n != c.root and n not in c.mother:
-            out.append(
-                Violation("tree-orphan", "non-root node has no mother", (n,))
-            )
+    if c.nodes.difference(c.mother, (c.root,)):
+        for n in tree_order:
+            if n != c.root and n not in c.mother:
+                out.append(
+                    Violation("tree-orphan", "non-root node has no mother", (n,))
+                )
 
     # connectivity and acyclicity, walked from the root
     if c.root in c.nodes:
-        visited: set[NodeId] = set()
-        on_path: set[NodeId] = set()
-        cyclic: set[NodeId] = set()
+        # with sound links every id is listed once, and never the root if
+        # it has no mother, so this walk meets each node at most once
+        walk_ok = links_ok and c.root not in c.mother
+        if walk_ok:
+            reached = [c.root]
+            for n in reached:
+                reached.extend(c.daughters.get(n, ()))
+            walk_ok = len(reached) == len(c.nodes)
+        if not walk_ok:
+            visited: set[NodeId] = set()
+            on_path: set[NodeId] = set()
+            cyclic: set[NodeId] = set()
 
-        stack: list[tuple[NodeId, int]] = [(c.root, 0)]
-        on_path.add(c.root)
-        visited.add(c.root)
-        while stack:
-            n, i = stack.pop()
-            ds = c.daughters.get(n, ())
-            if i < len(ds):
-                stack.append((n, i + 1))
-                d = ds[i]
-                if d in on_path:
-                    cyclic.add(d)
-                elif d in c.nodes and d not in visited:
-                    visited.add(d)
-                    on_path.add(d)
-                    stack.append((d, 0))
-            else:
-                on_path.discard(n)
-        if cyclic:
-            out.append(
-                Violation(
-                    "tree-cycle",
-                    "daughter links form a cycle",
-                    tuple(sorted(cyclic, key=node_key)),
+            stack: list[tuple[NodeId, int]] = [(c.root, 0)]
+            on_path.add(c.root)
+            visited.add(c.root)
+            while stack:
+                n, i = stack.pop()
+                ds = c.daughters.get(n, ())
+                if i < len(ds):
+                    stack.append((n, i + 1))
+                    d = ds[i]
+                    if d in on_path:
+                        cyclic.add(d)
+                    elif d in c.nodes and d not in visited:
+                        visited.add(d)
+                        on_path.add(d)
+                        stack.append((d, 0))
+                else:
+                    on_path.discard(n)
+            if cyclic:
+                out.append(
+                    Violation(
+                        "tree-cycle",
+                        "daughter links form a cycle",
+                        tuple(sorted(cyclic, key=node_key)),
+                    )
                 )
-            )
-        unreached = c.nodes - visited
-        if unreached:
-            out.append(
-                Violation(
-                    "tree-disconnected",
-                    "nodes not reachable from the root",
-                    tuple(sorted(unreached, key=node_key)),
+            unreached = c.nodes - visited
+            if unreached:
+                out.append(
+                    Violation(
+                        "tree-disconnected",
+                        "nodes not reachable from the root",
+                        tuple(sorted(unreached, key=node_key)),
+                    )
                 )
-            )
 
-    for n in tree_order:
-        lab = c.label.get(n)
-        if lab in m.sig.words and c.daughters.get(n, ()):
-            out.append(
-                Violation(
-                    "tree-word-label-internal",
-                    "word form %r labels a node with daughters" % lab,
-                    (n,),
+    inner = {c.label.get(n) for n, ds in c.daughters.items() if ds}
+    if not (
+        inner.isdisjoint(sig.words)
+        and all(lab in sig.cats or lab in sig.words for lab in set(c.label.values()))
+    ):
+        for n in tree_order:
+            lab = c.label.get(n)
+            if lab in sig.words and c.daughters.get(n, ()):
+                out.append(
+                    Violation(
+                        "tree-word-label-internal",
+                        "word form %r labels a node with daughters" % lab,
+                        (n,),
+                    )
                 )
-            )
-        if lab is not None and lab not in m.sig.cats and lab not in m.sig.words:
-            out.append(
-                Violation(
-                    "label-not-in-signature",
-                    "label %r is neither a category nor a word form" % lab,
-                    (n,),
+            if lab is not None and lab not in sig.cats and lab not in sig.words:
+                out.append(
+                    Violation(
+                        "label-not-in-signature",
+                        "label %r is neither a category nor a word form" % lab,
+                        (n,),
+                    )
                 )
-            )
 
     # --- feature graph ---
     if not f.nodes:
@@ -454,31 +491,42 @@ def validate_model(m: Model) -> ValidationReport:
                     "initial node %r is not a node" % f.initial,
                 )
             )
-        bad = set()
-        for w, table in f.trans.items():
-            if w not in f.nodes:
-                bad.add(w)
-            for feat, w2 in table.items():
-                if w2 not in f.nodes:
-                    bad.add(w2)
-                if feat not in m.sig.feats:
-                    out.append(
-                        Violation(
-                            "feat-not-in-signature",
-                            "transition uses undeclared feature %r" % feat,
-                            (w,),
+        used_feats, targets = set(), set()
+        for table in f.trans.values():
+            used_feats.update(table)
+            targets.update(table.values())
+        if not (
+            used_feats <= sig.feats
+            and targets <= f.nodes
+            and f.trans.keys() <= f.nodes
+            and f.final <= f.nodes
+            and f.atomval.keys() <= f.nodes
+        ):
+            bad = set()
+            for w, table in f.trans.items():
+                if w not in f.nodes:
+                    bad.add(w)
+                for feat, w2 in table.items():
+                    if w2 not in f.nodes:
+                        bad.add(w2)
+                    if feat not in sig.feats:
+                        out.append(
+                            Violation(
+                                "feat-not-in-signature",
+                                "transition uses undeclared feature %r" % feat,
+                                (w,),
+                            )
                         )
+            bad.update(w for w in f.final if w not in f.nodes)
+            bad.update(w for w in f.atomval if w not in f.nodes)
+            if bad:
+                out.append(
+                    Violation(
+                        "fstruct-unknown-ref",
+                        "links mention ids that are not f-structure nodes",
+                        tuple(sorted(bad, key=node_key)),
                     )
-        bad.update(w for w in f.final if w not in f.nodes)
-        bad.update(w for w in f.atomval if w not in f.nodes)
-        if bad:
-            out.append(
-                Violation(
-                    "fstruct-unknown-ref",
-                    "links mention ids that are not f-structure nodes",
-                    tuple(sorted(bad, key=node_key)),
                 )
-            )
 
         if f.initial in f.nodes:
             reach = {f.initial}
@@ -499,63 +547,94 @@ def validate_model(m: Model) -> ValidationReport:
                     )
                 )
 
-        for w in sorted(f.final, key=node_key):
-            if f.trans.get(w):
-                out.append(
-                    Violation(
-                        "fstruct-final-transition",
-                        "final node has outgoing transitions",
-                        (w,),
+        if any(f.trans.get(w) for w in f.final):
+            for w in sorted(f.final, key=node_key):
+                if f.trans.get(w):
+                    out.append(
+                        Violation(
+                            "fstruct-final-transition",
+                            "final node has outgoing transitions",
+                            (w,),
+                        )
                     )
-                )
-        for w in sorted(f.atomval, key=node_key):
-            if w not in f.final:
-                out.append(
-                    Violation(
-                        "fstruct-valuation-nonfinal",
-                        "valuation on non-final node",
-                        (w,),
+        if f.final != f.atomval.keys():
+            for w in sorted(f.atomval, key=node_key):
+                if w not in f.final:
+                    out.append(
+                        Violation(
+                            "fstruct-valuation-nonfinal",
+                            "valuation on non-final node",
+                            (w,),
+                        )
                     )
-                )
-        for w in sorted(f.final, key=node_key):
-            if w not in f.atomval:
-                out.append(
-                    Violation(
-                        "fstruct-final-unvalued",
-                        "final node carries no atomic value",
-                        (w,),
+            for w in sorted(f.final, key=node_key):
+                if w not in f.atomval:
+                    out.append(
+                        Violation(
+                            "fstruct-final-unvalued",
+                            "final node carries no atomic value",
+                            (w,),
+                        )
                     )
-                )
-        for w, a in sorted(f.atomval.items(), key=lambda kv: node_key(kv[0])):
-            if a not in m.sig.atoms:
-                out.append(
-                    Violation(
-                        "atom-not-in-signature",
-                        "atomic value %r is not declared" % a,
-                        (w,),
+        if not sig.atoms.issuperset(f.atomval.values()):
+            for w, a in sorted(f.atomval.items(), key=lambda kv: node_key(kv[0])):
+                if a not in sig.atoms:
+                    out.append(
+                        Violation(
+                            "atom-not-in-signature",
+                            "atomic value %r is not declared" % a,
+                            (w,),
+                        )
                     )
-                )
 
     # --- zoomin ---
-    for t, w in sorted(m.zoomin.items(), key=lambda kv: node_key(kv[0])):
-        if t not in c.nodes:
-            out.append(
-                Violation("zoomin-domain", "zoomin defined on a non-tree id", (t,))
-            )
-        if w not in f.nodes:
-            out.append(
-                Violation(
-                    "zoomin-range", "zoomin target is not an f-structure node", (t, w)
+    if not (m.zoomin.keys() <= c.nodes and f.nodes.issuperset(m.zoomin.values())):
+        for t, w in sorted(m.zoomin.items(), key=lambda kv: node_key(kv[0])):
+            if t not in c.nodes:
+                out.append(
+                    Violation("zoomin-domain", "zoomin defined on a non-tree id", (t,))
                 )
-            )
+            if w not in f.nodes:
+                out.append(
+                    Violation(
+                        "zoomin-range", "zoomin target is not an f-structure node", (t, w)
+                    )
+                )
 
     return ValidationReport(tuple(out))
 
 
+def fnode_names(initial, trans, rest) -> dict:
+    """The canonical f-node numbering: ``f0`` for ``initial`` (none when
+    it is None), then ``f1..`` in breadth-first order, following each
+    node's transitions ``trans[w]`` (feature -> successor) in sorted
+    feature order, then every node of ``rest`` not yet named, in the order
+    given.  ``canonicalize`` renames feature nodes by it and the search
+    names union-find classes by it as it extracts a model, so the two
+    agree without a second renaming pass."""
+    names = {}
+    if initial is not None:
+        names[initial] = "f0"
+        queue = [initial]
+        for w in queue:  # grows while it is walked
+            table = trans.get(w)
+            if table:
+                for feat in sorted(table):
+                    w2 = table[feat]
+                    if w2 not in names:
+                        names[w2] = "f%d" % len(names)
+                        queue.append(w2)
+    for w in rest:
+        if w not in names:
+            names[w] = "f%d" % len(names)
+    return names
+
+
 def canonicalize(m: Model) -> Model:
     """Rename nodes into the canonical scheme: tree nodes ``n0..`` by
-    preorder, f-nodes ``f0..`` by breadth-first search from the initial
-    node following features in sorted order.
+    preorder, f-nodes ``f0..`` by :func:`fnode_names` (breadth-first from
+    the initial node following features in sorted order).  Models that
+    ``parse_sentence`` returns are already in this scheme.
 
     Intended for valid models; unreachable f-nodes, if any, are appended
     in their old order so the operation is total.  A tree node reached
@@ -577,20 +656,9 @@ def canonicalize(m: Model) -> Model:
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 
-    fmap: dict[NodeId, NodeId] = {}
-    if f.initial in f.nodes:
-        fmap[f.initial] = "f0"
-        queue = [f.initial]
-        while queue:
-            w = queue.pop(0)
-            for feat in sorted(f.trans.get(w, {})):
-                w2 = f.trans[w][feat]
-                if w2 not in fmap:
-                    fmap[w2] = "f%d" % len(fmap)
-                    queue.append(w2)
-    for w in sorted(f.nodes, key=node_key):
-        if w not in fmap:
-            fmap[w] = "f%d" % len(fmap)
+    fmap = fnode_names(
+        f.initial if f.initial in f.nodes else None, f.trans, sorted(f.nodes, key=node_key)
+    )
 
     if _is_identity(tmap, c):
         cstruct = c  # already numbered in preorder, as the search builds trees

@@ -34,11 +34,17 @@ equations the slot is identified with it (re-entrancy).  The slot never
 *creates* the local path; a missing governed function is left for the
 completeness axiom to flag.
 
-Every surviving candidate is validated structurally and checked against
-the full theory; models that fail are reported as rejections with the
-failing formula label and counterexample node.  Survivors are
-canonicalized, deduplicated and returned in a deterministic order.
-Minimality is a property of this search, not of the satisfaction
+Every surviving candidate's model is extracted already in the canonical
+naming: tree nodes are numbered in preorder as the tree is built, and the
+union-find classes are named ``f0..`` by ``model.fnode_names``, the
+numbering ``canonicalize`` uses.  That one model is validated
+structurally, checked against the full theory, printed and returned, with
+no second renaming pass.  Models that fail are reported as rejections
+with the failing formula label and counterexample node; a failing f-node
+is named as the least under the class-order names ``w0, w1, ..`` (the
+order the classes were made in), which the rejection lines have always
+used.  Survivors are deduplicated by their text and returned sorted by
+it.  Minimality is a property of this search, not of the satisfaction
 relation: ``valid`` itself happily accepts models with junk material.
 """
 
@@ -64,11 +70,11 @@ from .model import (
     FStructure,
     Model,
     NodeId,
-    canonicalize,
+    fnode_names,
     model_to_text,
     validate_model,
 )
-from .semantics import valid
+from .semantics import satisfies, valid
 
 
 @dataclass(frozen=True)
@@ -489,9 +495,12 @@ def _solve_shape(cstruct, phrases, preterminals, members):
         stack.append((uf, k + 1, last))  # after the copies: changed in place
 
 
-def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model | None, str | None]:
-    """Build the least-solution model; (None, reason) when no sensible
-    f-structure exists (entry point missing or not unique)."""
+def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId]] | Rejection:
+    """Build the least-solution model, its f-nodes already named in the
+    canonical scheme (``fnode_names``; trees from ``_build_tree`` are in
+    preorder).  Returns the model and its f-node names in union-find class
+    order, or a structure Rejection when no sensible f-structure exists
+    (entry point missing or not unique)."""
     roots: list[int] = []
     seen = set()
     for i in range(len(uf.parent)):
@@ -501,41 +510,36 @@ def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model | None, str | No
             roots.append(r)
 
     if not roots:
-        fstruct = FStructure(frozenset(["w0"]), "w0", {"w0": {}})
-        return Model(sig, cstruct, fstruct, {}), None
+        fstruct = FStructure(frozenset(["f0"]), "f0", {"f0": {}})
+        return Model(sig, cstruct, fstruct, {}), ["f0"]
 
-    name = {r: "w%d" % k for k, r in enumerate(roots)}
-
+    succ = {r: {feat: uf.find(t) for feat, t in sorted(uf.trans[r].items())} for r in roots}
     root_var = uf.zvar.get(cstruct.root)
     if root_var is not None:
         initial = uf.find(root_var)
     else:
-        incoming = set()
-        for r in roots:
-            for tgt in uf.trans[r].values():
-                incoming.add(uf.find(tgt))
+        incoming = {t for s in succ.values() for t in s.values()}
         sources = [r for r in roots if r not in incoming]
         if len(sources) != 1:
-            return None, "no unique entry point into the f-structure"
+            return Rejection("structure", "no unique entry point into the f-structure")
         initial = sources[0]
 
-    trans = {
-        name[r]: {feat: name[uf.find(t)] for feat, t in sorted(uf.trans[r].items())}
-        for r in roots
-    }
+    name = fnode_names(initial, succ, roots)
+    trans = {name[r]: {feat: name[t] for feat, t in s.items()} for r, s in succ.items()}
     atomval = {name[r]: uf.atom[r] for r in roots if uf.atom[r] is not None}
     fstruct = FStructure(
-        frozenset(name.values()), name[initial], trans, frozenset(atomval), atomval
+        frozenset(name.values()), "f0", trans, frozenset(atomval), atomval
     )
     zoomin = {n: name[uf.find(v)] for n, v in uf.zvar.items()}
-    return Model(sig, cstruct, fstruct, zoomin), None
+    return Model(sig, cstruct, fstruct, zoomin), [name[r] for r in roots]
 
 
 def _check(theory, sig, cstruct, uf, bounds):
     """The outcome of one solved candidate (see ``parse_sentence``)."""
-    model, why = _extract_model(sig, cstruct, uf)
-    if model is None:
-        return Rejection("structure", why)
+    extracted = _extract_model(sig, cstruct, uf)
+    if isinstance(extracted, Rejection):
+        return extracted
+    model, classes = extracted
     if len(model.fstruct.nodes) > bounds.max_f_nodes:
         return None
     report = validate_model(model)
@@ -544,9 +548,14 @@ def _check(theory, sig, cstruct, uf, bounds):
     for label, f in theory.labeled():
         node = valid(model, f)
         if node is not None:
+            if node in model.fstruct.nodes:
+                # rejections name f-nodes w0, w1, .. in the order the
+                # union-find made the classes, not by the canonical names
+                node = next(
+                    "w%d" % k for k, w in enumerate(classes) if not satisfies(model, w, f)
+                )
             return Rejection("formula", label, node)
-    cm = canonicalize(model)
-    return model_to_text(cm), cm
+    return model_to_text(model), model
 
 
 # ---------------------------------------------------------------------------

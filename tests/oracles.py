@@ -35,6 +35,12 @@ pipeline it checks:
   references for the direct text writer and for ``canonicalize``.
   ``oracle_parse`` and ``blind_parse`` use them, so the benchmark's
   reference digests do not share the writer under test.
+* ``reference_validate_model`` is the original structural validator,
+  which walks and sorts the nodes of every group of checks, with its own
+  copy of the signature checks and its own node order, kept verbatim
+  apart from those and its name, as the reference for the validator that
+  decides each group by set tests first; ``oracle_parse``,
+  ``blind_parse`` and ``reference_two_phase_parse`` use it.
 * ``reference_two_phase_parse`` is the original candidate loop of
   ``parse_sentence``, with its skeleton enumerator, recursive tree
   builder, union-find and one-candidate-at-a-time equation solver, kept
@@ -87,11 +93,10 @@ from lfgmc import (
     Up,
     WordLit,
     Zoomin,
-    validate_model,
 )
 from lfgmc.errors import GrammarError
 from lfgmc.grammar import PRED_FEAT, REL_FEAT
-from lfgmc.model import NodeId
+from lfgmc.model import NodeId, ValidationReport, Violation
 from lfgmc.semantics import valid
 
 # ---------------------------------------------------------------------------
@@ -795,6 +800,302 @@ def reference_model_to_text(m: Model) -> str:
 # ---------------------------------------------------------------------------
 
 
+# ---------------------------------------------------------------------------
+# The structural validator that walks and sorts every group of checks
+# ---------------------------------------------------------------------------
+
+
+def _reference_sig_violations(sig) -> list[Violation]:
+    out = []
+    for a, b, aname, bname in [
+        (sig.cats, sig.atoms, "cat", "atom"),
+        (sig.cats, sig.feats, "cat", "feat"),
+        (sig.atoms, sig.feats, "atom", "feat"),
+        (sig.words, sig.cats, "word", "cat"),
+    ]:
+        shared = a & b
+        if shared:
+            out.append(
+                Violation(
+                    "signature-overlap",
+                    "names used as both %s and %s: %s"
+                    % (aname, bname, ", ".join(sorted(shared))),
+                )
+            )
+    for name, s in [("cat", sig.cats), ("atom", sig.atoms), ("feat", sig.feats)]:
+        if not s:
+            out.append(Violation("signature-empty", "%s set is empty" % name))
+    for seq in sig.gf:
+        if not seq:
+            out.append(Violation("signature-gf-feature", "empty gf sequence"))
+        for f in seq:
+            if f not in sig.feats:
+                out.append(
+                    Violation(
+                        "signature-gf-feature",
+                        "gf step %r is not a declared feature" % f,
+                    )
+                )
+    return out
+
+
+def reference_validate_model(m: Model) -> ValidationReport:
+    """Check every structural invariant; an empty report means valid.
+
+    Violations are data, not failures: arbitrary candidate structures
+    are accepted and each broken clause is reported with the offending
+    node ids.
+    """
+    out: list[Violation] = []
+    out.extend(_reference_sig_violations(m.sig))
+
+    c, f = m.cstruct, m.fstruct
+    tree_order = sorted(c.nodes, key=_node_key)
+
+    shared = c.nodes & f.nodes
+    if shared:
+        out.append(
+            Violation(
+                "duplicate-node-id",
+                "ids used in both tree and f-structure",
+                tuple(sorted(shared, key=_node_key)),
+            )
+        )
+
+    # --- tree shape ---
+    if c.root not in c.nodes:
+        out.append(Violation("tree-root-unknown", "root %r is not a node" % c.root))
+    bad_refs = set()
+    for n, ds in c.daughters.items():
+        if n not in c.nodes:
+            bad_refs.add(n)
+        bad_refs.update(d for d in ds if d not in c.nodes)
+        seen = set()
+        for d in ds:
+            if d in seen:
+                out.append(
+                    Violation(
+                        "tree-duplicate-daughter",
+                        "node occurs twice among the daughters of %r" % n,
+                        (d,),
+                    )
+                )
+            seen.add(d)
+    for d, mo in c.mother.items():
+        if d not in c.nodes or mo not in c.nodes:
+            bad_refs.update(x for x in (d, mo) if x not in c.nodes)
+    if bad_refs:
+        out.append(
+            Violation(
+                "tree-unknown-ref",
+                "links mention ids that are not tree nodes",
+                tuple(sorted(bad_refs, key=_node_key)),
+            )
+        )
+
+    for n in tree_order:
+        if n not in c.label:
+            out.append(Violation("tree-label-missing", "node has no label", (n,)))
+
+    # mother and daughters must tell the same story
+    for n, ds in c.daughters.items():
+        for d in ds:
+            if c.mother.get(d) != n:
+                out.append(
+                    Violation(
+                        "tree-mother-daughters-mismatch",
+                        "%r is listed as a daughter of %r but records a "
+                        "different mother" % (d, n),
+                        (d, n),
+                    )
+                )
+    for d, mo in c.mother.items():
+        if d not in c.daughters.get(mo, ()):
+            out.append(
+                Violation(
+                    "tree-mother-daughters-mismatch",
+                    "%r records mother %r but is not among its daughters" % (d, mo),
+                    (d, mo),
+                )
+            )
+
+    if c.mother.get(c.root) is not None:
+        out.append(Violation("tree-root-has-mother", "root has a mother", (c.root,)))
+    for n in tree_order:
+        if n != c.root and n not in c.mother:
+            out.append(
+                Violation("tree-orphan", "non-root node has no mother", (n,))
+            )
+
+    # connectivity and acyclicity, walked from the root
+    if c.root in c.nodes:
+        visited: set[NodeId] = set()
+        on_path: set[NodeId] = set()
+        cyclic: set[NodeId] = set()
+
+        stack: list[tuple[NodeId, int]] = [(c.root, 0)]
+        on_path.add(c.root)
+        visited.add(c.root)
+        while stack:
+            n, i = stack.pop()
+            ds = c.daughters.get(n, ())
+            if i < len(ds):
+                stack.append((n, i + 1))
+                d = ds[i]
+                if d in on_path:
+                    cyclic.add(d)
+                elif d in c.nodes and d not in visited:
+                    visited.add(d)
+                    on_path.add(d)
+                    stack.append((d, 0))
+            else:
+                on_path.discard(n)
+        if cyclic:
+            out.append(
+                Violation(
+                    "tree-cycle",
+                    "daughter links form a cycle",
+                    tuple(sorted(cyclic, key=_node_key)),
+                )
+            )
+        unreached = c.nodes - visited
+        if unreached:
+            out.append(
+                Violation(
+                    "tree-disconnected",
+                    "nodes not reachable from the root",
+                    tuple(sorted(unreached, key=_node_key)),
+                )
+            )
+
+    for n in tree_order:
+        lab = c.label.get(n)
+        if lab in m.sig.words and c.daughters.get(n, ()):
+            out.append(
+                Violation(
+                    "tree-word-label-internal",
+                    "word form %r labels a node with daughters" % lab,
+                    (n,),
+                )
+            )
+        if lab is not None and lab not in m.sig.cats and lab not in m.sig.words:
+            out.append(
+                Violation(
+                    "label-not-in-signature",
+                    "label %r is neither a category nor a word form" % lab,
+                    (n,),
+                )
+            )
+
+    # --- feature graph ---
+    if not f.nodes:
+        out.append(Violation("fstruct-empty", "f-structure has no nodes"))
+    else:
+        if f.initial not in f.nodes:
+            out.append(
+                Violation(
+                    "fstruct-initial-unknown",
+                    "initial node %r is not a node" % f.initial,
+                )
+            )
+        bad = set()
+        for w, table in f.trans.items():
+            if w not in f.nodes:
+                bad.add(w)
+            for feat, w2 in table.items():
+                if w2 not in f.nodes:
+                    bad.add(w2)
+                if feat not in m.sig.feats:
+                    out.append(
+                        Violation(
+                            "feat-not-in-signature",
+                            "transition uses undeclared feature %r" % feat,
+                            (w,),
+                        )
+                    )
+        bad.update(w for w in f.final if w not in f.nodes)
+        bad.update(w for w in f.atomval if w not in f.nodes)
+        if bad:
+            out.append(
+                Violation(
+                    "fstruct-unknown-ref",
+                    "links mention ids that are not f-structure nodes",
+                    tuple(sorted(bad, key=_node_key)),
+                )
+            )
+
+        if f.initial in f.nodes:
+            reach = {f.initial}
+            frontier = [f.initial]
+            while frontier:
+                w = frontier.pop()
+                for w2 in f.trans.get(w, {}).values():
+                    if w2 in f.nodes and w2 not in reach:
+                        reach.add(w2)
+                        frontier.append(w2)
+            unreached = f.nodes - reach
+            if unreached:
+                out.append(
+                    Violation(
+                        "fstruct-unreachable",
+                        "nodes not reachable from the initial node",
+                        tuple(sorted(unreached, key=_node_key)),
+                    )
+                )
+
+        for w in sorted(f.final, key=_node_key):
+            if f.trans.get(w):
+                out.append(
+                    Violation(
+                        "fstruct-final-transition",
+                        "final node has outgoing transitions",
+                        (w,),
+                    )
+                )
+        for w in sorted(f.atomval, key=_node_key):
+            if w not in f.final:
+                out.append(
+                    Violation(
+                        "fstruct-valuation-nonfinal",
+                        "valuation on non-final node",
+                        (w,),
+                    )
+                )
+        for w in sorted(f.final, key=_node_key):
+            if w not in f.atomval:
+                out.append(
+                    Violation(
+                        "fstruct-final-unvalued",
+                        "final node carries no atomic value",
+                        (w,),
+                    )
+                )
+        for w, a in sorted(f.atomval.items(), key=lambda kv: _node_key(kv[0])):
+            if a not in m.sig.atoms:
+                out.append(
+                    Violation(
+                        "atom-not-in-signature",
+                        "atomic value %r is not declared" % a,
+                        (w,),
+                    )
+                )
+
+    # --- zoomin ---
+    for t, w in sorted(m.zoomin.items(), key=lambda kv: _node_key(kv[0])):
+        if t not in c.nodes:
+            out.append(
+                Violation("zoomin-domain", "zoomin defined on a non-tree id", (t,))
+            )
+        if w not in f.nodes:
+            out.append(
+                Violation(
+                    "zoomin-range", "zoomin target is not an f-structure node", (t, w)
+                )
+            )
+
+    return ValidationReport(tuple(out))
+
+
 class OracleDead(Exception):
     """The candidate cannot carry a model (unsatisfiable constraint)."""
 
@@ -1127,7 +1428,7 @@ def oracle_parse(theory, sig, start, tokens, max_tree=40, max_f=80):
             continue
         if len(model.fstruct.nodes) > max_f:
             continue
-        if not validate_model(model).ok:
+        if not reference_validate_model(model).ok:
             continue
         if any(oracle_valid(model, f) is not None for _, f in theory.labeled()):
             continue
@@ -1342,7 +1643,7 @@ def blind_parse(theory, sig, start, tokens, max_tree, max_f):
         for fstruct in all_fstructs(sig, max_f):
             for zoomin in all_zoomins(cstruct.nodes, fstruct.nodes):
                 m = Model(sig, cstruct, fstruct, zoomin)
-                if not validate_model(m).ok:
+                if not reference_validate_model(m).ok:
                     continue
                 if not _initial_convention(m):
                     continue
@@ -1744,7 +2045,7 @@ def reference_two_phase_parse(theory, grammar, tokens, bounds):
         if len(model.fstruct.nodes) > bounds.max_f_nodes:
             bound_exceeded = True
             continue
-        report = validate_model(model)
+        report = reference_validate_model(model)
         if not report.ok:
             rejections.append(
                 ReferenceRejection("structure", "; ".join(sorted(report.codes())))

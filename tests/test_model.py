@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +24,7 @@ from lfgmc.errors import ModelFormatError
 
 from generators import CORRUPTORS, rand_model
 from conftest import PP_AGREE_GRAMMAR_TEXT, build_fig_model
-from oracles import reference_canonicalize, reference_model_to_text
+from oracles import reference_canonicalize, reference_model_to_text, reference_validate_model
 
 
 def test_fig_model_is_valid(fig_model):
@@ -49,6 +51,92 @@ def test_valuation_on_nonfinal_reported():
     [violation] = list(report)
     assert violation.message == "valuation on non-final node"
     assert violation.nodes == ("f0",)
+
+
+def test_validator_matches_reference_on_broken_models():
+    # the full report (violations, order, messages, node tuples) equals
+    # the one of the validator that walks and sorts every group of checks,
+    # on every corruption and on every ordered pair of corruptions
+    for name, m in _broken_models(35, 100, 14):
+        assert validate_model(m) == reference_validate_model(m), name
+    rng = random.Random(36)
+    broken = 0
+    for _ in range(12):
+        m = canonicalize(rand_model(rng, max_tree=10, max_f=10))
+        for (first, corrupt), (second, again) in itertools.product(CORRUPTORS, repeat=2):
+            bad = corrupt(rng, m)
+            try:
+                bad = bad and again(rng, bad)
+            except LookupError:  # the first removed what the second picks from
+                continue
+            if bad is not None:
+                report = validate_model(bad)
+                assert report == reference_validate_model(bad), (first, second)
+                broken += not report.ok
+    assert broken > 3000
+
+
+def _near_misses(m):
+    """Models that each break one condition a fast-path test decides,
+    and nothing else that test looks at."""
+    c, f = m.cstruct, m.fstruct
+    leaf = next(n for n in sorted(c.nodes) if not c.daughters[n])
+    inner = c.mother[leaf]
+    other = next(n for n in sorted(c.daughters) if c.daughters[n] and n != inner)
+    final = sorted(f.final)[0]
+    top = f.initial
+    trees = {
+        "repeated daughter": replace(c, daughters={**c.daughters, inner: c.daughters[inner] + (leaf,)}),
+        "mother not the inverse": replace(c, mother={**c.mother, leaf: other}),
+        "mother of a non-node": replace(c, mother={**c.mother, "x9": c.root}),
+        "daughter not a node": replace(c, daughters={**c.daughters, inner: ("x9",)}),
+        "label missing": replace(c, label={n: lab for n, lab in c.label.items() if n != leaf}),
+        "internal word label": replace(c, label={**c.label, inner: "walks"}),
+        "label outside the signature": replace(c, label={**c.label, leaf: "Zz"}),
+        "root is a daughter": replace(c, daughters={**c.daughters, leaf: (c.root,)}),
+        "cycle away from the root": CStructure.build(
+            c.root, {**c.daughters, "x8": ("x9",), "x9": ("x8",)}, {**c.label, "x8": "S", "x9": "S"}
+        ),
+        "lone root is its own daughter": CStructure(
+            frozenset([c.root]), c.root, {c.root: c.root}, {c.root: (c.root,)}, {c.root: "S"}
+        ),
+    }
+    for name, tree in trees.items():
+        yield name, replace(m, cstruct=tree)
+    fstructs = {
+        "atom outside the signature": replace(f, atomval={**f.atomval, final: "zz"}),
+        "final without value": replace(f, atomval={w: a for w, a in f.atomval.items() if w != final}),
+        "value on a non-final": replace(f, final=f.final - {final}),
+        "final with transitions": replace(f, trans={**f.trans, final: {"num": top}}),
+        "undeclared feature": replace(f, trans={**f.trans, top: {**f.trans[top], "zz": final}}),
+        "transition to a non-node": replace(f, trans={**f.trans, top: {**f.trans[top], "obj": "x9"}}),
+    }
+    for name, fs in fstructs.items():
+        yield name, replace(m, fstruct=fs)
+    yield "zoomin to a missing node", replace(m, zoomin={**m.zoomin, c.root: "x9"})
+    yield "zoomin from a non-tree id", replace(m, zoomin={**m.zoomin, "x9": top})
+
+
+def test_validator_matches_reference_on_near_misses(fig_model):
+    assert validate_model(fig_model).ok
+    names = []
+    for name, m in _near_misses(fig_model):
+        report = validate_model(m)
+        assert report == reference_validate_model(m), name
+        assert not report.ok, name
+        names.append(name)
+    assert len(names) == 18
+
+
+def test_all_nodes_lists_an_id_once():
+    # an id in both domains is listed once, where the tree nodes are
+    sig = Signature(cats={"S"}, atoms={"a"}, feats={"f"})
+    c = CStructure.build("x", {}, {"x": "S"})
+    f = FStructure(frozenset(["w", "x"]), "w", {"w": {"f": "x"}, "x": {}})
+    m = Model(sig, c, f, {})
+    assert m.all_nodes() == ["x", "w"]
+    assert m.node_order == ("x", "w", "x")
+    assert "duplicate-node-id" in validate_model(m).codes()
 
 
 # --- feature_image -----------------------------------------------------

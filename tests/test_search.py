@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -706,6 +707,10 @@ def _same_as_two_phase(theory, grammar, tokens, bounds):
         (r.reason, r.detail, r.node) for r in want.rejections
     ], tokens
     assert got.bound_exceeded == want.bound_exceeded, tokens
+    # the search extracts each model already in canonical form
+    for m in got.models:
+        assert canonicalize(m) == m
+        assert model_to_text(canonicalize(m)) == model_to_text(m)
     return got
 
 
@@ -728,6 +733,8 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
         for r in out.rejections:
             kind = r.detail.split(" ")[0] if r.reason == "clash" else r.reason
             seen[kind] = seen.get(kind, 0) + 1
+            if r.reason == "formula" and r.node.startswith("w"):
+                seen["f-node counterexample"] = seen.get("f-node counterexample", 0) + 1
         derivations = _SkeletonEnumerator(grammar, tokens).derive(
             grammar.start, 0, len(tokens), bounds.max_tree_nodes
         )
@@ -735,10 +742,41 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
         seen["shared shapes"] += len(keys) - len(set(keys))
     # the corpus reaches every kind of outcome: clashes between atoms, of
     # an atom with transitions and at a root preterminal, structure and
-    # formula rejections, models, bounds and lexical variants of one shape
-    for kind in ("distinct", "atom", "lexical", "structure", "formula"):
+    # formula rejections (also at f-nodes), models, bounds and lexical
+    # variants of one shape
+    for kind in ("distinct", "atom", "lexical", "structure", "formula", "f-node counterexample"):
         assert seen.get(kind, 0) >= 20, seen
     assert min(seen.values()) >= 20, seen
+
+
+def test_formula_counterexample_keeps_the_class_order_name():
+    # completeness[f] fails at the f-structures of X and Y.  The union-find
+    # makes X's first (w1, then Y's w2); the canonical numbering follows
+    # the features from the root in sorted order, g before h, so Y's is
+    # f1 and X's f2.  The rejection names the least under the class order.
+    from lfgmc import compile_grammar, parse_grammar, valid
+
+    g = parse_grammar(
+        """
+        signature { cat: S X Y A B; atom: p q; feat: f g h pred rel; gf: f; }
+        start S;
+        rule S -> X {(up h)=down} Y {(up g)=down};
+        rule X -> A;
+        rule Y -> B;
+        lex "u" A {(up pred)=p(f)};
+        lex "v" B {(up pred)=q(f)};
+        """
+    )
+    theory = compile_grammar(g)
+    out = _same_as_two_phase(theory, g, ["u", "v"], SearchBounds())
+    assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
+        ("formula", "completeness[f]", "w1")
+    ]
+    # without the axiom the model survives: in its canonical names the
+    # least failing node is Y's f-structure
+    (m,) = parse_sentence(replace(theory, completeness=()), g, ["u", "v"]).models
+    assert (m.zoomin["n1"], m.zoomin["n4"]) == ("f2", "f1")
+    assert valid(m, theory.completeness[0]) == "f1"
 
 
 def _strings(words, lengths):
@@ -1021,8 +1059,6 @@ def test_chart_matches_the_fixpoint_table_on_fixture_grammars(text, sentences):
 def test_rule_without_elements_is_a_grammar_error():
     # parse_grammar and compile_grammar reject such a rule; a hand-built
     # one is rejected before any derivation is made
-    from dataclasses import replace
-
     from lfgmc import parse_grammar
     from lfgmc.grammar import AnnotatedRule
 
