@@ -55,7 +55,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GrammarError, GrammarSyntaxError, SignatureError
+from .errors import GrammarError, GrammarSyntaxError, LfgError, SignatureError
 from .formula import (
     And,
     AtomLit,
@@ -161,6 +161,20 @@ class Grammar:
         for e in self.lexicon:
             by_word.setdefault(e.word, []).append(e)
         return {w: tuple(es) for w, es in by_word.items()}
+
+    @cached_property
+    def _well_declared(self) -> bool:
+        """Whether the signature has no violations and the rules and entries
+        compile against it, so that it declares every category, feature and
+        atom they use.  Then a model the search builds can break no
+        structural invariant but f-node reachability (see ``lfgmc.search``)."""
+        try:
+            for rule in self.rules:
+                compile_rule(rule, self.sig)
+            compile_lexicon(self.lexicon, self.sig)
+        except (LfgError, TypeError):  # TypeError: an object that is no schema
+            return False
+        return not self.sig.violations()
 
 
 @dataclass(frozen=True)

@@ -106,12 +106,6 @@ class Signature:
         object.__setattr__(self, "words", frozenset(self.words))
 
     def violations(self) -> list[Violation]:
-        return list(self._violations)
-
-    @cached_property
-    def _violations(self) -> tuple[Violation, ...]:
-        """What :meth:`violations` lists, found once per signature (its
-        fields are frozen)."""
         out = []
         for a, b, aname, bname in [
             (self.cats, self.atoms, "cat", "atom"),
@@ -142,7 +136,7 @@ class Signature:
                             "gf step %r is not a declared feature" % f,
                         )
                     )
-        return tuple(out)
+        return out
 
     def kind_of(self, name: str):
         """Classify a bare identifier as it is read in formulas.
@@ -309,11 +303,9 @@ def validate_model(m: Model) -> ValidationReport:
 
     Violations are data, not failures: arbitrary candidate structures
     are accepted and each broken clause is reported with the offending
-    node ids.  Each group of checks is first decided by set and dict
-    tests; nodes are walked in order only for a group that fails, to
-    name its offenders.
+    node ids.
     """
-    out: list[Violation] = list(m.sig._violations)
+    out: list[Violation] = m.sig.violations()
 
     c, f, sig = m.cstruct, m.fstruct, m.sig
     tree_order = m.node_order[: len(c.nodes)]
@@ -331,154 +323,127 @@ def validate_model(m: Model) -> ValidationReport:
     # --- tree shape ---
     if c.root not in c.nodes:
         out.append(Violation("tree-root-unknown", "root %r is not a node" % c.root))
-    # the mother map is the inverse of the daughter lists, no id is listed
-    # twice and every id is a node: then no link check below can fail
-    inverse = {d: n for n, ds in c.daughters.items() for d in ds}
-    links_ok = (
-        inverse == c.mother
-        and len(inverse) == sum(map(len, c.daughters.values()))
-        and c.daughters.keys() <= c.nodes
-        and c.mother.keys() <= c.nodes
-    )
-    if not links_ok:
-        bad_refs = set()
-        for n, ds in c.daughters.items():
-            if n not in c.nodes:
-                bad_refs.add(n)
-            bad_refs.update(d for d in ds if d not in c.nodes)
-            seen = set()
-            for d in ds:
-                if d in seen:
-                    out.append(
-                        Violation(
-                            "tree-duplicate-daughter",
-                            "node occurs twice among the daughters of %r" % n,
-                            (d,),
-                        )
+    bad_refs = set()
+    for n, ds in c.daughters.items():
+        if n not in c.nodes:
+            bad_refs.add(n)
+        bad_refs.update(d for d in ds if d not in c.nodes)
+        seen = set()
+        for d in ds:
+            if d in seen:
+                out.append(
+                    Violation(
+                        "tree-duplicate-daughter",
+                        "node occurs twice among the daughters of %r" % n,
+                        (d,),
                     )
-                seen.add(d)
-        for d, mo in c.mother.items():
-            if d not in c.nodes or mo not in c.nodes:
-                bad_refs.update(x for x in (d, mo) if x not in c.nodes)
-        if bad_refs:
-            out.append(
-                Violation(
-                    "tree-unknown-ref",
-                    "links mention ids that are not tree nodes",
-                    tuple(sorted(bad_refs, key=node_key)),
                 )
+            seen.add(d)
+    for d, mo in c.mother.items():
+        if d not in c.nodes or mo not in c.nodes:
+            bad_refs.update(x for x in (d, mo) if x not in c.nodes)
+    if bad_refs:
+        out.append(
+            Violation(
+                "tree-unknown-ref",
+                "links mention ids that are not tree nodes",
+                tuple(sorted(bad_refs, key=node_key)),
             )
+        )
 
-    if not c.label.keys() >= c.nodes:
-        for n in tree_order:
-            if n not in c.label:
-                out.append(Violation("tree-label-missing", "node has no label", (n,)))
+    for n in tree_order:
+        if n not in c.label:
+            out.append(Violation("tree-label-missing", "node has no label", (n,)))
 
     # mother and daughters must tell the same story
-    if not links_ok:
-        for n, ds in c.daughters.items():
-            for d in ds:
-                if c.mother.get(d) != n:
-                    out.append(
-                        Violation(
-                            "tree-mother-daughters-mismatch",
-                            "%r is listed as a daughter of %r but records a "
-                            "different mother" % (d, n),
-                            (d, n),
-                        )
-                    )
-        for d, mo in c.mother.items():
-            if d not in c.daughters.get(mo, ()):
+    for n, ds in c.daughters.items():
+        for d in ds:
+            if c.mother.get(d) != n:
                 out.append(
                     Violation(
                         "tree-mother-daughters-mismatch",
-                        "%r records mother %r but is not among its daughters" % (d, mo),
-                        (d, mo),
+                        "%r is listed as a daughter of %r but records a "
+                        "different mother" % (d, n),
+                        (d, n),
                     )
                 )
+    for d, mo in c.mother.items():
+        if d not in c.daughters.get(mo, ()):
+            out.append(
+                Violation(
+                    "tree-mother-daughters-mismatch",
+                    "%r records mother %r but is not among its daughters" % (d, mo),
+                    (d, mo),
+                )
+            )
 
     if c.mother.get(c.root) is not None:
         out.append(Violation("tree-root-has-mother", "root has a mother", (c.root,)))
-    if c.nodes.difference(c.mother, (c.root,)):
-        for n in tree_order:
-            if n != c.root and n not in c.mother:
-                out.append(
-                    Violation("tree-orphan", "non-root node has no mother", (n,))
-                )
+    for n in tree_order:
+        if n != c.root and n not in c.mother:
+            out.append(
+                Violation("tree-orphan", "non-root node has no mother", (n,))
+            )
 
     # connectivity and acyclicity, walked from the root
     if c.root in c.nodes:
-        # with sound links every id is listed once, and never the root if
-        # it has no mother, so this walk meets each node at most once
-        walk_ok = links_ok and c.root not in c.mother
-        if walk_ok:
-            reached = [c.root]
-            for n in reached:
-                reached.extend(c.daughters.get(n, ()))
-            walk_ok = len(reached) == len(c.nodes)
-        if not walk_ok:
-            visited: set[NodeId] = set()
-            on_path: set[NodeId] = set()
-            cyclic: set[NodeId] = set()
+        visited: set[NodeId] = set()
+        on_path: set[NodeId] = set()
+        cyclic: set[NodeId] = set()
 
-            stack: list[tuple[NodeId, int]] = [(c.root, 0)]
-            on_path.add(c.root)
-            visited.add(c.root)
-            while stack:
-                n, i = stack.pop()
-                ds = c.daughters.get(n, ())
-                if i < len(ds):
-                    stack.append((n, i + 1))
-                    d = ds[i]
-                    if d in on_path:
-                        cyclic.add(d)
-                    elif d in c.nodes and d not in visited:
-                        visited.add(d)
-                        on_path.add(d)
-                        stack.append((d, 0))
-                else:
-                    on_path.discard(n)
-            if cyclic:
-                out.append(
-                    Violation(
-                        "tree-cycle",
-                        "daughter links form a cycle",
-                        tuple(sorted(cyclic, key=node_key)),
-                    )
+        stack: list[tuple[NodeId, int]] = [(c.root, 0)]
+        on_path.add(c.root)
+        visited.add(c.root)
+        while stack:
+            n, i = stack.pop()
+            ds = c.daughters.get(n, ())
+            if i < len(ds):
+                stack.append((n, i + 1))
+                d = ds[i]
+                if d in on_path:
+                    cyclic.add(d)
+                elif d in c.nodes and d not in visited:
+                    visited.add(d)
+                    on_path.add(d)
+                    stack.append((d, 0))
+            else:
+                on_path.discard(n)
+        if cyclic:
+            out.append(
+                Violation(
+                    "tree-cycle",
+                    "daughter links form a cycle",
+                    tuple(sorted(cyclic, key=node_key)),
                 )
-            unreached = c.nodes - visited
-            if unreached:
-                out.append(
-                    Violation(
-                        "tree-disconnected",
-                        "nodes not reachable from the root",
-                        tuple(sorted(unreached, key=node_key)),
-                    )
+            )
+        unreached = c.nodes - visited
+        if unreached:
+            out.append(
+                Violation(
+                    "tree-disconnected",
+                    "nodes not reachable from the root",
+                    tuple(sorted(unreached, key=node_key)),
                 )
+            )
 
-    inner = {c.label.get(n) for n, ds in c.daughters.items() if ds}
-    if not (
-        inner.isdisjoint(sig.words)
-        and all(lab in sig.cats or lab in sig.words for lab in set(c.label.values()))
-    ):
-        for n in tree_order:
-            lab = c.label.get(n)
-            if lab in sig.words and c.daughters.get(n, ()):
-                out.append(
-                    Violation(
-                        "tree-word-label-internal",
-                        "word form %r labels a node with daughters" % lab,
-                        (n,),
-                    )
+    for n in tree_order:
+        lab = c.label.get(n)
+        if lab in sig.words and c.daughters.get(n, ()):
+            out.append(
+                Violation(
+                    "tree-word-label-internal",
+                    "word form %r labels a node with daughters" % lab,
+                    (n,),
                 )
-            if lab is not None and lab not in sig.cats and lab not in sig.words:
-                out.append(
-                    Violation(
-                        "label-not-in-signature",
-                        "label %r is neither a category nor a word form" % lab,
-                        (n,),
-                    )
+            )
+        if lab is not None and lab not in sig.cats and lab not in sig.words:
+            out.append(
+                Violation(
+                    "label-not-in-signature",
+                    "label %r is neither a category nor a word form" % lab,
+                    (n,),
                 )
+            )
 
     # --- feature graph ---
     if not f.nodes:
@@ -491,42 +456,31 @@ def validate_model(m: Model) -> ValidationReport:
                     "initial node %r is not a node" % f.initial,
                 )
             )
-        used_feats, targets = set(), set()
-        for table in f.trans.values():
-            used_feats.update(table)
-            targets.update(table.values())
-        if not (
-            used_feats <= sig.feats
-            and targets <= f.nodes
-            and f.trans.keys() <= f.nodes
-            and f.final <= f.nodes
-            and f.atomval.keys() <= f.nodes
-        ):
-            bad = set()
-            for w, table in f.trans.items():
-                if w not in f.nodes:
-                    bad.add(w)
-                for feat, w2 in table.items():
-                    if w2 not in f.nodes:
-                        bad.add(w2)
-                    if feat not in sig.feats:
-                        out.append(
-                            Violation(
-                                "feat-not-in-signature",
-                                "transition uses undeclared feature %r" % feat,
-                                (w,),
-                            )
+        bad = set()
+        for w, table in f.trans.items():
+            if w not in f.nodes:
+                bad.add(w)
+            for feat, w2 in table.items():
+                if w2 not in f.nodes:
+                    bad.add(w2)
+                if feat not in sig.feats:
+                    out.append(
+                        Violation(
+                            "feat-not-in-signature",
+                            "transition uses undeclared feature %r" % feat,
+                            (w,),
                         )
-            bad.update(w for w in f.final if w not in f.nodes)
-            bad.update(w for w in f.atomval if w not in f.nodes)
-            if bad:
-                out.append(
-                    Violation(
-                        "fstruct-unknown-ref",
-                        "links mention ids that are not f-structure nodes",
-                        tuple(sorted(bad, key=node_key)),
                     )
+        bad.update(w for w in f.final if w not in f.nodes)
+        bad.update(w for w in f.atomval if w not in f.nodes)
+        if bad:
+            out.append(
+                Violation(
+                    "fstruct-unknown-ref",
+                    "links mention ids that are not f-structure nodes",
+                    tuple(sorted(bad, key=node_key)),
                 )
+            )
 
         if f.initial in f.nodes:
             reach = {f.initial}
@@ -547,69 +501,66 @@ def validate_model(m: Model) -> ValidationReport:
                     )
                 )
 
-        if any(f.trans.get(w) for w in f.final):
-            for w in sorted(f.final, key=node_key):
-                if f.trans.get(w):
-                    out.append(
-                        Violation(
-                            "fstruct-final-transition",
-                            "final node has outgoing transitions",
-                            (w,),
-                        )
-                    )
-        if f.final != f.atomval.keys():
-            for w in sorted(f.atomval, key=node_key):
-                if w not in f.final:
-                    out.append(
-                        Violation(
-                            "fstruct-valuation-nonfinal",
-                            "valuation on non-final node",
-                            (w,),
-                        )
-                    )
-            for w in sorted(f.final, key=node_key):
-                if w not in f.atomval:
-                    out.append(
-                        Violation(
-                            "fstruct-final-unvalued",
-                            "final node carries no atomic value",
-                            (w,),
-                        )
-                    )
-        if not sig.atoms.issuperset(f.atomval.values()):
-            for w, a in sorted(f.atomval.items(), key=lambda kv: node_key(kv[0])):
-                if a not in sig.atoms:
-                    out.append(
-                        Violation(
-                            "atom-not-in-signature",
-                            "atomic value %r is not declared" % a,
-                            (w,),
-                        )
-                    )
-
-    # --- zoomin ---
-    if not (m.zoomin.keys() <= c.nodes and f.nodes.issuperset(m.zoomin.values())):
-        for t, w in sorted(m.zoomin.items(), key=lambda kv: node_key(kv[0])):
-            if t not in c.nodes:
-                out.append(
-                    Violation("zoomin-domain", "zoomin defined on a non-tree id", (t,))
-                )
-            if w not in f.nodes:
+        for w in sorted(f.final, key=node_key):
+            if f.trans.get(w):
                 out.append(
                     Violation(
-                        "zoomin-range", "zoomin target is not an f-structure node", (t, w)
+                        "fstruct-final-transition",
+                        "final node has outgoing transitions",
+                        (w,),
                     )
                 )
+        for w in sorted(f.atomval, key=node_key):
+            if w not in f.final:
+                out.append(
+                    Violation(
+                        "fstruct-valuation-nonfinal",
+                        "valuation on non-final node",
+                        (w,),
+                    )
+                )
+        for w in sorted(f.final, key=node_key):
+            if w not in f.atomval:
+                out.append(
+                    Violation(
+                        "fstruct-final-unvalued",
+                        "final node carries no atomic value",
+                        (w,),
+                    )
+                )
+        for w, a in sorted(f.atomval.items(), key=lambda kv: node_key(kv[0])):
+            if a not in sig.atoms:
+                out.append(
+                    Violation(
+                        "atom-not-in-signature",
+                        "atomic value %r is not declared" % a,
+                        (w,),
+                    )
+                )
+
+    # --- zoomin ---
+    for t, w in sorted(m.zoomin.items(), key=lambda kv: node_key(kv[0])):
+        if t not in c.nodes:
+            out.append(
+                Violation("zoomin-domain", "zoomin defined on a non-tree id", (t,))
+            )
+        if w not in f.nodes:
+            out.append(
+                Violation(
+                    "zoomin-range", "zoomin target is not an f-structure node", (t, w)
+                )
+            )
 
     return ValidationReport(tuple(out))
 
 
-def fnode_names(initial, trans, rest) -> dict:
-    """The canonical f-node numbering: ``f0`` for ``initial`` (none when
-    it is None), then ``f1..`` in breadth-first order, following each
-    node's transitions ``trans[w]`` (feature -> successor) in sorted
-    feature order, then every node of ``rest`` not yet named, in the order
-    given.  ``canonicalize`` renames feature nodes by it and the search
+def fnode_names(initial, trans) -> dict:
+    """The canonical f-node numbering of the nodes reachable from
+    ``initial`` (none when it is None): ``f0`` for ``initial``, then
+    ``f1..`` in breadth-first order, following each node's transitions
+    ``trans[w]`` (feature -> successor) in sorted feature order.  Callers
+    name the unreached nodes ``f<k>..`` after these, in an order of their
+    own.  ``canonicalize`` renames feature nodes by it and the search
     names union-find classes by it as it extracts a model, so the two
     agree without a second renaming pass."""
     names = {}
@@ -624,17 +575,13 @@ def fnode_names(initial, trans, rest) -> dict:
                     if w2 not in names:
                         names[w2] = "f%d" % len(names)
                         queue.append(w2)
-    for w in rest:
-        if w not in names:
-            names[w] = "f%d" % len(names)
     return names
 
 
 def canonicalize(m: Model) -> Model:
     """Rename nodes into the canonical scheme: tree nodes ``n0..`` by
     preorder, f-nodes ``f0..`` by :func:`fnode_names` (breadth-first from
-    the initial node following features in sorted order).  Models that
-    ``parse_sentence`` returns are already in this scheme.
+    the initial node following features in sorted order).
 
     Intended for valid models; unreachable f-nodes, if any, are appended
     in their old order so the operation is total.  A tree node reached
@@ -656,20 +603,17 @@ def canonicalize(m: Model) -> Model:
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 
-    fmap = fnode_names(
-        f.initial if f.initial in f.nodes else None, f.trans, sorted(f.nodes, key=node_key)
-    )
+    fmap = fnode_names(f.initial if f.initial in f.nodes else None, f.trans)
+    for w in sorted(f.nodes, key=node_key):
+        fmap.setdefault(w, "f%d" % len(fmap))
 
-    if _is_identity(tmap, c):
-        cstruct = c  # already numbered in preorder, as the search builds trees
-    else:
-        cstruct = CStructure(
-            nodes=frozenset(tmap.values()),
-            root=tmap[c.root],
-            mother={tmap[d]: tmap[mo] for d, mo in c.mother.items()},
-            daughters={tmap[n]: tuple(tmap[d] for d in ds) for n, ds in c.daughters.items()},
-            label={tmap[n]: lab for n, lab in c.label.items()},
-        )
+    cstruct = CStructure(
+        nodes=frozenset(tmap.values()),
+        root=tmap[c.root],
+        mother={tmap[d]: tmap[mo] for d, mo in c.mother.items()},
+        daughters={tmap[n]: tuple(tmap[d] for d in ds) for n, ds in c.daughters.items()},
+        label={tmap[n]: lab for n, lab in c.label.items()},
+    )
     fstruct = FStructure(
         nodes=frozenset(fmap.values()),
         initial=fmap[f.initial],
@@ -698,19 +642,6 @@ def _first_cycle_node(c: CStructure) -> NodeId | None:
         elif state[n]:
             return n
     return None
-
-
-def _is_identity(tmap: dict[NodeId, NodeId], c: CStructure) -> bool:
-    """Whether renaming ``c`` by ``tmap`` would rebuild ``c`` itself: every
-    node keeps its id and every id ``c`` mentions is renamed."""
-    return (
-        all(old == new for old, new in tmap.items())
-        and c.nodes == tmap.keys()
-        and c.daughters.keys() <= tmap.keys()
-        and c.mother.keys() <= tmap.keys()
-        and all(mo in tmap for mo in c.mother.values())
-        and c.label.keys() <= tmap.keys()
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,26 @@ completeness axiom to flag.
 Every surviving candidate's model is extracted already in the canonical
 naming: tree nodes are numbered in preorder as the tree is built, and the
 union-find classes are named ``f0..`` by ``model.fnode_names``, the
-numbering ``canonicalize`` uses.  That one model is validated
-structurally, checked against the full theory, printed and returned, with
-no second renaming pass.  Models that fail are reported as rejections
+numbering ``canonicalize`` uses.  That one model is checked against the
+full theory, printed and returned, with no second renaming pass.
+
+Its structure needs no validation, because the search constructs it.
+When the grammar is well declared (its signature has no violations and
+declares every category, feature and atom the rules and entries use),
+such a model breaks no invariant ``validate_model`` checks, save one:
+trees are preorder ``CStructure.build`` output labelled by declared
+categories and the input words; tree ids are ``n<k>`` and f-node ids
+``f<k>``; the final nodes are exactly the classes with an atom, which
+``_close`` keeps free of transitions; features and atoms come from the
+schemata; and zoomin maps tree nodes to named classes.  The one
+invariant left is that every f-node is reachable from ``f0``: a class
+that the numbering walk of ``fnode_names`` misses is rejected as
+``fstruct-unreachable``.  A grammar that is not well declared (a
+signature with overlapping names, or a hand-built ``Grammar``) falls
+back to ``validate_model`` on every model, and a failing model is
+rejected with the codes it reports.
+
+Models that fail the theory are reported as rejections
 with the failing formula label and counterexample node; a failing f-node
 is named as the least under the class-order names ``w0, w1, ..`` (the
 order the classes were made in), which the rejection lines have always
@@ -495,12 +512,13 @@ def _solve_shape(cstruct, phrases, preterminals, members):
         stack.append((uf, k + 1, last))  # after the copies: changed in place
 
 
-def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId]] | Rejection:
+def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId], int] | Rejection:
     """Build the least-solution model, its f-nodes already named in the
     canonical scheme (``fnode_names``; trees from ``_build_tree`` are in
-    preorder).  Returns the model and its f-node names in union-find class
-    order, or a structure Rejection when no sensible f-structure exists
-    (entry point missing or not unique)."""
+    preorder).  Returns the model, its f-node names in union-find class
+    order and how many of them the walk from ``f0`` reaches, or a
+    structure Rejection when no sensible f-structure exists (entry point
+    missing or not unique)."""
     roots: list[int] = []
     seen = set()
     for i in range(len(uf.parent)):
@@ -511,7 +529,7 @@ def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId]] |
 
     if not roots:
         fstruct = FStructure(frozenset(["f0"]), "f0", {"f0": {}})
-        return Model(sig, cstruct, fstruct, {}), ["f0"]
+        return Model(sig, cstruct, fstruct, {}), ["f0"], 1
 
     succ = {r: {feat: uf.find(t) for feat, t in sorted(uf.trans[r].items())} for r in roots}
     root_var = uf.zvar.get(cstruct.root)
@@ -524,27 +542,33 @@ def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId]] |
             return Rejection("structure", "no unique entry point into the f-structure")
         initial = sources[0]
 
-    name = fnode_names(initial, succ, roots)
+    name = fnode_names(initial, succ)
+    reached = len(name)
+    for r in roots:
+        name.setdefault(r, "f%d" % len(name))
     trans = {name[r]: {feat: name[t] for feat, t in s.items()} for r, s in succ.items()}
     atomval = {name[r]: uf.atom[r] for r in roots if uf.atom[r] is not None}
     fstruct = FStructure(
         frozenset(name.values()), "f0", trans, frozenset(atomval), atomval
     )
     zoomin = {n: name[uf.find(v)] for n, v in uf.zvar.items()}
-    return Model(sig, cstruct, fstruct, zoomin), [name[r] for r in roots]
+    return Model(sig, cstruct, fstruct, zoomin), [name[r] for r in roots], reached
 
 
-def _check(theory, sig, cstruct, uf, bounds):
+def _check(theory, grammar, cstruct, uf, bounds):
     """The outcome of one solved candidate (see ``parse_sentence``)."""
-    extracted = _extract_model(sig, cstruct, uf)
+    extracted = _extract_model(grammar.sig, cstruct, uf)
     if isinstance(extracted, Rejection):
         return extracted
-    model, classes = extracted
+    model, classes, reached = extracted
     if len(model.fstruct.nodes) > bounds.max_f_nodes:
         return None
-    report = validate_model(model)
-    if not report.ok:
-        return Rejection("structure", "; ".join(sorted(report.codes())))
+    if not grammar._well_declared:
+        report = validate_model(model)
+        if not report.ok:
+            return Rejection("structure", "; ".join(sorted(report.codes())))
+    elif reached < len(classes):
+        return Rejection("structure", "fstruct-unreachable")
     for label, f in theory.labeled():
         node = valid(model, f)
         if node is not None:
@@ -592,7 +616,7 @@ def parse_sentence(
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)
-                    else _check(theory, grammar.sig, cstruct, solved, bounds)
+                    else _check(theory, grammar, cstruct, solved, bounds)
                 )
 
     rejections: list[Rejection] = []

@@ -83,6 +83,15 @@ lex "saw" V {(up pred)=saw(subj, obj)};
 lex "with" P {(up pred)=with(obj)};
 """
 
+# The word "N" is also a category, so the signature overlaps and the
+# preterminal N above the leaf "N" carries a word label.  The search
+# cannot build valid structure from it and falls back to the validator.
+OVERLAP_GRAMMAR_TEXT = """
+signature { cat: S N; atom: a; feat: f; gf: ; }
+rule S -> N {up=down};
+lex "N" N {(up f)=a};
+"""
+
 # "V NP (P NP)^2" for the PP grammar above: Catalan(3) = 5 tree shapes,
 # each with 2^4 lexical variants (four ambiguous nouns).
 PP_SENTENCE = "the man saw the man with the man with the man".split()

@@ -306,8 +306,9 @@ def chain_model_doc(lexicon, nouns, swap=None):
 
 # ---------------------------------------------------------------------------
 # Corruptors: each flips one invariant and names the violation class the
-# validator must report.  A corruptor may return None when the model
-# does not offer the needed material (it is then skipped).
+# validator must report.  A corruptor takes any model, valid or already
+# corrupted, and returns None when it does not offer the needed material
+# (it is then skipped).
 # ---------------------------------------------------------------------------
 
 
@@ -365,7 +366,10 @@ def _corrupt_word_internal(rng, m):
 
 
 def _corrupt_label_missing(rng, m):
-    n = rng.choice(sorted(m.cstruct.nodes))
+    labelled = sorted(n for n in m.cstruct.nodes if n in m.cstruct.label)
+    if not labelled:
+        return None
+    n = rng.choice(labelled)
     label = dict(m.cstruct.label)
     del label[n]
     c = m.cstruct
@@ -447,6 +451,8 @@ def _corrupt_cycle(rng, m):
 
 
 def _corrupt_duplicate_id(rng, m):
+    if not m.fstruct.nodes:
+        return None
     old = rng.choice(sorted(m.fstruct.nodes))
     new = rng.choice(sorted(m.cstruct.nodes))
 
@@ -492,7 +498,7 @@ def _corrupt_final_transition(rng, m):
 def _corrupt_valuation_nonfinal(rng, m):
     f = m.fstruct
     nonfinal = [w for w in sorted(f.nodes) if w not in f.final]
-    if not nonfinal:
+    if not nonfinal or not m.sig.atoms:
         return None
     w = rng.choice(nonfinal)
     atomval = dict(f.atomval)
@@ -538,6 +544,8 @@ def _corrupt_bad_feat(rng, m):
 
 
 def _corrupt_zoomin_domain(rng, m):
+    if not m.fstruct.nodes:
+        return None
     zoomin = dict(m.zoomin)
     zoomin["t_ghost"] = sorted(m.fstruct.nodes)[0]
     return Model(m.sig, m.cstruct, m.fstruct, zoomin)

@@ -38,8 +38,10 @@ pipeline it checks:
 * ``reference_validate_model`` is the original structural validator,
   which walks and sorts the nodes of every group of checks, with its own
   copy of the signature checks and its own node order, kept verbatim
-  apart from those and its name, as the reference for the validator that
-  decides each group by set tests first; ``oracle_parse``,
+  apart from those and its name, as the reference for ``validate_model``
+  (whose reports on corrupted and near-miss models must equal its own)
+  and for the search's construction-time structure check, which calls
+  no validator on well-declared grammars; ``oracle_parse``,
   ``blind_parse`` and ``reference_two_phase_parse`` use it.
 * ``reference_two_phase_parse`` is the original candidate loop of
   ``parse_sentence``, with its skeleton enumerator, recursive tree

@@ -11,6 +11,7 @@ from lfgmc import model_to_text, parse_formula
 from conftest import (
     DEVOUR_GRAMMAR_TEXT,
     FIG_GRAMMAR_TEXT,
+    OVERLAP_GRAMMAR_TEXT,
     PP3_SENTENCE,
     PP_AGREE_GRAMMAR_TEXT,
     PP_SENTENCE,
@@ -158,6 +159,17 @@ def test_parse_devour_reports_completeness(tmp_path):
     proc = run_cli("parse", str(grammar), "a", "girl", "devours")
     assert proc.returncode == 1
     assert "completeness[obj]" in proc.stdout
+
+
+def test_parse_overlapping_signature_reports_the_structure(tmp_path):
+    grammar = tmp_path / "overlap.lfg"
+    grammar.write_text(OVERLAP_GRAMMAR_TEXT)
+    proc = run_cli("parse", str(grammar), "N")
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        "models: 0\n"
+        "rejected candidate (structure: signature-overlap; tree-word-label-internal)\n"
+    )
 
 
 def test_parse_pipe_into_validate_and_check(fig_files, tmp_path):

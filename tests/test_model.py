@@ -55,8 +55,8 @@ def test_valuation_on_nonfinal_reported():
 
 def test_validator_matches_reference_on_broken_models():
     # the full report (violations, order, messages, node tuples) equals
-    # the one of the validator that walks and sorts every group of checks,
-    # on every corruption and on every ordered pair of corruptions
+    # the reference validator's on every corruption and on every ordered
+    # pair of corruptions, none skipped
     for name, m in _broken_models(35, 100, 14):
         assert validate_model(m) == reference_validate_model(m), name
     rng = random.Random(36)
@@ -65,10 +65,7 @@ def test_validator_matches_reference_on_broken_models():
         m = canonicalize(rand_model(rng, max_tree=10, max_f=10))
         for (first, corrupt), (second, again) in itertools.product(CORRUPTORS, repeat=2):
             bad = corrupt(rng, m)
-            try:
-                bad = bad and again(rng, bad)
-            except LookupError:  # the first removed what the second picks from
-                continue
+            bad = bad and again(rng, bad)
             if bad is not None:
                 report = validate_model(bad)
                 assert report == reference_validate_model(bad), (first, second)
@@ -77,8 +74,8 @@ def test_validator_matches_reference_on_broken_models():
 
 
 def _near_misses(m):
-    """Models that each break one condition a fast-path test decides,
-    and nothing else that test looks at."""
+    """Models that each break one condition a group of checks decides,
+    and nothing else that group looks at."""
     c, f = m.cstruct, m.fstruct
     leaf = next(n for n in sorted(c.nodes) if not c.daughters[n])
     inner = c.mother[leaf]
@@ -485,7 +482,6 @@ def test_canonicalize_names_the_node_closing_a_cycle():
 
 def test_canonicalize_keeps_a_preorder_tree(fig_model):
     once = canonicalize(fig_model)
-    assert canonicalize(once).cstruct is once.cstruct
     # a preorder tree with one stray id anywhere is renamed, or fails, as
     # the reference does
     c = once.cstruct
@@ -500,7 +496,6 @@ def test_canonicalize_keeps_a_preorder_tree(fig_model):
         m = Model(once.sig, tree, once.fstruct, once.zoomin)
         got = _outcome(canonicalize, m)
         assert got == _outcome(reference_canonicalize, m)
-        assert got[0] != "ok" or got[1].cstruct is not tree
 
 
 def test_parsing_never_calls_json_dumps(monkeypatch, fig_grammar, fig_theory):

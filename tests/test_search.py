@@ -21,6 +21,7 @@ from conftest import (
     DEVOUR_GRAMMAR_TEXT,
     FIG_GRAMMAR_TEXT,
     MICRO_GRAMMAR_TEXT,
+    OVERLAP_GRAMMAR_TEXT,
     PP_AGREE_GRAMMAR_TEXT,
     PP_SENTENCE,
     build_fig_model,
@@ -396,19 +397,88 @@ def test_missing_semform_argument_breaks_coherence():
 def test_disconnected_islands_rejected():
     from lfgmc import compile_grammar, parse_grammar
 
-    g = parse_grammar(
-        """
-        signature { cat: S P Q A B; atom: x y; feat: f g; gf: ; }
-        rule S -> P Q;
-        rule P -> A;
-        rule Q -> B;
-        lex "b" A {(up f)=x};
-        lex "c" B {(up g)=y};
-        """
+    for p_schemata, detail in [
+        # the root has no f-structure and P's and Q's are both sources
+        ("", "no unique entry point into the f-structure"),
+        # the root shares P's f-structure and Q's is an island
+        ("{up=down}", "fstruct-unreachable"),
+    ]:
+        g = parse_grammar(
+            """
+            signature { cat: S P Q A B; atom: x y; feat: f g; gf: ; }
+            rule S -> P %s Q;
+            rule P -> A;
+            rule Q -> B;
+            lex "b" A {(up f)=x};
+            lex "c" B {(up g)=y};
+            """
+            % p_schemata
+        )
+        out = _same_as_two_phase(compile_grammar(g), g, ["b", "c"], SearchBounds())
+        assert out.models == ()
+        assert [(r.reason, r.detail) for r in out.rejections] == [("structure", detail)]
+
+
+def _count_validator_calls(monkeypatch):
+    from lfgmc import search
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return validate_model(m)
+
+    monkeypatch.setattr(search, "validate_model", counted)
+    return calls
+
+
+def test_well_declared_grammars_are_not_validated(monkeypatch):
+    # the search builds valid structure from such a grammar by
+    # construction; only f-node reachability is checked, on the walk that
+    # names the classes
+    from lfgmc import compile_grammar, parse_grammar
+
+    calls = _count_validator_calls(monkeypatch)
+    g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    assert g._well_declared
+    out = _same_as_two_phase(compile_grammar(g), g, PP_SENTENCE, SearchBounds(64, 256, 64))
+    assert len(out.models) == 5
+    assert calls == []
+
+
+def test_overlapping_signature_falls_back_to_the_validator(monkeypatch):
+    from lfgmc import compile_grammar, parse_grammar
+
+    calls = _count_validator_calls(monkeypatch)
+    g = parse_grammar(OVERLAP_GRAMMAR_TEXT)
+    assert not g._well_declared
+    out = _same_as_two_phase(compile_grammar(g), g, ["N"], SearchBounds())
+    assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
+        ("structure", "signature-overlap; tree-word-label-internal", None)
+    ]
+    assert len(calls) == 1
+
+
+def test_undeclared_names_fall_back_to_the_validator(monkeypatch):
+    # a hand-built grammar is not checked against its signature; its
+    # entry writes a feature and an atom that are not declared
+    from lfgmc import AnnotatedRule, AtomValueSchema, Grammar, LexEntry, PathEqSchema
+    from lfgmc import RuleElement, Signature
+
+    calls = _count_validator_calls(monkeypatch)
+    sig = Signature(cats={"S", "A"}, atoms={"x"}, feats={"f"}, words={"b"})
+    g = Grammar(
+        sig,
+        "S",
+        (AnnotatedRule("S", (RuleElement("A", (PathEqSchema(),)),)),),
+        (LexEntry("b", "A", (AtomValueSchema(("g",), "y"),)),),
     )
-    out = parse_sentence(compile_grammar(g), g, ["b", "c"])
-    assert out.models == ()
-    assert any(r.reason == "structure" for r in out.rejections)
+    assert not g._well_declared
+    out = _same_as_two_phase(Theory(TrueF(), TrueF()), g, ["b"], SearchBounds())
+    assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
+        ("structure", "atom-not-in-signature; feat-not-in-signature", None)
+    ]
+    assert len(calls) == 1
 
 
 def test_unique_source_fallback_when_root_unconstrained():
