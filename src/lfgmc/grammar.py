@@ -52,10 +52,10 @@ a suitable preterminal simply fail to license it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import GrammarError, GrammarSyntaxError, LfgError, SignatureError
+from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
     And,
     AtomLit,
@@ -151,6 +151,10 @@ class Grammar:
     rules: tuple[AnnotatedRule, ...]
     lexicon: tuple[LexEntry, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "lexicon", tuple(self.lexicon))
+
     def entries_for(self, word: str) -> tuple[LexEntry, ...]:
         """The entries for ``word``, in lexicon order."""
         return self._by_word.get(word, ())
@@ -162,30 +166,20 @@ class Grammar:
             by_word.setdefault(e.word, []).append(e)
         return {w: tuple(es) for w, es in by_word.items()}
 
-    @cached_property
-    def _well_declared(self) -> bool:
-        """Whether the signature has no violations and the rules and entries
-        compile against it, so that it declares every category, feature and
-        atom they use.  Then a model the search builds can break no
-        structural invariant but f-node reachability (see ``lfgmc.search``)."""
-        try:
-            for rule in self.rules:
-                compile_rule(rule, self.sig)
-            compile_lexicon(self.lexicon, self.sig)
-        except (LfgError, TypeError):  # TypeError: an object that is no schema
-            return False
-        return not self.sig.violations()
-
 
 @dataclass(frozen=True)
 class Theory:
-    """The compiled constraint set whose joint validity is grammaticality."""
+    """The compiled constraint set whose joint validity is grammaticality.
+    ``source``: the grammar ``compile_grammar`` compiled it from, when its
+    signature has no violations (else None); ``parse_sentence`` then trusts
+    its licensing and lexical axioms (see ``lfgmc.search``)."""
 
     licensing: Formula
     lexical: Formula
     completeness: tuple[Formula, ...] = ()
     coherence: tuple[Formula, ...] = ()
     gf: tuple[tuple[str, ...], ...] = ()
+    source: Grammar | None = field(default=None, init=False, compare=False, repr=False)
 
     def labeled(self) -> tuple[tuple[str, Formula], ...]:
         out = [("licensing", self.licensing), ("lexical", self.lexical)]
@@ -347,17 +341,16 @@ def compile_grammar(grammar: Grammar) -> Theory:
         And(CSTRUCT, Down(Down(TRUE))),
         _or_fold([compile_rule(r, grammar.sig) for r in grammar.rules]),
     )
-    if grammar.lexicon:
-        lexical = compile_lexicon(grammar.lexicon, grammar.sig)
-    else:
-        lexical = TrueF()
-    return Theory(
+    theory = Theory(
         licensing=licensing,
-        lexical=lexical,
+        lexical=compile_lexicon(grammar.lexicon, grammar.sig) if grammar.lexicon else TrueF(),
         completeness=tuple(completeness_axioms(grammar.sig)),
         coherence=tuple(coherence_axioms(grammar.sig)),
         gf=grammar.sig.gf,
     )
+    if not grammar.sig.violations():
+        object.__setattr__(theory, "source", grammar)
+    return theory
 
 
 # ---------------------------------------------------------------------------

@@ -38,23 +38,26 @@ Every surviving candidate's model is extracted already in the canonical
 naming: tree nodes are numbered in preorder as the tree is built, and the
 union-find classes are named ``f0..`` by ``model.fnode_names``, the
 numbering ``canonicalize`` uses.  That one model is checked against the
-full theory, printed and returned, with no second renaming pass.
+theory, printed and returned, with no second renaming pass.
 
-Its structure needs no validation, because the search constructs it.
-When the grammar is well declared (its signature has no violations and
-declares every category, feature and atom the rules and entries use),
-such a model breaks no invariant ``validate_model`` checks, save one:
-trees are preorder ``CStructure.build`` output labelled by declared
-categories and the input words; tree ids are ``n<k>`` and f-node ids
-``f<k>``; the final nodes are exactly the classes with an atom, which
-``_close`` keeps free of transitions; features and atoms come from the
-schemata; and zoomin maps tree nodes to named classes.  The one
-invariant left is that every f-node is reachable from ``f0``: a class
-that the numbering walk of ``fnode_names`` misses is rejected as
-``fstruct-unreachable``.  A grammar that is not well declared (a
-signature with overlapping names, or a hand-built ``Grammar``) falls
-back to ``validate_model`` on every model, and a failing model is
-rejected with the codes it reports.
+A model built from the grammar the theory was compiled from
+(``theory.source is grammar``, set by ``compile_grammar`` only for a
+signature without violations that every rule and entry compiled against)
+holds by construction the licensing and lexical axioms and all of
+``validate_model`` but reachability.  Its tree is preorder
+``CStructure.build`` output with ids ``n<k>``, labelled by declared
+categories and input words, which the signature keeps apart; f-node ids
+are ``f<k>``, features and atoms come from the schemata, and ``_close``
+keeps valued classes free of transitions.  Only preterminals have a word
+daughter, so the lexical antecedent holds exactly at them and the
+licensing one (a grandchild) at phrase nodes.  The f-structure solves
+the equations, so a phrase node satisfies its rule's disjunct and a
+preterminal its entry's under ``up zoomin``; a root preterminal's entry
+has no schemata, or else it clashed.  A class the walk of
+``fnode_names`` misses is rejected as ``fstruct-unreachable``, and only
+completeness and coherence are evaluated.  Any other theory (built by
+hand or by ``dataclasses.replace``, or compiled from an equal but
+separate ``Grammar``) is checked in full.
 
 Models that fail the theory are reported as rejections
 with the failing formula label and counterexample node; a failing f-node
@@ -555,21 +558,21 @@ def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId], i
     return Model(sig, cstruct, fstruct, zoomin), [name[r] for r in roots], reached
 
 
-def _check(theory, grammar, cstruct, uf, bounds):
-    """The outcome of one solved candidate (see ``parse_sentence``)."""
-    extracted = _extract_model(grammar.sig, cstruct, uf)
+def _check(labels, trusted, sig, cstruct, uf, bounds):
+    """The outcome of one solved candidate under ``labels`` (see ``parse_sentence``)."""
+    extracted = _extract_model(sig, cstruct, uf)
     if isinstance(extracted, Rejection):
         return extracted
     model, classes, reached = extracted
     if len(model.fstruct.nodes) > bounds.max_f_nodes:
         return None
-    if not grammar._well_declared:
+    if not trusted:
         report = validate_model(model)
         if not report.ok:
             return Rejection("structure", "; ".join(sorted(report.codes())))
     elif reached < len(classes):
         return Rejection("structure", "fstruct-unreachable")
-    for label, f in theory.labeled():
+    for label, f in labels:
         node = valid(model, f)
         if node is not None:
             if node in model.fstruct.nodes:
@@ -602,6 +605,8 @@ def parse_sentence(
     enum = _SkeletonEnumerator(grammar, tokens)
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
     bound_exceeded = enum.bound_hit
+    trusted = theory.source is grammar
+    labels = theory.labeled()[2:] if trusted else theory.labeled()  # licensing, lexical first
 
     shapes: dict[tuple, list] = {}
     for idx, (deriv, _count) in enumerate(derivations):
@@ -616,7 +621,7 @@ def parse_sentence(
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)
-                    else _check(theory, grammar, cstruct, solved, bounds)
+                    else _check(labels, trusted, grammar.sig, cstruct, solved, bounds)
                 )
 
     rejections: list[Rejection] = []

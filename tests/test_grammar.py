@@ -111,6 +111,23 @@ def test_compile_walks_entry(fig_grammar):
     assert walks[0] == want
 
 
+def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
+    from dataclasses import replace
+
+    from conftest import FIG_GRAMMAR_TEXT, OVERLAP_GRAMMAR_TEXT
+
+    theory = compile_grammar(fig_grammar)
+    assert theory.source is fig_grammar
+    again = compile_grammar(parse_grammar(FIG_GRAMMAR_TEXT))
+    assert again.source is not fig_grammar
+    copy = replace(theory)
+    assert copy.source is None
+    assert copy == theory == again and hash(copy) == hash(theory)
+    assert repr(copy) == repr(theory) and "source" not in repr(theory)
+    # a signature with violations is never trusted
+    assert compile_grammar(parse_grammar(OVERLAP_GRAMMAR_TEXT)).source is None
+
+
 def _and_parts(f):
     if isinstance(f, And):
         return _and_parts(f.left) + _and_parts(f.right)

@@ -14,6 +14,7 @@ from lfgmc import (
     check_parse,
     model_to_text,
     parse_sentence,
+    valid,
     validate_model,
 )
 
@@ -34,6 +35,7 @@ from oracles import (
     oracle_valid,
     reference_model_to_text,
     reference_two_phase_parse,
+    reference_validate_model,
     subsumes,
 )
 from test_cli import run_cli
@@ -440,8 +442,9 @@ def test_well_declared_grammars_are_not_validated(monkeypatch):
 
     calls = _count_validator_calls(monkeypatch)
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
-    assert g._well_declared
-    out = _same_as_two_phase(compile_grammar(g), g, PP_SENTENCE, SearchBounds(64, 256, 64))
+    theory = compile_grammar(g)
+    assert theory.source is g
+    out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
     assert len(out.models) == 5
     assert calls == []
 
@@ -451,8 +454,9 @@ def test_overlapping_signature_falls_back_to_the_validator(monkeypatch):
 
     calls = _count_validator_calls(monkeypatch)
     g = parse_grammar(OVERLAP_GRAMMAR_TEXT)
-    assert not g._well_declared
-    out = _same_as_two_phase(compile_grammar(g), g, ["N"], SearchBounds())
+    theory = compile_grammar(g)
+    assert theory.source is None
+    out = _same_as_two_phase(theory, g, ["N"], SearchBounds())
     assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
         ("structure", "signature-overlap; tree-word-label-internal", None)
     ]
@@ -473,12 +477,95 @@ def test_undeclared_names_fall_back_to_the_validator(monkeypatch):
         (AnnotatedRule("S", (RuleElement("A", (PathEqSchema(),)),)),),
         (LexEntry("b", "A", (AtomValueSchema(("g",), "y"),)),),
     )
-    assert not g._well_declared
-    out = _same_as_two_phase(Theory(TrueF(), TrueF()), g, ["b"], SearchBounds())
+    theory = Theory(TrueF(), TrueF())
+    assert theory.source is None
+    out = _same_as_two_phase(theory, g, ["b"], SearchBounds())
     assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
         ("structure", "atom-not-in-signature; feat-not-in-signature", None)
     ]
     assert len(calls) == 1
+
+
+def _count_valid_calls(monkeypatch):
+    """The formulas the search passes to ``valid``, in call order."""
+    from lfgmc import search
+
+    calls = []
+
+    def counted(m, f):
+        calls.append(f)
+        return valid(m, f)
+
+    monkeypatch.setattr(search, "valid", counted)
+    return calls
+
+
+def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
+    # the search builds each survivor from the rules and entries whose
+    # disjuncts the two axioms state, so it evaluates neither; every
+    # model still satisfies the whole theory and every invariant
+    from lfgmc import compile_grammar, parse_grammar
+
+    calls = _count_valid_calls(monkeypatch)
+    g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    theory = compile_grammar(g)
+    out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
+    assert len(out.models) == 5
+    assert calls and not [f for f in calls if f is theory.licensing or f is theory.lexical]
+    # completeness and coherence, two functions each, on every survivor
+    assert len(calls) == 4 * len(out.models)
+    for m in out.models:
+        assert check_parse(theory, m).ok
+        assert reference_validate_model(m).ok
+
+
+def test_replaced_theory_is_checked_in_full(monkeypatch):
+    # a theory that replace() made from the compiled one has no source,
+    # so its stronger licensing axiom is evaluated: no NP is built from
+    # NP PP, which every attachment of a PP to an object NP breaks
+    from lfgmc import And, compile_grammar, parse_formula, parse_grammar
+
+    g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    compiled = compile_grammar(g)
+    extra = parse_formula("!(NP & bullet(NP, PP))", g.sig)
+    theory = replace(compiled, licensing=And(compiled.licensing, extra))
+    assert theory.source is None
+    calls = _count_validator_calls(monkeypatch)
+    out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
+    assert len(out.models) == 1
+    formula = [r for r in out.rejections if r.reason == "formula"]
+    assert len(formula) == 4 and {r.detail for r in formula} == {"licensing"}
+    assert len(calls) == 5
+
+
+def test_theory_of_an_equal_grammar_is_checked_in_full(monkeypatch):
+    # trust needs the very grammar object the theory was compiled from;
+    # an equal one parsed separately gets every label, with the same output
+    from lfgmc import compile_grammar, parse_grammar
+
+    g, other = parse_grammar(PP_AGREE_GRAMMAR_TEXT), parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    assert g == other and g is not other
+    bounds = SearchBounds(64, 256, 64)
+    trusted = parse_sentence(compile_grammar(g), g, PP_SENTENCE, bounds)
+    theory = compile_grammar(other)
+    calls = _count_valid_calls(monkeypatch)
+    out = _same_as_two_phase(theory, g, PP_SENTENCE, bounds)
+    assert [model_to_text(m) for m in out.models] == [model_to_text(m) for m in trusted.models]
+    assert out.rejections == trusted.rejections
+    assert out.bound_exceeded == trusted.bound_exceeded
+    assert sum(f is theory.licensing for f in calls) == len(out.models)
+    assert sum(f is theory.lexical for f in calls) == len(out.models)
+
+
+def test_grammar_fields_are_frozen_for_the_trust():
+    # the search trusts a theory by the identity of its grammar, so a
+    # grammar built from lists must not change after compile_grammar
+    from lfgmc import Grammar, parse_grammar
+
+    g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
+    built = Grammar(g.sig, g.start, list(g.rules), list(g.lexicon))
+    assert built == g
+    assert type(built.rules) is tuple and type(built.lexicon) is tuple
 
 
 def test_unique_source_fallback_when_root_unconstrained():
