@@ -11,7 +11,9 @@ Four subcommands cover the library surface:
 Exit codes: 0 success, 1 semantic failure (violations, counterexamples,
 or zero parses), 2 malformed input, 3 search bounds exceeded before the
 space was exhausted, 4 internal error (a fault of the program, reported
-as one ``error:`` line without a traceback).  Output is deterministic;
+as one ``error:`` line without a traceback), 141 standard output closed
+by its reader (128 + SIGPIPE, as a shell reports a process that signal
+ended; the rest of the output is dropped).  Output is deterministic;
 ``--format json`` makes it machine readable, and ANSI color is used only
 on a terminal and can be disabled with ``LFGMC_COLOR=0``.
 """
@@ -35,6 +37,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BOUNDS = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 def _color_enabled() -> bool:
@@ -235,7 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so the interpreter's final
+        # flush stays quiet; signal handlers are shared with in-process
+        # callers and stay as they are
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_PIPE
     except LfgError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

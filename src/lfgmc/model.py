@@ -871,4 +871,6 @@ def model_from_text(text: str) -> Model:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError("not valid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise ModelFormatError("not valid JSON: nested too deeply") from exc
     return model_from_json(doc)

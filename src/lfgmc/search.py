@@ -7,13 +7,14 @@ one:
 
 1. enumerate candidate trees from the context-free skeleton of the
    rules (annotations ignored), each token sitting under a preterminal
-   licensed by a lexical entry.  A budget-free chart, built once
-   bottom-up by span length, holds the edges (cat, i, j) as the
-   ascending ends of each category at each start; its unary rules are
-   closed per span by an agenda.  The enumerator reads the child ends
-   off the chart, computes the derivations of each (cat, i, j, budget)
-   once on an explicit stack, and so shares sub-derivations between
-   candidates;
+   licensed by a lexical entry.  A budget-free chart holds the edges
+   (cat, i, j) as the ascending ends of each category at each start.
+   It is built once by agenda-driven deduction (Earley 1970; Shieber,
+   Schabes & Pereira 1995), start by start from right to left, so its
+   work grows with the edges, not with the spans.  The enumerator reads
+   the child ends off the chart, computes the derivations of each
+   (cat, i, j, budget) once on an explicit stack, and so shares
+   sub-derivations between candidates;
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
@@ -153,55 +154,39 @@ def _element_ends(found: list[int], j: int, remaining: int) -> list[int]:
 def _chart(grammar: Grammar, tokens) -> list[dict[str, list[int]]]:
     """Budget-free derivability: ``ends[i][cat]`` lists, ascending, the
     ends ``j`` of the edges (cat, i, j), the spans tokens[i:j] that ``cat``
-    derives.  Spans come bottom-up by length.  Every rule element covers
-    at least one token, so a rule of two or more elements needs only the
-    shorter spans; the unary rules are then closed over the span with an
-    agenda (unary rule cycles).  At each start the ends are found in
-    ascending order, so a list only grows at its end."""
-    unary: dict[str, list[str]] = {}  # element category -> lhs
-    longer: dict[str, list] = {}  # first element category -> (lhs, categories)
+    derives.  Starts come from right to left, and each is closed by an
+    agenda seeded with its token's lexical edges.  A popped edge (c, i, k)
+    extends only the rules whose first element is ``c``; every rule
+    element covers at least one token, so the later elements start at or
+    after ``k`` and their ends are read off rows already finished.  A
+    per-start seen set absorbs unary rule cycles.  The work grows with the
+    edges found, not with the spans."""
+    by_first: dict[str, list] = {}  # first element category -> (lhs, later categories)
     for rule in grammar.rules:
         if not rule.rhs:
             raise GrammarError("rule for %r has an empty right-hand side" % rule.lhs)
-        cats = [elem.cat for elem in rule.rhs]
-        if len(cats) == 1:
-            unary.setdefault(cats[0], []).append(rule.lhs)
-        else:
-            longer.setdefault(cats[0], []).append((rule.lhs, cats))
+        by_first.setdefault(rule.rhs[0].cat, []).append((rule.lhs, [e.cat for e in rule.rhs[1:]]))
     n = len(tokens)
     ends: list[dict[str, list[int]]] = [{} for _ in range(n + 1)]
-    for length in range(1, n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            row = ends[i]
-            if length == 1:
-                agenda = [entry.cat for entry in grammar.entries_for(tokens[i])]
-            else:
-                agenda = [
-                    lhs
-                    for first, found in row.items() if first in longer and found[0] < j
-                    for lhs, cats in longer[first]
-                    if len(cats) <= length and _covers(ends, cats, i, j)
-                ]
-            while agenda:
-                cat = agenda.pop()
-                found = row.setdefault(cat, [])
-                if found and found[-1] == j:
-                    continue
-                found.append(j)
-                agenda.extend(unary.get(cat, ()))
+    for i in range(n - 1, -1, -1):
+        row = ends[i]
+        seen = set()
+        agenda = [(entry.cat, i + 1) for entry in grammar.entries_for(tokens[i])]
+        while agenda:
+            edge = agenda.pop()
+            if edge in seen:
+                continue
+            seen.add(edge)
+            cat, k = edge
+            row.setdefault(cat, []).append(k)
+            for lhs, later in by_first.get(cat, ()):
+                reached = (k,)
+                for c in later:
+                    reached = {j for pos in reached for j in ends[pos].get(c, ())}
+                agenda.extend((lhs, j) for j in reached)
+        for found in row.values():
+            found.sort()
     return ends
-
-
-def _covers(ends, cats, i, j) -> bool:
-    """Whether edges in ``ends`` cover tokens[i:j] with ``cats`` in turn."""
-    frontier = {i}
-    for idx, cat in enumerate(cats):
-        remaining = len(cats) - 1 - idx
-        frontier = {e for pos in frontier for e in _element_ends(ends[pos].get(cat, []), j, remaining)}
-        if not frontier:
-            return False
-    return True
 
 
 class _SkeletonEnumerator:
@@ -220,7 +205,8 @@ class _SkeletonEnumerator:
         are shared objects across parents and the returned list must not
         be mutated.  Spans without an edge in the chart are not entered:
         they have no derivations at any budget, so no bound cut below them
-        can lose one.  The keys under computation are kept on an explicit
+        can lose one.  Each child's ends are bisected out of the chart's
+        ascending lists.  The keys under computation are kept on an explicit
         stack, innermost last; a key needs only keys of smaller budgets,
         so it never recurs while it is computed."""
         if j not in self.ends[i].get(cat, ()):

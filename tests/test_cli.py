@@ -127,6 +127,39 @@ def test_check_deeply_nested_formula(fig_files, formula, code):
         assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_deeply_nested_model_json_is_input_error(tmp_path, command):
+    # the JSON decoder recurses per bracket; a document deeper than the
+    # recursion limit is malformed input, not a fault of the program
+    model = tmp_path / "deep.json"
+    model.write_text("[" * 100000 + "]" * 100000)
+    args = ["--formula", "true"] if command == "check" else []
+    proc = run_cli(command, str(model), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: not valid JSON: nested too deeply\n"
+    assert proc.stdout == ""
+
+
+def test_closed_stdout_has_its_own_exit_code(tmp_path):
+    # about 400 KB of output, more than a pipe holds, so the writer is
+    # still blocked when the reader closes its end
+    grammar = tmp_path / "big.lfg"
+    grammar.write_text(embedding_grammar_text(["noun%d" % k for k in range(5000)]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    with subprocess.Popen(
+        [sys.executable, "-m", "lfgmc", "compile", str(grammar)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.read(20) == b"licensing:\n  ((cstru"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 141
+    assert err == ""  # neither "internal error" nor a traceback
+
+
 def test_parse_fig_sentence(fig_files):
     grammar, _ = fig_files
     proc = run_cli("parse", str(grammar), "a", "girl", "walks")

@@ -1153,9 +1153,9 @@ def test_chart_matches_the_fixpoint_table_on_random_grammars():
     edges = 0
     for _ in range(300):
         grammar = parse_grammar(rand_grammar(rng))
-        for length in range(1, 8):
+        for length in range(1, 11):
             edges += _same_chart(grammar, [rng.choice("uvw") for _ in range(length)])
-    assert edges > 10000
+    assert edges > 30000
 
 
 def _tree(deriv):
@@ -1213,6 +1213,16 @@ def test_chart_matches_the_fixpoint_table_on_fixture_grammars(text, sentences):
         assert _same_chart(grammar, tokens) > 0
 
 
+def test_chart_matches_the_fixpoint_table_on_a_long_chain():
+    # 41 clauses, 163 tokens: edges of every category start at every
+    # clause and end at every later clause boundary they can reach
+    from lfgmc import parse_grammar
+
+    text, tokens = _long_chain(41)
+    assert len(tokens) == 163
+    assert _same_chart(parse_grammar(text), tokens) > 2000
+
+
 def test_rule_without_elements_is_a_grammar_error():
     # parse_grammar and compile_grammar reject such a rule; a hand-built
     # one is rejected before any derivation is made
@@ -1233,20 +1243,24 @@ def _long_chain(clauses):
     return embedding_grammar_text(nouns), tokens + ["the", nouns[-1], "slept"]
 
 
-def test_long_embedding_chain_parses(tmp_path):
-    # 121 clauses, 483 tokens: the chart is built by loops and the
-    # enumerator keeps its pending keys on an explicit stack, so a
-    # derivation 363 levels deep parses under the default recursion
-    # limit, through the API and the CLI
+@pytest.mark.parametrize("clauses", [121, 241])
+def test_long_embedding_chain_parses(tmp_path, clauses):
+    # 121 clauses are 483 tokens, 241 are 963: the chart is built by
+    # loops and the enumerator keeps its pending keys on an explicit
+    # stack, so a derivation 363 (723) levels deep parses under the
+    # default recursion limit, through the API, and for 121 clauses
+    # through the CLI too
     from lfgmc import compile_grammar, parse_grammar
 
-    text, tokens = _long_chain(121)
-    assert len(tokens) == 483
+    text, tokens = _long_chain(clauses)
+    assert len(tokens) == 4 * clauses - 1
     grammar = parse_grammar(text)
     theory = compile_grammar(grammar)
     out = parse_sentence(theory, grammar, tokens, SearchBounds(100000, 5000, 10))
     assert len(out.models) == 1 and not out.bound_exceeded and not out.rejections
     assert check_parse(theory, out.models[0]).ok
+    if clauses > 121:
+        return
 
     path = tmp_path / "chain.lfg"
     path.write_text(text)
