@@ -13,7 +13,8 @@ or zero parses), 2 malformed input, 3 search bounds exceeded before the
 space was exhausted, 4 internal error (a fault of the program, reported
 as one ``error:`` line without a traceback), 141 standard output closed
 by its reader (128 + SIGPIPE, as a shell reports a process that signal
-ended; the rest of the output is dropped).  Output is deterministic;
+ended; the rest of the output is dropped).  A closed standard error
+drops the ``error:`` line and keeps the code.  Output is deterministic;
 ``--format json`` makes it machine readable, and ANSI color is used only
 on a terminal and can be disabled with ``LFGMC_COLOR=0``.
 """
@@ -247,16 +248,22 @@ def main(argv=None) -> int:
         # callers and stay as they are
         sys.stdout = open(os.devnull, "w")
         return EXIT_PIPE
-    except LfgError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
+    except (LfgError, ValueError) as exc:
+        return _report(str(exc), EXIT_INPUT)
     except Exception as exc:  # a fault of the program, not of the input
         detail = " ".join(str(exc).split())  # one line
-        print("error: internal error (%s): %s" % (type(exc).__name__, detail), file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report("internal error (%s): %s" % (type(exc).__name__, detail), EXIT_INTERNAL)
+
+
+def _report(message: str, code: int) -> int:
+    """Print ``error: message`` on standard error and return ``code``, also
+    when standard error is closed by its reader: the message then goes
+    nowhere, and so does anything written to standard error later."""
+    try:
+        print("error: %s" % message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        sys.stderr = open(os.devnull, "w")
+    return code
 
 
 if __name__ == "__main__":

@@ -232,9 +232,6 @@ class FStructure:
         object.__setattr__(self, "final", frozenset(self.final))
         object.__setattr__(self, "atomval", dict(self.atomval))
 
-    def successors(self, w: NodeId) -> dict[str, NodeId]:
-        return self.trans.get(w, {})
-
 
 @dataclass(frozen=True)
 class Model:
@@ -247,14 +244,6 @@ class Model:
 
     def __post_init__(self):
         object.__setattr__(self, "zoomin", dict(self.zoomin))
-
-    @property
-    def tree_nodes(self) -> frozenset[NodeId]:
-        return self.cstruct.nodes
-
-    @property
-    def f_nodes(self) -> frozenset[NodeId]:
-        return self.fstruct.nodes
 
     @cached_property
     def node_order(self) -> tuple[NodeId, ...]:
@@ -653,44 +642,20 @@ def _first_cycle_node(c: CStructure) -> NodeId | None:
 # plus "initial"; zoomin as a flat {treeId: fnodeId} object.  Unknown keys
 # are rejected.  Final nodes are exactly the nodes carrying an "atom" key.
 #
-# The model text is byte-exact: what json.dumps(model_to_json(m), indent=2,
-# sort_keys=True) + "\n" prints, with every key sorted as a plain string
-# (so "trans" and "zoomin" keys are not in node_key order), strings in
-# ASCII escapes, and [] / {} for empty containers.  model_to_text writes it
-# directly, because with an indent json.dumps runs its pure-Python encoder,
-# and the text is also the dedup and sort key of parse_sentence.
+# The model text is byte-exact: what json.dumps(doc, indent=2,
+# sort_keys=True) + "\n" prints for the document, with every key sorted
+# as a plain string (so "trans" and "zoomin" keys are not in node_key
+# order), lists of nodes in node order, strings in ASCII escapes, and
+# [] / {} for empty containers.  model_to_text writes it directly, because
+# with an indent json.dumps runs its pure-Python encoder, and the text is
+# also the dedup and sort key of parse_sentence; model_to_json parses it.
 # ---------------------------------------------------------------------------
 
 
 def model_to_json(m: Model) -> dict:
-    c, f = m.cstruct, m.fstruct
-    tree_nodes = []
-    for n in sorted(c.nodes, key=node_key):
-        tree_nodes.append(
-            {
-                "id": n,
-                "label": c.label.get(n, ""),
-                "daughters": list(c.daughters.get(n, ())),
-            }
-        )
-    f_nodes = []
-    for w in sorted(f.nodes, key=node_key):
-        entry = {"id": w, "trans": dict(sorted(f.trans.get(w, {}).items()))}
-        if w in f.atomval:
-            entry["atom"] = f.atomval[w]
-        f_nodes.append(entry)
-    return {
-        "signature": {
-            "cats": sorted(m.sig.cats),
-            "atoms": sorted(m.sig.atoms),
-            "feats": sorted(m.sig.feats),
-            "gf": [list(g) for g in m.sig.gf],
-            "words": sorted(m.sig.words),
-        },
-        "tree": {"root": c.root, "nodes": tree_nodes},
-        "fstruct": {"initial": f.initial, "nodes": f_nodes},
-        "zoomin": dict(sorted(m.zoomin.items(), key=lambda kv: node_key(kv[0]))),
-    }
+    """The model document: the parse of :func:`model_to_text`, its one
+    writer."""
+    return json.loads(model_to_text(m))
 
 
 def _text_array(items: list[str], pad: str) -> str:

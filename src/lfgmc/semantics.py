@@ -12,10 +12,11 @@ function ``(model, dom)`` returning the nodes of ``dom`` at which the
 formula holds.  A plan is built on first use and cached on the formula,
 as its ``names`` and label index are, so what depends only on the
 formula is fixed once: the operand lists of left-nested ``&``/``|``
-chains (such as the lexical disjunction over a whole lexicon), each run
-of prefix operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``, such
-as a long feature path) as a list of steps, and for a path equality
-with ``up`` steps only, a walk of one node per side.  Each subformula is
+chains (such as the lexical disjunction over a whole lexicon) and each
+run of prefix operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``,
+such as a long feature path) as a list of steps.  Each formula
+constructor has one plan, and a path equality is evaluated by one walk
+of its two composite relations, whatever its steps.  Each subformula is
 evaluated once per call, on the nodes where it can still matter (a
 modality on the successors of its nodes).  Plans are built with an
 explicit stack, and a plan calls the plans of its parts directly, so
@@ -33,9 +34,8 @@ every node.  The lexical axiom, one disjunct per lexicon entry, thus
 tries about one entry per preterminal, and only the entries a model
 meets ever get a plan.  An indexed operand is false wherever its labels
 do not match (an unlabelled node, a dangling daughter), so the result
-is the same as trying every operand everywhere.  Where they match, its
-literal for the label and a ``bullet`` of literals for the daughter
-labels hold, so its plan there leaves them out.
+is the same as trying every operand everywhere.  Where they match, it
+is evaluated by its own plan, label literals included.
 
 ``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
 when it fails somewhere, returns the least failing node in the
@@ -75,25 +75,35 @@ from .model import Model, NodeId
 
 def _patheq_image(m: Model, n: NodeId, tree_steps, feat_steps) -> set[NodeId]:
     """Feature nodes reachable from tree node ``n`` via the composite
-    relation: tree steps, then zoomin, then feature steps."""
+    relation: tree steps (``up`` to the mother, ``down`` to any
+    daughter), then zoomin, then feature steps.  Plain loops with
+    membership tests, as this runs once per node and side."""
+    mother, daughters = m.cstruct.mother, m.cstruct.daughters
     cur = {n}
     for step in tree_steps:
-        nxt: set[NodeId] = set()
-        for t in cur:
-            if step == "up":
-                mo = m.cstruct.mother.get(t)
-                if mo is not None:
-                    nxt.add(mo)
-            else:  # down is existential over daughters
-                nxt.update(m.cstruct.daughters.get(t, ()))
+        nxt = set()
+        if step == "up":
+            for t in cur:
+                if t in mother:
+                    nxt.add(mother[t])
+            nxt.discard(None)  # the root's mother
+        else:
+            for t in cur:
+                if t in daughters:
+                    nxt.update(daughters[t])
         cur = nxt
-    cur = {m.zoomin[t] for t in cur if t in m.zoomin}
+    zoomin, trans = m.zoomin, m.fstruct.trans
+    nxt = set()
+    for t in cur:
+        if t in zoomin:
+            nxt.add(zoomin[t])
+    cur = nxt
     for feat in feat_steps:
-        cur = {
-            m.fstruct.trans[w][feat]
-            for w in cur
-            if feat in m.fstruct.trans.get(w, {})
-        }
+        nxt = set()
+        for w in cur:
+            if w in trans and feat in trans[w]:
+                nxt.add(trans[w][feat])
+        cur = nxt
     return cur
 
 
@@ -103,19 +113,12 @@ def eval_patheq(m: Model, n: NodeId, spec: PathEq) -> bool:
     False (not an error) at feature nodes, in line with the other sorted
     clauses.
     """
-    if n not in m.cstruct.nodes:
-        if n not in m.fstruct.nodes:
-            raise UnknownNodeError("node %r is not in the model" % n)
-        return False
-    left = _patheq_image(m, n, spec.left_tree, spec.left_feats)
-    if not left:
-        return False
-    right = _patheq_image(m, n, spec.right_tree, spec.right_feats)
-    return bool(left & right)
+    if n not in m.cstruct.nodes and n not in m.fstruct.nodes:
+        raise UnknownNodeError("node %r is not in the model" % n)
+    return n in _plan(spec)(m, {n})
 
 
 _PREFIX = frozenset((Not, Feat, Up, Down, Zoomin))
-_LITERALS = (CatLit, WordLit)
 _NO_TRANS: dict = {}
 
 
@@ -193,15 +196,10 @@ def _and_plan(f, plans):
 def _or_plan(f, plain):
     """Each operand is tried, in chain order, only on the nodes no earlier
     operand holds at: a plain one on every node, an indexed one only on
-    the tree nodes whose label (and daughter labels) it is filed under."""
+    the tree nodes whose label (and daughter labels) it is filed under,
+    through its own plan, which is built when its key is first met."""
     keyed = f.by_label[1]
-    grouped = {}  # (label, daughter labels) -> operand plans, built when first met
-
-    def operands(key):
-        by_kids = keyed[key[0]]
-        todo = by_kids.get(key[1], []) + by_kids.get(None, [])
-        plans = grouped[key] = [_residual(g, key) for g in todo]
-        return plans
+    grouped = {}  # (label, daughter labels) -> operand plans
 
     def plan(m, dom):
         out, rest = set(), dom
@@ -234,7 +232,9 @@ def _or_plan(f, plain):
         for key, nodes in groups.items():
             plans = grouped.get(key)
             if plans is None:
-                plans = operands(key)
+                by_kids = keyed[key[0]]
+                todo = by_kids.get(key[1], []) + by_kids.get(None, [])
+                plans = grouped[key] = [_plan(g) for g in todo]
             for p in plans:
                 got = p(m, nodes)
                 if got:
@@ -245,28 +245,6 @@ def _or_plan(f, plain):
         return out
 
     return plan
-
-
-def _residual(op, key):
-    """The plan of ``op`` on the tree nodes filed under ``key``: a node
-    there carries ``label``, and each daughter whose label in ``kids`` is
-    not None is a tree node carrying it.  So the literals for ``label``
-    and a bullet of literals for ``kids`` hold there and are left out."""
-    label, kids = key
-    rest = []
-    for g in _spine(op) if type(op) is And else (op,):
-        t = type(g)
-        if (t is CatLit or t is WordLit) and g.name == label:
-            continue
-        if t is Bullet and len(g.args) == len(kids):
-            if all(type(a) in _LITERALS and a.name == k for a, k in zip(g.args, kids)):
-                continue
-        rest.append(g)
-    if not rest:
-        return _all
-    if len(rest) == 1:
-        return _plan(rest[0])
-    return _and_plan(op, [_plan(g) for g in rest])
 
 
 def _implies_plan(f, plans):
@@ -372,42 +350,15 @@ def _prefix_plan(f, plans):
 
 
 def _patheq_plan(f, plans):
-    """With ``up`` steps only, each side reaches at most one feature node:
-    one walk per side (mother, zoomin, one transition per feature), and the
-    equality holds where both walks end at the same node.  A missing step
-    gives None, which every later step maps to None again."""
-    if "down" in f.left_tree or "down" in f.right_tree:
-
-        def plan(m, dom):
-            nodes = m.cstruct.nodes
-            return {n for n in dom if n in nodes and eval_patheq(m, n, f)}
-
-        return plan
-    left_ups, left_feats = range(len(f.left_tree)), f.left_feats
-    right_ups, right_feats = range(len(f.right_tree)), f.right_feats
+    """The tree nodes of dom where the two images share a feature node;
+    the right image is computed only where the left one is not empty."""
+    left, right = (f.left_tree, f.left_feats), (f.right_tree, f.right_feats)
 
     def plan(m, dom):
-        nodes, mother = m.cstruct.nodes, m.cstruct.mother.get
-        zoomin, trans = m.zoomin.get, m.fstruct.trans.get
         out = set()
-        for n in dom:
-            if n not in nodes:
-                continue
-            left = n
-            for _ in left_ups:
-                left = mother(left)
-            left = zoomin(left)
-            for feat in left_feats:
-                left = trans(left, _NO_TRANS).get(feat)
-            if left is None:
-                continue
-            right = n
-            for _ in right_ups:
-                right = mother(right)
-            right = zoomin(right)
-            for feat in right_feats:
-                right = trans(right, _NO_TRANS).get(feat)
-            if left == right:
+        for n in dom & m.cstruct.nodes:
+            image = _patheq_image(m, n, *left)
+            if image and not image.isdisjoint(_patheq_image(m, n, *right)):
                 out.add(n)
         return out
 

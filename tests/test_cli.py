@@ -160,6 +160,25 @@ def test_closed_stdout_has_its_own_exit_code(tmp_path):
     assert err == ""  # neither "internal error" nor a traceback
 
 
+def test_closed_stderr_keeps_the_input_exit_code(tmp_path):
+    # the read end is closed before the child starts, so its error line
+    # always meets a closed pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfgmc", "parse", str(tmp_path / "nonexist.lfg"), "a"],
+            stdout=subprocess.DEVNULL,
+            stderr=write_end,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
 def test_parse_fig_sentence(fig_files):
     grammar, _ = fig_files
     proc = run_cli("parse", str(grammar), "a", "girl", "walks")

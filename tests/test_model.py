@@ -24,7 +24,12 @@ from lfgmc.errors import ModelFormatError
 
 from generators import CORRUPTORS, rand_model
 from conftest import PP_AGREE_GRAMMAR_TEXT, build_fig_model
-from oracles import reference_canonicalize, reference_model_to_text, reference_validate_model
+from oracles import (
+    _reference_model_json,
+    reference_canonicalize,
+    reference_model_to_text,
+    reference_validate_model,
+)
 
 
 def test_fig_model_is_valid(fig_model):
@@ -406,7 +411,9 @@ def test_model_text_matches_reference_on_odd_models(fig_model, tiny_model):
 
 def test_model_text_is_the_json_of_the_model(fig_model):
     for m in (fig_model, _odd_model(), _escaped_words_model()):
-        assert json.loads(model_to_text(m)) == model_to_json(m)
+        assert model_to_json(m) == _reference_model_json(m)
+    for name, m in _broken_models(37, 60, 30):
+        assert model_to_json(m) == _reference_model_json(m), name
 
 
 def _outcome(fn, m):

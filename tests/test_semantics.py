@@ -4,6 +4,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfgmc import (
     And,
@@ -722,3 +724,37 @@ def test_up_only_patheq_on_dangling_links(m, phi, where):
     assert {n for n in m.all_nodes() if pointwise_sat(m, n, phi)} == where
     assert {n for n in m.all_nodes() if satisfies(m, n, phi)} == where
     assert valid(m, phi) == next(n for n in m.all_nodes() if n not in where)
+
+
+# --- property: formula x model against the pointwise reference ----------------
+
+
+def _agrees_with_pointwise_reference(m, phi):
+    """``valid`` and ``satisfies`` give the reference answer at every node
+    of ``m``, or both raise the SignatureError ``validate_names`` raises."""
+    try:
+        first = valid(m, phi)
+        held = {n for n in m.all_nodes() if satisfies(m, n, phi)}
+    except SignatureError as exc:
+        with pytest.raises(SignatureError) as again:
+            validate_names(phi, m.sig)
+        assert str(again.value) == str(exc)
+        return
+    good = {n for n in m.all_nodes() if pointwise_sat(m, n, phi)}
+    assert held == good, phi
+    assert first == next((n for n in m.all_nodes() if n not in good), None), phi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.randoms(use_true_random=False), st.sampled_from(["formula", "indexed", "patheq"]))
+def test_formulas_on_random_and_broken_models_match_pointwise_reference(rng, kind):
+    base = rand_model(rng)
+    if kind == "formula":
+        phi = rand_formula(rng, RAND_SIG, depth=4)
+    elif kind == "indexed":
+        phi = _rand_indexed_chain(rng, base)
+    else:
+        phi = _rand_patheq(rng, mixed=True)
+    for m in [base] + [corrupt(rng, base) for _code, corrupt in CORRUPTORS]:
+        if m is not None:
+            _agrees_with_pointwise_reference(m, phi)
