@@ -26,11 +26,12 @@ declared grammatical functions (multi-step ones are written
 ``obl.obj``).  Only defining equations exist here; the check-only
 ``=c`` variant is rejected at parse time.
 
-The file is read in one pass: a regular-expression scanner over the
-whole text yields ``(kind, value, line, column)`` tuples, and a parser
-that holds the current token's kind and value and the declared names in
-sets reads them front to back.  A syntax or name error is a
-:class:`GrammarSyntaxError` at the first token that cannot be read.
+The file is read in one pass: one ``findall`` over the whole text yields
+the tokens as plain strings (a string literal keeps its quotes, the end
+is ``""``), and a parser holding the current token and the declared
+names in sets reads them front to back.  A syntax or name error is a
+:class:`GrammarSyntaxError` at the first token that cannot be read; only
+then is its position found, by scanning the text again up to it.
 
 Compilation produces a :class:`Theory`:
 
@@ -54,6 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
@@ -337,6 +339,8 @@ def compile_grammar(grammar: Grammar) -> Theory:
     """
     if not grammar.rules:
         raise GrammarError("grammar has no rules")
+    if grammar.sig.gf and PRED_FEAT not in grammar.sig.feats:
+        raise SignatureError("grammatical functions need the %r feature" % PRED_FEAT)
     licensing = Implies(
         And(CSTRUCT, Down(Down(TRUE))),
         _or_fold([compile_rule(r, grammar.sig) for r in grammar.rules]),
@@ -358,120 +362,117 @@ def compile_grammar(grammar: Grammar) -> Theory:
 # ---------------------------------------------------------------------------
 
 
-#: One token after blanks, in the numbered group of its kind.  An
-#: identifier starts with a letter or ``_`` and continues with ``\w``,
-#: which is ``str.isalnum()`` or ``_``; one that starts with a non-ASCII
-#: character is re-checked in Python, because ``[^\W\d]`` also admits
-#: digits that are not decimal.  ``=c`` is an operator unless a name
-#: character follows (``=cat`` is ``=`` then ``cat``).  A ``"`` that opens
-#: no complete string, and any other character, is an error.
+#: One token after blanks, newlines and ``#`` comments; the end of input
+#: is ``""``.  A name starts with a letter or ``_`` and continues with
+#: ``\w`` (``str.isalnum()`` or ``_``); ``[^\W\d]`` also admits digits that
+#: are not decimal, which :func:`_g_tokenize` rejects.  ``=c`` is an
+#: operator unless a name character follows (``=cat`` is ``=`` then
+#: ``cat``).  A lone ``"`` and any other character are bad tokens.
 _G_TOKEN_RE = re.compile(
-    r"""[ \t\r]*
-    (?: (->|=c(?!\w)|[{}();:,.=])
-      | ([A-Za-z_]\w*)
-      | (\n)
-      | ("[^"\n]*")
-      | ([^\W\d]\w*)
-      | (\#.*)
-      | (.)
-      | \Z )""",
+    r"""(?:[ \t\r\n]|\#[^\n]*)*
+    ( ->|=c(?!\w)|[{}();:,.=]
+    | "[^"\n]*"
+    | [^\W\d]\w*
+    | .
+    | \Z )""",
     re.VERBOSE,
 )
-_OP, _IDENT, _NL, _STRING, _UIDENT, _COMMENT = range(1, 7)
+_G_OPS = frozenset(("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "="))
 
 
-def _g_tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """``(kind, value, line, column)`` tuples, kinds IDENT STRING OP and a
-    final EOF, from one pass over the whole text."""
-    toks = []
-    append = toks.append
-    line, line_start, end = 1, 0, len(text)
-    for m in _G_TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == _OP:
-            append(("OP", m[_OP], line, m.start(_OP) - line_start + 1))
-        elif group == _IDENT:
-            append(("IDENT", m[_IDENT], line, m.start(_IDENT) - line_start + 1))
-        elif group == _NL:
-            line += 1
-            line_start = m.end()
-        elif group == _STRING:
-            append(("STRING", m[_STRING][1:-1], line, m.start(_STRING) - line_start + 1))
-        elif group == _COMMENT:
-            if m.end() == len(text):
-                end = m.start(_COMMENT)  # the input ends where the comment starts
-        elif group is not None:  # blanks up to the end are the last match
-            value, col = m[group], m.start(group) - line_start + 1
-            if group == _UIDENT and value[0].isalpha():
-                append(("IDENT", value, line, col))
-            elif value[0] == '"':
-                raise GrammarSyntaxError("unterminated string literal", line, col)
-            else:
-                raise GrammarSyntaxError("unexpected character %r" % value[0], line, col)
-    append(("EOF", "", line, end - line_start + 1))
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _g_tokenize(text: str) -> list[str]:
+    """The tokens of the whole text as plain strings: operators, names,
+    string literals with their quotes, and ``""`` for the end of input.
+    The first bad token in the text is a :class:`GrammarSyntaxError`."""
+    toks = _G_TOKEN_RE.findall(text)
+    if toks[-2:] == ["", ""]:  # blanks at the end match, then the end again
+        del toks[-1]
+    bad = [
+        tok for tok in set(toks)
+        if tok == '"' or tok and tok[0] != '"' and tok not in _G_OPS and not _is_name(tok)
+    ]
+    if bad:
+        at = min(map(toks.index, bad))
+        tok = toks[at]
+        msg = "unterminated string literal" if tok == '"' else "unexpected character %r" % tok[0]
+        raise GrammarSyntaxError(msg, *_g_position(text, at))
     return toks
+
+
+def _g_position(text: str, index: int) -> tuple[int, int]:
+    """``(line, column)`` of token ``index`` of :func:`_g_tokenize`, found by
+    scanning the text again up to it.  The end of input sits where a
+    comment on the last line starts."""
+    m = next(islice(_G_TOKEN_RE.finditer(text), index, None))
+    at = m.start(1)
+    if not m[1]:
+        comment = text.find("#", max(m.start(), text.rfind("\n") + 1))
+        at = at if comment < 0 else comment
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 class _GParser:
     """Reads the tokens of :func:`_g_tokenize` front to back, holding the
-    current token's ``kind`` and ``value`` (only a string token can share
-    an operator's value) and the signature's names in sets."""
+    current token string and the signature's names in sets.  A string
+    literal keeps its quotes, so no other token can equal an operator."""
 
-    def __init__(self, toks):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _g_tokenize(text)
         self.pos = 0
-        self.kind, self.value = toks[0][:2]
+        self.tok = self.toks[0]
         self.cats: set[str] = set()
         self.atoms: set[str] = set()
         self.feats: set[str] = set()
         self.gf: list[tuple[str, ...]] = []
-        self.gf_set: set[tuple[str, ...]] = set()
         self.rules: list[AnnotatedRule] = []
         self.lexicon: list[LexEntry] = []
         self.start: str | None = None
         self.have_signature = False
 
     def advance(self) -> str:
-        """Step past the current token and return its value."""
-        value = self.value
+        """Step past the current token and return it."""
+        tok = self.tok
         self.pos = pos = self.pos + 1
-        self.kind, self.value, _line, _col = self.toks[pos]
-        return value
+        self.tok = self.toks[pos]
+        return tok
 
-    def err(self, msg, tok=None):
-        _kind, _value, line, col = tok or self.toks[self.pos]
-        raise GrammarSyntaxError(msg, line, col)
+    def err(self, msg, at=None):
+        raise GrammarSyntaxError(msg, *_g_position(self.text, self.pos if at is None else at))
 
     def err_got(self, what):
-        self.err("expected %s, got %r" % (what, self.value or "end of input"))
+        got = self.tok[1:-1] if self.tok[:1] == '"' else self.tok
+        self.err("expected %s, got %r" % (what, got or "end of input"))
 
     def expect_op(self, op):
-        if self.value != op or self.kind != "OP":
+        if self.tok != op:
             self.err_got(op)
         self.advance()
 
     def ident(self, what) -> str:
-        if self.kind != "IDENT":
+        if not _is_name(self.tok):
             self.err_got(what)
         return self.advance()
 
     # -- declarations ------------------------------------------------------
 
     def parse(self) -> Grammar:
-        while self.kind != "EOF":
-            word = self.value if self.kind == "IDENT" else None
-            if word == "lex":
+        while self.tok:
+            if self.tok == "lex":
                 self.parse_lex()
-            elif word == "rule":
+            elif self.tok == "rule":
                 self.parse_rule()
-            elif word == "signature":
+            elif self.tok == "signature":
                 self.parse_signature()
-            elif word == "start":
+            elif self.tok == "start":
                 self.advance()
-                tok = self.toks[self.pos]
                 self.start = self.ident("a category name")
                 if self.start not in self.cats:
-                    self.err("unknown start category %r" % self.start, tok)
+                    self.err("unknown start category %r" % self.start, self.pos - 1)
                 self.expect_op(";")
             else:
                 self.err_got("'signature', 'rule', 'lex' or 'start'")
@@ -492,25 +493,20 @@ class _GParser:
         self.advance()
         self.expect_op("{")
         seen = set()
-        while self.value != "}" or self.kind != "OP":
-            tok = self.toks[self.pos]
+        while self.tok != "}":
             section = self.ident("a section name (cat, atom, feat or gf)")
             if section not in ("cat", "atom", "feat", "gf"):
-                self.err("unknown signature section %r" % section, tok)
+                self.err("unknown signature section %r" % section, self.pos - 1)
             if section in seen:
-                self.err("duplicate %r section" % section, tok)
+                self.err("duplicate %r section" % section, self.pos - 1)
             seen.add(section)
             self.expect_op(":")
             if section == "gf":
-                while self.value != ";" or self.kind != "OP":
-                    seq = [self.sig_name("feature")]
-                    while self.value == "." and self.kind == "OP":
-                        self.advance()
-                        seq.append(self.sig_name("feature"))
-                    self.gf.append(tuple(seq))
+                while self.tok != ";":
+                    self.gf.append(self.dotted(lambda: self.sig_name("feature")))
             else:
                 target = {"cat": self.cats, "atom": self.atoms, "feat": self.feats}[section]
-                while self.value != ";" or self.kind != "OP":
+                while self.tok != ";":
                     target.add(self.sig_name(section))
             self.expect_op(";")
         self.expect_op("}")
@@ -521,36 +517,39 @@ class _GParser:
             for f in seq:
                 if f not in self.feats:
                     self.err("gf step %r is not a declared feature" % f)
-        self.gf_set.update(self.gf)
         self.have_signature = True
 
     def sig_name(self, what) -> str:
-        if self.kind != "IDENT":
-            self.err_got("a %s name" % what)
-        if self.value in RESERVED_WORDS:
-            self.err("%r is reserved syntax and cannot name a %s" % (self.value, what))
-        return self.advance()
+        name = self.ident("a %s name" % what)
+        if name in RESERVED_WORDS:
+            self.err("%r is reserved syntax and cannot name a %s" % (name, what), self.pos - 1)
+        return name
+
+    def dotted(self, name) -> tuple[str, ...]:
+        """``name ('.' name)*``, each read by ``name()``."""
+        seq = [name()]
+        while self.tok == ".":
+            self.advance()
+            seq.append(name())
+        return tuple(seq)
 
     def need_signature(self):
         if not self.have_signature:
             self.err("the signature block must precede rules and lexical entries")
 
     def category(self) -> str:
-        if self.kind != "IDENT":
-            self.err_got("a category name")
-        if self.value not in self.cats:
-            self.err("unknown category %r" % self.value)
+        if self.tok not in self.cats:
+            self.err("unknown category %r" % self.ident("a category name"), self.pos - 1)
         return self.advance()
 
     def feature(self) -> str:
-        if self.kind != "IDENT":
-            self.err_got("a feature name")
-        name = self.value
-        if name not in self.feats:
+        if self.tok not in self.feats:
+            name = self.ident("a feature name")
             # the semantic-form features may be used without declaration
             if name != PRED_FEAT and name != REL_FEAT:
-                self.err("unknown feature %r" % name)
+                self.err("unknown feature %r" % name, self.pos - 1)
             self.feats.add(name)
+            return name
         return self.advance()
 
     def parse_rule(self):
@@ -559,11 +558,9 @@ class _GParser:
         lhs = self.category()
         self.expect_op("->")
         elements = []
-        while self.value != ";" or self.kind != "OP":
+        while self.tok != ";":
             cat = self.category()
-            schemata = ()
-            if self.value == "{" and self.kind == "OP":
-                schemata = self.parse_schemata(lexical=False)
+            schemata = self.parse_schemata(lexical=False) if self.tok == "{" else ()
             elements.append(RuleElement(cat, schemata))
         self.advance()
         if not elements:
@@ -573,91 +570,79 @@ class _GParser:
     def parse_lex(self):
         self.need_signature()
         self.advance()
-        if self.kind != "STRING":
+        if self.tok[:1] != '"':
             self.err_got("STRING")
-        word = self.advance()
+        word = self.advance()[1:-1]
         if not word:
             self.err("empty word form")
         cat = self.category()
-        schemata = ()
-        if self.value == "{" and self.kind == "OP":
-            schemata = self.parse_schemata(lexical=True)
+        schemata = self.parse_schemata(lexical=True) if self.tok == "{" else ()
         self.expect_op(";")
         self.lexicon.append(LexEntry(word, cat, schemata))
 
     def parse_schemata(self, lexical: bool):
         self.advance()  # the '{' the caller saw
         out = []
-        while self.value != "}" or self.kind != "OP":
+        while self.tok != "}":
             out.append(self.parse_schema(lexical))
-            if self.value == ";" and self.kind == "OP":
+            if self.tok == ";":
                 self.advance()
-            elif self.value != "}" or self.kind != "OP":
+            elif self.tok != "}":
                 self.err("expected ';' or '}' after a schema")
         self.advance()
         return tuple(out)
 
     def parse_updown_path(self, keyword):
         # 'up' | '(' 'up' feature* ')'
-        if self.value == keyword and self.kind == "IDENT":
+        if self.tok == keyword:
             self.advance()
             return ()
         self.expect_op("(")
-        if self.value != keyword or self.kind != "IDENT":
+        if self.tok != keyword:
             self.err_got(repr(keyword))
         self.advance()
         path = []
-        while self.value != ")" or self.kind != "OP":
+        while self.tok != ")":
             path.append(self.feature())
         self.advance()
         return tuple(path)
 
     def parse_schema(self, lexical: bool):
         up_path = self.parse_updown_path("up")
-        if self.value == "=c" and self.kind == "OP":
-            self.err(
-                "constraining equations (=c) are not supported; only defining "
-                "equations can be stated"
-            )
+        if self.tok == "=c":
+            self.err("constraining equations (=c) are not supported; only defining "
+                     "equations can be stated")
         self.expect_op("=")
         # right-hand side: down form, atom, or semantic form
-        ahead = self.toks[self.pos + 1][:2] if self.value == "(" and self.kind == "OP" else ()
-        if self.kind == "IDENT" and self.value == "down" or ahead == ("IDENT", "down"):
+        if self.tok == "down" or self.tok == "(" and self.toks[self.pos + 1] == "down":
             if lexical:
                 self.err("'down' cannot appear in a lexical schema")
             return PathEqSchema(up_path, self.parse_updown_path("down"))
-        tok = self.toks[self.pos]
+        at = self.pos
         name = self.ident("an atom or semantic form")
-        semantic = self.value == "(" and self.kind == "OP"
+        semantic = self.tok == "("
         if semantic and not lexical:
-            self.err("semantic forms are only allowed in lexical entries", tok)
+            self.err("semantic forms are only allowed in lexical entries", at)
         if name not in self.atoms:
-            self.err("unknown atom %r" % name, tok)
+            self.err("unknown atom %r" % name, at)
         if not semantic:
             return AtomValueSchema(up_path, name)
         self.advance()
         args = []
-        while self.value != ")" or self.kind != "OP":
-            seq = [self.feature()]
-            while self.value == "." and self.kind == "OP":
+        while self.tok != ")":
+            args.append(self.dotted(self.feature))
+            if self.tok == ",":
                 self.advance()
-                seq.append(self.feature())
-            args.append(tuple(seq))
-            if self.value == "," and self.kind == "OP":
-                self.advance()
-            elif self.value != ")" or self.kind != "OP":
+            elif self.tok != ")":
                 self.err("expected ',' or ')' in semantic-form arguments")
         self.advance()
         for seq in args:
-            if seq not in self.gf_set:
-                self.err(
-                    "semantic-form argument %r is not a declared grammatical "
-                    "function" % ".".join(seq),
-                    tok,
-                )
+            if seq not in self.gf:
+                msg = "semantic-form argument %r is not a declared grammatical function"
+                self.err(msg % ".".join(seq), at)
         return SemForm(name, tuple(args))
 
 
 def parse_grammar(text: str) -> Grammar:
     """Parse a grammar file into its source representation."""
-    return _GParser(_g_tokenize(text)).parse()
+    return _GParser(text).parse()

@@ -60,6 +60,14 @@ completeness and coherence are evaluated.  Any other theory (built by
 hand or by ``dataclasses.replace``, or compiled from an equal but
 separate ``Grammar``) is checked in full.
 
+``check_parse`` rests on a smaller lemma: a compiled theory uses only
+names its grammar's signature declares.  Compilation checks each name of
+the rules and entries, the lexical antecedent lists the declared words,
+and the completeness and coherence axioms use ``pred`` (which
+``compile_grammar`` requires beside ``gf``) and the ``gf`` steps (which a
+signature without violations declares).  So ``validate_names`` is skipped
+when the model's signature contains the grammar's.
+
 Models that fail the theory are reported as rejections
 with the failing formula label and counterexample node; a failing f-node
 is named as the least under the class-order names ``w0, w1, ..`` (the
@@ -75,6 +83,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import GrammarError, SignatureError
+from .formula import _NAME_KINDS
 from .grammar import (
     AnnotatedRule,
     AtomValueSchema,
@@ -95,7 +104,7 @@ from .model import (
     model_to_text,
     validate_model,
 )
-from .semantics import satisfies, valid
+from .semantics import _least_failing, satisfies, valid
 
 
 @dataclass(frozen=True)
@@ -651,6 +660,7 @@ class CheckReport:
 
 def check_parse(theory: Theory, model: Model) -> CheckReport:
     """Re-verify a model against every theory formula."""
-    return CheckReport(
-        tuple(CheckEntry(label, valid(model, f)) for label, f in theory.labeled())
-    )
+    g, sig = theory.source, model.sig
+    covered = g is not None and all(getattr(g.sig, k) <= getattr(sig, k) for k in _NAME_KINDS)
+    check = _least_failing if covered else valid
+    return CheckReport(tuple(CheckEntry(label, check(model, f)) for label, f in theory.labeled()))

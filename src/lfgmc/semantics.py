@@ -436,6 +436,11 @@ def valid(m: Model, phi: Formula) -> NodeId | None:
     """None when ``phi`` holds at every node of both domains; otherwise
     the least falsifying node in model order."""
     validate_names(phi, m.sig)
+    return _least_failing(m, phi)
+
+
+def _least_failing(m: Model, phi: Formula) -> NodeId | None:
+    """``valid`` for a formula whose names ``m.sig`` declares."""
     nodes = m.node_order
     dom = frozenset(nodes)  # an id in both domains is listed twice in nodes
     good = _plan(phi)(m, dom)

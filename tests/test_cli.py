@@ -540,3 +540,18 @@ def test_check_reports_the_first_undeclared_name(tmp_path, fmt):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: unknown atom 'noun100'\n"
+
+
+@pytest.mark.parametrize(
+    "kind,name",
+    [("cats", "VP"), ("atoms", "sing"), ("feats", "tense"), ("words", "girl")],
+)
+def test_check_reports_a_used_name_the_model_lacks(fig_files, kind, name):
+    grammar, model = fig_files
+    doc = json.loads(model.read_text())
+    doc["signature"][kind].remove(name)
+    model.write_text(json.dumps(doc))
+    proc = run_cli("check", str(model), "--grammar", str(grammar))
+    what = {"cats": "category", "atoms": "atom", "feats": "feature", "words": "word form"}
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: unknown %s %r\n" % (what[kind], name)

@@ -253,6 +253,24 @@ def test_semform_argument_must_be_declared_gf():
     assert "grammatical function" in str(err.value)
 
 
+def test_gf_without_pred_rejected_at_compile_time():
+    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement, SignatureError
+
+    rule = AnnotatedRule("S", (RuleElement("A", (PathEqSchema(("f",), ()),)),))
+    sig = Signature({"S", "A"}, {"x"}, {"f"}, (("f",),), {"b"})
+    with pytest.raises(SignatureError) as err:
+        compile_grammar(Grammar(sig, "S", (rule,), (LexEntry("b", "A"),)))
+    assert str(err.value) == "grammatical functions need the 'pred' feature"
+    # with pred declared the same grammar compiles and is trusted
+    sig = Signature({"S", "A"}, {"x"}, {"f", "pred"}, (("f",),), {"b"})
+    grammar = Grammar(sig, "S", (rule,), (LexEntry("b", "A"),))
+    assert compile_grammar(grammar).source is grammar
+    # the grammar-file reader declares pred for a gf section itself
+    text = 'signature { cat: S A; atom: x; feat: f; gf: f; } rule S -> A; lex "b" A;'
+    assert "pred" in parse_grammar(text).sig.feats
+    assert compile_grammar(parse_grammar(text)).source is not None
+
+
 def test_constraining_equation_rejected():
     text = """
     signature { cat: S A; atom: x; feat: f; gf: ; }
@@ -387,7 +405,7 @@ def test_scanner_matches_reference_tokenizer():
         PP_AGREE_GRAMMAR_TEXT,
     )
     from generators import embedding_grammar_text
-    from lfgmc.grammar import _g_tokenize
+    from lfgmc.grammar import _g_position, _g_tokenize
     from oracles import reference_g_tokenize
 
     texts = [
@@ -400,9 +418,19 @@ def test_scanner_matches_reference_tokenizer():
         "", "#", "x #c", "\n\t #c\n  ", "=c", "=cat", "=c_", "=c(", "->", "-",
     ]
     for text in texts + _scanner_corpus():
-        assert _tokens_or_error(_g_tokenize, text) == _tokens_or_error(
-            reference_g_tokenize, text
-        ), repr(text)
+        got = _tokens_or_error(_g_tokenize, text)
+        ref = _tokens_or_error(reference_g_tokenize, text)
+        if ref[0] == "error":
+            assert got == ref, repr(text)
+            continue
+        # plain strings, a string literal with its quotes, "" at the end
+        assert got == [
+            '"%s"' % tok.value if tok.kind == "STRING" else tok.value for tok in ref
+        ], repr(text)
+        # positions are computed only for errors, from the token's index
+        assert [_g_position(text, i) for i in range(len(got))] == [
+            (tok.line, tok.col) for tok in ref
+        ], repr(text)
 
 
 # --- the parser against the method-per-construct reference ----------------

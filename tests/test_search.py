@@ -155,6 +155,122 @@ def test_check_parse_empty_theory(fig_model):
     assert check_parse(empty, fig_model).ok
 
 
+# --- check_parse without the names walk -------------------------------------
+
+def _rows(report):
+    return [(e.label, e.counterexample) for e in report]
+
+
+def _valid_rows(theory, model):
+    return [(label, valid(model, f)) for label, f in theory.labeled()]
+
+
+def _no_names_walk(model, phi):
+    raise AssertionError("valid (and its names walk) called for a covered model")
+
+
+def _relabelled(model, node, label):
+    from lfgmc import CStructure, Model
+
+    c = model.cstruct
+    tree = CStructure(c.nodes, c.root, c.mother, c.daughters, {**c.label, node: label})
+    return Model(model.sig, tree, model.fstruct, model.zoomin)
+
+
+@pytest.mark.parametrize(
+    "text,sentences",
+    [
+        (FIG_GRAMMAR_TEXT, [["a", "girl", "walks"]]),
+        (DEVOUR_GRAMMAR_TEXT, [["a", "girl", "walks"]]),
+        (MICRO_GRAMMAR_TEXT, [["b"], ["b", "b"]]),
+        (PP_AGREE_GRAMMAR_TEXT, [PP_SENTENCE[:5], PP_SENTENCE[:8]]),
+    ],
+    ids=["fig", "devour", "micro", "pp-agree"],
+)
+def test_check_parse_rows_equal_valid_without_the_names_walk(monkeypatch, text, sentences):
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    models = [m for s in sentences for m in parse_sentence(theory, grammar, s).models]
+    assert models
+    # every tree node relabelled in turn to every other word (a leaf) or
+    # category (an inner node), so that each label can fail somewhere
+    cases = list(models)
+    for m in models:
+        for n in sorted(m.cstruct.nodes):
+            names = grammar.sig.cats if m.cstruct.daughters[n] else grammar.sig.words
+            cases += [_relabelled(m, n, x) for x in sorted(names - {m.cstruct.label[n]})]
+    want = [_valid_rows(theory, m) for m in cases]
+    assert any(node is not None for rows in want for _label, node in rows)
+    monkeypatch.setattr(search, "valid", _no_names_walk)
+    assert [_rows(check_parse(theory, m)) for m in cases] == want
+
+
+def test_check_parse_rows_equal_valid_on_the_500_noun_chain(monkeypatch):
+    from lfgmc import compile_grammar, model_from_json, parse_grammar, search
+
+    from generators import chain_model_doc
+
+    lexicon = ["noun%03d" % k for k in range(500)]
+    theory = compile_grammar(parse_grammar(embedding_grammar_text(lexicon)))
+    nouns = lexicon[7::41]
+    models = []
+    for swap in (None, (len(nouns) - 1, "noun250"), (0, "said")):
+        doc, failing = chain_model_doc(lexicon, nouns, swap)
+        models.append((model_from_json(doc), failing))
+    want = [_valid_rows(theory, m) for m, _failing in models]
+    assert [dict(rows)["lexical"] for rows in want] == [f for _m, f in models]
+    monkeypatch.setattr(search, "valid", _no_names_walk)
+    assert [_rows(check_parse(theory, m)) for m, _failing in models] == want
+
+
+@pytest.mark.parametrize(
+    "kind,name,message",
+    [
+        ("cats", "VP", "unknown category 'VP'"),
+        ("atoms", "sing", "unknown atom 'sing'"),
+        ("feats", "tense", "unknown feature 'tense'"),
+        ("words", "girl", "unknown word form 'girl'"),
+    ],
+)
+def test_check_parse_reports_a_used_name_the_model_lacks(
+    fig_theory, fig_model, kind, name, message
+):
+    sig = replace(fig_model.sig, **{kind: getattr(fig_model.sig, kind) - {name}})
+    with pytest.raises(SignatureError) as exc:
+        check_parse(fig_theory, replace(fig_model, sig=sig))
+    assert str(exc.value) == message
+
+
+def test_check_parse_accepts_a_model_without_an_unused_declared_name(fig_model):
+    # every declared word is used, by the lexical antecedent
+    from lfgmc import compile_grammar, parse_grammar
+
+    text = (
+        FIG_GRAMMAR_TEXT.replace("cat: S", "cat: Unused S")
+        .replace("atom: a", "atom: unused a")
+        .replace("feat: subj", "feat: unusedf subj")
+    )
+    theory = compile_grammar(parse_grammar(text))
+    for kind, name in (("cats", "Unused"), ("atoms", "unused"), ("feats", "unusedf")):
+        assert name in getattr(theory.source.sig, kind)
+        assert name not in getattr(fig_model.sig, kind)
+    report = check_parse(theory, fig_model)
+    assert report.ok and _rows(report) == _valid_rows(theory, fig_model)
+
+
+def test_check_parse_walks_the_names_of_a_replaced_theory(monkeypatch, fig_theory, fig_model):
+    from lfgmc import search
+
+    calls = []
+    monkeypatch.setattr(search, "valid", lambda m, f: calls.append(f) or valid(m, f))
+    assert check_parse(fig_theory, fig_model).ok and calls == []
+    copy = replace(fig_theory)
+    assert check_parse(copy, fig_model).ok
+    assert calls == [f for _label, f in copy.labeled()]
+
+
 def test_parse_outputs_recheck_clean(fig_theory, fig_grammar):
     words = sorted(fig_grammar.sig.words)
     rng = random.Random(3)
