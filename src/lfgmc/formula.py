@@ -32,12 +32,24 @@ feature names may follow ``zoomin``).  Bare identifiers are resolved
 against the signature: category first, then atom, then word form.
 Quoted strings are always word forms.  ``<up>``, ``<down>`` and
 ``<zoomin>`` are accepted as alternate spellings of the bare keywords.
+
+Both concrete syntaxes, formulas here and grammar files in
+``lfgmc.grammar``, are read by one reader, :class:`_Reader`, which a
+syntax gives its token pattern, its operators and its error class.  One
+``findall`` over the whole text yields the tokens as plain strings (a
+string literal keeps its quotes, ``""`` is the end of input); the first
+bad token in the text is an error at once, and a parser then reads the
+tokens front to back through the reader's ``advance``, ``expect`` and
+``err``.  A position ``(line, col)`` is found only when an error is
+raised, by scanning the text again up to the token's index.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 
 from .errors import FormulaSyntaxError, SignatureError
 from .model import _IDENT_RE, RESERVED_WORDS, Signature
@@ -219,99 +231,113 @@ FSTRUCT = FStructConst()
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Reader
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = RESERVED_WORDS  # true false cstruct fstruct up down zoomin bullet
+_CONSTANTS = {"true": TRUE, "false": FALSE, "cstruct": CSTRUCT, "fstruct": FSTRUCT}
+_LITERALS = {"cat": CatLit, "atom": AtomLit, "word": WordLit}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # KW OP IDENT STRING FEATMOD EOF
-    value: str
-    line: int
-    col: int
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg, l=None, c=None):
-        raise FormulaSyntaxError(msg, l if l is not None else line, c if c is not None else col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "<":
-            if text.startswith("<->", i):
-                toks.append(_Tok("OP", "<->", start_line, start_col))
-                i += 3
-                col += 3
-                continue
-            j = i + 1
-            while j < n and text[j] not in ">\n":
-                j += 1
-            if j >= n or text[j] != ">":
-                err("unterminated '<'")
-            name = text[i + 1 : j].strip()
-            if not _IDENT_RE.match(name):
-                err("expected a feature name inside '<...>', got %r" % name)
-            if name in ("up", "down", "zoomin"):
-                toks.append(_Tok("KW", name, start_line, start_col))
-            else:
-                toks.append(_Tok("FEATMOD", name, start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Tok("OP", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "!&|(),~":
-            toks.append(_Tok("OP", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                err("unterminated string literal")
-            toks.append(_Tok("STRING", text[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KW" if word in _KEYWORDS else "IDENT"
-            toks.append(_Tok(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        err("unexpected character %r" % ch)
-    toks.append(_Tok("EOF", "", line, col))
-    return toks
+def _is_modality(tok: str) -> bool:
+    return tok[:1] == "<" and tok != "<->"
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
+class _Reader:
+    """Reads the tokens of one concrete syntax front to back, holding the
+    current token string.  A subclass gives the syntax: ``TOKEN_RE``, one
+    token after blanks, with ``""`` for the end of input; ``OPS``, its
+    operators; and ``ERROR``, the class of its syntax errors.  A string
+    literal keeps its quotes, so no other token can equal an operator."""
+
+    TOKEN_RE: re.Pattern
+    OPS: frozenset[str]
+    ERROR: type
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = self.scan(text)
+        self.pos = 0
+        self.tok = self.toks[0]
+
+    @classmethod
+    def scan(cls, text: str) -> list[str]:
+        """The tokens of the whole text as plain strings: operators, names,
+        string literals with their quotes, and ``""`` for the end of input.
+        The first bad token in the text is a syntax error."""
+        toks = cls.TOKEN_RE.findall(text)
+        if toks[-2:] == ["", ""]:  # blanks at the end match, then the end again
+            del toks[-1]
+        odd = [  # neither an operator, nor a string literal, nor a name
+            tok for tok in set(toks) - cls.OPS
+            if tok[:1] != '"' and not tok[:1].isalpha() and tok[:1] != "_" or tok == '"'
+        ]
+        bad = [tok for tok in odd if cls.fault(tok)]
+        if bad:
+            at = min(map(toks.index, bad))
+            raise cls.ERROR(cls.fault(toks[at]), *cls.position(text, at))
+        return toks
+
+    @classmethod
+    def fault(cls, tok: str) -> str | None:
+        """Why ``tok``, neither an operator nor a name nor a string
+        literal, is a bad token; None for the end of input."""
+        if tok == '"':
+            return "unterminated string literal"
+        return "unexpected character %r" % tok[0] if tok else None
+
+    @classmethod
+    def position(cls, text: str, index: int) -> tuple[int, int]:
+        """``(line, column)`` of token ``index`` of :meth:`scan`, found by
+        scanning the text again up to it.  The end of input sits where a
+        comment on the last line starts."""
+        m = next(islice(cls.TOKEN_RE.finditer(text), index, None))
+        at = m.start(1)
+        if not m[1]:
+            comment = text.find("#", max(m.start(), text.rfind("\n") + 1))
+            at = at if comment < 0 else comment
+        return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+    def advance(self) -> str:
+        """Step past the current token and return it."""
+        tok = self.tok
+        self.pos = pos = self.pos + 1
+        self.tok = self.toks[pos]
+        return tok
+
+    def err(self, msg, at=None, error=None):
+        """Raise ``error`` (by default the syntax error) at token ``at`` (by
+        default the current one)."""
+        line_col = self.position(self.text, self.pos if at is None else at)
+        raise (error or self.ERROR)(msg, *line_col)
+
+    def err_got(self, what):
+        got = self.tok[1:-1] if self.tok[:1] == '"' or _is_modality(self.tok) else self.tok
+        self.err("expected %s, got %r" % (what, got or "end of input"))
+
+    def expect(self, op):
+        if self.tok != op:
+            self.err_got(op)
+        self.advance()
+
+
+#: One formula token after blanks and newlines; the end of input is ``""``.
+#: A name reads as in grammar files.  ``<...>`` up to the end of the line
+#: is a feature modality, whose name :meth:`_Parser.fault` checks; a lone
+#: ``"`` and any other character are bad tokens.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r\n]*
+    ( <->|->|[!&|(),~]
+    | "[^"\n]*"
+    | <[^>\n]*>?
+    | [^\W\d]\w*
+    | .
+    | \Z )""",
+    re.VERBOSE,
+)
 
 
 #: Deepest nesting a formula may have, in levels.  A ``!``, ``<f>`` or
@@ -334,47 +360,47 @@ _BINARY = {
 }
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok], sig: Signature):
-        self.toks = toks
-        self.pos = 0
+class _Parser(_Reader):
+    TOKEN_RE = _TOKEN_RE
+    OPS = frozenset(("<->", "->", "!", "&", "|", "(", ")", ",", "~"))
+    ERROR = FormulaSyntaxError
+
+    def __init__(self, text: str, sig: Signature):
+        super().__init__(text)
         self.sig = sig
         self.depth = 0
 
-    @property
-    def cur(self) -> _Tok:
-        return self.toks[self.pos]
+    @classmethod
+    def scan(cls, text: str) -> list[str]:
+        """As for every syntax; a feature modality reads ``<name>``
+        without blanks, and ``<up>``, ``<down>`` and ``<zoomin>`` read as
+        the bare keyword."""
+        toks = super().scan(text)
+        spelled = {}
+        for tok in set(toks):
+            if _is_modality(tok):
+                name = tok[1:-1].strip()
+                spelled[tok] = name if name in ("up", "down", "zoomin") else "<%s>" % name
+        return [spelled.get(tok, tok) for tok in toks] if spelled else toks
 
-    def advance(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    @classmethod
+    def fault(cls, tok: str) -> str | None:
+        """As for every syntax, and why a ``<...>`` token is not a
+        feature modality."""
+        if not _is_modality(tok):
+            return super().fault(tok)
+        if tok[-1] != ">":
+            return "unterminated '<'"
+        name = tok[1:-1].strip()
+        if not _IDENT_RE.match(name):
+            return "expected a feature name inside '<...>', got %r" % name
+        return None
 
-    def at(self, kind, value=None) -> bool:
-        t = self.cur
-        return t.kind == kind and (value is None or t.value == value)
-
-    def expect(self, kind, value=None) -> _Tok:
-        if not self.at(kind, value):
-            raise FormulaSyntaxError(
-                "expected %s, got %r" % (value or kind, self.cur.value or "end of input"),
-                self.cur.line,
-                self.cur.col,
-            )
-        return self.advance()
-
-    def err(self, msg):
-        raise FormulaSyntaxError(msg, self.cur.line, self.cur.col)
-
-    def nest(self, tok: _Tok, levels: int = 1):
-        """Enter ``levels`` more levels of nesting, opened by ``tok``."""
+    def nest(self, at: int, levels: int = 1):
+        """Enter ``levels`` more levels of nesting, opened by token ``at``."""
         self.depth += levels
         if self.depth > MAX_NESTING:
-            raise FormulaSyntaxError(
-                "formula nested too deeply (more than %d levels)" % MAX_NESTING,
-                tok.line,
-                tok.col,
-            )
+            self.err("formula nested too deeply (more than %d levels)" % MAX_NESTING, at)
 
     def parse_formula(self) -> Formula:
         """Operands joined by binary operators, grouped by precedence with
@@ -382,8 +408,8 @@ class _Parser:
         depth = self.depth
         operands = [self.parse_unary()]
         ops: list[str] = []
-        while self.cur.kind == "OP" and self.cur.value in _BINARY:
-            prec, right, _node = _BINARY[self.cur.value]
+        while self.tok in _BINARY:
+            prec, right, _node = _BINARY[self.tok]
             while ops:
                 top, top_right, _node = _BINARY[ops[-1]]
                 if top < prec or (top == prec and right):
@@ -391,8 +417,8 @@ class _Parser:
                 _reduce(operands, ops.pop())
                 self.depth -= top_right  # a right operand is no longer pending
             if right:
-                self.nest(self.cur)
-            ops.append(self.advance().value)
+                self.nest(self.pos)
+            ops.append(self.advance())
             operands.append(self.parse_unary())
         while ops:
             _reduce(operands, ops.pop())
@@ -405,32 +431,34 @@ class _Parser:
         depth = self.depth
         wrap: list = []
         while True:
-            if self.at("OP", "!"):
-                self.nest(self.cur)
+            tok = self.tok
+            if tok == "!":
+                self.nest(self.pos)
                 self.advance()
                 wrap.append(Not)
                 continue
-            if self.cur.kind == "FEATMOD":
-                self.nest(self.cur)
-                t = self.advance()
-                if t.value not in self.sig.feats:
-                    raise SignatureError("unknown feature %r" % t.value, t.line, t.col)
-                wrap.append(partial(Feat, t.value))
+            if _is_modality(tok):
+                self.nest(self.pos)
+                if tok[1:-1] not in self.sig.feats:
+                    self.err("unknown feature %r" % tok[1:-1], error=SignatureError)
+                self.advance()
+                wrap.append(partial(Feat, tok[1:-1]))
                 continue
-            if not (self.at("KW", "up") or self.at("KW", "down") or self.at("KW", "zoomin")):
+            if tok != "up" and tok != "down" and tok != "zoomin":
                 sub = self.parse_primary()
                 break
             steps = self.tree_steps()
             modal = [Up if step == "up" else Down for step in steps]
-            if not self.at("KW", "zoomin"):
+            if self.tok != "zoomin":
                 wrap.extend(modal)  # a plain modal chain like "up down phi"
                 continue
-            zoomin = self.advance()
+            zoomin = self.pos
+            self.advance()
             feats = self.feature_path()
-            if self.at("OP", "~"):
+            if self.tok == "~":
                 self.advance()
                 rtree = self.tree_steps()
-                self.expect("KW", "zoomin")
+                self.expect("zoomin")
                 sub = PathEq(steps, feats, rtree, self.feature_path())
                 break
             if feats:
@@ -446,71 +474,51 @@ class _Parser:
 
     def tree_steps(self) -> tuple[str, ...]:
         steps = []
-        while self.at("KW", "up") or self.at("KW", "down"):
-            steps.append(self.advance().value)
+        while self.tok == "up" or self.tok == "down":
+            steps.append(self.advance())
         return tuple(steps)
 
     def feature_path(self) -> tuple[str, ...]:
-        feats = []
-        while self.cur.kind == "IDENT" and self.cur.value in self.sig.feats:
-            feats.append(self.advance().value)
+        feats = []  # bare names, not keywords, that name features
+        while self.tok in self.sig.feats and _is_name(self.tok) and self.tok not in RESERVED_WORDS:
+            feats.append(self.advance())
         return tuple(feats)
 
     def parse_primary(self) -> Formula:
-        t = self.cur
-        if t.kind == "KW":
-            if t.value == "true":
+        tok = self.tok
+        if tok in _CONSTANTS:
+            self.advance()
+            return _CONSTANTS[tok]
+        if tok == "bullet" or tok == "(":
+            self.advance()
+            if tok == "bullet":
+                self.expect("(")
+            self.nest(self.pos - 1, _GROUP_LEVELS)
+            args = [self.parse_formula()]
+            while tok == "bullet" and self.tok == ",":
                 self.advance()
-                return TRUE
-            if t.value == "false":
-                self.advance()
-                return FALSE
-            if t.value == "cstruct":
-                self.advance()
-                return CSTRUCT
-            if t.value == "fstruct":
-                self.advance()
-                return FSTRUCT
-            if t.value == "bullet":
-                self.advance()
-                self.nest(self.expect("OP", "("), _GROUP_LEVELS)
-                args = [self.parse_formula()]
-                while self.at("OP", ","):
-                    self.advance()
-                    args.append(self.parse_formula())
-                self.expect("OP", ")")
-                self.depth -= _GROUP_LEVELS
-                return Bullet(tuple(args))
-            self.err("unexpected keyword %r" % t.value)
-        if t.kind == "OP" and t.value == "(":
-            self.nest(self.advance(), _GROUP_LEVELS)
-            f = self.parse_formula()
-            self.expect("OP", ")")
+                args.append(self.parse_formula())
+            self.expect(")")
             self.depth -= _GROUP_LEVELS
-            return f
-        if t.kind == "STRING":
+            return Bullet(tuple(args)) if tok == "bullet" else args[0]
+        if tok[:1] == '"':
+            if tok[1:-1] not in self.sig.words:
+                self.err("unknown word form %r" % tok[1:-1], error=SignatureError)
             self.advance()
-            if t.value not in self.sig.words:
-                raise SignatureError("unknown word form %r" % t.value, t.line, t.col)
-            return WordLit(t.value)
-        if t.kind == "IDENT":
-            self.advance()
-            kind = self.sig.kind_of(t.value)
-            if kind == "cat":
-                return CatLit(t.value)
-            if kind == "atom":
-                return AtomLit(t.value)
-            if kind == "word":
-                return WordLit(t.value)
-            if t.value in self.sig.feats:
-                raise SignatureError(
+            return WordLit(tok[1:-1])
+        if not _is_name(tok):
+            self.err_got("a formula")
+        kind = self.sig.kind_of(tok)
+        if kind is None:
+            if tok in self.sig.feats:
+                self.err(
                     "feature %r cannot stand alone; write <%s> phi or use it "
-                    "inside a path equality" % (t.value, t.value),
-                    t.line,
-                    t.col,
+                    "inside a path equality" % (tok, tok),
+                    error=SignatureError,
                 )
-            raise SignatureError("unknown name %r" % t.value, t.line, t.col)
-        self.err("expected a formula, got %r" % (t.value or "end of input"))
+            self.err("unknown name %r" % tok, error=SignatureError)
+        self.advance()
+        return _LITERALS[kind](tok)
 
 
 def _reduce(operands: list[Formula], op: str):
@@ -521,9 +529,9 @@ def _reduce(operands: list[Formula], op: str):
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse concrete syntax into an AST, resolving names against ``sig``."""
-    parser = _Parser(_tokenize(text), sig)
+    parser = _Parser(text, sig)
     f = parser.parse_formula()
-    if parser.cur.kind != "EOF":
+    if parser.tok:
         parser.err("trailing input after formula")
     return f
 
@@ -559,8 +567,11 @@ def render_formula(f: Formula) -> str:
     """Render to concrete syntax; the output re-parses to an equal AST.
 
     A left-nested ``&``/``|`` chain, such as the lexical disjunction over
-    a whole lexicon, is rendered along its spine, and a run of prefix
-    operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``) in a loop,
+    a whole lexicon, is printed flat along its spine, as ``(a | b | c)``
+    and not ``((a | b) | c)``: both operators group to the left, so the
+    text reads back as the same chain, and a chain of any length costs
+    the reader one parenthesised group.  A run of prefix operators
+    (``!``, ``<f>``, ``up``, ``down``, ``zoomin``) is rendered in a loop,
     so neither recurses."""
     opened: list[str] = []  # text before the operand of a prefix run
     closes = 0  # parentheses that text leaves open
@@ -586,11 +597,8 @@ def _render_operand(f: Formula) -> str:
     if isinstance(f, _LEAVES):
         return _leaf_text(f)
     if type(f) in _CHAIN_OPS:
-        first, *rest = _spine(f)
         sep = " %s " % _CHAIN_OPS[type(f)]
-        return "(" * len(rest) + render_formula(first) + "".join(
-            "%s%s)" % (sep, render_formula(g)) for g in rest
-        )
+        return "(%s)" % sep.join(map(render_formula, _spine(f)))
     if isinstance(f, Implies):
         return "(%s -> %s)" % (render_formula(f.left), render_formula(f.right))
     if isinstance(f, Iff):

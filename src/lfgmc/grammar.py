@@ -26,12 +26,12 @@ declared grammatical functions (multi-step ones are written
 ``obl.obj``).  Only defining equations exist here; the check-only
 ``=c`` variant is rejected at parse time.
 
-The file is read in one pass: one ``findall`` over the whole text yields
-the tokens as plain strings (a string literal keeps its quotes, the end
-is ``""``), and a parser holding the current token and the declared
-names in sets reads them front to back.  A syntax or name error is a
-:class:`GrammarSyntaxError` at the first token that cannot be read; only
-then is its position found, by scanning the text again up to it.
+The file is read in one pass by the reader the formula syntax uses too
+(see ``lfgmc.formula``): one ``findall`` over the whole text yields the
+tokens as plain strings, and a parser holding the current token and the
+declared names in sets reads them front to back.  A syntax or name error
+is a :class:`GrammarSyntaxError` at the first token that cannot be read;
+only then is its position found, by scanning the text again up to it.
 
 Compilation produces a :class:`Theory`:
 
@@ -55,7 +55,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
@@ -75,8 +74,10 @@ from .formula import (
     Up,
     WordLit,
     Zoomin,
+    _is_name,
+    _Reader,
 )
-from .model import RESERVED_WORDS, Signature
+from .model import _IDENT_RE, RESERVED_WORDS, Signature
 
 #: Feature holding the relation name inside a compiled semantic form.
 REL_FEAT = "rel"
@@ -341,6 +342,12 @@ def compile_grammar(grammar: Grammar) -> Theory:
         raise GrammarError("grammar has no rules")
     if grammar.sig.gf and PRED_FEAT not in grammar.sig.feats:
         raise SignatureError("grammatical functions need the %r feature" % PRED_FEAT)
+    # a printed theory and a model file can only spell identifiers
+    sig = grammar.sig
+    for kind, names in [("category", sig.cats), ("atom", sig.atoms), ("feature", sig.feats)]:
+        if not all(map(_IDENT_RE.match, names)):
+            name = min(name for name in names if not _IDENT_RE.match(name))
+            raise SignatureError("%s name %r is not an identifier" % (kind, name))
     licensing = Implies(
         And(CSTRUCT, Down(Down(TRUE))),
         _or_fold([compile_rule(r, grammar.sig) for r in grammar.rules]),
@@ -365,7 +372,7 @@ def compile_grammar(grammar: Grammar) -> Theory:
 #: One token after blanks, newlines and ``#`` comments; the end of input
 #: is ``""``.  A name starts with a letter or ``_`` and continues with
 #: ``\w`` (``str.isalnum()`` or ``_``); ``[^\W\d]`` also admits digits that
-#: are not decimal, which :func:`_g_tokenize` rejects.  ``=c`` is an
+#: are not decimal, which :meth:`_Reader.scan` rejects.  ``=c`` is an
 #: operator unless a name character follows (``=cat`` is ``=`` then
 #: ``cat``).  A lone ``"`` and any other character are bad tokens.
 _G_TOKEN_RE = re.compile(
@@ -377,54 +384,17 @@ _G_TOKEN_RE = re.compile(
     | \Z )""",
     re.VERBOSE,
 )
-_G_OPS = frozenset(("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "="))
 
 
-def _is_name(tok: str) -> bool:
-    return tok[:1].isalpha() or tok[:1] == "_"
+class _GParser(_Reader):
+    """Reads a grammar file, holding the signature's names in sets."""
 
-
-def _g_tokenize(text: str) -> list[str]:
-    """The tokens of the whole text as plain strings: operators, names,
-    string literals with their quotes, and ``""`` for the end of input.
-    The first bad token in the text is a :class:`GrammarSyntaxError`."""
-    toks = _G_TOKEN_RE.findall(text)
-    if toks[-2:] == ["", ""]:  # blanks at the end match, then the end again
-        del toks[-1]
-    bad = [
-        tok for tok in set(toks)
-        if tok == '"' or tok and tok[0] != '"' and tok not in _G_OPS and not _is_name(tok)
-    ]
-    if bad:
-        at = min(map(toks.index, bad))
-        tok = toks[at]
-        msg = "unterminated string literal" if tok == '"' else "unexpected character %r" % tok[0]
-        raise GrammarSyntaxError(msg, *_g_position(text, at))
-    return toks
-
-
-def _g_position(text: str, index: int) -> tuple[int, int]:
-    """``(line, column)`` of token ``index`` of :func:`_g_tokenize`, found by
-    scanning the text again up to it.  The end of input sits where a
-    comment on the last line starts."""
-    m = next(islice(_G_TOKEN_RE.finditer(text), index, None))
-    at = m.start(1)
-    if not m[1]:
-        comment = text.find("#", max(m.start(), text.rfind("\n") + 1))
-        at = at if comment < 0 else comment
-    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-
-
-class _GParser:
-    """Reads the tokens of :func:`_g_tokenize` front to back, holding the
-    current token string and the signature's names in sets.  A string
-    literal keeps its quotes, so no other token can equal an operator."""
+    TOKEN_RE = _G_TOKEN_RE
+    OPS = frozenset(("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "="))
+    ERROR = GrammarSyntaxError
 
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _g_tokenize(text)
-        self.pos = 0
-        self.tok = self.toks[0]
+        super().__init__(text)
         self.cats: set[str] = set()
         self.atoms: set[str] = set()
         self.feats: set[str] = set()
@@ -433,25 +403,6 @@ class _GParser:
         self.lexicon: list[LexEntry] = []
         self.start: str | None = None
         self.have_signature = False
-
-    def advance(self) -> str:
-        """Step past the current token and return it."""
-        tok = self.tok
-        self.pos = pos = self.pos + 1
-        self.tok = self.toks[pos]
-        return tok
-
-    def err(self, msg, at=None):
-        raise GrammarSyntaxError(msg, *_g_position(self.text, self.pos if at is None else at))
-
-    def err_got(self, what):
-        got = self.tok[1:-1] if self.tok[:1] == '"' else self.tok
-        self.err("expected %s, got %r" % (what, got or "end of input"))
-
-    def expect_op(self, op):
-        if self.tok != op:
-            self.err_got(op)
-        self.advance()
 
     def ident(self, what) -> str:
         if not _is_name(self.tok):
@@ -473,7 +424,7 @@ class _GParser:
                 self.start = self.ident("a category name")
                 if self.start not in self.cats:
                     self.err("unknown start category %r" % self.start, self.pos - 1)
-                self.expect_op(";")
+                self.expect(";")
             else:
                 self.err_got("'signature', 'rule', 'lex' or 'start'")
         if not self.have_signature:
@@ -491,7 +442,7 @@ class _GParser:
         if self.have_signature:
             self.err("duplicate signature block")
         self.advance()
-        self.expect_op("{")
+        self.expect("{")
         seen = set()
         while self.tok != "}":
             section = self.ident("a section name (cat, atom, feat or gf)")
@@ -500,7 +451,7 @@ class _GParser:
             if section in seen:
                 self.err("duplicate %r section" % section, self.pos - 1)
             seen.add(section)
-            self.expect_op(":")
+            self.expect(":")
             if section == "gf":
                 while self.tok != ";":
                     self.gf.append(self.dotted(lambda: self.sig_name("feature")))
@@ -508,8 +459,8 @@ class _GParser:
                 target = {"cat": self.cats, "atom": self.atoms, "feat": self.feats}[section]
                 while self.tok != ";":
                     target.add(self.sig_name(section))
-            self.expect_op(";")
-        self.expect_op("}")
+            self.expect(";")
+        self.expect("}")
         for required in ("cat", "atom", "feat"):
             if required not in seen:
                 self.err("signature block lacks a %r section" % required)
@@ -556,7 +507,7 @@ class _GParser:
         self.need_signature()
         self.advance()
         lhs = self.category()
-        self.expect_op("->")
+        self.expect("->")
         elements = []
         while self.tok != ";":
             cat = self.category()
@@ -577,7 +528,7 @@ class _GParser:
             self.err("empty word form")
         cat = self.category()
         schemata = self.parse_schemata(lexical=True) if self.tok == "{" else ()
-        self.expect_op(";")
+        self.expect(";")
         self.lexicon.append(LexEntry(word, cat, schemata))
 
     def parse_schemata(self, lexical: bool):
@@ -597,7 +548,7 @@ class _GParser:
         if self.tok == keyword:
             self.advance()
             return ()
-        self.expect_op("(")
+        self.expect("(")
         if self.tok != keyword:
             self.err_got(repr(keyword))
         self.advance()
@@ -612,7 +563,7 @@ class _GParser:
         if self.tok == "=c":
             self.err("constraining equations (=c) are not supported; only defining "
                      "equations can be stated")
-        self.expect_op("=")
+        self.expect("=")
         # right-hand side: down form, atom, or semantic form
         if self.tok == "down" or self.tok == "(" and self.toks[self.pos + 1] == "down":
             if lexical:
@@ -641,6 +592,11 @@ class _GParser:
                 msg = "semantic-form argument %r is not a declared grammatical function"
                 self.err(msg % ".".join(seq), at)
         return SemForm(name, tuple(args))
+
+
+#: The scanner and its positions, as plain functions.
+_g_tokenize = _GParser.scan
+_g_position = _GParser.position
 
 
 def parse_grammar(text: str) -> Grammar:

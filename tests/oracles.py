@@ -23,6 +23,12 @@ pipeline it checks:
   grammar parser, kept verbatim apart from its class name and run on
   ``reference_g_tokenize``, as the reference for the token-dispatch
   parser that replaced it.
+* ``reference_parse_formula`` is the original formula reader: a
+  character-at-a-time tokenizer that builds a positioned token object per
+  token, and the recursive parser over those tokens with its own nesting
+  limit (``MAX_NESTING``, ``_GROUP_LEVELS``), kept verbatim apart from
+  names, as the reference for the formula parser that reads through the
+  scanner it shares with the grammar reader.
 * ``reference_names`` and ``reference_validate_names`` are the original
   generic pre-order names walk (``_children`` and ``_own_names`` per
   subformula) and the first-undeclared-name check built on it, kept
@@ -57,8 +63,10 @@ pipeline it checks:
 """
 
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -69,12 +77,16 @@ from lfgmc import (
     AtomValueSchema,
     Bullet,
     CatLit,
+    CSTRUCT,
     CStructConst,
     CStructure,
     Down,
+    FALSE,
     FalseF,
     Feat,
     Formula,
+    FormulaSyntaxError,
+    FSTRUCT,
     FStructConst,
     FStructure,
     Grammar,
@@ -91,6 +103,7 @@ from lfgmc import (
     SemForm,
     Signature,
     SignatureError,
+    TRUE,
     TrueF,
     Up,
     WordLit,
@@ -645,6 +658,313 @@ class _ReferenceGParser:
 
 def reference_parse_grammar(text: str) -> Grammar:
     return _ReferenceGParser(reference_g_tokenize(text)).parse()
+
+
+# ---------------------------------------------------------------------------
+# Formula reader: character-at-a-time tokenizer and its recursive parser
+# ---------------------------------------------------------------------------
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+_KEYWORDS = RESERVED_WORDS  # true false cstruct fstruct up down zoomin bullet
+
+
+@dataclass(frozen=True)
+class _FTok:
+    kind: str  # KW OP IDENT STRING FEATMOD EOF
+    value: str
+    line: int
+    col: int
+
+
+def _reference_tokenize(text: str) -> list[_FTok]:
+    toks: list[_FTok] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def err(msg, l=None, c=None):
+        raise FormulaSyntaxError(msg, l if l is not None else line, c if c is not None else col)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        start_line, start_col = line, col
+        if ch == "<":
+            if text.startswith("<->", i):
+                toks.append(_FTok("OP", "<->", start_line, start_col))
+                i += 3
+                col += 3
+                continue
+            j = i + 1
+            while j < n and text[j] not in ">\n":
+                j += 1
+            if j >= n or text[j] != ">":
+                err("unterminated '<'")
+            name = text[i + 1 : j].strip()
+            if not _IDENT_RE.match(name):
+                err("expected a feature name inside '<...>', got %r" % name)
+            if name in ("up", "down", "zoomin"):
+                toks.append(_FTok("KW", name, start_line, start_col))
+            else:
+                toks.append(_FTok("FEATMOD", name, start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if text.startswith("->", i):
+            toks.append(_FTok("OP", "->", start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "!&|(),~":
+            toks.append(_FTok("OP", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                err("unterminated string literal")
+            toks.append(_FTok("STRING", text[i + 1 : j], start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = "KW" if word in _KEYWORDS else "IDENT"
+            toks.append(_FTok(kind, word, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        err("unexpected character %r" % ch)
+    toks.append(_FTok("EOF", "", line, col))
+    return toks
+
+
+#: Deepest nesting a formula may have, in levels.  A ``!``, ``<f>`` or
+#: ``zoomin`` prefix and a pending right operand of ``->`` or ``<->`` take
+#: one level each, and the evaluator recurses once through each; a
+#: parenthesised group or ``bullet`` argument list takes
+#: ``_GROUP_LEVELS``.  ``up`` and ``down`` steps are free.  This admits
+#: every formula that fits Python's default stack of 1000 frames when
+#: parsed by plain recursive descent (six frames a group, one a prefix or
+#: right operand), and evaluating one still fits that stack under the CLI.
+MAX_NESTING = 991
+_GROUP_LEVELS = 6
+
+# binary operators: precedence (loosest first), right associativity, node
+_BINARY = {
+    "<->": (1, True, Iff),
+    "->": (2, True, Implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+}
+
+
+class _ReferenceParser:
+    def __init__(self, toks: list[_FTok], sig: Signature):
+        self.toks = toks
+        self.pos = 0
+        self.sig = sig
+        self.depth = 0
+
+    @property
+    def cur(self) -> _FTok:
+        return self.toks[self.pos]
+
+    def advance(self) -> _FTok:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def at(self, kind, value=None) -> bool:
+        t = self.cur
+        return t.kind == kind and (value is None or t.value == value)
+
+    def expect(self, kind, value=None) -> _FTok:
+        if not self.at(kind, value):
+            raise FormulaSyntaxError(
+                "expected %s, got %r" % (value or kind, self.cur.value or "end of input"),
+                self.cur.line,
+                self.cur.col,
+            )
+        return self.advance()
+
+    def err(self, msg):
+        raise FormulaSyntaxError(msg, self.cur.line, self.cur.col)
+
+    def nest(self, tok: _FTok, levels: int = 1):
+        """Enter ``levels`` more levels of nesting, opened by ``tok``."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                "formula nested too deeply (more than %d levels)" % MAX_NESTING,
+                tok.line,
+                tok.col,
+            )
+
+    def parse_formula(self) -> Formula:
+        """Operands joined by binary operators, grouped by precedence with
+        an operator stack, so that chains of any length do not recurse."""
+        depth = self.depth
+        operands = [self.parse_unary()]
+        ops: list[str] = []
+        while self.cur.kind == "OP" and self.cur.value in _BINARY:
+            prec, right, _node = _BINARY[self.cur.value]
+            while ops:
+                top, top_right, _node = _BINARY[ops[-1]]
+                if top < prec or (top == prec and right):
+                    break
+                _reduce(operands, ops.pop())
+                self.depth -= top_right  # a right operand is no longer pending
+            if right:
+                self.nest(self.cur)
+            ops.append(self.advance().value)
+            operands.append(self.parse_unary())
+        while ops:
+            _reduce(operands, ops.pop())
+        self.depth = depth
+        return operands[0]
+
+    def parse_unary(self) -> Formula:
+        """Prefix operators, collected in a loop and applied to their
+        operand innermost first."""
+        depth = self.depth
+        wrap: list = []
+        while True:
+            if self.at("OP", "!"):
+                self.nest(self.cur)
+                self.advance()
+                wrap.append(Not)
+                continue
+            if self.cur.kind == "FEATMOD":
+                self.nest(self.cur)
+                t = self.advance()
+                if t.value not in self.sig.feats:
+                    raise SignatureError("unknown feature %r" % t.value, t.line, t.col)
+                wrap.append(partial(Feat, t.value))
+                continue
+            if not (self.at("KW", "up") or self.at("KW", "down") or self.at("KW", "zoomin")):
+                sub = self.parse_primary()
+                break
+            steps = self.tree_steps()
+            modal = [Up if step == "up" else Down for step in steps]
+            if not self.at("KW", "zoomin"):
+                wrap.extend(modal)  # a plain modal chain like "up down phi"
+                continue
+            zoomin = self.advance()
+            feats = self.feature_path()
+            if self.at("OP", "~"):
+                self.advance()
+                rtree = self.tree_steps()
+                self.expect("KW", "zoomin")
+                sub = PathEq(steps, feats, rtree, self.feature_path())
+                break
+            if feats:
+                self.err("expected '~' after the feature path of a path equality")
+            # modal chain ending in a zoomin modality
+            self.nest(zoomin)
+            wrap.extend(modal)
+            wrap.append(Zoomin)
+        for make in reversed(wrap):
+            sub = make(sub)
+        self.depth = depth
+        return sub
+
+    def tree_steps(self) -> tuple[str, ...]:
+        steps = []
+        while self.at("KW", "up") or self.at("KW", "down"):
+            steps.append(self.advance().value)
+        return tuple(steps)
+
+    def feature_path(self) -> tuple[str, ...]:
+        feats = []
+        while self.cur.kind == "IDENT" and self.cur.value in self.sig.feats:
+            feats.append(self.advance().value)
+        return tuple(feats)
+
+    def parse_primary(self) -> Formula:
+        t = self.cur
+        if t.kind == "KW":
+            if t.value == "true":
+                self.advance()
+                return TRUE
+            if t.value == "false":
+                self.advance()
+                return FALSE
+            if t.value == "cstruct":
+                self.advance()
+                return CSTRUCT
+            if t.value == "fstruct":
+                self.advance()
+                return FSTRUCT
+            if t.value == "bullet":
+                self.advance()
+                self.nest(self.expect("OP", "("), _GROUP_LEVELS)
+                args = [self.parse_formula()]
+                while self.at("OP", ","):
+                    self.advance()
+                    args.append(self.parse_formula())
+                self.expect("OP", ")")
+                self.depth -= _GROUP_LEVELS
+                return Bullet(tuple(args))
+            self.err("unexpected keyword %r" % t.value)
+        if t.kind == "OP" and t.value == "(":
+            self.nest(self.advance(), _GROUP_LEVELS)
+            f = self.parse_formula()
+            self.expect("OP", ")")
+            self.depth -= _GROUP_LEVELS
+            return f
+        if t.kind == "STRING":
+            self.advance()
+            if t.value not in self.sig.words:
+                raise SignatureError("unknown word form %r" % t.value, t.line, t.col)
+            return WordLit(t.value)
+        if t.kind == "IDENT":
+            self.advance()
+            kind = self.sig.kind_of(t.value)
+            if kind == "cat":
+                return CatLit(t.value)
+            if kind == "atom":
+                return AtomLit(t.value)
+            if kind == "word":
+                return WordLit(t.value)
+            if t.value in self.sig.feats:
+                raise SignatureError(
+                    "feature %r cannot stand alone; write <%s> phi or use it "
+                    "inside a path equality" % (t.value, t.value),
+                    t.line,
+                    t.col,
+                )
+            raise SignatureError("unknown name %r" % t.value, t.line, t.col)
+        self.err("expected a formula, got %r" % (t.value or "end of input"))
+
+
+def _reduce(operands: list[Formula], op: str):
+    """Replace the last two operands by their combination under ``op``."""
+    right = operands.pop()
+    operands[-1] = _BINARY[op][2](operands[-1], right)
+
+
+def reference_parse_formula(text: str, sig: Signature) -> Formula:
+    """Parse concrete syntax into an AST, resolving names against ``sig``."""
+    parser = _ReferenceParser(_reference_tokenize(text), sig)
+    f = parser.parse_formula()
+    if parser.cur.kind != "EOF":
+        parser.err("trailing input after formula")
+    return f
 
 
 # ---------------------------------------------------------------------------

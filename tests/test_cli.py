@@ -326,13 +326,13 @@ def test_no_ansi_color_when_disabled(fig_files):
 
 FIG_COMPILED = """\
 licensing:
-  ((cstruct & down (down true)) -> (((S & bullet((NP & (up zoomin subj ~ zoomin)), \
-(VP & (up zoomin ~ zoomin)))) | (NP & bullet(Det, N))) | (VP & bullet((V & (up zoomin ~ zoomin))))))
+  ((cstruct & down (down true)) -> ((S & bullet((NP & (up zoomin subj ~ zoomin)), \
+(VP & (up zoomin ~ zoomin)))) | (NP & bullet(Det, N)) | (VP & bullet((V & (up zoomin ~ zoomin))))))
 lexical:
-  ((cstruct & bullet((("a" | "girl") | "walks"))) -> (((((Det & bullet("a")) & up (zoomin \
-(<spec> a))) & up (zoomin (<num> sing))) | (((N & bullet("girl")) & up (zoomin (<pred> \
-(<rel> girl)))) & up (zoomin (<num> sing)))) | (((V & bullet("walks")) & up (zoomin (<pred> \
-((<rel> walk & <subj> true))))) & up (zoomin (<tense> pst)))))
+  ((cstruct & bullet(("a" | "girl" | "walks"))) -> ((Det & bullet("a") & up (zoomin \
+(<spec> a)) & up (zoomin (<num> sing))) | (N & bullet("girl") & up (zoomin (<pred> \
+(<rel> girl))) & up (zoomin (<num> sing))) | (V & bullet("walks") & up (zoomin (<pred> \
+((<rel> walk & <subj> true)))) & up (zoomin (<tense> pst)))))
 completeness:
   [subj] (<pred> (<subj> true) -> <subj> true)
 coherence:
@@ -344,15 +344,15 @@ coherence:
     "text,fmt,sha256",
     [
         (FIG_GRAMMAR_TEXT, "json",
-         "37db2c286600c35fcab85840b5fce97afcf1d5fbf4727d73cfe7572cc0b9bbb4"),
+         "32889ab8348c6aa5ac0eca51f49eb15f42c64e265bde5b8601edb9ece877dafc"),
         (PP_AGREE_GRAMMAR_TEXT, "plain",
-         "9aac594a455465a9005ef62ab2234fb78ce1a6f8649f436cd1e028382cfe82f5"),
+         "5404cb8891496bc58ea69732f74b21291a456ac7b9a6483741e89b2fe06c452e"),
         (PP_AGREE_GRAMMAR_TEXT, "json",
-         "b3a0ea75d4dccd1dc9b0868ea507a46de9c702e6a7c136da5d16809f4beacb2f"),
+         "d1ca768e2dfa7859f1dd429ba7380db6b93795ef0bcf1915f78301416303f26e"),
     ],
 )
 def test_compile_output_is_pinned(tmp_path, text, fmt, sha256):
-    # the rendered text must not change; digests of the recursive renderer's output
+    # digests of the output with left-nested & and | chains printed flat
     grammar = tmp_path / "g.lfg"
     grammar.write_text(text)
     proc = run_cli("compile", str(grammar), "--format", fmt)
@@ -540,6 +540,43 @@ def test_check_reports_the_first_undeclared_name(tmp_path, fmt):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: unknown atom 'noun100'\n"
+
+
+@pytest.mark.parametrize("case", ["intact", "perturbed"])
+def test_check_reads_back_each_compiled_label(tmp_path, case):
+    # each label lfgmc compile prints, given to --formula, gives that
+    # label's row under --grammar: verdict, counterexample and exit code
+    model, grammar = _check_files(tmp_path, case)
+    compiled = json.loads(run_cli("compile", grammar, "--format", "json").stdout)
+    texts = [compiled["licensing"], compiled["lexical"]]
+    texts += compiled["completeness"] + compiled["coherence"]
+    rows = json.loads(run_cli("check", model, "--grammar", grammar, "--format", "json").stdout)
+    assert len(rows["results"]) == len(texts) == 6
+    verdicts = set()
+    for text, row in zip(texts, rows["results"]):
+        proc = run_cli("check", model, "--formula", text, "--format", "json")
+        assert proc.returncode == (0 if row["valid"] else 1) and proc.stderr == "", row["label"]
+        got = json.loads(proc.stdout)["results"]
+        assert got == [dict(row, label="formula")], row["label"]
+        verdicts.add(row["valid"])
+    assert verdicts == ({True} if case == "intact" else {True, False})
+
+
+def test_non_identifier_signature_name_is_input_error(tmp_path):
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(FIG_GRAMMAR_TEXT.replace("num", "ñum"))
+    model = tmp_path / "m.json"
+    model.write_text(model_to_text(build_fig_model()))
+    out = tmp_path / "out"
+    for args in (
+        ["compile", str(grammar)],
+        ["parse", str(grammar), "a", "girl", "walks", "--out", str(out)],
+        ["check", str(model), "--grammar", str(grammar)],
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and proc.stdout == "", args
+        assert proc.stderr == "error: feature name 'ñum' is not an identifier\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -14,10 +14,13 @@ from lfgmc import (
     FormulaSyntaxError,
     Not,
     PathEq,
+    Signature,
     SignatureError,
     TRUE,
     WordLit,
+    compile_grammar,
     parse_formula,
+    parse_grammar,
     render_formula,
     validate_names,
 )
@@ -248,3 +251,158 @@ def test_parser_totality_fuzz():
             assert err.line >= 1 and err.col >= 1
         except SignatureError:
             pass
+
+
+# --- the reader against the character-at-a-time reference -----------------
+
+#: A signature whose names collide with keywords, operators, string
+#: literals and each other, so that a token is read by its kind and not
+#: only by its text.
+ODD_SIG = Signature(
+    cats={"S", "up", "NP"},
+    atoms={"true", "x", "NP"},
+    feats={"f", "down", "zoomin", "bullet", "(", '"w"'},
+    gf=(("f",),),
+    words={"up", "S", "x y", "w"},
+)
+
+
+def _read_outcome(parse, text, sig):
+    # an AST is compared through its rendering, which determines it and,
+    # unlike ``==`` on a thousand nested prefixes, does not recurse
+    try:
+        return "ok", render_formula(parse(text, sig))
+    except (FormulaSyntaxError, SignatureError) as exc:
+        return "error", type(exc).__name__, str(exc), exc.line, exc.col
+
+
+def _reader_corpus():
+    """Every scanner and parser error path, blanks and line ends in and
+    out of ``<...>``, the nesting limit, and names that do not resolve."""
+    return [
+        "", " ", "\n", "\t \r\n ", "true", "true  \n\t\n", "true &  \n\t\n", "\r\ntrue\r\n",
+        # the scanner's own errors, and a scan error after a parse error
+        "<", "<subj", "true &\n<subj\n> true", "<>", "<1>", "<ñ>", "<\xa0ñ>", "<subj x>",
+        "<-x>", "<->>", "true <->> false", '"a', '"', 'true & "a\n"', "#", "true # c",
+        "-", "true - false", ">", "true >", "$", "\xa0true", "true\f", "true\x00",
+        "nonsense & <1>", "true true $", "bullet(, \"", "(((\n  )) ²", "x²", "é",
+        # blanks inside <...>, and the keyword spellings
+        "< subj > true", "<\tsubj\t> true", "<\xa0subj\f> true", "<\x0bsubj\x1c> true",
+        "<up> true", "<down> <subj> true", "<zoomin> true", "< up > zoomin subj ~ <zoomin>",
+        "<\fup\xa0> zoomin subj ~ zoomin", "<true> true", "<bullet>(true)",
+        # the parser's errors
+        "bullet()", "bullet(NP,, VP)", "bullet NP", "bullet(NP", "true &", "&", "(true",
+        "true)", "()", "up zoomin subj true", "up zoomin subj ~ up", "up zoomin subj ~",
+        "zoomin ~ zoomin subj num x", "up", "->", "true -> -> false", "true <-> ",
+        "<subj>", "<subj> <->", "!", "! !", "~", "true ~ true", "NP NP", ",", "a ,",
+        "cstruct &\n  nonsense", "<nosuchfeat> true", "up zoomin nosuch ~ zoomin",
+        "up zoomin subj nosuch ~ zoomin", '"nosuchword"', '"a" & "girl" & "walks"',
+        "subj", "true &\n\tsubj", "up down zoomin <subj> true", "\"a\"\n", "fstruct|cstruct",
+        # within and beyond the nesting limit, with positions
+        "(" * 165 + "true" + ")" * 165, "(" * 166 + "true" + ")" * 166,
+        "!" * 991 + "true", "!" * 992 + "true", "true &\n" + "(" * 200 + "true" + ")" * 200,
+        "bullet(" * 166 + "true" + ")" * 166, "<subj>" * 992 + "true",
+        "zoomin " * 992 + "true", "true -> " * 992 + "true", "(!" * 142 + "true" + ")" * 142,
+        "up down " * 3000 + "true", "true & " * 3000 + "true", "true | " * 3000 + "true",
+    ]
+
+
+def _odd_corpus():
+    return [
+        "up", "up true", '"up"', "S & NP", "true", "zoomin down f ~ zoomin", "<down> true",
+        "<f> x", "up zoomin f bullet ~ zoomin", "bullet(S)", '"x y" | "w"', "<bullet> x",
+        "zoomin ( ~ zoomin", 'zoomin "w" ~ zoomin', "zoomin f (", 'zoomin f "w"',
+    ]
+
+
+def _fixture_labels():
+    from conftest import (
+        DEVOUR_GRAMMAR_TEXT,
+        FIG_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+    )
+
+    for text in (FIG_GRAMMAR_TEXT, DEVOUR_GRAMMAR_TEXT, MICRO_GRAMMAR_TEXT, PP_AGREE_GRAMMAR_TEXT):
+        grammar = parse_grammar(text)
+        theory = compile_grammar(grammar)
+        for _label, f in theory.labeled():
+            yield grammar.sig, f
+
+
+def _formula_token_edits(text):
+    """``text``, on one line, with each of its tokens deleted and with
+    each doubled."""
+    from oracles import _reference_tokenize
+
+    for tok in _reference_tokenize(text)[:-1]:
+        at = tok.col - 1
+        end = at + len(tok.value) + (2 if tok.kind in ("STRING", "FEATMOD") else 0)
+        yield text[:at] + text[end:]
+        yield text[:end] + " " + text[at:]
+
+
+def _reader_fuzz():
+    """3000 random texts over today's fuzz alphabet, widened with comment,
+    line-end and non-ASCII characters and with spellings of ``<...>``."""
+    rng = random.Random(8)
+    alphabet = (
+        list(string.ascii_lowercase)
+        + list("()<>!&|~,-> \t\n\"")
+        + ["true", "false", "up", "down", "zoomin", "bullet", "subj", "NP", "<->"]
+        + ["#", "\r", "\t", "ñ", "é", "²", "<up>", "< subj >", "<1>"]
+    )
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))) for _ in range(3000)]
+
+
+def test_reader_matches_reference_reader(fig_sig):
+    from oracles import reference_parse_formula
+
+    cases = [(text, fig_sig) for text in _reader_corpus()]
+    cases += [(text, ODD_SIG) for text in _odd_corpus()]
+    cases += [(text, RAND_SIG) for text in _reader_fuzz()]
+    edited = 0
+    for sig, f in _fixture_labels():
+        text = render_formula(f)
+        assert parse_formula(text, sig) == f, text
+        for t in _formula_token_edits(text):
+            cases.append((t, sig))
+            edited += 1
+    kinds = set()
+    for text, sig in cases:
+        got = _read_outcome(parse_formula, text, sig)
+        assert got == _read_outcome(reference_parse_formula, text, sig), repr(text)
+        kinds.add(got[1] if got[0] == "error" else "ok")
+        if got[0] == "error":
+            kinds.add(got[2].split(": ", 1)[1].split(" ", 2)[0])
+    # the inputs reach the scanner's, the parser's and the names' errors
+    assert edited > 1000
+    assert {"ok", "FormulaSyntaxError", "SignatureError", "unterminated", "unexpected",
+            "expected", "formula", "unknown", "trailing", "feature"} <= kinds, kinds
+
+
+# --- a compiled theory reads back ------------------------------------------
+
+
+@pytest.mark.parametrize("nouns", [500, 5000])
+def test_large_compiled_theory_reads_back(nouns):
+    # the lexical axiom's disjunction over the whole lexicon is printed as
+    # one flat chain; texts are compared, as == on a theory this large
+    # still recurses along that chain (the fixture theories are compared
+    # with == in test_reader_matches_reference_reader)
+    from generators import embedding_grammar_text
+
+    grammar = parse_grammar(embedding_grammar_text(["noun%d" % k for k in range(nouns)]))
+    for _label, f in compile_grammar(grammar).labeled():
+        text = render_formula(f)
+        assert render_formula(parse_formula(text, grammar.sig)) == text
+
+
+def test_chains_print_flat(fig_sig):
+    from lfgmc import Or
+
+    a, b, c = CatLit("S"), CatLit("NP"), CatLit("VP")
+    assert render_formula(Or(Or(a, b), c)) == "(S | NP | VP)"
+    assert render_formula(Or(a, Or(b, c))) == "(S | (NP | VP))"
+    assert render_formula(And(Or(a, b), And(b, c))) == "((S | NP) & (NP & VP))"
+    assert parse_formula("(S | NP | VP)", fig_sig) == Or(Or(a, b), c)

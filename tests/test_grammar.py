@@ -271,6 +271,24 @@ def test_gf_without_pred_rejected_at_compile_time():
     assert compile_grammar(parse_grammar(text)).source is not None
 
 
+@pytest.mark.parametrize(
+    "section,name,kind",
+    [("cat", "Ñ", "category"), ("atom", "é", "atom"), ("feat", "ñum", "feature")],
+)
+def test_non_identifier_names_rejected_at_compile_time(section, name, kind):
+    from lfgmc import SignatureError
+
+    # the grammar reader accepts any name; a printed theory or a model file
+    # could not spell this one, so compiling it stops
+    text = "signature { cat: S A; atom: x; feat: f; gf: ; }\nrule S -> A;\nlex \"a\" A;\n"
+    text = text.replace("%s: " % section, "%s: %s " % (section, name), 1)
+    grammar = parse_grammar(text)
+    assert name in getattr(grammar.sig, section + "s")
+    with pytest.raises(SignatureError) as err:
+        compile_grammar(grammar)
+    assert str(err.value) == "%s name %r is not an identifier" % (kind, name)
+
+
 def test_constraining_equation_rejected():
     text = """
     signature { cat: S A; atom: x; feat: f; gf: ; }
