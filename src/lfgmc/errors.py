@@ -5,9 +5,8 @@ class LfgError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SignatureError(LfgError):
-    """A name does not resolve against the signature, or the signature
-    itself is unusable (reserved word, non-identifier, ...)."""
+class _Positioned(LfgError):
+    """An error that may carry a 1-based position, prefixed to its message."""
 
     def __init__(self, message, line=None, col=None):
         if line is not None:
@@ -17,22 +16,17 @@ class SignatureError(LfgError):
         self.col = col
 
 
-class FormulaSyntaxError(LfgError):
+class SignatureError(_Positioned):
+    """A name does not resolve against the signature, or the signature
+    itself is unusable (reserved word, non-identifier, ...)."""
+
+
+class FormulaSyntaxError(_Positioned):
     """Malformed concrete formula syntax.  Carries a 1-based position."""
 
-    def __init__(self, message, line, col):
-        super().__init__("%d:%d: %s" % (line, col, message))
-        self.line = line
-        self.col = col
 
-
-class GrammarSyntaxError(LfgError):
+class GrammarSyntaxError(_Positioned):
     """Malformed grammar file.  Carries a 1-based position."""
-
-    def __init__(self, message, line, col):
-        super().__init__("%d:%d: %s" % (line, col, message))
-        self.line = line
-        self.col = col
 
 
 class GrammarError(LfgError):

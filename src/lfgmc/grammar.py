@@ -26,6 +26,12 @@ declared grammatical functions (multi-step ones are written
 ``obl.obj``).  Only defining equations exist here; the check-only
 ``=c`` variant is rejected at parse time.
 
+Each piece checks its shape once, when built: a rule has an element,
+semantic forms annotate entries only and ``down`` rule elements only
+(:class:`GrammarError`; any other schema object is a ``TypeError``).
+Compilation and the search take the pieces as they are; the reader
+checks the same first, so that its errors carry a position.
+
 The file is read in one pass by the reader the formula syntax uses too
 (see ``lfgmc.formula``): one ``findall`` over the whole text yields the
 tokens as plain strings, and a parser holding the current token and the
@@ -77,7 +83,7 @@ from .formula import (
     _is_name,
     _Reader,
 )
-from .model import _IDENT_RE, RESERVED_WORDS, Signature
+from .model import RESERVED_WORDS, Signature, _spelling_fault
 
 #: Feature holding the relation name inside a compiled semantic form.
 REL_FEAT = "rel"
@@ -119,13 +125,27 @@ class SemForm:
         object.__setattr__(self, "args", tuple(map(tuple, self.args)))
 
 
+def _hold_schemata(piece, allowed: tuple, message: str):
+    """Hold ``piece.schemata`` as a tuple of ``allowed`` schemata: another
+    schema raises ``GrammarError(message)``, any other object ``TypeError``."""
+    object.__setattr__(piece, "schemata", schemata := tuple(piece.schemata))
+    for s in schemata:
+        if not isinstance(s, allowed):
+            if isinstance(s, (PathEqSchema, AtomValueSchema, SemForm)):
+                raise GrammarError(message)
+            raise TypeError("not a schema: %r" % (s,))
+
+
 @dataclass(frozen=True)
 class RuleElement:
     cat: str
     schemata: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "schemata", tuple(self.schemata))
+        _hold_schemata(
+            self, (PathEqSchema, AtomValueSchema),
+            "semantic forms are only allowed in lexical entries",
+        )
 
 
 @dataclass(frozen=True)
@@ -135,6 +155,8 @@ class AnnotatedRule:
 
     def __post_init__(self):
         object.__setattr__(self, "rhs", tuple(self.rhs))
+        if not self.rhs:
+            raise GrammarError("rule for %r has an empty right-hand side" % self.lhs)
 
 
 @dataclass(frozen=True)
@@ -144,7 +166,7 @@ class LexEntry:
     schemata: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "schemata", tuple(self.schemata))
+        _hold_schemata(self, (AtomValueSchema, SemForm), "'down' cannot appear in a lexical schema")
 
 
 @dataclass(frozen=True)
@@ -236,23 +258,22 @@ def _compile_schema(schema, sig: Signature) -> Formula:
         if schema.value not in sig.atoms:
             raise SignatureError("unknown atom %r" % schema.value)
         return Up(Zoomin(_feat_chain(schema.path, AtomLit(schema.value))))
-    if isinstance(schema, SemForm):
-        if schema.rel not in sig.atoms:
-            raise SignatureError("unknown atom %r" % schema.rel)
-        if REL_FEAT not in sig.feats or PRED_FEAT not in sig.feats:
+    # a semantic form
+    if schema.rel not in sig.atoms:
+        raise SignatureError("unknown atom %r" % schema.rel)
+    if REL_FEAT not in sig.feats or PRED_FEAT not in sig.feats:
+        raise SignatureError(
+            "semantic forms need the %r and %r features" % (PRED_FEAT, REL_FEAT)
+        )
+    parts: list[Formula] = [Feat(REL_FEAT, AtomLit(schema.rel))]
+    for g in schema.args:
+        if g not in sig.gf:
             raise SignatureError(
-                "semantic forms need the %r and %r features" % (PRED_FEAT, REL_FEAT)
+                "semantic-form argument %r is not a declared grammatical "
+                "function" % ".".join(g)
             )
-        parts: list[Formula] = [Feat(REL_FEAT, AtomLit(schema.rel))]
-        for g in schema.args:
-            if g not in sig.gf:
-                raise SignatureError(
-                    "semantic-form argument %r is not a declared grammatical "
-                    "function" % ".".join(g)
-                )
-            parts.append(_feat_chain(g, TRUE))
-        return Up(Zoomin(Feat(PRED_FEAT, _and_fold(parts))))
-    raise TypeError("not a schema: %r" % (schema,))
+        parts.append(_feat_chain(g, TRUE))
+    return Up(Zoomin(Feat(PRED_FEAT, _and_fold(parts))))
 
 
 def compile_rule(rule: AnnotatedRule, sig: Signature) -> Formula:
@@ -261,16 +282,12 @@ def compile_rule(rule: AnnotatedRule, sig: Signature) -> Formula:
     schemata."""
     if rule.lhs not in sig.cats:
         raise SignatureError("unknown category %r" % rule.lhs)
-    if not rule.rhs:
-        raise GrammarError("rule for %r has an empty right-hand side" % rule.lhs)
     args = []
     for elem in rule.rhs:
         if elem.cat not in sig.cats:
             raise SignatureError("unknown category %r" % elem.cat)
         parts: list[Formula] = [CatLit(elem.cat)]
         for schema in elem.schemata:
-            if isinstance(schema, SemForm):
-                raise GrammarError("semantic forms are only allowed in lexical entries")
             parts.append(_compile_schema(schema, sig))
         args.append(_and_fold(parts))
     return And(CatLit(rule.lhs), Bullet(tuple(args)))
@@ -298,8 +315,6 @@ def compile_lexicon(lexicon, sig: Signature) -> Formula:
             raise SignatureError("word form %r is not declared" % entry.word)
         parts: list[Formula] = [CatLit(entry.cat), Bullet((WordLit(entry.word),))]
         for schema in entry.schemata:
-            if isinstance(schema, PathEqSchema):
-                raise GrammarError("'down' cannot appear in a lexical schema")
             parts.append(_compile_schema(schema, sig))
         disjuncts.append(_and_fold(parts))
     return Implies(And(CSTRUCT, word_shape), _or_fold(disjuncts))
@@ -342,12 +357,10 @@ def compile_grammar(grammar: Grammar) -> Theory:
         raise GrammarError("grammar has no rules")
     if grammar.sig.gf and PRED_FEAT not in grammar.sig.feats:
         raise SignatureError("grammatical functions need the %r feature" % PRED_FEAT)
-    # a printed theory and a model file can only spell identifiers
     sig = grammar.sig
     for kind, names in [("category", sig.cats), ("atom", sig.atoms), ("feature", sig.feats)]:
-        if not all(map(_IDENT_RE.match, names)):
-            name = min(name for name in names if not _IDENT_RE.match(name))
-            raise SignatureError("%s name %r is not an identifier" % (kind, name))
+        if _spelling_fault(kind, names):  # report the least such name
+            raise SignatureError(_spelling_fault(kind, sorted(names)))
     licensing = Implies(
         And(CSTRUCT, Down(Down(TRUE))),
         _or_fold([compile_rule(r, grammar.sig) for r in grammar.rules]),
@@ -592,11 +605,6 @@ class _GParser(_Reader):
                 msg = "semantic-form argument %r is not a declared grammatical function"
                 self.err(msg % ".".join(seq), at)
         return SemForm(name, tuple(args))
-
-
-#: The scanner and its positions, as plain functions.
-_g_tokenize = _GParser.scan
-_g_position = _GParser.position
 
 
 def parse_grammar(text: str) -> Grammar:

@@ -735,15 +735,17 @@ def _str_list(x, what: str) -> list[str]:
     return x
 
 
-def _check_sig_name(name: str, kind: str):
-    if not _IDENT_RE.match(name):
-        raise ModelFormatError(
-            "%s name %r is not an identifier" % (kind, name)
-        )
-    if name in RESERVED_WORDS:
-        raise ModelFormatError(
-            "%s name %r collides with reserved formula syntax" % (kind, name)
-        )
+def _spelling_fault(kind: str, names) -> str | None:
+    """Why a printed formula or model file cannot spell a ``kind`` name in
+    ``names`` (the first such name, in iteration order), or None."""
+    if all(map(_IDENT_RE.match, names)) and RESERVED_WORDS.isdisjoint(names):
+        return None
+    for name in names:
+        if not _IDENT_RE.match(name):
+            return "%s name %r is not an identifier" % (kind, name)
+        if name in RESERVED_WORDS:
+            return "%s name %r collides with reserved formula syntax" % (kind, name)
+    return None
 
 
 def model_from_json(doc) -> Model:
@@ -756,8 +758,9 @@ def model_from_json(doc) -> Model:
     feats = _str_list(sig_doc["feats"], "signature.feats")
     words = _str_list(sig_doc["words"], "signature.words")
     for kind, names in [("category", cats), ("atom", atoms), ("feature", feats)]:
-        for name in names:
-            _check_sig_name(name, kind)
+        fault = _spelling_fault(kind, names)
+        if fault:
+            raise ModelFormatError(fault)
     gf_doc = sig_doc["gf"]
     if not isinstance(gf_doc, list):
         raise ModelFormatError("signature.gf must be a list of feature-name lists")

@@ -14,7 +14,10 @@ one:
    work grows with the edges, not with the spans.  The enumerator reads
    the child ends off the chart, computes the derivations of each
    (cat, i, j, budget) once on an explicit stack, and so shares
-   sub-derivations between candidates;
+   sub-derivations between candidates.  A derivation is the grammar's
+   own data: a preterminal's is its ``LexEntry``, a phrase's the tuple
+   ``(rule, children)``.  The pieces checked their shape when built
+   (see ``lfgmc.grammar``), so the search takes them as they are;
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
@@ -85,14 +88,12 @@ from dataclasses import dataclass
 from .errors import GrammarError, SignatureError
 from .formula import _NAME_KINDS
 from .grammar import (
-    AnnotatedRule,
     AtomValueSchema,
     Grammar,
     LexEntry,
     PathEqSchema,
     PRED_FEAT,
     REL_FEAT,
-    SemForm,
     Theory,
 )
 from .model import (
@@ -140,17 +141,6 @@ class ParseOutcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DLex:
-    entry: LexEntry
-
-
-@dataclass(frozen=True)
-class _DPhrase:
-    rule: AnnotatedRule
-    children: tuple
-
-
 def _element_ends(found: list[int], j: int, remaining: int) -> list[int]:
     """The ends in the ascending list ``found`` that a rule element can
     take with ``remaining`` more elements before the span ends at ``j``:
@@ -172,8 +162,6 @@ def _chart(grammar: Grammar, tokens) -> list[dict[str, list[int]]]:
     edges found, not with the spans."""
     by_first: dict[str, list] = {}  # first element category -> (lhs, later categories)
     for rule in grammar.rules:
-        if not rule.rhs:
-            raise GrammarError("rule for %r has an empty right-hand side" % rule.lhs)
         by_first.setdefault(rule.rhs[0].cat, []).append((rule.lhs, [e.cat for e in rule.rhs[1:]]))
     n = len(tokens)
     ends: list[dict[str, list[int]]] = [{} for _ in range(n + 1)]
@@ -252,7 +240,7 @@ class _SkeletonEnumerator:
             entries = [e for e in self.grammar.entries_for(self.tokens[i]) if e.cat == cat]
             if entries:
                 if budget >= 2:
-                    out.extend((_DLex(e), 2) for e in entries)
+                    out.extend((e, 2) for e in entries)
                 else:
                     self.bound_hit = True
         for rule in self.grammar.rules:
@@ -276,7 +264,7 @@ class _SkeletonEnumerator:
                         for d, c in derivs:
                             grown.append((children + (d,), end, avail - c, used + c))
                 partial = grown
-            out.extend((_DPhrase(rule, children), 1 + used) for children, _, _, used in partial)
+            out.extend(((rule, children), 1 + used) for children, _, _, used in partial)
         return out
 
 
@@ -287,12 +275,12 @@ def _shape(deriv):
     key, entries, stack = [], [], [deriv]
     while stack:
         d = stack.pop()
-        if type(d) is _DLex:
-            key.append(d.entry.cat)
-            entries.append(d.entry)
+        if type(d) is tuple:
+            key.append(id(d[0]))
+            stack.extend(reversed(d[1]))
         else:
-            key.append(id(d.rule))
-            stack.extend(reversed(d.children))
+            key.append(d.cat)
+            entries.append(d)
     return tuple(key), tuple(entries)
 
 
@@ -307,29 +295,31 @@ def _build_tree(deriv):
     daughters: dict[NodeId, tuple[NodeId, ...]] = {}
     phrases = []
     preterminals = []
-    # (derivation, its siblings' ids) to enter, or ((node, rule), its
-    # daughters' ids) to leave once the daughters are built
+    # (derivation, its siblings' ids) to enter, or (node id, (rule, its
+    # daughters' ids)) to leave once the daughters are built
     stack = [(deriv, [])]
     while stack:
         d, ids = stack.pop()
-        if type(d) is tuple:
-            daughters[d[0]] = kids = tuple(ids)
-            phrases.append((d[0], d[1], kids))
+        if type(d) is str:
+            rule, kids = ids
+            daughters[d] = kids = tuple(kids)
+            phrases.append((d, rule, kids))
             continue
         nid = "n%d" % len(labels)
         ids.append(nid)
-        if type(d) is _DLex:
+        if type(d) is tuple:
+            rule, children = d
+            labels[nid] = rule.lhs
+            kids = []
+            stack.append((nid, (rule, kids)))
+            stack.extend((c, kids) for c in reversed(children))
+        else:
             leaf = "n%d" % (len(labels) + 1)
-            labels[nid] = d.entry.cat
-            labels[leaf] = d.entry.word
+            labels[nid] = d.cat
+            labels[leaf] = d.word
             daughters[nid] = (leaf,)
             daughters[leaf] = ()
             preterminals.append(nid)
-        else:
-            labels[nid] = d.rule.lhs
-            kids = []
-            stack.append(((nid, d.rule), kids))
-            stack.extend((c, kids) for c in reversed(d.children))
     return CStructure.build("n0", daughters, labels), phrases, preterminals
 
 
@@ -427,10 +417,8 @@ def _solve_phrases(phrases) -> _UnionFind:
                     a = uf.walk(uf.z(n), schema.up_path, create=True)
                     b = uf.walk(uf.z(kid), schema.down_path, create=True)
                     uf.union(a, b)
-                elif isinstance(schema, AtomValueSchema):
-                    uf.set_atom(uf.walk(uf.z(n), schema.path, create=True), schema.value)
                 else:
-                    raise GrammarError("semantic forms are only allowed in lexical entries")
+                    uf.set_atom(uf.walk(uf.z(n), schema.path, create=True), schema.value)
     return uf
 
 
@@ -445,13 +433,11 @@ def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry):
     for schema in entry.schemata:
         if isinstance(schema, AtomValueSchema):
             uf.set_atom(uf.walk(base, schema.path, create=True), schema.value)
-        elif isinstance(schema, SemForm):
+        else:
             uf.set_atom(uf.walk(base, (PRED_FEAT, REL_FEAT), create=True), schema.rel)
             for g in schema.args:
                 uf.walk(base, (PRED_FEAT,) + g, create=True)
                 uf.semform_args.append((base, g))
-        else:
-            raise GrammarError("'down' cannot appear in a lexical schema")
 
 
 def _close(uf: _UnionFind):

@@ -289,6 +289,77 @@ def test_non_identifier_names_rejected_at_compile_time(section, name, kind):
     assert str(err.value) == "%s name %r is not an identifier" % (kind, name)
 
 
+def _shape_error_cases():
+    """(id, call, error class, message) for each check a hand-built rule,
+    entry or signature can fail when built or compiled."""
+    from dataclasses import replace
+
+    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement, SignatureError
+
+    sig = Signature({"S", "A"}, {"x", "eat"}, {"f", "subj", "pred", "rel"}, (("subj",),), {"b"})
+    entry = LexEntry("b", "A")
+
+    def rule(*schemata, lhs="S", cat="A"):
+        return AnnotatedRule(lhs, (RuleElement(cat, schemata),))
+
+    def grammar(rules=(), lexicon=(entry,), sig=sig):
+        return lambda: compile_grammar(Grammar(sig, "S", rules or (rule(),), lexicon))
+
+    sem = SemForm("eat", (("subj",),))
+    return [
+        # the shape of a piece, checked when it is built
+        ("empty-rhs", lambda: AnnotatedRule("S", ()), GrammarError,
+         "rule for 'S' has an empty right-hand side"),
+        ("semform-in-rule", lambda: RuleElement("A", (sem,)), GrammarError,
+         "semantic forms are only allowed in lexical entries"),
+        ("down-in-entry", lambda: LexEntry("b", "A", (PathEqSchema(("f",)),)), GrammarError,
+         "'down' cannot appear in a lexical schema"),
+        ("rule-non-schema", lambda: RuleElement("A", ("(up f)=x",)), TypeError,
+         "not a schema: '(up f)=x'"),
+        ("entry-non-schema", lambda: LexEntry("b", "A", (None,)), TypeError,
+         "not a schema: None"),
+        # names against the signature, checked when compiled
+        ("unknown-lhs", grammar([rule(lhs="T")]), SignatureError, "unknown category 'T'"),
+        ("unknown-element", grammar([rule(cat="T")]), SignatureError, "unknown category 'T'"),
+        ("unknown-entry-cat", grammar(lexicon=[LexEntry("b", "T")]), SignatureError,
+         "unknown category 'T'"),
+        ("unknown-up-feature", grammar([rule(PathEqSchema(("g",)))]), SignatureError,
+         "unknown feature 'g'"),
+        ("unknown-down-feature", grammar([rule(PathEqSchema((), ("f", "g")))]), SignatureError,
+         "unknown feature 'g'"),
+        ("unknown-value-feature", grammar(lexicon=[LexEntry("b", "A", (AtomValueSchema(("g",), "x"),))]),
+         SignatureError, "unknown feature 'g'"),
+        ("unknown-value", grammar([rule(AtomValueSchema(("f",), "y"))]), SignatureError,
+         "unknown atom 'y'"),
+        ("unknown-relation", grammar(lexicon=[LexEntry("b", "A", (SemForm("sleep"),))]),
+         SignatureError, "unknown atom 'sleep'"),
+        ("semform-without-rel",
+         grammar(lexicon=[LexEntry("b", "A", (SemForm("eat"),))], sig=replace(sig, feats={"f", "pred"}, gf=())),
+         SignatureError, "semantic forms need the 'pred' and 'rel' features"),
+        ("semform-arg-not-gf", grammar(lexicon=[LexEntry("b", "A", (SemForm("eat", (("f",),)),))]),
+         SignatureError, "semantic-form argument 'f' is not a declared grammatical function"),
+        ("undeclared-word", grammar(lexicon=[LexEntry("c", "A")]), SignatureError,
+         "word form 'c' is not declared"),
+        ("empty-lexicon", lambda: compile_lexicon((), sig), GrammarError, "lexicon is empty"),
+        ("no-word-forms", grammar(sig=replace(sig, words=())), GrammarError,
+         "signature declares no word forms"),
+    ] + [
+        # the grammar reader rejects reserved words as names; a printed
+        # theory would read one back as formula syntax
+        ("reserved-" + section, grammar(sig=replace(sig, **{section: getattr(sig, section) | {"zoomin", "down"}})),
+         SignatureError, "%s name 'down' collides with reserved formula syntax" % kind)
+        for section, kind in [("cats", "category"), ("atoms", "atom"), ("feats", "feature")]
+    ]
+
+
+@pytest.mark.parametrize("case", _shape_error_cases(), ids=lambda case: case[0])
+def test_hand_built_grammar_errors(case):
+    _, call, cls, message = case
+    with pytest.raises(cls) as err:
+        call()
+    assert type(err.value) is cls and str(err.value) == message
+
+
 def test_constraining_equation_rejected():
     text = """
     signature { cat: S A; atom: x; feat: f; gf: ; }
@@ -423,7 +494,7 @@ def test_scanner_matches_reference_tokenizer():
         PP_AGREE_GRAMMAR_TEXT,
     )
     from generators import embedding_grammar_text
-    from lfgmc.grammar import _g_position, _g_tokenize
+    from lfgmc.grammar import _GParser
     from oracles import reference_g_tokenize
 
     texts = [
@@ -436,7 +507,7 @@ def test_scanner_matches_reference_tokenizer():
         "", "#", "x #c", "\n\t #c\n  ", "=c", "=cat", "=c_", "=c(", "->", "-",
     ]
     for text in texts + _scanner_corpus():
-        got = _tokens_or_error(_g_tokenize, text)
+        got = _tokens_or_error(_GParser.scan, text)
         ref = _tokens_or_error(reference_g_tokenize, text)
         if ref[0] == "error":
             assert got == ref, repr(text)
@@ -446,7 +517,7 @@ def test_scanner_matches_reference_tokenizer():
             '"%s"' % tok.value if tok.kind == "STRING" else tok.value for tok in ref
         ], repr(text)
         # positions are computed only for errors, from the token's index
-        assert [_g_position(text, i) for i in range(len(got))] == [
+        assert [_GParser.position(text, i) for i in range(len(got))] == [
             (tok.line, tok.col) for tok in ref
         ], repr(text)
 

@@ -29,6 +29,8 @@ from conftest import (
 )
 from generators import embedding_grammar_text, rand_grammar
 from oracles import (
+    _RefDLex,
+    _RefDPhrase,
     _RefSkeletonEnumerator,
     blind_parse,
     oracle_parse,
@@ -1208,7 +1210,7 @@ def test_each_tree_shape_is_built_and_solved_once(monkeypatch):
 
 def test_deep_unary_derivation_builds_without_recursion():
     from lfgmc import parse_grammar
-    from lfgmc.search import _DLex, _DPhrase, _build_tree, _shape, _solve_shape
+    from lfgmc.search import _build_tree, _shape, _solve_shape
 
     g = parse_grammar(
         """
@@ -1217,9 +1219,9 @@ def test_deep_unary_derivation_builds_without_recursion():
         lex "u" S {(up f)=a};
         """
     )
-    deriv = _DLex(g.lexicon[0])
+    deriv = g.lexicon[0]
     for _ in range(5000):
-        deriv = _DPhrase(g.rules[0], (deriv,))
+        deriv = (g.rules[0], (deriv,))
     key, entries = _shape(deriv)
     assert len(key) == 5001 and entries == (g.lexicon[0],)
     cstruct, phrases, preterminals = _build_tree(deriv)
@@ -1265,9 +1267,16 @@ def test_chart_matches_the_fixpoint_table_on_random_grammars():
 
 
 def _tree(deriv):
-    if hasattr(deriv, "entry"):
+    """A derivation of either enumerator as nested tuples: the search's
+    entries and (rule, children) pairs, the reference's wrappers of them."""
+    if isinstance(deriv, _RefDLex):
         return deriv.entry
-    return (id(deriv.rule),) + tuple(_tree(c) for c in deriv.children)
+    if isinstance(deriv, _RefDPhrase):
+        deriv = (deriv.rule, deriv.children)
+    if type(deriv) is tuple:
+        rule, children = deriv
+        return (id(rule),) + tuple(_tree(c) for c in children)
+    return deriv
 
 
 def test_enumerator_matches_the_recursive_one_on_random_grammars():
@@ -1330,15 +1339,15 @@ def test_chart_matches_the_fixpoint_table_on_a_long_chain():
 
 
 def test_rule_without_elements_is_a_grammar_error():
-    # parse_grammar and compile_grammar reject such a rule; a hand-built
-    # one is rejected before any derivation is made
+    # parse_grammar rejects such a rule; a hand-built one cannot be built,
+    # so no derivation or compilation ever meets it
     from lfgmc import parse_grammar
     from lfgmc.grammar import AnnotatedRule
 
     g = parse_grammar(UNARY_CYCLE_GRAMMAR_TEXT)
-    g = replace(g, rules=g.rules + (AnnotatedRule("S", ()),))
-    with pytest.raises(GrammarError, match="rule for 'S' has an empty right-hand side"):
-        parse_sentence(Theory(TrueF(), TrueF()), g, ["c"])
+    with pytest.raises(GrammarError) as err:
+        replace(g, rules=g.rules + (AnnotatedRule("S", ()),))
+    assert str(err.value) == "rule for 'S' has an empty right-hand side"
 
 
 def _long_chain(clauses):
