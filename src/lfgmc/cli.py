@@ -134,11 +134,14 @@ def cmd_parse(args) -> int:
     outcome = parse_sentence(theory, grammar, args.tokens, bounds)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for k, model in enumerate(outcome.models, start=1):
-            path = os.path.join(args.out, "model-%03d.json" % k)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(model_to_text(model))
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            for k, model in enumerate(outcome.models, start=1):
+                path = os.path.join(args.out, "model-%03d.json" % k)
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(model_to_text(model))
+        except OSError as exc:
+            raise LfgError("cannot write %s: %s" % (args.out, exc)) from exc
 
     if args.format == "json":
         _emit_json(

@@ -540,76 +540,66 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 # Renderer
 # ---------------------------------------------------------------------------
 
-_LEAVES = (TrueF, FalseF, CStructConst, FStructConst, CatLit, AtomLit, WordLit)
-
-
-def _leaf_text(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, CStructConst):
-        return "cstruct"
-    if isinstance(f, FStructConst):
-        return "fstruct"
-    if isinstance(f, (CatLit, AtomLit)):
-        return f.name
-    if isinstance(f, WordLit):
-        return '"%s"' % f.name  # quoting keeps words distinct from atom/cat names
-    raise TypeError(f)
-
-
-_CHAIN_OPS = {And: "&", Or: "|"}
-_PREFIX_TEXT = {Up: "up ", Down: "down ", Zoomin: "zoomin "}
+_CONSTANT_TEXT = {TrueF: "true", FalseF: "false", CStructConst: "cstruct", FStructConst: "fstruct"}
+_LEAVES = frozenset((*_CONSTANT_TEXT, CatLit, AtomLit, WordLit))
+_HEAD_TEXT = {Up: "up ", Down: "down ", Zoomin: "zoomin "}
+_INFIX_TEXT = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> "}
 
 
 def render_formula(f: Formula) -> str:
-    """Render to concrete syntax; the output re-parses to an equal AST.
+    """Render to concrete syntax; the output re-parses to an equal AST as
+    long as it nests no deeper than :data:`MAX_NESTING` levels (a long
+    enough feature path prints a text the reader refuses).
 
     A left-nested ``&``/``|`` chain, such as the lexical disjunction over
     a whole lexicon, is printed flat along its spine, as ``(a | b | c)``
     and not ``((a | b) | c)``: both operators group to the left, so the
     text reads back as the same chain, and a chain of any length costs
-    the reader one parenthesised group.  A run of prefix operators
-    (``!``, ``<f>``, ``up``, ``down``, ``zoomin``) is rendered in a loop,
-    so neither recurses."""
-    opened: list[str] = []  # text before the operand of a prefix run
-    closes = 0  # parentheses that text leaves open
-    while True:
-        t = type(f)
-        if t is Not:
-            opened.append("!(")
-        elif t is Feat or t in _PREFIX_TEXT:
-            opened.append("<%s> " % f.feat if t is Feat else _PREFIX_TEXT[t])
-            if isinstance(f.sub, _LEAVES):
-                f = f.sub
-                break  # a leaf operand goes without parentheses
-            opened.append("(")
+    the reader one parenthesised group.  The text is written through one
+    explicit stack of strings and formulas still to render, so no
+    formula recurses, whatever its depth."""
+    text: list[str] = []
+    stack: list = [f]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            text.append(piece)
         else:
-            break
-        closes += 1
-        f = f.sub
-    return "".join(opened) + _render_operand(f) + ")" * closes
+            stack.extend(reversed(_pieces(piece)))
+    return "".join(text)
 
 
-def _render_operand(f: Formula) -> str:
-    """``f`` rendered, when it is not a prefix operator."""
-    if isinstance(f, _LEAVES):
-        return _leaf_text(f)
-    if type(f) in _CHAIN_OPS:
-        sep = " %s " % _CHAIN_OPS[type(f)]
-        return "(%s)" % sep.join(map(render_formula, _spine(f)))
-    if isinstance(f, Implies):
-        return "(%s -> %s)" % (render_formula(f.left), render_formula(f.right))
-    if isinstance(f, Iff):
-        return "(%s <-> %s)" % (render_formula(f.left), render_formula(f.right))
-    if isinstance(f, Bullet):
-        return "bullet(%s)" % ", ".join(render_formula(a) for a in f.args)
-    if isinstance(f, PathEq):
-        left = " ".join(list(f.left_tree) + ["zoomin"] + list(f.left_feats))
-        right = " ".join(list(f.right_tree) + ["zoomin"] + list(f.right_feats))
-        return "(%s ~ %s)" % (left, right)
-    raise TypeError("not a formula: %r" % (f,))
+def _pieces(f: Formula) -> list:
+    """The text of ``f`` alone: strings, with its subformulas in place."""
+    t = type(f)
+    if t in _CONSTANT_TEXT:
+        return [_CONSTANT_TEXT[t]]
+    if t is CatLit or t is AtomLit:
+        return [f.name]
+    if t is WordLit:
+        return ['"%s"' % f.name]  # quoting keeps words distinct from atom/cat names
+    if t is Not:
+        return ["!(", f.sub, ")"]
+    if t is Feat or t in _HEAD_TEXT:
+        head = "<%s> " % f.feat if t is Feat else _HEAD_TEXT[t]
+        if type(f.sub) in _LEAVES:
+            return [head, f.sub]  # a leaf operand goes without parentheses
+        return [head + "(", f.sub, ")"]
+    if t is PathEq:
+        left = " ".join(f.left_tree + ("zoomin",) + f.left_feats)
+        right = " ".join(f.right_tree + ("zoomin",) + f.right_feats)
+        return ["(%s ~ %s)" % (left, right)]
+    if t in _INFIX_TEXT:
+        out, sep = ["("], _INFIX_TEXT[t]
+        operands = _spine(f) if t is And or t is Or else (f.left, f.right)
+    elif t is Bullet:
+        out, sep, operands = ["bullet("], ", ", f.args
+    else:
+        raise TypeError("not a formula: %r" % (f,))
+    for g in operands:
+        out += (g, sep)
+    out[-1] = ")"  # in place of the last separator
+    return out
 
 
 def _spine(f: Formula) -> list[Formula]:

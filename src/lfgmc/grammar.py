@@ -206,6 +206,14 @@ class Theory:
     gf: tuple[tuple[str, ...], ...] = ()
     source: Grammar | None = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        # one completeness and one coherence axiom per grammatical function
+        for attr in ("gf", "completeness", "coherence"):
+            object.__setattr__(self, attr, held := tuple(getattr(self, attr)))
+            if len(held) != len(self.gf):
+                raise ValueError("%s has %d formulas for %d grammatical functions"
+                                 % (attr, len(held), len(self.gf)))
+
     def labeled(self) -> tuple[tuple[str, Formula], ...]:
         out = [("licensing", self.licensing), ("lexical", self.lexical)]
         for seq, f in zip(self.gf, self.completeness):

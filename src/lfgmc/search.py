@@ -105,7 +105,7 @@ from .model import (
     model_to_text,
     validate_model,
 )
-from .semantics import _least_failing, satisfies, valid
+from .semantics import _least_failing, valid
 
 
 @dataclass(frozen=True)
@@ -559,9 +559,7 @@ def _check(labels, trusted, sig, cstruct, uf, bounds):
             if node in model.fstruct.nodes:
                 # rejections name f-nodes w0, w1, .. in the order the
                 # union-find made the classes, not by the canonical names
-                node = next(
-                    "w%d" % k for k, w in enumerate(classes) if not satisfies(model, w, f)
-                )
+                node = "w%d" % classes.index(_least_failing(model, f, classes))
             return Rejection("formula", label, node)
     return model_to_text(model), model
 

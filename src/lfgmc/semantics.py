@@ -18,8 +18,9 @@ such as a long feature path) as a list of steps.  Each formula
 constructor has one plan, and a path equality is evaluated by one walk
 of its two composite relations, whatever its steps.  Each subformula is
 evaluated once per call, on the nodes where it can still matter (a
-modality on the successors of its nodes).  Plans are built with an
-explicit stack, and a plan calls the plans of its parts directly, so
+modality on the successors of its nodes).  Plans are built in
+post-order on one explicit stack, a part shared by several parents
+once, and a plan calls the plans of its parts directly, so
 evaluation takes one Python frame per nesting level, runs of prefix
 operators and chains none.  The names a formula uses are collected
 once per formula object; each call only checks them against the
@@ -130,37 +131,33 @@ _NO_TRANS: dict = {}
 def _plan(f: Formula):
     """The plan of ``f``: a function ``(model, dom) -> nodes of dom where f
     holds``.  Built on first use and kept on the formula object, together
-    with the plans it calls that are still missing, bottom-up with an
-    explicit stack.  The operands of a ``|`` chain that are filed under a
-    label are left out: the chain's plan asks for them here when it first
-    meets a node with their label.
+    with the plans it calls that are still missing.  The operands of a
+    ``|`` chain that are filed under a label are left out: the chain's
+    plan asks for them here when it first meets a node with their label.
+
+    The plans are built in post-order on one stack: the top formula is
+    built once all its parts have plans, and until then the parts missing
+    one are pushed above it.  A formula that has its plan when popped is
+    skipped, so a part shared by several parents is built once.
 
     Each plan lifts the pointwise truth condition to a node set, so any id
     gets the same answer, even one a malformed model points to without
     declaring it.  Operands are only evaluated where they can still change
     the result.  Sets passed in or returned are never mutated."""
-    if f._plan is not None:
-        return f._plan
-    stack = [(f, None)]  # (formula, its parts once they are being built)
+    stack = [f]
     while stack:
-        g, parts = stack.pop()
-        if parts is None:
-            if type(g) not in _BUILD:
-                raise TypeError("not a formula: %r" % (g,))
-            if g._plan is not None:
-                continue
-            parts = _parts(g)
-            stack.append((g, parts))
-            waiting = len(stack)
-            for h in parts:
-                if type(h) not in _LEAVES:
-                    stack.append((h, None))
-                elif h._plan is None:  # built at once: it has no parts
-                    object.__setattr__(h, "_plan", _BUILD[type(h)](h, ()))
-            if len(stack) > waiting:
-                continue
-            stack.pop()
-        object.__setattr__(g, "_plan", _BUILD[type(g)](g, [h._plan for h in parts]))
+        g = stack.pop()
+        if type(g) not in _BUILD:
+            raise TypeError("not a formula: %r" % (g,))
+        if g._plan is not None:
+            continue
+        parts = _parts(g)
+        missing = [h for h in parts if getattr(h, "_plan", None) is None]
+        if missing:
+            stack.append(g)
+            stack.extend(missing)
+        else:
+            object.__setattr__(g, "_plan", _BUILD[type(g)](g, [h._plan for h in parts]))
     return f._plan
 
 
@@ -402,9 +399,6 @@ def _feature_nodes(m, dom):
     return dom & m.fstruct.nodes
 
 
-#: formula types whose plans call no other plan
-_LEAVES = frozenset((TrueF, FalseF, CStructConst, FStructConst, CatLit, WordLit, AtomLit, PathEq))
-
 #: formula type -> ``(formula, plans of its parts) -> its plan``
 _BUILD = {
     And: _and_plan,
@@ -439,9 +433,10 @@ def valid(m: Model, phi: Formula) -> NodeId | None:
     return _least_failing(m, phi)
 
 
-def _least_failing(m: Model, phi: Formula) -> NodeId | None:
-    """``valid`` for a formula whose names ``m.sig`` declares."""
-    nodes = m.node_order
+def _least_failing(m: Model, phi: Formula, nodes=None) -> NodeId | None:
+    """``valid`` for a formula whose names ``m.sig`` declares, over
+    ``nodes`` in their order when given, else over the whole model."""
+    nodes = m.node_order if nodes is None else nodes
     dom = frozenset(nodes)  # an id in both domains is listed twice in nodes
     good = _plan(phi)(m, dom)
     if len(good) == len(dom):

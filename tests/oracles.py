@@ -34,6 +34,10 @@ pipeline it checks:
   subformula) and the first-undeclared-name check built on it, kept
   verbatim, as the references for ``Formula.names`` and
   ``validate_names``.
+* ``reference_render_formula`` is the original renderer, which loops
+  over a run of prefix operators and recurses through the operands of
+  every other connective, kept verbatim apart from names, as the
+  reference for the renderer that writes through one explicit stack.
 * ``reference_model_to_text`` is the original serializer, which builds
   the JSON document and hands it to ``json.dumps``, and
   ``reference_canonicalize`` the original renaming that always rebuilds
@@ -1028,6 +1032,91 @@ def reference_validate_names(f, sig: Signature) -> None:
         for kind, name in _own_names(g):
             if name not in getattr(sig, kind):
                 raise SignatureError("unknown %s %r" % (_NAME_KINDS[kind], name))
+
+
+# ---------------------------------------------------------------------------
+# The renderer with a prefix-run loop and recursion through operands
+# ---------------------------------------------------------------------------
+
+_REF_LEAVES = (TrueF, FalseF, CStructConst, FStructConst, CatLit, AtomLit, WordLit)
+
+
+def _ref_leaf_text(f: Formula) -> str:
+    if isinstance(f, TrueF):
+        return "true"
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, CStructConst):
+        return "cstruct"
+    if isinstance(f, FStructConst):
+        return "fstruct"
+    if isinstance(f, (CatLit, AtomLit)):
+        return f.name
+    if isinstance(f, WordLit):
+        return '"%s"' % f.name  # quoting keeps words distinct from atom/cat names
+    raise TypeError(f)
+
+
+_REF_CHAIN_OPS = {And: "&", Or: "|"}
+_REF_PREFIX_TEXT = {Up: "up ", Down: "down ", Zoomin: "zoomin "}
+
+
+def reference_render_formula(f: Formula) -> str:
+    """Render to concrete syntax; the output re-parses to an equal AST.
+
+    A left-nested ``&``/``|`` chain, such as the lexical disjunction over
+    a whole lexicon, is printed flat along its spine, as ``(a | b | c)``
+    and not ``((a | b) | c)``: both operators group to the left, so the
+    text reads back as the same chain, and a chain of any length costs
+    the reader one parenthesised group.  A run of prefix operators
+    (``!``, ``<f>``, ``up``, ``down``, ``zoomin``) is rendered in a loop,
+    so neither recurses."""
+    opened: list[str] = []  # text before the operand of a prefix run
+    closes = 0  # parentheses that text leaves open
+    while True:
+        t = type(f)
+        if t is Not:
+            opened.append("!(")
+        elif t is Feat or t in _REF_PREFIX_TEXT:
+            opened.append("<%s> " % f.feat if t is Feat else _REF_PREFIX_TEXT[t])
+            if isinstance(f.sub, _REF_LEAVES):
+                f = f.sub
+                break  # a leaf operand goes without parentheses
+            opened.append("(")
+        else:
+            break
+        closes += 1
+        f = f.sub
+    return "".join(opened) + _ref_render_operand(f) + ")" * closes
+
+
+def _ref_render_operand(f: Formula) -> str:
+    """``f`` rendered, when it is not a prefix operator."""
+    if isinstance(f, _REF_LEAVES):
+        return _ref_leaf_text(f)
+    if type(f) in _REF_CHAIN_OPS:
+        sep = " %s " % _REF_CHAIN_OPS[type(f)]
+        return "(%s)" % sep.join(map(reference_render_formula, _ref_spine(f)))
+    if isinstance(f, Implies):
+        return "(%s -> %s)" % (reference_render_formula(f.left), reference_render_formula(f.right))
+    if isinstance(f, Iff):
+        return "(%s <-> %s)" % (reference_render_formula(f.left), reference_render_formula(f.right))
+    if isinstance(f, Bullet):
+        return "bullet(%s)" % ", ".join(reference_render_formula(a) for a in f.args)
+    if isinstance(f, PathEq):
+        left = " ".join(list(f.left_tree) + ["zoomin"] + list(f.left_feats))
+        right = " ".join(list(f.right_tree) + ["zoomin"] + list(f.right_feats))
+        return "(%s ~ %s)" % (left, right)
+    raise TypeError("not a formula: %r" % (f,))
+
+
+def _ref_spine(f: Formula) -> list[Formula]:
+    """Operands of the left-nested ``type(f)`` chain at ``f``, in order."""
+    kind, ops = type(f), []
+    while type(f) is kind:
+        ops.append(f.right)
+        f = f.left
+    return [f] + ops[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,21 @@ def test_parse_pipe_into_validate_and_check(fig_files, tmp_path):
     assert run_cli("check", str(emitted), "--grammar", str(grammar)).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "out, written",
+    [("afile", "afile"), ("afile/models", "afile/models"), ("taken", "taken")],
+    ids=["a-file", "under-a-file", "model-path-a-directory"],
+)
+def test_parse_out_path_that_cannot_be_written(fig_files, tmp_path, out, written):
+    grammar, _ = fig_files
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "taken" / "model-001.json").mkdir(parents=True)
+    proc = run_cli("parse", str(grammar), "a", "girl", "walks", "--out", str(tmp_path / out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write %s: " % (tmp_path / written))
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_parse_json_format(fig_files):
     grammar, _ = fig_files
     proc = run_cli("parse", str(grammar), "a", "girl", "walks", "--format", "json")

@@ -12,6 +12,8 @@ from lfgmc import (
     Down,
     Feat,
     FormulaSyntaxError,
+    Iff,
+    Implies,
     Not,
     PathEq,
     Signature,
@@ -406,3 +408,64 @@ def test_chains_print_flat(fig_sig):
     assert render_formula(Or(a, Or(b, c))) == "(S | (NP | VP))"
     assert render_formula(And(Or(a, b), And(b, c))) == "((S | NP) & (NP & VP))"
     assert parse_formula("(S | NP | VP)", fig_sig) == Or(Or(a, b), c)
+
+
+# --- the renderer against the recursive reference --------------------------
+
+
+def test_renderer_matches_reference_renderer():
+    # random formulas, every compiled label of the fixture grammars, of a
+    # 500-noun embedding grammar and of a 3000-step schema path
+    from conftest import (
+        DEVOUR_GRAMMAR_TEXT,
+        FIG_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        OVERLAP_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+    )
+    from generators import embedding_grammar_text
+    from oracles import reference_render_formula
+
+    rng = random.Random(18)
+    formulas = [rand_formula(rng, RAND_SIG, depth=5) for _ in range(20000)]
+    texts = [
+        FIG_GRAMMAR_TEXT,
+        DEVOUR_GRAMMAR_TEXT,
+        MICRO_GRAMMAR_TEXT,
+        PP_AGREE_GRAMMAR_TEXT,
+        OVERLAP_GRAMMAR_TEXT,
+        embedding_grammar_text(["noun%d" % k for k in range(500)]),
+        FIG_GRAMMAR_TEXT.replace("(up spec)=a", "(up" + " spec" * 3000 + ")=a"),
+    ]
+    for text in texts:
+        formulas.extend(f for _label, f in compile_grammar(parse_grammar(text)).labeled())
+    for f in formulas:
+        assert render_formula(f) == reference_render_formula(f)
+
+
+@pytest.mark.parametrize(
+    "wrap, text",
+    [
+        (lambda f: Implies(TRUE, f), ("(true -> ", ")")),
+        (lambda f: Iff(TRUE, f), ("(true <-> ", ")")),
+        (lambda f: Bullet((TRUE, f)), ("bullet(true, ", ")")),
+    ],
+    ids=["implies", "iff", "bullet"],
+)
+def test_render_deep_right_operands(wrap, text):
+    # no level of nesting recurses, whatever the connective
+    f = TRUE
+    for _ in range(2000):
+        f = wrap(f)
+    opened, closed = text
+    assert render_formula(f) == opened * 2000 + "true" + closed * 2000
+
+
+def test_render_what_the_reader_accepts_at_any_depth(fig_sig):
+    f = parse_formula("true -> " * 900 + "true", fig_sig)
+    assert render_formula(f) == "(true -> " * 900 + "true" + ")" * 900
+
+
+def test_render_rejects_a_non_formula():
+    with pytest.raises(TypeError, match="not a formula"):
+        render_formula(Not(1))

@@ -111,6 +111,27 @@ def test_compile_walks_entry(fig_grammar):
     assert walks[0] == want
 
 
+def test_theory_needs_one_axiom_per_grammatical_function(fig_theory, fig_model):
+    from dataclasses import replace
+
+    from lfgmc import FALSE, Theory, TrueF, check_parse
+
+    th = fig_theory
+    with pytest.raises(ValueError, match="completeness has 1 formulas for 0"):
+        Theory(th.licensing, th.lexical, completeness=(FALSE,))
+    with pytest.raises(ValueError, match="coherence has 0 formulas for 1"):
+        Theory(th.licensing, th.lexical, th.completeness, (), th.gf)
+    with pytest.raises(ValueError, match="completeness has 0 formulas for 1"):
+        replace(th, completeness=())
+    assert Theory(TrueF(), TrueF()).labeled() == (("licensing", TrueF()), ("lexical", TrueF()))
+    # lists are held as tuples, and a replaced axiom of the right length is checked
+    built = Theory(th.licensing, th.lexical, list(th.completeness), list(th.coherence), list(th.gf))
+    assert built == th and type(built.gf) is tuple
+    stricter = replace(th, completeness=(FALSE,))
+    report = {e.label: e.counterexample for e in check_parse(stricter, fig_model)}
+    assert report["completeness[subj]"] == fig_model.node_order[0]
+
+
 def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
     from dataclasses import replace
 

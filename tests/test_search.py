@@ -878,6 +878,26 @@ def test_bound_not_reported_for_spans_without_derivations():
     assert len(out.models) == 1 and not out.bound_exceeded
 
 
+def test_tree_bound_below_a_lexical_entry():
+    # a one-word sentence whose word the start category covers directly
+    # needs two tree nodes; with one, the entry is cut by the bound
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(
+        """
+        signature { cat: S A; atom: x; feat: f; gf: ; }
+        start S;
+        lex "s" S;
+        rule A -> S;
+        """
+    )
+    theory = compile_grammar(g)
+    out = _same_as_two_phase(theory, g, ["s"], SearchBounds(max_tree_nodes=1))
+    assert out.models == () and out.bound_exceeded
+    out = _same_as_two_phase(theory, g, ["s"], SearchBounds(max_tree_nodes=2))
+    assert len(out.models) == 1 and not out.bound_exceeded
+
+
 def test_last_rule_element_ends_at_the_span_end():
     # S -> A cannot cover "c c" (A only covers one token), so the small
     # budget that cuts A -> B -> C over the first "c" loses nothing
@@ -1037,9 +1057,9 @@ def test_formula_counterexample_keeps_the_class_order_name():
     assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
         ("formula", "completeness[f]", "w1")
     ]
-    # without the axiom the model survives: in its canonical names the
+    # with the axiom replaced by true the model survives: in its canonical names the
     # least failing node is Y's f-structure
-    (m,) = parse_sentence(replace(theory, completeness=()), g, ["u", "v"]).models
+    (m,) = parse_sentence(replace(theory, completeness=(TrueF(),)), g, ["u", "v"]).models
     assert (m.zoomin["n1"], m.zoomin["n4"]) == ("f2", "f1")
     assert valid(m, theory.completeness[0]) == "f1"
 

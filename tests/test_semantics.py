@@ -650,6 +650,51 @@ def test_used_theory_round_trips_through_pickle():
     assert any(e.counterexample for e in reports[1])
 
 
+def test_shared_parts_get_one_plan(monkeypatch):
+    # a 60-level DAG with 61 distinct formulas and about 2**60 paths: a
+    # walk that expanded a shared part once per parent would never end
+    # (nor would evaluating it, or walking its names, so only the plans
+    # are built)
+    from lfgmc import TrueF, semantics
+
+    built = []
+
+    def counted(build):
+        def count(f, plans):
+            built.append(f)
+            return build(f, plans)
+
+        return count
+
+    builders = {t: counted(b) for t, b in semantics._BUILD.items()}
+    monkeypatch.setattr(semantics, "_BUILD", builders)
+    f = TrueF()  # a fresh object, so that no plan of it is cached yet
+    for _ in range(60):
+        f = Implies(f, f)
+    semantics._plan(f)
+    assert len(built) == 61
+    assert len(set(map(id, built))) == 61
+
+
+def test_a_non_formula_part_has_no_plan(fig_model):
+    for f in (Not(1), And(TRUE, 1), Bullet((TRUE, None))):
+        with pytest.raises(TypeError, match="not a formula"):
+            valid(fig_model, f)
+
+
+def test_least_failing_over_given_nodes(fig_model):
+    from lfgmc.semantics import _least_failing
+
+    # false at every node, so the first node given is the least failing
+    nodes = list(reversed(fig_model.node_order))
+    assert _least_failing(fig_model, Not(TRUE)) == fig_model.node_order[0]
+    assert _least_failing(fig_model, Not(TRUE), nodes) == nodes[0]
+    assert _least_failing(fig_model, CSTRUCT, nodes) == next(
+        n for n in nodes if n in fig_model.fstruct.nodes
+    )
+    assert _least_failing(fig_model, TRUE, nodes) is None
+
+
 # --- the walk of a path equality with up steps only ----------------------------
 
 
