@@ -251,8 +251,8 @@ class Model:
         sorted once per model (both node sets are frozen).  An id in both
         domains appears twice, so the first ``len(cstruct.nodes)`` entries
         are the tree nodes."""
-        return tuple(sorted(self.cstruct.nodes, key=node_key)) + tuple(
-            sorted(self.fstruct.nodes, key=node_key)
+        return tuple(sorted(sorted(self.cstruct.nodes), key=len)) + tuple(
+            sorted(sorted(self.fstruct.nodes), key=len)
         )
 
     def all_nodes(self) -> list[NodeId]:
@@ -547,11 +547,11 @@ def fnode_names(initial, trans) -> dict:
     """The canonical f-node numbering of the nodes reachable from
     ``initial`` (none when it is None): ``f0`` for ``initial``, then
     ``f1..`` in breadth-first order, following each node's transitions
-    ``trans[w]`` (feature -> successor) in sorted feature order.  Callers
-    name the unreached nodes ``f<k>..`` after these, in an order of their
-    own.  ``canonicalize`` renames feature nodes by it and the search
-    names union-find classes by it as it extracts a model, so the two
-    agree without a second renaming pass."""
+    ``trans[w]`` (feature -> successor), which callers give in sorted
+    feature order.  Callers name the unreached nodes ``f<k>..`` after
+    these, in an order of their own.  ``canonicalize`` renames feature
+    nodes by it and the search names union-find classes by it as it
+    extracts a model, so the two agree without a second renaming pass."""
     names = {}
     if initial is not None:
         names[initial] = "f0"
@@ -559,8 +559,7 @@ def fnode_names(initial, trans) -> dict:
         for w in queue:  # grows while it is walked
             table = trans.get(w)
             if table:
-                for feat in sorted(table):
-                    w2 = table[feat]
+                for w2 in table.values():
                     if w2 not in names:
                         names[w2] = "f%d" % len(names)
                         queue.append(w2)
@@ -592,7 +591,8 @@ def canonicalize(m: Model) -> Model:
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 
-    fmap = fnode_names(f.initial if f.initial in f.nodes else None, f.trans)
+    by_feat = {w: dict(sorted(t.items())) for w, t in f.trans.items()}
+    fmap = fnode_names(f.initial if f.initial in f.nodes else None, by_feat)
     for w in sorted(f.nodes, key=node_key):
         fmap.setdefault(w, "f%d" % len(fmap))
 
@@ -684,7 +684,8 @@ def model_to_text(m: Model) -> str:
     order = m.node_order
     tree_nodes = [
         '{\n        "daughters": %s,\n        "id": %s,\n        "label": %s\n      }' % (
-            _text_array([_quote(d) for d in c.daughters.get(n, ())], " " * 8),
+            "[\n          %s\n        ]" % ",\n          ".join(map(_quote, c.daughters[n]))
+            if c.daughters.get(n) else "[]",
             _quote(n),
             _quote(c.label.get(n, "")),
         )
@@ -692,9 +693,9 @@ def model_to_text(m: Model) -> str:
     ]
     f_nodes = []
     for w in order[len(c.nodes) :]:
-        trans = _text_object(
-            [(feat, _quote(w2)) for feat, w2 in sorted(f.trans.get(w, {}).items())], " " * 8
-        )
+        trans = "{\n          %s\n        }" % ",\n          ".join(
+            [_quote(feat) + ": " + _quote(w2) for feat, w2 in sorted(f.trans[w].items())]
+        ) if f.trans.get(w) else "{}"
         atom = '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else ""
         f_nodes.append(
             '{\n        %s"id": %s,\n        "trans": %s\n      }' % (atom, _quote(w), trans)

@@ -38,7 +38,7 @@ equations the slot is identified with it (re-entrancy).  The slot never
 *creates* the local path; a missing governed function is left for the
 completeness axiom to flag.
 
-Every surviving candidate's model is extracted already in the canonical
+A solved candidate's model is extracted already in the canonical
 naming: tree nodes are numbered in preorder as the tree is built, and the
 union-find classes are named ``f0..`` by ``model.fnode_names``, the
 numbering ``canonicalize`` uses.  That one model is checked against the
@@ -58,10 +58,14 @@ licensing one (a grandchild) at phrase nodes.  The f-structure solves
 the equations, so a phrase node satisfies its rule's disjunct and a
 preterminal its entry's under ``up zoomin``; a root preterminal's entry
 has no schemata, or else it clashed.  A class the walk of
-``fnode_names`` misses is rejected as ``fstruct-unreachable``, and only
-completeness and coherence are evaluated.  Any other theory (built by
-hand or by ``dataclasses.replace``, or compiled from an equal but
-separate ``Grammar``) is checked in full.
+``fnode_names`` misses is rejected as ``fstruct-unreachable``.  Tree
+nodes and valued classes have no feature transitions, so only a class
+with ``pred`` can fail completeness[g] (``pred g`` resolves, ``g`` does
+not) or coherence[g] (``g`` resolves, ``pred g`` does not); both are
+decided on the union-find, so no evaluator runs and only candidates that
+reach the output are extracted.  Any other theory (built by hand or by
+``dataclasses.replace``, or compiled from an equal but separate
+``Grammar``) is checked in full.
 
 ``check_parse`` rests on a smaller lemma: a compiled theory uses only
 names its grammar's signature declares.  Compilation checks each name of
@@ -75,8 +79,9 @@ Models that fail the theory are reported as rejections
 with the failing formula label and counterexample node; a failing f-node
 is named as the least under the class-order names ``w0, w1, ..`` (the
 order the classes were made in), which the rejection lines have always
-used.  Survivors are deduplicated by their text and returned sorted by
-it.  Minimality is a property of this search, not of the satisfaction
+used, and the principles are decided over the classes in that order.
+Survivors are deduplicated by their text and returned sorted by it.
+Minimality is a property of this search, not of the satisfaction
 relation: ``valid`` itself happily accepts models with junk material.
 """
 
@@ -496,38 +501,46 @@ def _solve_shape(cstruct, phrases, preterminals, members):
         stack.append((uf, k + 1, last))  # after the copies: changed in place
 
 
-def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId], int] | Rejection:
-    """Build the least-solution model, its f-nodes already named in the
-    canonical scheme (``fnode_names``; trees from ``_build_tree`` are in
-    preorder).  Returns the model, its f-node names in union-find class
-    order and how many of them the walk from ``f0`` reaches, or a
-    structure Rejection when no sensible f-structure exists (entry point
-    missing or not unique)."""
-    roots: list[int] = []
-    seen = set()
-    for i in range(len(uf.parent)):
-        r = uf.find(i)
-        if r not in seen:
-            seen.add(r)
-            roots.append(r)
-
-    if not roots:
-        fstruct = FStructure(frozenset(["f0"]), "f0", {"f0": {}})
-        return Model(sig, cstruct, fstruct, {}), ["f0"], 1
-
+def _solved(cstruct, uf: _UnionFind):
+    """The classes in class order (as the union-find made them), their
+    transitions in sorted feature order and the entry class; or a
+    structure Rejection when the entry point is missing or not unique."""
+    if not uf.parent:
+        uf.make()  # no equations: the f-structure is one empty node
+    roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
     succ = {r: {feat: uf.find(t) for feat, t in sorted(uf.trans[r].items())} for r in roots}
     root_var = uf.zvar.get(cstruct.root)
     if root_var is not None:
-        initial = uf.find(root_var)
-    else:
-        incoming = {t for s in succ.values() for t in s.values()}
-        sources = [r for r in roots if r not in incoming]
-        if len(sources) != 1:
-            return Rejection("structure", "no unique entry point into the f-structure")
-        initial = sources[0]
+        return roots, succ, uf.find(root_var)
+    incoming = {t for s in succ.values() for t in s.values()}
+    sources = [r for r in roots if r not in incoming]
+    if len(sources) != 1:
+        return Rejection("structure", "no unique entry point into the f-structure")
+    return roots, succ, sources[0]
 
-    name = fnode_names(initial, succ)
-    reached = len(name)
+
+def _principle_failures(gf, uf: _UnionFind, roots) -> list[int | None]:
+    """For completeness[g], each ``g`` of ``gf``, then coherence[g] likewise
+    (``Theory.labeled``'s order): the index in ``roots`` of the first
+    class that fails it, or None (see the module docstring)."""
+    first: list[int | None] = [None] * (2 * len(gf))
+    for k, r in enumerate(roots):
+        pred = uf.trans[r].get(PRED_FEAT)
+        if pred is None:
+            continue
+        for i, g in enumerate(gf):
+            has_g = uf.walk(r, g, create=False) is not None
+            if has_g != (uf.walk(pred, g, create=False) is not None):
+                label = i + len(gf) * has_g  # the coherence labels come second
+                if first[label] is None:
+                    first[label] = k
+    return first
+
+
+def _extract_model(sig, cstruct, uf: _UnionFind, roots, succ, name) -> Model:
+    """The least-solution model of a ``_solved`` union-find in canonical
+    names: ``name`` is ``fnode_names`` from its entry class, and the
+    classes that walk misses are named after those, in class order."""
     for r in roots:
         name.setdefault(r, "f%d" % len(name))
     trans = {name[r]: {feat: name[t] for feat, t in s.items()} for r, s in succ.items()}
@@ -536,31 +549,36 @@ def _extract_model(sig, cstruct, uf: _UnionFind) -> tuple[Model, list[NodeId], i
         frozenset(name.values()), "f0", trans, frozenset(atomval), atomval
     )
     zoomin = {n: name[uf.find(v)] for n, v in uf.zvar.items()}
-    return Model(sig, cstruct, fstruct, zoomin), [name[r] for r in roots], reached
+    return Model(sig, cstruct, fstruct, zoomin)
 
 
-def _check(labels, trusted, sig, cstruct, uf, bounds):
+def _check(labels, trusted, gf, sig, cstruct, uf, bounds):
     """The outcome of one solved candidate under ``labels`` (see ``parse_sentence``)."""
-    extracted = _extract_model(sig, cstruct, uf)
-    if isinstance(extracted, Rejection):
-        return extracted
-    model, classes, reached = extracted
-    if len(model.fstruct.nodes) > bounds.max_f_nodes:
+    solved = _solved(cstruct, uf)
+    if isinstance(solved, Rejection):
+        return solved
+    roots, succ, initial = solved
+    if len(roots) > bounds.max_f_nodes:
         return None
+    name = fnode_names(initial, succ)
+    if trusted:
+        if len(name) < len(roots):
+            return Rejection("structure", "fstruct-unreachable")
+        for (label, _f), k in zip(labels, _principle_failures(gf, uf, roots)):
+            if k is not None:
+                return Rejection("formula", label, "w%d" % k)
+    model = _extract_model(sig, cstruct, uf, roots, succ, name)
     if not trusted:
         report = validate_model(model)
         if not report.ok:
             return Rejection("structure", "; ".join(sorted(report.codes())))
-    elif reached < len(classes):
-        return Rejection("structure", "fstruct-unreachable")
-    for label, f in labels:
-        node = valid(model, f)
-        if node is not None:
-            if node in model.fstruct.nodes:
-                # rejections name f-nodes w0, w1, .. in the order the
-                # union-find made the classes, not by the canonical names
-                node = "w%d" % classes.index(_least_failing(model, f, classes))
-            return Rejection("formula", label, node)
+        for label, f in labels:
+            node = valid(model, f)
+            if node is not None:
+                if node in model.fstruct.nodes:
+                    classes = [name[r] for r in roots]
+                    node = "w%d" % classes.index(_least_failing(model, f, classes))
+                return Rejection("formula", label, node)
     return model_to_text(model), model
 
 
@@ -600,7 +618,7 @@ def parse_sentence(
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)
-                    else _check(labels, trusted, grammar.sig, cstruct, solved, bounds)
+                    else _check(labels, trusted, theory.gf, grammar.sig, cstruct, solved, bounds)
                 )
 
     rejections: list[Rejection] = []

@@ -92,6 +92,33 @@ rule S -> N {up=down};
 lex "N" N {(up f)=a};
 """
 
+# Two-step grammatical functions: "relies" governs the object of its
+# oblique and the oblique's case form, "waits" only the case form.  So
+# "a girl relies on" has an oblique without an object (completeness
+# fails), and "a girl waits on a book" an oblique object that the pred's
+# own oblique does not govern (coherence fails).
+OBL_GRAMMAR_TEXT = """
+signature {
+  cat: S NP VP PP Det N V P;
+  atom: a girl book on rely wait;
+  feat: subj obl obj pcase spec pred rel;
+  gf: subj obl.obj obl.pcase;
+}
+start S;
+rule S -> NP {(up subj)=down} VP {up=down};
+rule NP -> Det N;
+rule VP -> V {up=down};
+rule VP -> V {up=down} PP {(up obl)=down};
+rule PP -> P {up=down};
+rule PP -> P {up=down} NP {(up obj)=down};
+lex "a" Det {(up spec)=a};
+lex "girl" N {(up pred)=girl()};
+lex "book" N {(up pred)=book()};
+lex "on" P {(up pcase)=on};
+lex "relies" V {(up pred)=rely(subj, obl.obj, obl.pcase)};
+lex "waits" V {(up pred)=wait(subj, obl.pcase)};
+"""
+
 # "V NP (P NP)^2" for the PP grammar above: Catalan(3) = 5 tree shapes,
 # each with 2^4 lexical variants (four ambiguous nouns).
 PP_SENTENCE = "the man saw the man with the man with the man".split()

@@ -22,6 +22,7 @@ from conftest import (
     DEVOUR_GRAMMAR_TEXT,
     FIG_GRAMMAR_TEXT,
     MICRO_GRAMMAR_TEXT,
+    OBL_GRAMMAR_TEXT,
     OVERLAP_GRAMMAR_TEXT,
     PP_AGREE_GRAMMAR_TEXT,
     PP_SENTENCE,
@@ -620,18 +621,29 @@ def _count_valid_calls(monkeypatch):
 
 def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
     # the search builds each survivor from the rules and entries whose
-    # disjuncts the two axioms state, so it evaluates neither; every
-    # model still satisfies the whole theory and every invariant
-    from lfgmc import compile_grammar, parse_grammar
+    # disjuncts the licensing and lexical axioms state, and decides
+    # completeness and coherence on the solved union-find, so it calls no
+    # evaluator and extracts only the candidates that reach the output;
+    # every model still satisfies the whole theory and every invariant
+    from lfgmc import compile_grammar, parse_grammar, search
 
     calls = _count_valid_calls(monkeypatch)
+    least, extracted = [], []
+    monkeypatch.setattr(search, "_least_failing", lambda *args: least.append(args))
+    extract = search._extract_model
+    monkeypatch.setattr(search, "_extract_model", lambda *args: extracted.append(args) or extract(*args))
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     theory = compile_grammar(g)
     out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
-    assert len(out.models) == 5
-    assert calls and not [f for f in calls if f is theory.licensing or f is theory.lexical]
-    # completeness and coherence, two functions each, on every survivor
-    assert len(calls) == 4 * len(out.models)
+    assert len(out.models) == 5 and len(out.rejections) == 75  # clashes
+    assert len(extracted) == len(out.models)
+    # candidates that fail a principle are rejected unextracted
+    obl = parse_grammar(OBL_GRAMMAR_TEXT)
+    for words in ("a girl relies on", "a girl waits on a book"):
+        rejected = _same_as_two_phase(compile_grammar(obl), obl, words.split(), SearchBounds())
+        assert [r.reason for r in rejected.rejections] == ["formula"]
+    assert len(extracted) == len(out.models)
+    assert calls == [] and least == []
     for m in out.models:
         assert check_parse(theory, m).ok
         assert reference_validate_model(m).ok
@@ -999,19 +1011,25 @@ def _same_as_two_phase(theory, grammar, tokens, bounds):
     return got
 
 
-def test_shape_sharing_matches_two_phase_on_random_grammars():
+def _random_corpus():
+    """2000 random grammars, each compiled, with a sentence and bounds."""
     from lfgmc import compile_grammar, parse_grammar
-    from lfgmc.search import _shape, _SkeletonEnumerator
 
     rng = random.Random(2024)
-    seen = {"models": 0, "bound": 0, "shared shapes": 0}
     for _ in range(2000):
         grammar = parse_grammar(rand_grammar(rng))
-        theory = compile_grammar(grammar)
         tokens = [rng.choice("uvw") for _ in range(rng.randint(1, 3))]
         bounds = SearchBounds(
             rng.choice((5, 7, 9, 12)), rng.choice((2, 4, 8, 80)), rng.choice((1, 2, 10))
         )
+        yield grammar, compile_grammar(grammar), tokens, bounds
+
+
+def test_shape_sharing_matches_two_phase_on_random_grammars():
+    from lfgmc.search import _shape, _SkeletonEnumerator
+
+    seen = {"models": 0, "bound": 0, "shared shapes": 0}
+    for grammar, theory, tokens, bounds in _random_corpus():
         out = _same_as_two_phase(theory, grammar, tokens, bounds)
         seen["models"] += len(out.models)
         seen["bound"] += out.bound_exceeded
@@ -1072,7 +1090,7 @@ def _pp_sentences(noun, count=4):
     return ["the man saw the man".split() + ["with", "the", noun] * k for k in range(count)]
 
 
-@pytest.mark.parametrize(
+FIXTURE_CASES = pytest.mark.parametrize(
     "text,sentences,bounds",
     [
         (FIG_GRAMMAR_TEXT, _strings("a girl walks", (1, 2, 3)), (12, 12, 10)),
@@ -1087,10 +1105,19 @@ def _pp_sentences(noun, count=4):
             ["the n1 slept".split(), "the n2 said that the n1 slept".split()],
             (40, 80, 10),
         ),
+        (
+            OBL_GRAMMAR_TEXT,
+            _strings("a girl book on relies waits", (3, 4))
+            + [s.split() for s in ("a girl relies on a book", "a book waits on a girl")],
+            (20, 20, 10),
+        ),
     ],
     ids=["fig", "devour", "micro", "unary-cycle", "pp", "pp-agree", "pp-agree-capped",
-         "embed"],
+         "embed", "obl"],
 )
+
+
+@FIXTURE_CASES
 def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bounds):
     from lfgmc import compile_grammar, parse_grammar
 
@@ -1098,6 +1125,96 @@ def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bo
     theory = compile_grammar(grammar)
     for tokens in sentences:
         _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds))
+
+
+def _principles_match_valid(theory, grammar, tokens, bounds, seen):
+    """On every solved candidate, each completeness and coherence label
+    is decided on the union-find as ``valid`` decides it on the extracted
+    model, and names the least failing class in class order."""
+    from lfgmc.model import fnode_names
+    from lfgmc.search import (
+        Rejection, _SkeletonEnumerator, _build_tree, _extract_model, _principle_failures,
+        _shape, _solve_shape, _solved,
+    )
+    from lfgmc.semantics import _least_failing
+
+    labels = theory.labeled()[2:]
+    derivations = _SkeletonEnumerator(grammar, tokens).derive(
+        grammar.start, 0, len(tokens), bounds.max_tree_nodes
+    )
+    for idx, (deriv, _count) in enumerate(derivations):
+        cstruct, phrases, preterminals = _build_tree(deriv)
+        members = [(idx, _shape(deriv)[1])]
+        [(_, uf)] = _solve_shape(cstruct, phrases, preterminals, members)
+        solved = uf if isinstance(uf, Rejection) else _solved(cstruct, uf)
+        if isinstance(solved, Rejection):
+            continue
+        roots, succ, initial = solved
+        name = fnode_names(initial, succ)
+        model = _extract_model(grammar.sig, cstruct, uf, roots, succ, name)
+        classes = [name[r] for r in roots]
+        want = []
+        for label, f in labels:
+            node = valid(model, f)
+            assert node is None or node in model.fstruct.nodes  # tree nodes never fail
+            want.append(None if node is None else classes.index(_least_failing(model, f, classes)))
+            if node is not None:
+                kind = label.split("[")[0] + (" past w0" if want[-1] else "")
+                seen[kind] = seen.get(kind, 0) + 1
+        assert _principle_failures(theory.gf, uf, roots) == want, (tokens, grammar)
+        seen["candidates"] = seen.get("candidates", 0) + 1
+
+
+def test_principles_decided_on_the_union_find_match_valid_on_random_grammars():
+    seen = {}
+    for grammar, theory, tokens, bounds in _random_corpus():
+        _principles_match_valid(theory, grammar, tokens, bounds, seen)
+    # both principles fail, also at classes after the first one
+    for kind in ("completeness", "coherence", "completeness past w0", "coherence past w0"):
+        assert seen.get(kind, 0) >= 20, seen
+
+
+@FIXTURE_CASES
+def test_principles_decided_on_the_union_find_match_valid_on_fixture_grammars(
+    text, sentences, bounds
+):
+    from lfgmc import compile_grammar, parse_grammar
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    seen = {}
+    for tokens in sentences:
+        _principles_match_valid(theory, grammar, tokens, SearchBounds(*bounds), seen)
+    assert seen["candidates"] > 0
+
+
+def test_multi_step_functions_match_two_phase():
+    # completeness[obl.obj] fails where obl exists but obl obj does not, at
+    # the clause (w1, after the oblique's class); coherence[obl.obj] where
+    # pred obl exists but pred obl obj does not
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(OBL_GRAMMAR_TEXT)
+    theory = compile_grammar(g)
+    assert theory.source is g
+    want = {
+        "a girl relies on a book": [],
+        "a girl waits on": [],
+        "a girl relies on": [("formula", "completeness[obl.obj]", "w1")],
+        "a girl relies": [("formula", "completeness[obl.obj]", "w0")],
+        "a girl waits on a book": [("formula", "coherence[obl.obj]", "w2")],
+    }
+    for words, rejections in want.items():
+        out = _same_as_two_phase(theory, g, words.split(), SearchBounds())
+        assert [(r.reason, r.detail, r.node) for r in out.rejections] == rejections
+        assert len(out.models) == (not rejections)
+    waits_on_a_book = _same_as_two_phase(
+        replace(theory, coherence=(TrueF(),) * 3), g, "a girl waits on a book".split(), SearchBounds()
+    )
+    (m,) = waits_on_a_book.models
+    f = m.fstruct
+    pred_obl = f.trans[f.trans[f.initial]["pred"]]["obl"]
+    assert "obj" in f.trans[f.trans[f.initial]["obl"]] and "obj" not in f.trans[pred_obl]
 
 
 def test_phrase_clash_rejects_every_lexical_variant(monkeypatch):
