@@ -630,13 +630,18 @@ _ONE_OPERAND = frozenset((Not, Up, Down, Zoomin))  # and Feat, which names a fea
 
 def _used_names(f: Formula) -> list[tuple[str, str]]:
     """``(signature field, name)`` for each literal and feature step in
-    ``f``, in pre-order, left to right; one iterative walk."""
+    ``f``, in pre-order, left to right; one iterative walk, which enters a
+    part shared by several parents only where it first occurs."""
     used: list[tuple[str, str]] = []
     add = used.append
+    seen: set[int] = set()
     stack = [f]
     pop, push = stack.pop, stack.append
     while stack:
         g = pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
         t = type(g)
         if t in _TWO_OPERANDS:
             push(g.right)

@@ -17,7 +17,8 @@ one:
    sub-derivations between candidates.  A derivation is the grammar's
    own data: a preterminal's is its ``LexEntry``, a phrase's the tuple
    ``(rule, children)``.  The pieces checked their shape when built
-   (see ``lfgmc.grammar``), so the search takes them as they are;
+   (see ``lfgmc.grammar``), so the search takes them as they are.  Each
+   comes with its tree shape and entries, made from its children's;
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
@@ -48,9 +49,10 @@ A model built from the grammar the theory was compiled from
 (``theory.source is grammar``, set by ``compile_grammar`` only for a
 signature without violations that every rule and entry compiled against)
 holds by construction the licensing and lexical axioms and all of
-``validate_model`` but reachability.  Its tree is preorder
-``CStructure.build`` output with ids ``n<k>``, labelled by declared
-categories and input words, which the signature keeps apart; f-node ids
+``validate_model`` but reachability.  Its tree has preorder ids
+``n<k>``, the node set and mothers ``CStructure.build`` would derive from
+its daughters, and labels from the declared categories and input words,
+which the signature keeps apart; f-node ids
 are ``f<k>``, features and atoms come from the schemata, and ``_close``
 keeps valued classes free of transitions.  Only preterminals have a word
 daughter, so the lexical antecedent holds exactly at them and the
@@ -198,10 +200,14 @@ class _SkeletonEnumerator:
         self.bound_hit = False
         self.ends = _chart(grammar, tokens)
         self.memo: dict[tuple[str, int, int, int], list] = {}
+        self.shapes: dict[tuple, int] = {}  # (id(rule),) + children's shapes -> shape id
 
     def derive(self, cat: str, i: int, j: int, budget: int):
         """All derivations of ``cat`` over tokens[i:j] using at most
-        ``budget`` tree nodes, as (derivation, node count) pairs.
+        ``budget`` tree nodes, as (derivation, node count, shape, entries)
+        records: a preterminal's shape is its category, a phrase's an int
+        interned from its rule and its children's shapes (so one tree, one
+        shape), and the entries are its ``LexEntry`` leaves in token order.
 
         Results are memoised per (cat, i, j, budget), so sub-derivations
         are shared objects across parents and the returned list must not
@@ -239,13 +245,13 @@ class _SkeletonEnumerator:
         entries, then each rule's child sequences, chosen element by
         element by ascending end and then in the order of the children's
         own lists."""
-        memo = self.memo
+        memo, shapes = self.memo, self.shapes
         out = []
         if j - i == 1:
             entries = [e for e in self.grammar.entries_for(self.tokens[i]) if e.cat == cat]
             if entries:
                 if budget >= 2:
-                    out.extend((e, 2) for e in entries)
+                    out.extend((e, 2, e.cat, (e,)) for e in entries)
                 else:
                     self.bound_hit = True
         for rule in self.grammar.rules:
@@ -254,78 +260,67 @@ class _SkeletonEnumerator:
             if budget < 1 + 2 * (j - i):
                 self.bound_hit = True
                 continue
-            # (children so far, their end, budget left, nodes used)
-            partial = [((), i, budget - 1, 0)]
+            # (children so far, shape key, entries, their end, budget left)
+            partial = [((), (id(rule),), (), i, budget - 1)]
             for idx, elem in enumerate(rule.rhs):
                 remaining = len(rule.rhs) - 1 - idx
                 grown = []
-                for children, pos, avail, used in partial:
+                for kids, key, ents, pos, avail in partial:
                     for end in _element_ends(self.ends[pos].get(elem.cat, []), j, remaining):
                         reserve = 2 * (j - end)  # least any continuation can cost
                         need = (elem.cat, pos, end, avail - reserve)
                         derivs = memo.get(need)
                         if derivs is None:
                             derivs = yield need
-                        for d, c in derivs:
-                            grown.append((children + (d,), end, avail - c, used + c))
+                        for d, c, shape, more in derivs:
+                            grown.append((kids + (d,), key + (shape,), ents + more, end, avail - c))
                 partial = grown
-            out.extend(((rule, children), 1 + used) for children, _, _, used in partial)
+            out.extend(((rule, kids), budget - avail, shapes.setdefault(key, len(shapes)), ents)
+                       for kids, key, ents, _, avail in partial)
         return out
 
 
-def _shape(deriv):
-    """A derivation's tree shape (rules by identity and preterminal
-    categories, in preorder) and its entries in token order.  The lexical
-    variants of one shape share their ``CStructure`` and phrase equations."""
-    key, entries, stack = [], [], [deriv]
-    while stack:
-        d = stack.pop()
-        if type(d) is tuple:
-            key.append(id(d[0]))
-            stack.extend(reversed(d[1]))
-        else:
-            key.append(d.cat)
-            entries.append(d)
-    return tuple(key), tuple(entries)
-
-
 def _build_tree(deriv):
-    """Materialize a derivation as a CStructure with preorder node ids.
+    """Materialize a derivation as a CStructure with preorder node ids,
+    recording each node's mother as the node is made.
 
     Returns the structure plus the instantiation points: (node, rule,
-    daughter ids) triples in postorder and the preterminals in token
-    order.
+    daughter ids) triples in postorder and the preterminals' mothers in
+    token order (None for a root preterminal).
     """
     labels: dict[NodeId, str] = {}
+    mother: dict[NodeId, NodeId] = {}
     daughters: dict[NodeId, tuple[NodeId, ...]] = {}
     phrases = []
-    preterminals = []
-    # (derivation, its siblings' ids) to enter, or (node id, (rule, its
-    # daughters' ids)) to leave once the daughters are built
-    stack = [(deriv, [])]
+    mothers = []
+    # (derivation, its mother's id, its siblings' ids) to enter, or
+    # (node id, rule, its daughters' ids) to leave once they are built
+    stack = [(deriv, None, [])]
     while stack:
-        d, ids = stack.pop()
+        d, up, ids = stack.pop()
         if type(d) is str:
-            rule, kids = ids
-            daughters[d] = kids = tuple(kids)
-            phrases.append((d, rule, kids))
+            daughters[d] = kids = tuple(ids)
+            phrases.append((d, up, kids))
             continue
         nid = "n%d" % len(labels)
         ids.append(nid)
+        if up is not None:
+            mother[nid] = up
         if type(d) is tuple:
             rule, children = d
             labels[nid] = rule.lhs
             kids = []
-            stack.append((nid, (rule, kids)))
-            stack.extend((c, kids) for c in reversed(children))
+            stack.append((nid, rule, kids))
+            stack.extend((c, nid, kids) for c in reversed(children))
         else:
             leaf = "n%d" % (len(labels) + 1)
             labels[nid] = d.cat
             labels[leaf] = d.word
+            mother[leaf] = nid
             daughters[nid] = (leaf,)
             daughters[leaf] = ()
-            preterminals.append(nid)
-    return CStructure.build("n0", daughters, labels), phrases, preterminals
+            mothers.append(up)
+    return CStructure(frozenset(labels), "n0", mother, daughters, labels), phrases, mothers
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +461,11 @@ def _close(uf: _UnionFind):
             raise _Clash("atom %r forced onto a node with outgoing transitions" % uf.atom[r])
 
 
-def _solve_shape(cstruct, phrases, preterminals, members):
-    """Solve every lexical variant of one tree shape (step 2 above).
-    ``members`` are (candidate index, entries) pairs; yields (members,
-    union-find or clash Rejection) pairs.  The union-find is copied only
-    where the trie of entry tuples branches."""
-    mothers = [cstruct.mother.get(p) for p in preterminals]
+def _solve_shape(phrases, mothers, members):
+    """Solve every lexical variant of one tree shape (step 2 above) from
+    its ``_build_tree`` parts.  ``members`` are (candidate index, entries)
+    pairs; yields (members, union-find or clash Rejection) pairs.  The
+    union-find is copied only where the trie of entry tuples branches."""
     # (union-find, k, members): the members share entries[:k], all
     # added to the union-find except the last one (or the phrases, k=0)
     stack = [(None, 0, members)]
@@ -602,19 +596,19 @@ def parse_sentence(
     enum = _SkeletonEnumerator(grammar, tokens)
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
     bound_exceeded = enum.bound_hit
+    del enum  # its memo holds every sub-derivation's entries: free them before solving
     trusted = theory.source is grammar
     labels = theory.labeled()[2:] if trusted else theory.labeled()  # licensing, lexical first
 
-    shapes: dict[tuple, list] = {}
-    for idx, (deriv, _count) in enumerate(derivations):
-        key, entries = _shape(deriv)
-        shapes.setdefault(key, []).append((idx, entries))
+    shapes: dict[int | str, list] = {}
+    for idx, (_deriv, _count, shape, entries) in enumerate(derivations):
+        shapes.setdefault(shape, []).append((idx, entries))
     # each candidate's outcome: a Rejection, None when it exceeds the
     # f-node bound, or its canonical (text, model) pair
     outcomes: list = [None] * len(derivations)
     for members in shapes.values():
-        cstruct, phrases, preterminals = _build_tree(derivations[members[0][0]][0])
-        for group, solved in _solve_shape(cstruct, phrases, preterminals, members):
+        cstruct, phrases, mothers = _build_tree(derivations[members[0][0]][0])
+        for group, solved in _solve_shape(phrases, mothers, members):
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)

@@ -136,28 +136,28 @@ def _plan(f: Formula):
     plan asks for them here when it first meets a node with their label.
 
     The plans are built in post-order on one stack: the top formula is
-    built once all its parts have plans, and until then the parts missing
-    one are pushed above it.  A formula that has its plan when popped is
-    skipped, so a part shared by several parents is built once.
+    built once all its parts have plans, and until then goes back, with
+    its parts, under the parts missing one.  A formula that has its plan
+    when first popped is skipped, so a shared part is built once.
 
     Each plan lifts the pointwise truth condition to a node set, so any id
     gets the same answer, even one a malformed model points to without
     declaring it.  Operands are only evaluated where they can still change
     the result.  Sets passed in or returned are never mutated."""
-    stack = [f]
+    stack = [(f, None)]
     while stack:
-        g = stack.pop()
-        if type(g) not in _BUILD:
-            raise TypeError("not a formula: %r" % (g,))
-        if g._plan is not None:
-            continue
-        parts = _parts(g)
-        missing = [h for h in parts if getattr(h, "_plan", None) is None]
-        if missing:
-            stack.append(g)
-            stack.extend(missing)
-        else:
-            object.__setattr__(g, "_plan", _BUILD[type(g)](g, [h._plan for h in parts]))
+        g, parts = stack.pop()
+        if parts is None:
+            if type(g) not in _BUILD:
+                raise TypeError("not a formula: %r" % (g,))
+            if g._plan is not None:
+                continue
+            parts = _parts(g)
+            missing = [(h, None) for h in parts if getattr(h, "_plan", None) is None]
+            if missing:
+                stack += [(g, parts), *missing]
+                continue
+        object.__setattr__(g, "_plan", _BUILD[type(g)](g, [h._plan for h in parts]))
     return f._plan
 
 

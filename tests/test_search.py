@@ -1026,7 +1026,7 @@ def _random_corpus():
 
 
 def test_shape_sharing_matches_two_phase_on_random_grammars():
-    from lfgmc.search import _shape, _SkeletonEnumerator
+    from lfgmc.search import _SkeletonEnumerator
 
     seen = {"models": 0, "bound": 0, "shared shapes": 0}
     for grammar, theory, tokens, bounds in _random_corpus():
@@ -1041,8 +1041,8 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
         derivations = _SkeletonEnumerator(grammar, tokens).derive(
             grammar.start, 0, len(tokens), bounds.max_tree_nodes
         )
-        keys = [_shape(d)[0] for d, _ in derivations]
-        seen["shared shapes"] += len(keys) - len(set(keys))
+        shapes = [shape for _, _, shape, _ in derivations]
+        seen["shared shapes"] += len(shapes) - len(set(shapes))
     # the corpus reaches every kind of outcome: clashes between atoms, of
     # an atom with transitions and at a root preterminal, structure and
     # formula rejections (also at f-nodes), models, bounds and lexical
@@ -1134,7 +1134,7 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     from lfgmc.model import fnode_names
     from lfgmc.search import (
         Rejection, _SkeletonEnumerator, _build_tree, _extract_model, _principle_failures,
-        _shape, _solve_shape, _solved,
+        _solve_shape, _solved,
     )
     from lfgmc.semantics import _least_failing
 
@@ -1142,10 +1142,9 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     derivations = _SkeletonEnumerator(grammar, tokens).derive(
         grammar.start, 0, len(tokens), bounds.max_tree_nodes
     )
-    for idx, (deriv, _count) in enumerate(derivations):
-        cstruct, phrases, preterminals = _build_tree(deriv)
-        members = [(idx, _shape(deriv)[1])]
-        [(_, uf)] = _solve_shape(cstruct, phrases, preterminals, members)
+    for idx, (deriv, _count, _shape, entries) in enumerate(derivations):
+        cstruct, phrases, mothers = _build_tree(deriv)
+        [(_, uf)] = _solve_shape(phrases, mothers, [(idx, entries)])
         solved = uf if isinstance(uf, Rejection) else _solved(cstruct, uf)
         if isinstance(solved, Rejection):
             continue
@@ -1347,7 +1346,7 @@ def test_each_tree_shape_is_built_and_solved_once(monkeypatch):
 
 def test_deep_unary_derivation_builds_without_recursion():
     from lfgmc import parse_grammar
-    from lfgmc.search import _build_tree, _shape, _solve_shape
+    from lfgmc.search import _build_tree, _solve_shape
 
     g = parse_grammar(
         """
@@ -1359,15 +1358,15 @@ def test_deep_unary_derivation_builds_without_recursion():
     deriv = g.lexicon[0]
     for _ in range(5000):
         deriv = (g.rules[0], (deriv,))
-    key, entries = _shape(deriv)
-    assert len(key) == 5001 and entries == (g.lexicon[0],)
-    cstruct, phrases, preterminals = _build_tree(deriv)
+    entries = (g.lexicon[0],)
+    cstruct, phrases, mothers = _build_tree(deriv)
     assert len(cstruct.nodes) == 5002
     assert cstruct.label["n5000"] == "S" and cstruct.label["n5001"] == "u"
-    assert preterminals == ["n5000"]
+    # the one preterminal, n5000, hangs under the lowest phrase
+    assert mothers == ["n4999"]
     # phrases in postorder: the lowest first
     assert [n for n, _, _ in phrases] == ["n%d" % k for k in range(4999, -1, -1)]
-    [(members, uf)] = _solve_shape(cstruct, phrases, preterminals, [(0, entries)])
+    [(members, uf)] = _solve_shape(phrases, mothers, [(0, entries)])
     assert members == [(0, entries)]
     assert len({uf.find(v) for v in uf.zvar.values()}) == 1
 
@@ -1431,7 +1430,7 @@ def test_enumerator_matches_the_recursive_one_on_random_grammars():
         got = _SkeletonEnumerator(grammar, tokens)
         want = _RefSkeletonEnumerator(grammar, tokens)
         derivs = got.derive(grammar.start, 0, len(tokens), budget)
-        assert [(_tree(d), c) for d, c in derivs] == [
+        assert [(_tree(d), c) for d, c, _, _ in derivs] == [
             (_tree(d), c) for d, c in want.derive(grammar.start, 0, len(tokens), budget)
         ]
         assert got.bound_hit == want.bound_hit
@@ -1439,6 +1438,70 @@ def test_enumerator_matches_the_recursive_one_on_random_grammars():
         seen["derivations"] += len(derivs)
         seen["bound"] += got.bound_hit
     assert seen["derivations"] > 1000 and seen["bound"] > 20, seen
+
+
+def _shape_key(tree):
+    """A ``_tree`` with each entry replaced by its category."""
+    if type(tree) is tuple:
+        return tree[:1] + tuple(_shape_key(t) for t in tree[1:])
+    return tree.cat
+
+
+def _leaves(tree):
+    """The entries of a ``_tree``, in preorder."""
+    if type(tree) is tuple:
+        return tuple(e for t in tree[1:] for e in _leaves(t))
+    return (tree,)
+
+
+def _records_match_trees(grammar, tokens, bounds, seen):
+    """Every record the enumerator memoises carries the shape and entries
+    of its tree, and each candidate shape builds the tree that
+    ``CStructure.build`` makes of its daughters and labels."""
+    from lfgmc.model import CStructure
+    from lfgmc.search import _SkeletonEnumerator, _build_tree
+
+    enum = _SkeletonEnumerator(grammar, tokens)
+    derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
+    keys, ids = {}, {}  # shape id -> preorder keys, and back
+    for records in enum.memo.values():
+        for deriv, _count, shape, entries in records:
+            tree = _tree(deriv)
+            assert entries == _leaves(tree)
+            keys.setdefault(shape, set()).add(_shape_key(tree))
+            ids.setdefault(_shape_key(tree), set()).add(shape)
+    assert all(len(v) == 1 for v in keys.values()), (tokens, grammar)
+    assert all(len(v) == 1 for v in ids.values()), (tokens, grammar)
+    built = {}
+    for deriv, _count, shape, _entries in derivations:
+        if shape in built:
+            continue
+        cstruct, _phrases, mothers = built[shape] = _build_tree(deriv)
+        want = CStructure.build("n0", cstruct.daughters, cstruct.label)
+        assert cstruct == want
+        leaves = [n for n in cstruct.nodes if not cstruct.daughters[n]]
+        preterminals = sorted((want.mother[n] for n in leaves), key=lambda n: int(n[1:]))
+        assert mothers == [want.mother.get(p) for p in preterminals]
+    seen["records"] = seen.get("records", 0) + sum(map(len, enum.memo.values()))
+    seen["shared shapes"] = seen.get("shared shapes", 0) + len(derivations) - len(built)
+
+
+def test_records_carry_their_shapes_and_entries_on_random_grammars():
+    seen = {}
+    for grammar, _theory, tokens, bounds in _random_corpus():
+        _records_match_trees(grammar, tokens, bounds, seen)
+    assert seen["records"] > 10000 and seen["shared shapes"] >= 20, seen
+
+
+@FIXTURE_CASES
+def test_records_carry_their_shapes_and_entries_on_fixture_grammars(text, sentences, bounds):
+    from lfgmc import parse_grammar
+
+    grammar = parse_grammar(text)
+    seen = {}
+    for tokens in sentences:
+        _records_match_trees(grammar, tokens, SearchBounds(*bounds), seen)
+    assert seen["records"] > 0
 
 
 @pytest.mark.parametrize(

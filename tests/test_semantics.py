@@ -504,6 +504,68 @@ def test_names_walk_matches_reference(fig_theory):
             )
 
 
+def _shared_dag(rng, levels):
+    """A formula of ``levels`` connectives over three random leaves of
+    depth at most 1, each connective taking its operands from everything
+    built so far, so that parts are shared by several parents."""
+    pool = [rand_formula(rng, RAND_SIG, depth=1) for _ in range(3)]
+    feats = sorted(RAND_SIG.feats)
+    for _ in range(levels):
+        a, b = rng.choice(pool), rng.choice(pool)
+        pick = rng.randrange(6)
+        if pick < 3:
+            pool.append((And, Or, Implies)[pick](a, b))
+        elif pick == 3:
+            pool.append(Not(a))
+        elif pick == 4:
+            pool.append(Feat(rng.choice(feats), a))
+        else:
+            pool.append(Bullet((a, b)))
+    return pool[-1]
+
+
+def test_names_walk_visits_each_shared_part_once():
+    # 61 distinct formulas and 2**60 paths from the top to the feature
+    import time
+
+    f = Feat("subj", TRUE)
+    for _ in range(60):
+        f = Implies(f, f)
+    start = time.perf_counter()
+    names = f.names
+    assert time.perf_counter() - start < 1.0
+    assert names == {"cats": frozenset(), "atoms": frozenset(), "words": frozenset(),
+                     "feats": frozenset({"subj"})}
+
+
+def test_names_walk_matches_reference_on_shared_parts():
+    # each used name in turn is the one left undeclared; the error names the
+    # first undeclared name in pre-order, as the walk that expands every
+    # occurrence finds it
+    from oracles import reference_names, reference_validate_names
+
+    def outcome(check, f, sig):
+        try:
+            check(f, sig)
+        except SignatureError as exc:
+            return str(exc)
+        return None
+
+    rng = random.Random(6262)
+    raised = 0
+    for _ in range(300):
+        f = _shared_dag(rng, rng.randint(1, 7))
+        names = reference_names(f)
+        assert f.names == names, f
+        for kind, used in names.items():
+            for name in sorted(used):
+                sig = replace(RAND_SIG, **{kind: getattr(RAND_SIG, kind) - {name}})
+                got = outcome(validate_names, f, sig)
+                assert got == outcome(reference_validate_names, f, sig), f
+                raised += got is not None
+    assert raised > 300
+
+
 # --- runs of prefix operators ------------------------------------------------
 
 
@@ -674,6 +736,26 @@ def test_shared_parts_get_one_plan(monkeypatch):
     semantics._plan(f)
     assert len(built) == 61
     assert len(set(map(id, built))) == 61
+
+
+def test_each_formula_gets_its_parts_once(monkeypatch):
+    # on the DAG above, each of the 61 formulas is taken apart once, though
+    # every inner one is popped again after its parts are built
+    from lfgmc import TrueF, semantics
+
+    taken = []  # ids, since a failing assertion would print a formula of 2**60 paths
+    parts = semantics._parts
+
+    def counted(f):
+        taken.append(id(f))
+        return parts(f)
+
+    monkeypatch.setattr(semantics, "_parts", counted)
+    f = TrueF()
+    for _ in range(60):
+        f = Implies(f, f)
+    semantics._plan(f)
+    assert len(taken) == len(set(taken)) == 61
 
 
 def test_a_non_formula_part_has_no_plan(fig_model):
