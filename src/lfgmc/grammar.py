@@ -195,9 +195,9 @@ class Grammar:
 @dataclass(frozen=True)
 class Theory:
     """The compiled constraint set whose joint validity is grammaticality.
-    ``source``: the grammar ``compile_grammar`` compiled it from, when its
-    signature has no violations (else None); ``parse_sentence`` then trusts
-    its licensing and lexical axioms (see ``lfgmc.search``)."""
+    ``source``: the grammar ``compile_grammar`` compiled it from (None for
+    a theory built otherwise); ``parse_sentence`` trusts the axioms of a
+    theory compiled from the grammar it parses (see ``lfgmc.search``)."""
 
     licensing: Formula
     lexical: Formula
@@ -366,6 +366,8 @@ def compile_grammar(grammar: Grammar) -> Theory:
     if grammar.sig.gf and PRED_FEAT not in grammar.sig.feats:
         raise SignatureError("grammatical functions need the %r feature" % PRED_FEAT)
     sig = grammar.sig
+    if faults := sig.violations():
+        raise SignatureError(faults[0].message)
     for kind, names in [("category", sig.cats), ("atom", sig.atoms), ("feature", sig.feats)]:
         if _spelling_fault(kind, names):  # report the least such name
             raise SignatureError(_spelling_fault(kind, sorted(names)))
@@ -380,8 +382,7 @@ def compile_grammar(grammar: Grammar) -> Theory:
         coherence=tuple(coherence_axioms(grammar.sig)),
         gf=grammar.sig.gf,
     )
-    if not grammar.sig.violations():
-        object.__setattr__(theory, "source", grammar)
+    object.__setattr__(theory, "source", grammar)
     return theory
 
 

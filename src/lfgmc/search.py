@@ -45,15 +45,13 @@ union-find classes are named ``f0..`` by ``model.fnode_names``, the
 numbering ``canonicalize`` uses.  That one model is checked against the
 theory, printed and returned, with no second renaming pass.
 
-A model built from the grammar the theory was compiled from
-(``theory.source is grammar``, set by ``compile_grammar`` only for a
-signature without violations that every rule and entry compiled against)
-holds by construction the licensing and lexical axioms and all of
-``validate_model`` but reachability.  Its tree has preorder ids
-``n<k>``, the node set and mothers ``CStructure.build`` would derive from
-its daughters, and labels from the declared categories and input words,
-which the signature keeps apart; f-node ids
-are ``f<k>``, features and atoms come from the schemata, and ``_close``
+A model built from a grammar that compiles (so its signature has no
+violations) holds by construction its theory's licensing and lexical
+axioms and all of ``validate_model`` but reachability.  Its tree has
+preorder ids ``n<k>``, the node set and mothers ``CStructure.build``
+would derive from its daughters, and labels from the declared categories
+and input words, which the signature keeps apart; f-node ids are
+``f<k>``, features and atoms come from the schemata, and ``_close``
 keeps valued classes free of transitions.  Only preterminals have a word
 daughter, so the lexical antecedent holds exactly at them and the
 licensing one (a grandchild) at phrase nodes.  The f-structure solves
@@ -63,18 +61,20 @@ has no schemata, or else it clashed.  A class the walk of
 ``fnode_names`` misses is rejected as ``fstruct-unreachable``.  Tree
 nodes and valued classes have no feature transitions, so only a class
 with ``pred`` can fail completeness[g] (``pred g`` resolves, ``g`` does
-not) or coherence[g] (``g`` resolves, ``pred g`` does not); both are
-decided on the union-find, so no evaluator runs and only candidates that
-reach the output are extracted.  Any other theory (built by hand or by
-``dataclasses.replace``, or compiled from an equal but separate
-``Grammar``) is checked in full.
+not) or coherence[g] (``g`` resolves, ``pred g`` does not).  For the
+theory compiled from the grammar being parsed (``theory.source is
+grammar``) both are decided on the union-find, so no evaluator runs and
+only candidates that reach the output are extracted.  Any other theory
+(built by hand or by ``dataclasses.replace``, or compiled from an equal
+but separate ``Grammar``) is foreign: the grammar is compiled once for
+its checks, and ``valid`` evaluates every label on the extracted model.
 
 ``check_parse`` rests on a smaller lemma: a compiled theory uses only
 names its grammar's signature declares.  Compilation checks each name of
 the rules and entries, the lexical antecedent lists the declared words,
 and the completeness and coherence axioms use ``pred`` (which
-``compile_grammar`` requires beside ``gf``) and the ``gf`` steps (which a
-signature without violations declares).  So ``validate_names`` is skipped
+``compile_grammar`` requires beside ``gf``) and the ``gf`` steps (which
+it requires to be declared features).  So ``validate_names`` is skipped
 when the model's signature contains the grammar's.
 
 Models that fail the theory are reported as rejections
@@ -102,6 +102,7 @@ from .grammar import (
     PRED_FEAT,
     REL_FEAT,
     Theory,
+    compile_grammar,
 )
 from .model import (
     CStructure,
@@ -110,7 +111,6 @@ from .model import (
     NodeId,
     fnode_names,
     model_to_text,
-    validate_model,
 )
 from .semantics import _least_failing, valid
 
@@ -555,17 +555,14 @@ def _check(labels, trusted, gf, sig, cstruct, uf, bounds):
     if len(roots) > bounds.max_f_nodes:
         return None
     name = fnode_names(initial, succ)
+    if len(name) < len(roots):
+        return Rejection("structure", "fstruct-unreachable")
     if trusted:
-        if len(name) < len(roots):
-            return Rejection("structure", "fstruct-unreachable")
         for (label, _f), k in zip(labels, _principle_failures(gf, uf, roots)):
             if k is not None:
                 return Rejection("formula", label, "w%d" % k)
     model = _extract_model(sig, cstruct, uf, roots, succ, name)
     if not trusted:
-        report = validate_model(model)
-        if not report.ok:
-            return Rejection("structure", "; ".join(sorted(report.codes())))
         for label, f in labels:
             node = valid(model, f)
             if node is not None:
@@ -592,12 +589,14 @@ def parse_sentence(
     for tok in tokens:
         if tok not in grammar.sig.words:
             raise SignatureError("unknown token %r" % tok)
+    trusted = theory.source is grammar
+    if not trusted:
+        compile_grammar(grammar)  # raises what the grammar breaks, else its structure holds
 
     enum = _SkeletonEnumerator(grammar, tokens)
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
     bound_exceeded = enum.bound_hit
     del enum  # its memo holds every sub-derivation's entries: free them before solving
-    trusted = theory.source is grammar
     labels = theory.labeled()[2:] if trusted else theory.labeled()  # licensing, lexical first
 
     shapes: dict[int | str, list] = {}

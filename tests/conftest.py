@@ -83,9 +83,9 @@ lex "saw" V {(up pred)=saw(subj, obj)};
 lex "with" P {(up pred)=with(obj)};
 """
 
-# The word "N" is also a category, so the signature overlaps and the
-# preterminal N above the leaf "N" carries a word label.  The search
-# cannot build valid structure from it and falls back to the validator.
+# The word "N" is also a category, so the signature overlaps: no model
+# keeps the leaf "N" apart from the preterminal N, and the compiler
+# refuses the grammar.
 OVERLAP_GRAMMAR_TEXT = """
 signature { cat: S N; atom: a; feat: f; gf: ; }
 rule S -> N {up=down};

@@ -213,15 +213,18 @@ def test_parse_devour_reports_completeness(tmp_path):
     assert "completeness[obj]" in proc.stdout
 
 
-def test_parse_overlapping_signature_reports_the_structure(tmp_path):
+def test_overlapping_signature_is_an_input_error(fig_files, tmp_path):
+    # a grammar whose signature has violations has no models, so the
+    # compiler refuses it and every command that compiles it exits 2
+    _, model = fig_files
     grammar = tmp_path / "overlap.lfg"
     grammar.write_text(OVERLAP_GRAMMAR_TEXT)
-    proc = run_cli("parse", str(grammar), "N")
-    assert proc.returncode == 1
-    assert proc.stdout == (
-        "models: 0\n"
-        "rejected candidate (structure: signature-overlap; tree-word-label-internal)\n"
-    )
+    for args in (["parse", str(grammar), "N"], ["compile", str(grammar)],
+                 ["check", str(model), "--grammar", str(grammar)]):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "", args
+        assert proc.stderr == "error: names used as both word and cat: N\n", args
 
 
 def test_parse_pipe_into_validate_and_check(fig_files, tmp_path):

@@ -420,7 +420,6 @@ def test_renderer_matches_reference_renderer():
         DEVOUR_GRAMMAR_TEXT,
         FIG_GRAMMAR_TEXT,
         MICRO_GRAMMAR_TEXT,
-        OVERLAP_GRAMMAR_TEXT,
         PP_AGREE_GRAMMAR_TEXT,
     )
     from generators import embedding_grammar_text
@@ -433,7 +432,6 @@ def test_renderer_matches_reference_renderer():
         DEVOUR_GRAMMAR_TEXT,
         MICRO_GRAMMAR_TEXT,
         PP_AGREE_GRAMMAR_TEXT,
-        OVERLAP_GRAMMAR_TEXT,
         embedding_grammar_text(["noun%d" % k for k in range(500)]),
         FIG_GRAMMAR_TEXT.replace("(up spec)=a", "(up" + " spec" * 3000 + ")=a"),
     ]

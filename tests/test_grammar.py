@@ -16,6 +16,7 @@ from lfgmc import (
     PathEqSchema,
     SemForm,
     Signature,
+    SignatureError,
     TRUE,
     Up,
     WordLit,
@@ -145,8 +146,9 @@ def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
     assert copy.source is None
     assert copy == theory == again and hash(copy) == hash(theory)
     assert repr(copy) == repr(theory) and "source" not in repr(theory)
-    # a signature with violations is never trusted
-    assert compile_grammar(parse_grammar(OVERLAP_GRAMMAR_TEXT)).source is None
+    # a signature with violations does not compile
+    with pytest.raises(SignatureError, match="^names used as both word and cat: N$"):
+        compile_grammar(parse_grammar(OVERLAP_GRAMMAR_TEXT))
 
 
 def _and_parts(f):
@@ -275,7 +277,7 @@ def test_semform_argument_must_be_declared_gf():
 
 
 def test_gf_without_pred_rejected_at_compile_time():
-    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement, SignatureError
+    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement
 
     rule = AnnotatedRule("S", (RuleElement("A", (PathEqSchema(("f",), ()),)),))
     sig = Signature({"S", "A"}, {"x"}, {"f"}, (("f",),), {"b"})
@@ -297,8 +299,6 @@ def test_gf_without_pred_rejected_at_compile_time():
     [("cat", "Ñ", "category"), ("atom", "é", "atom"), ("feat", "ñum", "feature")],
 )
 def test_non_identifier_names_rejected_at_compile_time(section, name, kind):
-    from lfgmc import SignatureError
-
     # the grammar reader accepts any name; a printed theory or a model file
     # could not spell this one, so compiling it stops
     text = "signature { cat: S A; atom: x; feat: f; gf: ; }\nrule S -> A;\nlex \"a\" A;\n"
@@ -315,7 +315,7 @@ def _shape_error_cases():
     entry or signature can fail when built or compiled."""
     from dataclasses import replace
 
-    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement, SignatureError
+    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement
 
     sig = Signature({"S", "A"}, {"x", "eat"}, {"f", "subj", "pred", "rel"}, (("subj",),), {"b"})
     entry = LexEntry("b", "A")
@@ -364,6 +364,13 @@ def _shape_error_cases():
         ("empty-lexicon", lambda: compile_lexicon((), sig), GrammarError, "lexicon is empty"),
         ("no-word-forms", grammar(sig=replace(sig, words=())), GrammarError,
          "signature declares no word forms"),
+        # a signature with violations has no models, so it does not compile
+        ("signature-overlap", grammar(sig=replace(sig, words={"b", "A"})), SignatureError,
+         "names used as both word and cat: A"),
+        ("signature-empty", grammar(sig=replace(sig, atoms=())), SignatureError,
+         "atom set is empty"),
+        ("signature-gf-feature", grammar(sig=replace(sig, gf=(("subj",), ("obj",)))),
+         SignatureError, "gf step 'obj' is not a declared feature"),
     ] + [
         # the grammar reader rejects reserved words as names; a printed
         # theory would read one back as formula syntax

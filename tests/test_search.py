@@ -540,69 +540,60 @@ def test_disconnected_islands_rejected():
         assert [(r.reason, r.detail) for r in out.rejections] == [("structure", detail)]
 
 
-def _count_validator_calls(monkeypatch):
-    from lfgmc import search
-
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return validate_model(m)
-
-    monkeypatch.setattr(search, "validate_model", counted)
-    return calls
-
-
-def test_well_declared_grammars_are_not_validated(monkeypatch):
-    # the search builds valid structure from such a grammar by
-    # construction; only f-node reachability is checked, on the walk that
+def test_well_declared_grammars_are_not_validated():
+    # the search builds valid structure by construction from a grammar
+    # that compiles; only f-node reachability is checked, on the walk that
     # names the classes
-    from lfgmc import compile_grammar, parse_grammar
+    from lfgmc import compile_grammar, parse_grammar, search
 
-    calls = _count_validator_calls(monkeypatch)
+    assert not hasattr(search, "validate_model")
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     theory = compile_grammar(g)
     assert theory.source is g
     out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
     assert len(out.models) == 5
-    assert calls == []
 
 
-def test_overlapping_signature_falls_back_to_the_validator(monkeypatch):
+def test_overlapping_signature_is_refused_by_the_compiler():
+    # such a grammar has no models, under its own theory or any other
     from lfgmc import compile_grammar, parse_grammar
 
-    calls = _count_validator_calls(monkeypatch)
     g = parse_grammar(OVERLAP_GRAMMAR_TEXT)
-    theory = compile_grammar(g)
-    assert theory.source is None
-    out = _same_as_two_phase(theory, g, ["N"], SearchBounds())
-    assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
-        ("structure", "signature-overlap; tree-word-label-internal", None)
-    ]
-    assert len(calls) == 1
+    with pytest.raises(SignatureError) as compiled:
+        compile_grammar(g)
+    with pytest.raises(SignatureError) as parsed:
+        parse_sentence(Theory(TrueF(), TrueF()), g, ["N"])
+    assert str(compiled.value) == str(parsed.value) == "names used as both word and cat: N"
 
 
-def test_undeclared_names_fall_back_to_the_validator(monkeypatch):
-    # a hand-built grammar is not checked against its signature; its
-    # entry writes a feature and an atom that are not declared
+def test_foreign_theory_raises_what_the_grammar_compile_raises():
+    # a grammar parsed under a theory not compiled from it is compiled
+    # for its checks: here an entry writes an undeclared feature and atom,
+    # a grammar has no rules, a gf section has no pred feature and a
+    # category is a reserved word
     from lfgmc import AnnotatedRule, AtomValueSchema, Grammar, LexEntry, PathEqSchema
-    from lfgmc import RuleElement, Signature
+    from lfgmc import RuleElement, Signature, compile_grammar
 
-    calls = _count_validator_calls(monkeypatch)
     sig = Signature(cats={"S", "A"}, atoms={"x"}, feats={"f"}, words={"b"})
-    g = Grammar(
-        sig,
-        "S",
-        (AnnotatedRule("S", (RuleElement("A", (PathEqSchema(),)),)),),
-        (LexEntry("b", "A", (AtomValueSchema(("g",), "y"),)),),
-    )
+    rules = (AnnotatedRule("S", (RuleElement("A", (PathEqSchema(),)),)),)
+    entries = (LexEntry("b", "A"),)
+    undeclared = Grammar(sig, "S", rules, (LexEntry("b", "A", (AtomValueSchema(("g",), "y"),)),))
+    ruleless = Grammar(sig, "A", (), entries)
+    no_pred = Grammar(replace(sig, gf=(("f",),)), "S", rules, entries)
+    reserved = Grammar(replace(sig, cats={"S", "A", "down"}), "S", rules, entries)
     theory = Theory(TrueF(), TrueF())
     assert theory.source is None
-    out = _same_as_two_phase(theory, g, ["b"], SearchBounds())
-    assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
-        ("structure", "atom-not-in-signature; feat-not-in-signature", None)
-    ]
-    assert len(calls) == 1
+    for g, error, message in [
+        (undeclared, SignatureError, "unknown feature 'g'"),
+        (ruleless, GrammarError, "grammar has no rules"),
+        (no_pred, SignatureError, "grammatical functions need the 'pred' feature"),
+        (reserved, SignatureError, "category name 'down' collides with reserved formula syntax"),
+    ]:
+        with pytest.raises(error) as compiled:
+            compile_grammar(g)
+        with pytest.raises(error) as parsed:
+            parse_sentence(theory, g, ["b"])
+        assert str(compiled.value) == str(parsed.value) == message
 
 
 def _count_valid_calls(monkeypatch):
@@ -649,23 +640,22 @@ def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
         assert reference_validate_model(m).ok
 
 
-def test_replaced_theory_is_checked_in_full(monkeypatch):
+def test_replaced_theory_is_checked_in_full():
     # a theory that replace() made from the compiled one has no source,
     # so its stronger licensing axiom is evaluated: no NP is built from
     # NP PP, which every attachment of a PP to an object NP breaks
-    from lfgmc import And, compile_grammar, parse_formula, parse_grammar
+    from lfgmc import And, compile_grammar, parse_formula, parse_grammar, search
 
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     compiled = compile_grammar(g)
     extra = parse_formula("!(NP & bullet(NP, PP))", g.sig)
     theory = replace(compiled, licensing=And(compiled.licensing, extra))
     assert theory.source is None
-    calls = _count_validator_calls(monkeypatch)
+    assert not hasattr(search, "validate_model")
     out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
     assert len(out.models) == 1
     formula = [r for r in out.rejections if r.reason == "formula"]
     assert len(formula) == 4 and {r.detail for r in formula} == {"licensing"}
-    assert len(calls) == 5
 
 
 def test_theory_of_an_equal_grammar_is_checked_in_full(monkeypatch):
@@ -1029,8 +1019,17 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
     from lfgmc.search import _SkeletonEnumerator
 
     seen = {"models": 0, "bound": 0, "shared shapes": 0}
-    for grammar, theory, tokens, bounds in _random_corpus():
+    foreign = {"models": 0}
+    for n, (grammar, theory, tokens, bounds) in enumerate(_random_corpus()):
         out = _same_as_two_phase(theory, grammar, tokens, bounds)
+        if n % 5 == 0:
+            # a foreign theory evaluates every label with valid; the
+            # reference also runs the validator on every model it extracts
+            replaced = _same_as_two_phase(replace(theory), grammar, tokens, bounds)
+            foreign["models"] += len(replaced.models)
+            for r in replaced.rejections:
+                kind = r.detail if r.reason == "structure" else r.reason
+                foreign[kind] = foreign.get(kind, 0) + 1
         seen["models"] += len(out.models)
         seen["bound"] += out.bound_exceeded
         for r in out.rejections:
@@ -1050,6 +1049,8 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
     for kind in ("distinct", "atom", "lexical", "structure", "formula", "f-node counterexample"):
         assert seen.get(kind, 0) >= 20, seen
     assert min(seen.values()) >= 20, seen
+    for kind in ("models", "clash", "fstruct-unreachable", "formula"):
+        assert foreign.get(kind, 0) >= 20, foreign
 
 
 def test_formula_counterexample_keeps_the_class_order_name():
@@ -1125,6 +1126,7 @@ def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bo
     theory = compile_grammar(grammar)
     for tokens in sentences:
         _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds))
+        _same_as_two_phase(replace(theory), grammar, tokens, SearchBounds(*bounds))  # foreign
 
 
 def _principles_match_valid(theory, grammar, tokens, bounds, seen):
