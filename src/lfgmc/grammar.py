@@ -45,7 +45,7 @@ Compilation produces a :class:`Theory`:
   match some rule, where a rule ``X -> Y1 {s...} ... Yk {s...}`` becomes
   ``X & bullet(Y1 & ..., ..., Yk & ...)``;
 * one lexical axiom: any preterminal (sole daughter is a word leaf) must
-  match some entry ``cat & bullet("word") & ...``;
+  match some entry ``cat & bullet("word") & ...``, built when first read;
 * completeness and coherence axioms, one pair per grammatical function.
 
 Annotation compilation targets the annotated element: ``(up p)=(down q)``
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
@@ -70,6 +70,7 @@ from .formula import (
     CatLit,
     CSTRUCT,
     Down,
+    FALSE,
     Feat,
     Formula,
     Implies,
@@ -197,7 +198,10 @@ class Theory:
     """The compiled constraint set whose joint validity is grammaticality.
     ``source``: the grammar ``compile_grammar`` compiled it from (None for
     a theory built otherwise); ``parse_sentence`` trusts the axioms of a
-    theory compiled from the grammar it parses (see ``lfgmc.search``)."""
+    theory compiled from the grammar it parses (see ``lfgmc.search``).
+    ``compile_grammar`` gives ``lexical`` as a ``partial``, called when it
+    is first read (by ``labeled``, ``==``, ``hash`` or ``repr`` too) and
+    kept; a covered ``check_parse`` evaluates only the model's words' slice."""
 
     licensing: Formula
     lexical: Formula
@@ -214,13 +218,20 @@ class Theory:
                 raise ValueError("%s has %d formulas for %d grammatical functions"
                                  % (attr, len(held), len(self.gf)))
 
+    def __getattribute__(self, name):
+        value = object.__getattribute__(self, name)
+        if type(value) is partial:  # a field given unbuilt: build it once, now
+            value = self.__dict__[name] = value()
+        return value
+
     def labeled(self) -> tuple[tuple[str, Formula], ...]:
-        out = [("licensing", self.licensing), ("lexical", self.lexical)]
-        for seq, f in zip(self.gf, self.completeness):
-            out.append(("completeness[%s]" % ".".join(seq), f))
-        for seq, f in zip(self.gf, self.coherence):
-            out.append(("coherence[%s]" % ".".join(seq), f))
-        return tuple(out)
+        return (("licensing", self.licensing), ("lexical", self.lexical), *self.principles())
+
+    def principles(self) -> tuple[tuple[str, Formula], ...]:
+        """The completeness and coherence axioms with their labels."""
+        gf = [".".join(seq) for seq in self.gf]
+        return (*(("completeness[%s]" % g, f) for g, f in zip(gf, self.completeness)),
+                *(("coherence[%s]" % g, f) for g, f in zip(gf, self.coherence)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,38 +260,37 @@ def _feat_chain(path, inner: Formula) -> Formula:
     return f
 
 
-def _check_feats(path, sig: Signature):
-    for name in path:
+def _check_schema(schema, sig: Signature):
+    """Raise the ``SignatureError`` of the first name ``schema`` uses that
+    ``sig`` does not declare; compiling it then cannot fail."""
+    if isinstance(schema, SemForm):
+        if schema.rel not in sig.atoms:
+            raise SignatureError("unknown atom %r" % schema.rel)
+        if REL_FEAT not in sig.feats or PRED_FEAT not in sig.feats:
+            raise SignatureError("semantic forms need the %r and %r features"
+                                 % (PRED_FEAT, REL_FEAT))
+        for g in schema.args:
+            if g not in sig.gf:
+                raise SignatureError("semantic-form argument %r is not a declared "
+                                     "grammatical function" % ".".join(g))
+        return
+    value = isinstance(schema, AtomValueSchema)
+    for name in schema.path if value else schema.up_path + schema.down_path:
         if name not in sig.feats:
             raise SignatureError("unknown feature %r" % name)
+    if value and schema.value not in sig.atoms:
+        raise SignatureError("unknown atom %r" % schema.value)
 
 
-def _compile_schema(schema, sig: Signature) -> Formula:
-    """One annotation, compiled for evaluation at the annotated node."""
+def _compile_schema(schema) -> Formula:
+    """One checked annotation, compiled for evaluation at the annotated node."""
     if isinstance(schema, PathEqSchema):
-        _check_feats(schema.up_path, sig)
-        _check_feats(schema.down_path, sig)
         return PathEq(("up",), schema.up_path, (), schema.down_path)
     if isinstance(schema, AtomValueSchema):
-        _check_feats(schema.path, sig)
-        if schema.value not in sig.atoms:
-            raise SignatureError("unknown atom %r" % schema.value)
         return Up(Zoomin(_feat_chain(schema.path, AtomLit(schema.value))))
     # a semantic form
-    if schema.rel not in sig.atoms:
-        raise SignatureError("unknown atom %r" % schema.rel)
-    if REL_FEAT not in sig.feats or PRED_FEAT not in sig.feats:
-        raise SignatureError(
-            "semantic forms need the %r and %r features" % (PRED_FEAT, REL_FEAT)
-        )
     parts: list[Formula] = [Feat(REL_FEAT, AtomLit(schema.rel))]
-    for g in schema.args:
-        if g not in sig.gf:
-            raise SignatureError(
-                "semantic-form argument %r is not a declared grammatical "
-                "function" % ".".join(g)
-            )
-        parts.append(_feat_chain(g, TRUE))
+    parts += [_feat_chain(g, TRUE) for g in schema.args]
     return Up(Zoomin(Feat(PRED_FEAT, _and_fold(parts))))
 
 
@@ -294,11 +304,25 @@ def compile_rule(rule: AnnotatedRule, sig: Signature) -> Formula:
     for elem in rule.rhs:
         if elem.cat not in sig.cats:
             raise SignatureError("unknown category %r" % elem.cat)
-        parts: list[Formula] = [CatLit(elem.cat)]
         for schema in elem.schemata:
-            parts.append(_compile_schema(schema, sig))
-        args.append(_and_fold(parts))
+            _check_schema(schema, sig)
+        args.append(_and_fold([CatLit(elem.cat), *map(_compile_schema, elem.schemata)]))
     return And(CatLit(rule.lhs), Bullet(tuple(args)))
+
+
+def _check_lexicon(lexicon: tuple[LexEntry, ...], sig: Signature):
+    """Raise the first error ``compile_lexicon`` would raise on ``lexicon``."""
+    if not lexicon:
+        raise GrammarError("lexicon is empty")
+    if not sig.words:
+        raise GrammarError("signature declares no word forms")
+    for entry in lexicon:
+        if entry.cat not in sig.cats:
+            raise SignatureError("unknown category %r" % entry.cat)
+        if entry.word not in sig.words:
+            raise SignatureError("word form %r is not declared" % entry.word)
+        for schema in entry.schemata:
+            _check_schema(schema, sig)
 
 
 def compile_lexicon(lexicon, sig: Signature) -> Formula:
@@ -307,25 +331,24 @@ def compile_lexicon(lexicon, sig: Signature) -> Formula:
     A preterminal is a tree node whose single daughter is a word leaf;
     the antecedent recognizes that shape with an arity-one bullet over
     the word alphabet.  Words without entries make the axiom fail at
-    check time rather than erroring here.
+    check time rather than erroring here.  ``compile_grammar`` checks the
+    entries at once but builds the axiom when it is first read, and a
+    covered ``check_parse`` builds only its slice for the model's words.
     """
     lexicon = tuple(lexicon)
-    if not lexicon:
-        raise GrammarError("lexicon is empty")
-    if not sig.words:
-        raise GrammarError("signature declares no word forms")
-    word_shape = Bullet((_or_fold([WordLit(w) for w in sorted(sig.words)]),))
-    disjuncts = []
-    for entry in lexicon:
-        if entry.cat not in sig.cats:
-            raise SignatureError("unknown category %r" % entry.cat)
-        if entry.word not in sig.words:
-            raise SignatureError("word form %r is not declared" % entry.word)
-        parts: list[Formula] = [CatLit(entry.cat), Bullet((WordLit(entry.word),))]
-        for schema in entry.schemata:
-            parts.append(_compile_schema(schema, sig))
-        disjuncts.append(_and_fold(parts))
-    return Implies(And(CSTRUCT, word_shape), _or_fold(disjuncts))
+    _check_lexicon(lexicon, sig)
+    return _lexical_axiom(lexicon, sig.words)
+
+
+def _lexical_axiom(entries, words) -> Formula:
+    """The lexical axiom over checked ``entries`` and the word alphabet
+    ``words`` (not empty); with no entries its consequent is ``FALSE``."""
+    word_shape = Bullet((_or_fold([WordLit(w) for w in sorted(words)]),))
+    disjuncts = [
+        _and_fold([CatLit(e.cat), Bullet((WordLit(e.word),)), *map(_compile_schema, e.schemata)])
+        for e in entries
+    ]
+    return Implies(And(CSTRUCT, word_shape), _or_fold(disjuncts) if disjuncts else FALSE)
 
 
 def completeness_axioms(sig: Signature) -> list[Formula]:
@@ -375,9 +398,11 @@ def compile_grammar(grammar: Grammar) -> Theory:
         And(CSTRUCT, Down(Down(TRUE))),
         _or_fold([compile_rule(r, grammar.sig) for r in grammar.rules]),
     )
+    if grammar.lexicon:  # checked now, built when first read
+        _check_lexicon(grammar.lexicon, sig)
     theory = Theory(
         licensing=licensing,
-        lexical=compile_lexicon(grammar.lexicon, grammar.sig) if grammar.lexicon else TrueF(),
+        lexical=partial(_lexical_axiom, grammar.lexicon, sig.words) if grammar.lexicon else TrueF(),
         completeness=tuple(completeness_axioms(grammar.sig)),
         coherence=tuple(coherence_axioms(grammar.sig)),
         gf=grammar.sig.gf,

@@ -63,11 +63,12 @@ nodes and valued classes have no feature transitions, so only a class
 with ``pred`` can fail completeness[g] (``pred g`` resolves, ``g`` does
 not) or coherence[g] (``g`` resolves, ``pred g`` does not).  For the
 theory compiled from the grammar being parsed (``theory.source is
-grammar``) both are decided on the union-find, so no evaluator runs and
-only candidates that reach the output are extracted.  Any other theory
-(built by hand or by ``dataclasses.replace``, or compiled from an equal
-but separate ``Grammar``) is foreign: the grammar is compiled once for
-its checks, and ``valid`` evaluates every label on the extracted model.
+grammar``) both are decided on the union-find, so no evaluator runs,
+no lexical axiom is built, and only candidates that reach the output
+are extracted.  Any other theory (built by hand or by
+``dataclasses.replace``, or compiled from an equal but separate
+``Grammar``) is foreign: the grammar is compiled once for its checks,
+and ``valid`` evaluates every label on the extracted model.
 
 ``check_parse`` rests on a smaller lemma: a compiled theory uses only
 names its grammar's signature declares.  Compilation checks each name of
@@ -75,7 +76,12 @@ the rules and entries, the lexical antecedent lists the declared words,
 and the completeness and coherence axioms use ``pred`` (which
 ``compile_grammar`` requires beside ``gf``) and the ``gf`` steps (which
 it requires to be declared features).  So ``validate_names`` is skipped
-when the model's signature contains the grammar's.
+when the model's signature contains the grammar's.  Such a covered check
+leaves the theory's lexical axiom unbuilt and evaluates its slice for
+the declared words W that label a node: the axiom compiled over W and
+W's entries (``true`` for no W, consequent ``FALSE`` for no entries).  A
+literal or disjunct for a word outside W is false at every node, so the
+slice fails at the same nodes.
 
 Models that fail the theory are reported as rejections
 with the failing formula label and counterexample node; a failing f-node
@@ -93,7 +99,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import GrammarError, SignatureError
-from .formula import _NAME_KINDS
+from .formula import TRUE, _NAME_KINDS
 from .grammar import (
     AtomValueSchema,
     Grammar,
@@ -102,6 +108,7 @@ from .grammar import (
     PRED_FEAT,
     REL_FEAT,
     Theory,
+    _lexical_axiom,
     compile_grammar,
 )
 from .model import (
@@ -597,7 +604,7 @@ def parse_sentence(
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
     bound_exceeded = enum.bound_hit
     del enum  # its memo holds every sub-derivation's entries: free them before solving
-    labels = theory.labeled()[2:] if trusted else theory.labeled()  # licensing, lexical first
+    labels = theory.principles() if trusted else theory.labeled()
 
     shapes: dict[int | str, list] = {}
     for idx, (_deriv, _count, shape, entries) in enumerate(derivations):
@@ -656,6 +663,10 @@ class CheckReport:
 def check_parse(theory: Theory, model: Model) -> CheckReport:
     """Re-verify a model against every theory formula."""
     g, sig = theory.source, model.sig
-    covered = g is not None and all(getattr(g.sig, k) <= getattr(sig, k) for k in _NAME_KINDS)
-    check = _least_failing if covered else valid
-    return CheckReport(tuple(CheckEntry(label, check(model, f)) for label, f in theory.labeled()))
+    if g is None or not all(getattr(g.sig, k) <= getattr(sig, k) for k in _NAME_KINDS):
+        return CheckReport(tuple(CheckEntry(lb, valid(model, f)) for lb, f in theory.labeled()))
+    words = g.sig.words.intersection(model.cstruct.label.values())  # W: declared, on a node
+    entries = [e for e in g.lexicon if e.word in words]
+    lexical = _lexical_axiom(entries, words) if g.lexicon and words else TRUE
+    labels = (("licensing", theory.licensing), ("lexical", lexical), *theory.principles())
+    return CheckReport(tuple(CheckEntry(label, _least_failing(model, f)) for label, f in labels))

@@ -33,10 +33,12 @@ nodes with a given label, and possibly given daughter labels, are tried
 only on the nodes whose label and daughter labels match; the others on
 every node.  The lexical axiom, one disjunct per lexicon entry, thus
 tries about one entry per preterminal, and only the entries a model
-meets ever get a plan.  An indexed operand is false wherever its labels
-do not match (an unlabelled node, a dangling daughter), so the result
-is the same as trying every operand everywhere.  Where they match, it
-is evaluated by its own plan, label literals included.
+meets ever get a plan.  A compiled theory builds that axiom and index
+when first read, and ``check_parse`` indexes only the model's words'
+entries (see ``lfgmc.search``).  An indexed operand is false wherever
+its labels do not match (an unlabelled node, a dangling daughter), so
+the result is the same as trying every operand everywhere.  Where they
+match, it is evaluated by its own plan, label literals included.
 
 ``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
 when it fails somewhere, returns the least failing node in the

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from lfgmc import (
@@ -188,6 +190,12 @@ def build_fig_model() -> Model:
     )
     zoomin = {"n0": "f0", "n1": "f2", "n6": "f0", "n7": "f0"}
     return Model(sig, cstruct, fstruct, zoomin)
+
+
+def lexical_unbuilt(theory) -> bool:
+    """Whether ``theory`` still holds its lexical axiom unbuilt, as the
+    ``partial`` that ``compile_grammar`` gives it."""
+    return type(vars(theory)["lexical"]) is partial
 
 
 def build_tiny_model() -> Model:

@@ -386,6 +386,34 @@ def test_compile_fig_output_is_pinned(fig_files):
 
 
 @pytest.mark.parametrize(
+    "text,fmt,sha256",
+    [
+        (FIG_GRAMMAR_TEXT, "plain", hashlib.sha256(FIG_COMPILED.encode()).hexdigest()),
+        (FIG_GRAMMAR_TEXT, "json",
+         "32889ab8348c6aa5ac0eca51f49eb15f42c64e265bde5b8601edb9ece877dafc"),
+        (PP_AGREE_GRAMMAR_TEXT, "plain",
+         "5404cb8891496bc58ea69732f74b21291a456ac7b9a6483741e89b2fe06c452e"),
+    ],
+)
+def test_compile_output_is_the_same_when_the_lexical_axiom_was_read_first(
+    monkeypatch, capsys, tmp_path, text, fmt, sha256
+):
+    # the compiled theory builds its lexical axiom on first read; reading
+    # it before the command does changes nothing in what it prints
+    from lfgmc import cli, compile_grammar
+
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(text)
+    outputs = []
+    for read_first in (False, True):
+        if read_first:
+            monkeypatch.setattr(cli, "compile_grammar", lambda g: (t := compile_grammar(g), t.lexical)[0])
+        assert cli.main(["compile", str(grammar), "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert [hashlib.sha256(out.encode()).hexdigest() for out in outputs] == [sha256] * 2
+
+
+@pytest.mark.parametrize(
     "text,tokens,fmt,sha256",
     [
         (FIG_GRAMMAR_TEXT, ["a", "girl", "walks"], "plain",

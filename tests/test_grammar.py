@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -31,6 +32,14 @@ from lfgmc import (
     render_formula,
     valid,
 )
+
+from conftest import (
+    FIG_GRAMMAR_TEXT,
+    OBL_GRAMMAR_TEXT,
+    PP_AGREE_GRAMMAR_TEXT,
+    lexical_unbuilt,
+)
+
 
 def test_grammar_file_parses(fig_grammar):
     assert fig_grammar.start == "S"
@@ -386,6 +395,82 @@ def test_hand_built_grammar_errors(case):
     with pytest.raises(cls) as err:
         call()
     assert type(err.value) is cls and str(err.value) == message
+
+
+# --- the lexical axiom, built when first read -------------------------------
+
+
+def test_compile_grammar_builds_the_lexical_axiom_when_first_read(fig_grammar):
+    theory = compile_grammar(fig_grammar)
+    assert lexical_unbuilt(theory)
+    lexical = theory.lexical
+    assert not lexical_unbuilt(theory) and theory.lexical is lexical
+    assert lexical == compile_lexicon(fig_grammar.lexicon, fig_grammar.sig)
+    # a hand-built theory holds what it is given; a lexicon-free grammar compiles to true
+    from lfgmc import Grammar, Theory, TrueF
+
+    assert vars(Theory(TrueF(), lexical))["lexical"] is lexical
+    bare = Grammar(fig_grammar.sig, "S", fig_grammar.rules, ())
+    assert vars(compile_grammar(bare))["lexical"] == TrueF()
+
+
+def _last_entry_cases():
+    from lfgmc import LexEntry
+
+    return [
+        ("cat", LexEntry("b", "T"), "unknown category 'T'"),
+        ("word", LexEntry("c", "A"), "word form 'c' is not declared"),
+        ("feature", LexEntry("b", "A", (AtomValueSchema(("g",), "x"),)), "unknown feature 'g'"),
+        ("atom", LexEntry("b", "A", (AtomValueSchema(("f",), "y"),)), "unknown atom 'y'"),
+        ("relation", LexEntry("b", "A", (SemForm("sleep"),)), "unknown atom 'sleep'"),
+        ("gf-argument", LexEntry("b", "A", (SemForm("eat", (("f",),)),)),
+         "semantic-form argument 'f' is not a declared grammatical function"),
+    ]
+
+
+@pytest.mark.parametrize("case", _last_entry_cases(), ids=lambda case: case[0])
+def test_compile_grammar_checks_the_last_of_500_entries(case):
+    # the entries are checked when compiled, though the axiom is built later
+    from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement
+
+    _, bad, message = case
+    words = ["w%03d" % k for k in range(499)]
+    sig = Signature({"S", "A"}, {"x", "eat"}, {"f", "subj", "pred", "rel"}, (("subj",),),
+                    {*words, "b"})
+    lexicon = [LexEntry(w, "A", (AtomValueSchema(("f",), "x"),)) for w in words] + [bad]
+    grammar = Grammar(sig, "S", (AnnotatedRule("S", (RuleElement("A"),)),), lexicon)
+    assert len(grammar.lexicon) == 500
+    for call in (lambda: compile_grammar(grammar), lambda: compile_lexicon(lexicon, sig)):
+        with pytest.raises(SignatureError) as err:
+            call()
+        assert str(err.value) == message
+    good = compile_grammar(replace(grammar, lexicon=lexicon[:-1]))
+    assert lexical_unbuilt(good)
+
+
+@pytest.mark.parametrize("text", [FIG_GRAMMAR_TEXT, PP_AGREE_GRAMMAR_TEXT, OBL_GRAMMAR_TEXT],
+                         ids=["fig", "pp-agree", "obl"])
+def test_a_theory_is_the_same_whether_or_not_its_lexical_axiom_was_read(text):
+    import pickle
+
+    grammar = parse_grammar(text)
+    read = compile_grammar(grammar)
+    read.lexical
+
+    def unread():
+        theory = compile_grammar(grammar)
+        assert lexical_unbuilt(theory)
+        return theory
+
+    assert unread() == read and read == unread()
+    assert hash(unread()) == hash(read)
+    assert unread().labeled() == read.labeled()
+    assert render_formula(unread().lexical) == render_formula(read.lexical)
+    assert repr(unread()) == repr(read)
+    assert replace(unread()) == read
+    # a pickled theory builds its lexical axiom when the copy reads it
+    copy = pickle.loads(pickle.dumps(unread()))
+    assert lexical_unbuilt(copy) and copy == read and copy.source == grammar
 
 
 def test_constraining_equation_rejected():

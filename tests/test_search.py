@@ -27,6 +27,7 @@ from conftest import (
     PP_AGREE_GRAMMAR_TEXT,
     PP_SENTENCE,
     build_fig_model,
+    lexical_unbuilt,
 )
 from generators import embedding_grammar_text, rand_grammar
 from oracles import (
@@ -272,6 +273,106 @@ def test_check_parse_walks_the_names_of_a_replaced_theory(monkeypatch, fig_theor
     copy = replace(fig_theory)
     assert check_parse(copy, fig_model).ok
     assert calls == [f for _label, f in copy.labeled()]
+
+
+# --- check_parse on the lexical axiom's slice for the model's words ---------
+
+def _oracle_rows(theory, model):
+    return [(label, oracle_valid(model, f)) for label, f in theory.labeled()]
+
+
+def _with_words(model, words):
+    return replace(model, sig=replace(model.sig, words=model.sig.words | set(words)))
+
+
+def _leaf(model, word):
+    [node] = [n for n, label in model.cstruct.label.items() if label == word]
+    return node
+
+
+def test_trusted_parse_and_covered_check_leave_the_lexical_axiom_unbuilt(monkeypatch):
+    from lfgmc import compile_grammar, model_from_json, parse_grammar, search
+
+    from generators import chain_model_doc
+
+    grammar = parse_grammar(FIG_GRAMMAR_TEXT)
+    theory = compile_grammar(grammar)
+    [model] = parse_sentence(theory, grammar, ["a", "girl", "walks"]).models
+    monkeypatch.setattr(search, "valid", _no_names_walk)
+    walks = _relabelled(model, _leaf(model, "girl"), "walks")
+    assert check_parse(theory, model).ok and not check_parse(theory, walks).ok
+    assert lexical_unbuilt(theory)
+    lexicon = ["noun%03d" % k for k in range(500)]
+    chain = compile_grammar(parse_grammar(embedding_grammar_text(lexicon)))
+    for swap in (None, (0, "noun250")):
+        doc, _failing = chain_model_doc(lexicon, lexicon[7::41], swap)
+        check_parse(chain, model_from_json(doc))
+    assert lexical_unbuilt(chain)
+    # a check the lemma does not cover builds the axiom and evaluates it whole
+    monkeypatch.undo()
+    text = FIG_GRAMMAR_TEXT.replace("cat: S", "cat: Unused S")
+    uncovered = compile_grammar(parse_grammar(text))
+    assert check_parse(uncovered, model).ok and not lexical_unbuilt(uncovered)
+
+
+def _hand_built_word_grammar():
+    """A grammar declaring the word "c" without an entry, and a model of
+    ``S -> A`` over the leaf "c"."""
+    from lfgmc import (
+        AnnotatedRule, CStructure, FStructure, Grammar, LexEntry, Model, RuleElement,
+        Signature, compile_grammar,
+    )
+
+    sig = Signature({"S", "A"}, {"x"}, {"f"}, (), {"b", "c"})
+    rules = (AnnotatedRule("S", (RuleElement("A"),)),)
+    grammar = Grammar(sig, "S", rules, (LexEntry("b", "A"),))
+    tree = CStructure.build("n0", {"n0": ("n1",), "n1": ("n2",), "n2": ()},
+                            {"n0": "S", "n1": "A", "n2": "c"})
+    fstruct = FStructure(frozenset({"f0"}), "f0", {"f0": {}}, frozenset(), {})
+    return compile_grammar(grammar), Model(sig, tree, fstruct, {"n0": "f0", "n1": "f0"})
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["undeclared-word", "word-without-entry", "no-word-leaves", "declared-word-no-entries"],
+)
+def test_check_parse_slice_rows_equal_valid_and_the_oracle(monkeypatch, fig_grammar, case):
+    from lfgmc import compile_grammar, search
+
+    theory = compile_grammar(fig_grammar)
+    model = build_fig_model()
+    if case == "undeclared-word":
+        # the model declares a word the grammar does not: the lemma still covers it
+        model = _relabelled(_with_words(model, ["runs"]), _leaf(model, "girl"), "runs")
+    elif case == "word-without-entry":
+        model = _relabelled(model, _leaf(model, "girl"), "walks")  # walks has no N entry
+    elif case == "no-word-leaves":
+        for word in ("a", "girl", "walks"):
+            model = _relabelled(model, _leaf(model, word), "N")
+    else:
+        theory, model = _hand_built_word_grammar()
+    monkeypatch.setattr(search, "valid", _no_names_walk)
+    got = _rows(check_parse(theory, model))
+    assert lexical_unbuilt(theory)
+    monkeypatch.undo()
+    assert got == _valid_rows(theory, model) == _oracle_rows(theory, model)
+    lexical = dict(got)["lexical"]
+    assert lexical == {"undeclared-word": None, "word-without-entry": "n4",
+                       "no-word-leaves": None, "declared-word-no-entries": "n1"}[case]
+
+
+def test_check_parse_evaluates_a_replaced_theory_whole(monkeypatch, fig_theory):
+    from lfgmc import search
+
+    model = build_fig_model()
+    model = _relabelled(model, _leaf(model, "girl"), "walks")
+    copy = replace(fig_theory)
+    calls = []
+    monkeypatch.setattr(search, "valid", lambda m, f: calls.append(f) or valid(m, f))
+    got = _rows(check_parse(copy, model))
+    assert calls == [f for _label, f in copy.labeled()]
+    assert got == _valid_rows(copy, model) == _oracle_rows(copy, model)
+    assert dict(got)["lexical"] == "n4"
 
 
 def test_parse_outputs_recheck_clean(fig_theory, fig_grammar):
