@@ -128,37 +128,6 @@ class Or(Formula):
     left: Formula
     right: Formula
 
-    @cached_property
-    def by_label(self) -> tuple[list[Formula], dict]:
-        """The operands of the left-nested ``|`` chain at this node, as
-        ``(plain, keyed)``; computed once per formula object.
-
-        ``keyed[label][daughters]`` lists the operands that can only hold
-        at tree nodes carrying ``label`` whose daughters carry exactly the
-        labels ``daughters``, and ``keyed[label][None]`` those that can
-        only hold at nodes carrying ``label``.  ``plain`` holds all other
-        operands.  Every list keeps chain order."""
-        plain, keyed = [], {}
-        for op in _spine(self):
-            # one pass over the operand's conjuncts: the first literal
-            # gives the label, the first bullet whose arguments all have
-            # literal labels the daughter labels
-            label = kids = None
-            for g in _spine(op) if type(op) is And else (op,):
-                t = type(g)
-                if t is CatLit or t is WordLit:
-                    if label is None:
-                        label = g.name
-                elif t is Bullet and kids is None:
-                    kids = tuple(map(_literal_label, g.args))
-                    if None in kids:
-                        kids = None
-            if label is None:
-                plain.append(op)
-            else:
-                keyed.setdefault(label, {}).setdefault(kids, []).append(op)
-        return plain, keyed
-
 
 @dataclass(frozen=True)
 class Implies(Formula):
@@ -609,16 +578,6 @@ def _spine(f: Formula) -> list[Formula]:
         ops.append(f.right)
         f = f.left
     return [f] + ops[::-1]
-
-
-def _literal_label(f: Formula) -> str | None:
-    """The label a tree node must carry for ``f`` to hold there, when
-    ``f`` is a category or word literal or an ``&`` chain with one among
-    its conjuncts; otherwise None."""
-    for g in _spine(f) if type(f) is And else (f,):
-        if type(g) is CatLit or type(g) is WordLit:
-            return g.name
-    return None
 
 
 #: Signature field -> how an undeclared name of that kind is reported.

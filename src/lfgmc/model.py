@@ -9,13 +9,17 @@ A :class:`Model` bundles the three ingredients of an LFG-style analysis:
   designated final nodes,
 * ``zoomin``, a partial map from tree nodes to feature nodes.
 
-Structures are plain immutable data and nothing is enforced at
-construction time.  :func:`validate_model` inspects a candidate model
-and reports every violated invariant as data, so deliberately broken
-structures can be built and shown to be caught.  The uniqueness
-principle (one value per attribute) is built into the representation:
-transition tables map a (node, feature) pair to at most one successor,
-and values live on final nodes only.
+Structures are frozen plain data and nothing is enforced at
+construction time.  A constructor keeps the very dicts it is given, so
+their owner must not change them afterwards; only ``nodes`` and
+``final`` go through ``frozenset`` (a no-op on a frozenset), so that set
+algebra works on a model built from a set or a list.
+:func:`validate_model` inspects a candidate model and reports every
+violated invariant as data, so deliberately broken structures can be
+built and shown to be caught.  The uniqueness principle (one value per
+attribute) is built into the representation: transition tables map a
+(node, feature) pair to at most one successor, and values live on final
+nodes only.
 
 Node ids are opaque strings.  All operations that need an order use
 :func:`node_key`, which sorts by (length, text) so that ``n2`` precedes
@@ -188,11 +192,6 @@ class CStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "mother", dict(self.mother))
-        object.__setattr__(
-            self, "daughters", {n: tuple(ds) for n, ds in self.daughters.items()}
-        )
-        object.__setattr__(self, "label", dict(self.label))
 
     @classmethod
     def build(cls, root: NodeId, daughters: dict, label: dict) -> "CStructure":
@@ -205,7 +204,7 @@ class CStructure:
             for d in ds:
                 mother[d] = n
         full = {n: tuple(daughters.get(n, ())) for n in nodes}
-        return cls(frozenset(nodes), root, mother, full, dict(label))
+        return cls(frozenset(nodes), root, mother, full, label)
 
 
 @dataclass(frozen=True)
@@ -226,11 +225,7 @@ class FStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(
-            self, "trans", {n: dict(t) for n, t in self.trans.items()}
-        )
         object.__setattr__(self, "final", frozenset(self.final))
-        object.__setattr__(self, "atomval", dict(self.atomval))
 
 
 @dataclass(frozen=True)
@@ -241,9 +236,6 @@ class Model:
     cstruct: CStructure
     fstruct: FStructure
     zoomin: dict[NodeId, NodeId]
-
-    def __post_init__(self):
-        object.__setattr__(self, "zoomin", dict(self.zoomin))
 
     @cached_property
     def node_order(self) -> tuple[NodeId, ...]:
@@ -750,6 +742,8 @@ def _spelling_fault(kind: str, names) -> str | None:
 
 
 def model_from_json(doc) -> Model:
+    """The model a parsed JSON document describes; it keeps the
+    document's ``trans`` and ``zoomin`` dicts."""
     _need(doc, {"signature", "tree", "fstruct", "zoomin"}, "model document")
 
     sig_doc = doc["signature"]
@@ -814,7 +808,7 @@ def model_from_json(doc) -> Model:
             isinstance(k, str) and isinstance(v, str) for k, v in t.items()
         ):
             raise ModelFormatError("fstruct node trans must map strings to strings")
-        trans[wid] = dict(t)
+        trans[wid] = t
         if "atom" in nd:
             if not isinstance(nd["atom"], str):
                 raise ModelFormatError("fstruct node atom must be a string")
@@ -832,7 +826,7 @@ def model_from_json(doc) -> Model:
     ):
         raise ModelFormatError("zoomin must map tree ids to f-structure ids")
 
-    return Model(sig, cstruct, fstruct, dict(z_doc))
+    return Model(sig, cstruct, fstruct, z_doc)
 
 
 def model_from_text(text: str) -> Model:

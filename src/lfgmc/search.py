@@ -68,20 +68,25 @@ no lexical axiom is built, and only candidates that reach the output
 are extracted.  Any other theory (built by hand or by
 ``dataclasses.replace``, or compiled from an equal but separate
 ``Grammar``) is foreign: the grammar is compiled once for its checks,
-and ``valid`` evaluates every label on the extracted model.
+and ``valid`` evaluates every label on the extracted model; if the
+theory has a ``source`` whose signature the grammar's contains, the
+lexical label is the slice (below) for the sentence's words, built once
+per call, as every candidate has the sentence as its leaves.
 
-``check_parse`` rests on a smaller lemma: a compiled theory uses only
-names its grammar's signature declares.  Compilation checks each name of
-the rules and entries, the lexical antecedent lists the declared words,
-and the completeness and coherence axioms use ``pred`` (which
-``compile_grammar`` requires beside ``gf``) and the ``gf`` steps (which
-it requires to be declared features).  So ``validate_names`` is skipped
-when the model's signature contains the grammar's.  Such a covered check
-leaves the theory's lexical axiom unbuilt and evaluates its slice for
-the declared words W that label a node: the axiom compiled over W and
-W's entries (``true`` for no W, consequent ``FALSE`` for no entries).  A
-literal or disjunct for a word outside W is false at every node, so the
-slice fails at the same nodes.
+``check_parse`` rests on two lemmas.  First, a compiled theory uses
+only names its grammar's signature declares.  Compilation checks each
+name of the rules and entries, the lexical antecedent lists the
+declared words, and the completeness and coherence axioms use ``pred``
+(which ``compile_grammar`` requires beside ``gf``) and the ``gf`` steps
+(which it requires to be declared features).  So ``validate_names`` is
+skipped when the model's signature contains the grammar's (the model is
+*covered*); for other models the names of ``theory.labeled()`` are
+checked in label order, which raises the first error ``valid`` would.
+Second, for the declared words W that label a node, the *slice* (the
+lexical axiom compiled over W and W's entries, ``true`` for no W and
+consequent ``FALSE`` for no entries) fails where the whole axiom does,
+on any model: a literal or disjunct for a word outside W holds nowhere.
+So the whole axiom is built only for an uncovered model's names.
 
 Models that fail the theory are reported as rejections
 with the failing formula label and counterexample node; a failing f-node
@@ -95,11 +100,10 @@ relation: ``valid`` itself happily accepts models with junk material.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import GrammarError, SignatureError
-from .formula import TRUE, _NAME_KINDS
+from .formula import TRUE, _NAME_KINDS, validate_names
 from .grammar import (
     AtomValueSchema,
     Grammar,
@@ -155,32 +159,36 @@ class ParseOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _element_ends(found: list[int], j: int, remaining: int) -> list[int]:
-    """The ends in the ascending list ``found`` that a rule element can
-    take with ``remaining`` more elements before the span ends at ``j``:
-    the last element ends at ``j``, the others leave a token for each
-    element after them."""
-    lo = j if remaining == 0 else 0
-    return found[bisect_left(found, lo):bisect_right(found, j - remaining)]
+def _reaches(ends, cats, pos: int, j: int) -> bool:
+    """Whether chart edges of the categories ``cats`` (at least one), in
+    order, lead from ``pos`` to ``j``."""
+    reached = {pos}
+    for c in cats[:-1]:
+        reached = {e for p in reached for e in ends[p].get(c, ()) if e < j}
+    return any(j in ends[p].get(cats[-1], ()) for p in reached)
 
 
-def _chart(grammar: Grammar, tokens) -> list[dict[str, list[int]]]:
+def _chart(grammar: Grammar, tokens):
     """Budget-free derivability: ``ends[i][cat]`` lists, ascending, the
     ends ``j`` of the edges (cat, i, j), the spans tokens[i:j] that ``cat``
-    derives.  Starts come from right to left, and each is closed by an
-    agenda seeded with its token's lexical edges.  A popped edge (c, i, k)
+    derives, and ``firsts[i][(id(rule), j)]`` lists, ascending, the ends
+    of the first element of ``rule`` over tokens[i:j] from which its later
+    elements reach ``j`` (absent when the rule does not derive the span).
+    Starts come from right to left, and each is closed by an agenda
+    seeded with its token's lexical edges.  A popped edge (c, i, k)
     extends only the rules whose first element is ``c``; every rule
     element covers at least one token, so the later elements start at or
     after ``k`` and their ends are read off rows already finished.  A
-    per-start seen set absorbs unary rule cycles.  The work grows with the
-    edges found, not with the spans."""
-    by_first: dict[str, list] = {}  # first element category -> (lhs, later categories)
+    per-start seen set absorbs unary rule cycles.  The work grows with
+    the edges found, not with the spans."""
+    by_first: dict[str, list] = {}  # first element category -> (rule, later categories)
     for rule in grammar.rules:
-        by_first.setdefault(rule.rhs[0].cat, []).append((rule.lhs, [e.cat for e in rule.rhs[1:]]))
+        by_first.setdefault(rule.rhs[0].cat, []).append((rule, [e.cat for e in rule.rhs[1:]]))
     n = len(tokens)
     ends: list[dict[str, list[int]]] = [{} for _ in range(n + 1)]
+    firsts: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        row = ends[i]
+        row, split = ends[i], firsts[i]
         seen = set()
         agenda = [(entry.cat, i + 1) for entry in grammar.entries_for(tokens[i])]
         while agenda:
@@ -190,14 +198,16 @@ def _chart(grammar: Grammar, tokens) -> list[dict[str, list[int]]]:
             seen.add(edge)
             cat, k = edge
             row.setdefault(cat, []).append(k)
-            for lhs, later in by_first.get(cat, ()):
+            for rule, later in by_first.get(cat, ()):
                 reached = (k,)
                 for c in later:
                     reached = {j for pos in reached for j in ends[pos].get(c, ())}
-                agenda.extend((lhs, j) for j in reached)
-        for found in row.values():
+                for j in reached:
+                    agenda.append((rule.lhs, j))
+                    split.setdefault((id(rule), j), []).append(k)
+        for found in (*row.values(), *split.values()):
             found.sort()
-    return ends
+    return ends, firsts
 
 
 class _SkeletonEnumerator:
@@ -205,7 +215,7 @@ class _SkeletonEnumerator:
         self.grammar = grammar
         self.tokens = tokens
         self.bound_hit = False
-        self.ends = _chart(grammar, tokens)
+        self.ends, self.firsts = _chart(grammar, tokens)
         self.memo: dict[tuple[str, int, int, int], list] = {}
         self.shapes: dict[tuple, int] = {}  # (id(rule),) + children's shapes -> shape id
 
@@ -218,10 +228,12 @@ class _SkeletonEnumerator:
 
         Results are memoised per (cat, i, j, budget), so sub-derivations
         are shared objects across parents and the returned list must not
-        be mutated.  Spans without an edge in the chart are not entered:
-        they have no derivations at any budget, so no bound cut below them
-        can lose one.  Each child's ends are bisected out of the chart's
-        ascending lists.  The keys under computation are kept on an explicit
+        be mutated.  Only what can complete a tree is entered: a span with
+        an edge in the chart, a rule the chart records over the span, and
+        an element's end from which the later elements reach the span's
+        end.  So a bound cut always loses a tree, and ``bound_hit`` is set
+        only then.  Each child's ends are read off the chart in ascending
+        order.  The keys under computation are kept on an explicit
         stack, innermost last; a key needs only keys of smaller budgets,
         so it never recurs while it is computed."""
         if j not in self.ends[i].get(cat, ()):
@@ -261,26 +273,36 @@ class _SkeletonEnumerator:
                     out.extend((e, 2, e.cat, (e,)) for e in entries)
                 else:
                     self.bound_hit = True
+        firsts = self.firsts[i]
         for rule in self.grammar.rules:
-            if rule.lhs != cat:
+            live = firsts.get((id(rule), j)) if rule.lhs == cat else None
+            if live is None:
                 continue
             if budget < 1 + 2 * (j - i):
                 self.bound_hit = True
                 continue
+            last = len(rule.rhs) - 1
             # (children so far, shape key, entries, their end, budget left)
             partial = [((), (id(rule),), (), i, budget - 1)]
             for idx, elem in enumerate(rule.rhs):
-                remaining = len(rule.rhs) - 1 - idx
+                c = elem.cat
                 grown = []
                 for kids, key, ents, pos, avail in partial:
-                    for end in _element_ends(self.ends[pos].get(elem.cat, []), j, remaining):
+                    if idx == 0:
+                        ends = live
+                    elif idx == last:
+                        ends = (j,)
+                    else:  # a middle element: the ends the later ones carry on to j
+                        later = [e.cat for e in rule.rhs[idx + 1:]]
+                        ends = [e for e in self.ends[pos].get(c, ()) if _reaches(self.ends, later, e, j)]
+                    for end in ends:
                         reserve = 2 * (j - end)  # least any continuation can cost
-                        need = (elem.cat, pos, end, avail - reserve)
+                        need = (c, pos, end, avail - reserve)
                         derivs = memo.get(need)
                         if derivs is None:
                             derivs = yield need
-                        for d, c, shape, more in derivs:
-                            grown.append((kids + (d,), key + (shape,), ents + more, end, avail - c))
+                        for d, n, shape, more in derivs:
+                            grown.append((kids + (d,), key + (shape,), ents + more, end, avail - n))
                 partial = grown
             out.extend(((rule, kids), budget - avail, shapes.setdefault(key, len(shapes)), ents)
                        for kids, key, ents, _, avail in partial)
@@ -597,14 +619,18 @@ def parse_sentence(
         if tok not in grammar.sig.words:
             raise SignatureError("unknown token %r" % tok)
     trusted = theory.source is grammar
-    if not trusted:
+    if trusted:
+        labels = theory.principles()
+    else:
         compile_grammar(grammar)  # raises what the grammar breaks, else its structure holds
+        source = theory.source
+        covered = source is not None and _covers(grammar.sig, source.sig)
+        labels = _sliced(theory, tokens) if covered else theory.labeled()
 
     enum = _SkeletonEnumerator(grammar, tokens)
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
     bound_exceeded = enum.bound_hit
     del enum  # its memo holds every sub-derivation's entries: free them before solving
-    labels = theory.principles() if trusted else theory.labeled()
 
     shapes: dict[int | str, list] = {}
     for idx, (_deriv, _count, shape, entries) in enumerate(derivations):
@@ -660,13 +686,28 @@ class CheckReport:
         return iter(self.entries)
 
 
+def _covers(sig, inner) -> bool:
+    """Whether ``sig`` declares every name ``inner`` declares."""
+    return all(getattr(inner, k) <= getattr(sig, k) for k in _NAME_KINDS)
+
+
+def _sliced(theory: Theory, labels):
+    """``theory.labeled()`` with the lexical axiom cut to its slice for the
+    declared words W among ``labels`` (see the module docstring)."""
+    g = theory.source
+    words = g.sig.words.intersection(labels)
+    entries = [e for e in g.lexicon if e.word in words]
+    lexical = _lexical_axiom(entries, words) if g.lexicon and words else TRUE
+    return (("licensing", theory.licensing), ("lexical", lexical), *theory.principles())
+
+
 def check_parse(theory: Theory, model: Model) -> CheckReport:
     """Re-verify a model against every theory formula."""
     g, sig = theory.source, model.sig
-    if g is None or not all(getattr(g.sig, k) <= getattr(sig, k) for k in _NAME_KINDS):
+    if g is None:
         return CheckReport(tuple(CheckEntry(lb, valid(model, f)) for lb, f in theory.labeled()))
-    words = g.sig.words.intersection(model.cstruct.label.values())  # W: declared, on a node
-    entries = [e for e in g.lexicon if e.word in words]
-    lexical = _lexical_axiom(entries, words) if g.lexicon and words else TRUE
-    labels = (("licensing", theory.licensing), ("lexical", lexical), *theory.principles())
+    if not _covers(sig, g.sig):
+        for _label, f in theory.labeled():  # the first error ``valid`` would raise
+            validate_names(f, sig)
+    labels = _sliced(theory, model.cstruct.label.values())
     return CheckReport(tuple(CheckEntry(label, _least_failing(model, f)) for label, f in labels))

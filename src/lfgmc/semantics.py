@@ -10,10 +10,10 @@ paths.  Everything else is classical propositional logic.
 Evaluation is set-at-a-time, through a *plan* per formula object: a
 function ``(model, dom)`` returning the nodes of ``dom`` at which the
 formula holds.  A plan is built on first use and cached on the formula,
-as its ``names`` and label index are, so what depends only on the
-formula is fixed once: the operand lists of left-nested ``&``/``|``
-chains (such as the lexical disjunction over a whole lexicon) and each
-run of prefix operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``,
+as its ``names`` are, so what depends only on the formula is fixed
+once: the operand lists of left-nested ``&``/``|`` chains (such as the
+lexical disjunction over a whole lexicon) and each run of prefix
+operators (``!``, ``<f>``, ``up``, ``down``, ``zoomin``,
 such as a long feature path) as a list of steps.  Each formula
 constructor has one plan, and a path equality is evaluated by one walk
 of its two composite relations, whatever its steps.  Each subformula is
@@ -27,18 +27,13 @@ once per formula object; each call only checks them against the
 model's signature.  Plans are closures: a pickled formula leaves them
 out and builds them again on use.
 
-A ``|`` chain is evaluated through its label index (:attr:`Or.by_label`,
-built once per formula object): operands that can only hold at tree
-nodes with a given label, and possibly given daughter labels, are tried
-only on the nodes whose label and daughter labels match; the others on
-every node.  The lexical axiom, one disjunct per lexicon entry, thus
-tries about one entry per preterminal, and only the entries a model
-meets ever get a plan.  A compiled theory builds that axiom and index
-when first read, and ``check_parse`` indexes only the model's words'
-entries (see ``lfgmc.search``).  An indexed operand is false wherever
-its labels do not match (an unlabelled node, a dangling daughter), so
-the result is the same as trying every operand everywhere.  Where they
-match, it is evaluated by its own plan, label literals included.
+A ``|`` chain is evaluated the way an ``&`` chain is, operand by operand
+in chain order: each operand only on the nodes no earlier operand holds
+at, as each conjunct only on the nodes every earlier one holds at.  The
+lexical axiom of a compiled theory, one disjunct per lexicon entry, is
+the one big chain; ``check_parse`` and a parse under a foreign theory
+evaluate only its slice for the model's words, and the trusted parse
+evaluates no formula (see ``lfgmc.search``).
 
 ``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
 when it fails somewhere, returns the least failing node in the
@@ -133,9 +128,7 @@ _NO_TRANS: dict = {}
 def _plan(f: Formula):
     """The plan of ``f``: a function ``(model, dom) -> nodes of dom where f
     holds``.  Built on first use and kept on the formula object, together
-    with the plans it calls that are still missing.  The operands of a
-    ``|`` chain that are filed under a label are left out: the chain's
-    plan asks for them here when it first meets a node with their label.
+    with the plans it calls that are still missing.
 
     The plans are built in post-order on one stack: the top formula is
     built once all its parts have plans, and until then goes back, with
@@ -166,10 +159,8 @@ def _plan(f: Formula):
 def _parts(f: Formula):
     """The subformulas whose plans the plan of ``f`` calls directly."""
     t = type(f)
-    if t is And:
+    if t is And or t is Or:
         return _spine(f)
-    if t is Or:
-        return f.by_label[0]
     if t is Implies or t is Iff:
         return (f.left, f.right)
     if t is Bullet:
@@ -192,55 +183,19 @@ def _and_plan(f, plans):
     return plan
 
 
-def _or_plan(f, plain):
+def _or_plan(f, plans):
     """Each operand is tried, in chain order, only on the nodes no earlier
-    operand holds at: a plain one on every node, an indexed one only on
-    the tree nodes whose label (and daughter labels) it is filed under,
-    through its own plan, which is built when its key is first met."""
-    keyed = f.by_label[1]
-    grouped = {}  # (label, daughter labels) -> operand plans
+    operand holds at."""
 
     def plan(m, dom):
         out, rest = set(), dom
-        for p in plain:
+        for p in plans:
             got = p(m, rest)
             if got:
                 out |= got
                 rest = rest - got
                 if not rest:
-                    return out
-        if not keyed:
-            return out
-        cs = m.cstruct
-        tree, label_of, daughters = cs.nodes, cs.label.get, cs.daughters
-        if not cs.label.keys() <= tree:  # only tree nodes may count as labelled
-
-            def label_of(n, label_of=label_of):
-                return label_of(n) if n in tree else None
-
-        groups: dict[tuple, set[NodeId]] = {}
-        for n in rest:
-            label = label_of(n)
-            if label not in keyed:
-                continue
-            key = (label, tuple(map(label_of, daughters.get(n, ()))))
-            if key in groups:
-                groups[key].add(n)
-            else:
-                groups[key] = {n}
-        for key, nodes in groups.items():
-            plans = grouped.get(key)
-            if plans is None:
-                by_kids = keyed[key[0]]
-                todo = by_kids.get(key[1], []) + by_kids.get(None, [])
-                plans = grouped[key] = [_plan(g) for g in todo]
-            for p in plans:
-                got = p(m, nodes)
-                if got:
-                    out |= got
-                    nodes = nodes - got
-                    if not nodes:
-                        break
+                    break
         return out
 
     return plan

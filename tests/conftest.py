@@ -130,6 +130,24 @@ PP_SENTENCE = "the man saw the man with the man with the man".split()
 PP3_SENTENCE = PP_SENTENCE + "with the man".split()
 
 
+#: A rule that cannot derive a span: N -> Adj N over "dog" used to set the
+#: bound flag at --max-tree 8, where the one tree (8 nodes) fits.
+BOUND_RULE_GRAMMAR_TEXT = """
+signature { cat: S NP Det N Adj VP; atom: x; feat: f; gf: ; } start S;
+rule S -> NP VP; rule NP -> Det N; rule N -> Adj N;
+lex "the" Det; lex "dog" N; lex "big" Adj; lex "barks" VP;
+"""
+
+#: A dead partial: an A over the first "a" alone (A -> D -> E -> C) leaves
+#: B two tokens it cannot span, and the cut of that A used to set the
+#: bound flag at --max-tree 9, where the one tree (9 nodes) fits.
+BOUND_PARTIAL_GRAMMAR_TEXT = """
+signature { cat: S A B C D E; atom: x; feat: f; gf: ; } start S;
+rule S -> A B; rule A -> C C; rule A -> D; rule D -> E; rule E -> C; rule B -> C;
+lex "a" C;
+"""
+
+
 def build_fig_sig() -> Signature:
     return Signature(
         cats={"S", "NP", "VP", "Det", "N", "V"},

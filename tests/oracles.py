@@ -2136,21 +2136,22 @@ class _RefSkeletonEnumerator:
                     for rule in self.grammar.rules:
                         if (rule.lhs, i, j) in table:
                             continue
-                        if self._splits_derivable(rule, i, j, table):
+                        if self._completes(rule, 0, i, j, table):
                             table.add((rule.lhs, i, j))
                             changed = True
         return table
 
-    def _splits_derivable(self, rule, i, j, table) -> bool:
-        def rec(idx, pos):
-            if idx == len(rule.rhs):
+    def _completes(self, rule, idx, pos, j, table) -> bool:
+        """Whether the elements of ``rule`` from ``idx`` on can span
+        tokens[pos:j] by spans in ``table``."""
+        if idx == len(rule.rhs):
+            return pos == j
+        for end in _ref_ends(len(rule.rhs) - idx - 1, pos, j):
+            if (rule.rhs[idx].cat, pos, end) in table and self._completes(
+                rule, idx + 1, end, j, table
+            ):
                 return True
-            for end in _ref_ends(len(rule.rhs) - idx - 1, pos, j):
-                if (rule.rhs[idx].cat, pos, end) in table and rec(idx + 1, end):
-                    return True
-            return False
-
-        return rec(0, i)
+        return False
 
     def derive(self, cat: str, i: int, j: int, budget: int):
         """All derivations of ``cat`` over tokens[i:j] using at most
@@ -2160,8 +2161,9 @@ class _RefSkeletonEnumerator:
         are shared objects across parents and the returned list must not
         be mutated; a recursive call always has a smaller budget, so a key
         never recurs while it is computed.  Spans outside the derivability
-        table are not entered: they have no derivations at any budget, so
-        no bound cut below them can lose one."""
+        table are not entered, nor rules that cannot span tokens[i:j], nor
+        an element's end from which the later elements cannot reach
+        ``j``: no bound cut there can lose a tree."""
         if (cat, i, j) not in self.derivable:
             return []
         key = (cat, i, j, budget)
@@ -2177,7 +2179,7 @@ class _RefSkeletonEnumerator:
                 else:
                     self.bound_hit = True
         for rule in self.grammar.rules:
-            if rule.lhs != cat:
+            if rule.lhs != cat or not self._completes(rule, 0, i, j, self.derivable):
                 continue
             if budget < 1 + 2 * (j - i):
                 self.bound_hit = True
@@ -2191,6 +2193,8 @@ class _RefSkeletonEnumerator:
             yield (), 0
             return
         for end in _ref_ends(len(rule.rhs) - idx - 1, pos, j):
+            if not self._completes(rule, idx + 1, end, j, self.derivable):
+                continue
             reserve = 2 * (j - end)  # least any continuation can cost
             for d, c in self.derive(rule.rhs[idx].cat, pos, end, avail - reserve):
                 for rest, used in self._sequences(rule, idx + 1, end, j, avail - c):

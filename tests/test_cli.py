@@ -9,6 +9,8 @@ import pytest
 from lfgmc import model_to_text, parse_formula
 
 from conftest import (
+    BOUND_PARTIAL_GRAMMAR_TEXT,
+    BOUND_RULE_GRAMMAR_TEXT,
     DEVOUR_GRAMMAR_TEXT,
     FIG_GRAMMAR_TEXT,
     OVERLAP_GRAMMAR_TEXT,
@@ -197,6 +199,21 @@ def test_parse_tiny_bounds_exit_3(fig_files):
     grammar, _ = fig_files
     proc = run_cli("parse", str(grammar), "a", "girl", "walks", "--max-tree", "3")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "text,tokens,size",
+    [(BOUND_RULE_GRAMMAR_TEXT, "the dog barks", 8), (BOUND_PARTIAL_GRAMMAR_TEXT, "a a a", 9)],
+    ids=["rule-cannot-derive", "dead-partial"],
+)
+def test_parse_exits_3_only_when_a_tree_is_cut(tmp_path, text, tokens, size):
+    grammar = tmp_path / "g.lfg"
+    grammar.write_text(text)
+    for bound, code in ((size - 1, 3), (size, 0)):
+        proc = run_cli("parse", str(grammar), *tokens.split(), "--max-tree", str(bound))
+        assert proc.returncode == code, proc.stderr
+        assert ("search bounds exceeded" in proc.stdout + proc.stderr) == (code == 3)
+        assert proc.stdout.startswith("models: %d\n" % (code == 0))
 
 
 def test_parse_unknown_token(fig_files):

@@ -14,6 +14,7 @@ from lfgmc import (
     UnknownNodeError,
     canonicalize,
     feature_image,
+    model_from_json,
     model_from_text,
     model_to_json,
     model_to_text,
@@ -30,6 +31,27 @@ from oracles import (
     reference_model_to_text,
     reference_validate_model,
 )
+
+
+def test_constructors_keep_the_containers_they_are_given():
+    mother, daughters, label = {"n1": "n0"}, {"n0": ("n1",), "n1": ()}, {"n0": "S", "n1": "a"}
+    nodes = frozenset(label)
+    tree = CStructure(nodes, "n0", mother, daughters, label)
+    assert tree.nodes is nodes and tree.mother is mother
+    assert tree.daughters is daughters and tree.label is label
+    assert CStructure.build("n0", daughters, label).label is label
+    trans, atomval, final = {"f0": {}}, {"f0": "x"}, frozenset({"f0"})
+    fstruct = FStructure(frozenset({"f0"}), "f0", trans, final, atomval)
+    assert fstruct.trans is trans and fstruct.atomval is atomval and fstruct.final is final
+    zoomin = {"n0": "f0"}
+    assert Model(Signature({"S"}, {"x"}, set(), (), {"a"}), tree, fstruct, zoomin).zoomin is zoomin
+    # a set or a list of nodes still becomes a frozenset
+    assert type(CStructure(["n0", "n1"], "n0", mother, daughters, label).nodes) is frozenset
+    assert type(FStructure({"f0"}, "f0", trans, ["f0"], atomval).final) is frozenset
+    doc = json.loads(model_to_text(build_fig_model()))
+    m = model_from_json(doc)
+    assert m.zoomin is doc["zoomin"]
+    assert all(m.fstruct.trans[nd["id"]] is nd["trans"] for nd in doc["fstruct"]["nodes"])
 
 
 def test_fig_model_is_valid(fig_model):

@@ -19,6 +19,8 @@ from lfgmc import (
 )
 
 from conftest import (
+    BOUND_PARTIAL_GRAMMAR_TEXT,
+    BOUND_RULE_GRAMMAR_TEXT,
     DEVOUR_GRAMMAR_TEXT,
     FIG_GRAMMAR_TEXT,
     MICRO_GRAMMAR_TEXT,
@@ -308,7 +310,7 @@ def test_trusted_parse_and_covered_check_leave_the_lexical_axiom_unbuilt(monkeyp
         doc, _failing = chain_model_doc(lexicon, lexicon[7::41], swap)
         check_parse(chain, model_from_json(doc))
     assert lexical_unbuilt(chain)
-    # a check the lemma does not cover builds the axiom and evaluates it whole
+    # a check the lemma does not cover builds the axiom for its names walk
     monkeypatch.undo()
     text = FIG_GRAMMAR_TEXT.replace("cat: S", "cat: Unused S")
     uncovered = compile_grammar(parse_grammar(text))
@@ -373,6 +375,55 @@ def test_check_parse_evaluates_a_replaced_theory_whole(monkeypatch, fig_theory):
     assert calls == [f for _label, f in copy.labeled()]
     assert got == _valid_rows(copy, model) == _oracle_rows(copy, model)
     assert dict(got)["lexical"] == "n4"
+
+
+def _raised(rows, *args):
+    """``rows(*args)``, or the message of the SignatureError it raises."""
+    try:
+        return rows(*args)
+    except SignatureError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text,sentences",
+    [
+        (FIG_GRAMMAR_TEXT, [["a", "girl", "walks"]]),
+        (DEVOUR_GRAMMAR_TEXT, [["a", "girl", "walks"]]),
+        (PP_AGREE_GRAMMAR_TEXT, [PP_SENTENCE[:5], PP_SENTENCE[:8]]),
+    ],
+    ids=["fig", "devour", "pp-agree"],
+)
+def test_uncovered_check_parse_rows_equal_valid_and_the_oracle(text, sentences):
+    # the theory's grammar declares an atom the models lack, so no model
+    # is covered: the names of every label are walked, and the lexical
+    # label is still evaluated on the slice
+    from lfgmc import compile_grammar, parse_grammar
+    from lfgmc.formula import _NAME_KINDS
+
+    grammar = parse_grammar(text)
+    models = [m for s in sentences for m in parse_sentence(compile_grammar(grammar), grammar, s).models]
+    theory = compile_grammar(parse_grammar(text.replace("atom: ", "atom: zz ", 1)))
+    assert models and all("zz" not in m.sig.atoms for m in models)
+    cases = list(models)
+    for m in models:
+        for n in sorted(m.cstruct.nodes):
+            names = grammar.sig.cats if m.cstruct.daughters[n] else grammar.sig.words
+            cases += [_relabelled(m, n, x) for x in sorted(names - {m.cstruct.label[n]})]
+    want = [_valid_rows(theory, m) for m in cases]
+    assert any(node is not None for rows in want for _label, node in rows)
+    assert [_rows(check_parse(theory, m)) for m in cases] == want
+    assert [_oracle_rows(theory, m) for m in cases] == want
+    # a model that lacks a name: the first error valid raises, label by label
+    m = models[0]
+    errors = 0
+    for kind in _NAME_KINDS:
+        for name in sorted(getattr(m.sig, kind)):
+            lacking = replace(m, sig=replace(m.sig, **{kind: getattr(m.sig, kind) - {name}}))
+            got = _raised(lambda: _rows(check_parse(theory, lacking)))
+            assert got == _raised(_valid_rows, theory, lacking), (kind, name)
+            errors += type(got) is str
+    assert errors > 10
 
 
 def test_parse_outputs_recheck_clean(fig_theory, fig_grammar):
@@ -761,8 +812,10 @@ def test_replaced_theory_is_checked_in_full():
 
 def test_theory_of_an_equal_grammar_is_checked_in_full(monkeypatch):
     # trust needs the very grammar object the theory was compiled from;
-    # an equal one parsed separately gets every label, with the same output
-    from lfgmc import compile_grammar, parse_grammar
+    # an equal one parsed separately gets every label, with the same
+    # output, the lexical one on its slice for the sentence's words
+    from lfgmc import compile_grammar, parse_grammar, render_formula
+    from lfgmc.grammar import _lexical_axiom
 
     g, other = parse_grammar(PP_AGREE_GRAMMAR_TEXT), parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     assert g == other and g is not other
@@ -770,12 +823,22 @@ def test_theory_of_an_equal_grammar_is_checked_in_full(monkeypatch):
     trusted = parse_sentence(compile_grammar(g), g, PP_SENTENCE, bounds)
     theory = compile_grammar(other)
     calls = _count_valid_calls(monkeypatch)
-    out = _same_as_two_phase(theory, g, PP_SENTENCE, bounds)
+    out = parse_sentence(theory, g, PP_SENTENCE, bounds)
+    assert lexical_unbuilt(theory)
     assert [model_to_text(m) for m in out.models] == [model_to_text(m) for m in trusted.models]
     assert out.rejections == trusted.rejections
     assert out.bound_exceeded == trusted.bound_exceeded
     assert sum(f is theory.licensing for f in calls) == len(out.models)
-    assert sum(f is theory.lexical for f in calls) == len(out.models)
+    principles = [f for _label, f in theory.principles()]
+    assert len(calls) == (2 + len(principles)) * len(out.models)
+    slices = {id(f): f for f in calls[1::2 + len(principles)]}
+    assert len(slices) == 1 and not any(f is theory.licensing or f in principles
+                                        for f in slices.values())
+    words = set(PP_SENTENCE)
+    want = _lexical_axiom([e for e in other.lexicon if e.word in words], words)
+    assert render_formula(*slices.values()) == render_formula(want)
+    monkeypatch.undo()
+    assert _same_as_two_phase(theory, g, PP_SENTENCE, bounds) == out
 
 
 def test_grammar_fields_are_frozen_for_the_trust():
@@ -1039,29 +1102,42 @@ def test_large_lexicon_parses():
     assert check_parse(theory, out.models[0]).ok
 
 
-def test_lexical_axiom_work_does_not_grow_with_the_lexicon():
-    # both lexical disjunctions are indexed by tree label, so each
-    # preterminal only tries the entries of its own word and each leaf its
-    # own word form, and an operand gets its plan only when it is tried:
-    # count the operands that have one
-    from lfgmc import compile_grammar, parse_grammar, semantics
+def test_lexical_axiom_work_does_not_grow_with_the_lexicon(monkeypatch):
+    # check_parse evaluates the slice of the lexical axiom for the model's
+    # words, whether the model is covered or not, and a plan is built only
+    # for what is evaluated: count the slice operands that have one.  The
+    # whole axiom, which an uncovered check builds for its names walk,
+    # gets no plan at all
+    from lfgmc import compile_grammar, parse_grammar, search
     from lfgmc.formula import Or, _spine
+    from lfgmc.grammar import _lexical_axiom
 
+    built = []
+    monkeypatch.setattr(search, "_lexical_axiom", lambda *a: built.append(_lexical_axiom(*a)) or built[-1])
     counts = []
     for size in (500, 5000):
         nouns = ["noun%d" % k for k in range(size)]
-        g = parse_grammar(embedding_grammar_text(nouns))
+        text = embedding_grammar_text(nouns)
+        g = parse_grammar(text)
         tokens = []
         for noun in nouns[1:size:size // 4][:3]:
             tokens += ["the", noun, "said", "that"]
         tokens += ["the", nouns[-1], "slept"]
         (model,) = parse_sentence(compile_grammar(g), g, tokens, SearchBounds(100, 100, 10)).models
-        lexical = compile_grammar(g).lexical  # no plan built yet
-        chains = [lexical.right, lexical.left.right.args[0]]  # entries, word forms
-        assert all(type(chain) is Or for chain in chains)
-        assert semantics.valid(model, lexical) is None
-        counts.append(sum(op._plan is not None for chain in chains for op in _spine(chain)))
-    assert 0 < counts[0] == counts[1] < 200, counts
+        # the extra atom is declared by the grammar, not by the model
+        for source in (text, text.replace("atom: the", "atom: zz the")):
+            theory = compile_grammar(parse_grammar(source))
+            assert check_parse(theory, model).ok
+            lexical = built.pop()
+            chains = [lexical.right, lexical.left.right.args[0]]  # entries, word forms
+            assert all(type(chain) is Or for chain in chains)
+            counts.append(sum(op._plan is not None for chain in chains for op in _spine(chain)))
+            assert lexical_unbuilt(theory) == (source is text)
+            if source is not text:
+                full = theory.lexical
+                assert all(op._plan is None for chain in (full.right, full.left.right.args[0])
+                           for op in _spine(chain))
+    assert 0 < counts[0] == counts[1] == counts[2] == counts[3] < 200, counts
 
 
 def test_long_schema_path_parses():
@@ -1117,6 +1193,7 @@ def _random_corpus():
 
 
 def test_shape_sharing_matches_two_phase_on_random_grammars():
+    from lfgmc import Grammar, compile_grammar
     from lfgmc.search import _SkeletonEnumerator
 
     seen = {"models": 0, "bound": 0, "shared shapes": 0}
@@ -1127,6 +1204,12 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
             # a foreign theory evaluates every label with valid; the
             # reference also runs the validator on every model it extracts
             replaced = _same_as_two_phase(replace(theory), grammar, tokens, bounds)
+            # an equal grammar's theory evaluates the slice, and builds no more
+            equal = compile_grammar(Grammar(grammar.sig, grammar.start, grammar.rules,
+                                            grammar.lexicon))
+            sliced = parse_sentence(equal, grammar, tokens, bounds)
+            assert lexical_unbuilt(equal)
+            assert _same_as_two_phase(equal, grammar, tokens, bounds) == sliced == replaced
             foreign["models"] += len(replaced.models)
             for r in replaced.rejections:
                 kind = r.detail if r.reason == "structure" else r.reason
@@ -1228,6 +1311,23 @@ def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bo
     for tokens in sentences:
         _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds))
         _same_as_two_phase(replace(theory), grammar, tokens, SearchBounds(*bounds))  # foreign
+
+
+@FIXTURE_CASES
+def test_foreign_parse_under_an_equal_grammar_matches_two_phase_on_fixture_grammars(
+    text, sentences, bounds
+):
+    # a theory compiled from an equal, separately parsed grammar is foreign
+    # but covered: each label is evaluated on the extracted model, the
+    # lexical one on its slice, so the theory's lexical axiom stays unbuilt
+    from lfgmc import compile_grammar, parse_grammar
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(parse_grammar(text))
+    got = [parse_sentence(theory, grammar, tokens, SearchBounds(*bounds)) for tokens in sentences]
+    assert lexical_unbuilt(theory)
+    for tokens, out in zip(sentences, got):
+        assert _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds)) == out
 
 
 def _principles_match_valid(theory, grammar, tokens, bounds, seen):
@@ -1541,6 +1641,41 @@ def test_enumerator_matches_the_recursive_one_on_random_grammars():
         seen["derivations"] += len(derivs)
         seen["bound"] += got.bound_hit
     assert seen["derivations"] > 1000 and seen["bound"] > 20, seen
+
+
+@pytest.mark.parametrize(
+    "text,tokens,size",
+    [(BOUND_RULE_GRAMMAR_TEXT, "the dog barks", 8), (BOUND_PARTIAL_GRAMMAR_TEXT, "a a a", 9)],
+    ids=["rule-cannot-derive", "dead-partial"],
+)
+def test_bound_is_exceeded_only_when_a_tree_is_cut(text, tokens, size):
+    from lfgmc import compile_grammar, parse_grammar
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    for bound in (size - 1, size, size + 1):
+        out = _same_as_two_phase(theory, grammar, tokens.split(), SearchBounds(bound))
+        assert len(out.models) == (bound >= size)
+        assert out.bound_exceeded == (bound < size)
+
+
+def test_bound_exceeded_means_a_tree_was_cut_on_random_grammars():
+    # the flag is set exactly when a tree over the bound exists: the
+    # reference enumerator finds one a few nodes past the bound whenever
+    # the flag is set, and none two nodes past it otherwise
+    from lfgmc.search import _SkeletonEnumerator
+
+    seen = {"cut": 0, "whole": 0}
+    for grammar, _theory, tokens, bounds in _random_corpus():
+        top, n = bounds.max_tree_nodes, len(tokens)
+        enum = _SkeletonEnumerator(grammar, tokens)
+        enum.derive(grammar.start, 0, n, top)
+        ref = _RefSkeletonEnumerator(grammar, tokens)
+        larger = range(top + 1, top + 13) if enum.bound_hit else [top + 2]
+        cut = any(c > top for budget in larger for _d, c in ref.derive(grammar.start, 0, n, budget))
+        assert cut == enum.bound_hit, (tokens, bounds, grammar)
+        seen["cut" if cut else "whole"] += 1
+    assert seen["cut"] > 200 and seen["whole"] > 1000, seen
 
 
 def _shape_key(tree):

@@ -343,7 +343,7 @@ def test_name_check_follows_the_model_signature(fig_model):
     assert valid(fig_model, phi) is None
 
 
-# --- the label index of | chains ---------------------------------------------
+# --- | chains, operand by operand --------------------------------------------
 
 
 def _labelled(rng, label):
@@ -356,10 +356,10 @@ def _labelled(rng, label):
     return _fold(And, parts)
 
 
-def _rand_indexed_chain(rng, m):
-    """A | chain mixing every kind of operand the label index files:
-    bare literals, literal-led & chains, & chains with a bullet whose
-    arguments all have literal labels or not all, and plain operands.
+def _rand_or_chain(rng, m):
+    """A | chain mixing bare literals, literal-led & chains, & chains with
+    a bullet whose arguments all have literal labels or not all, and
+    plain operands.
     Labels repeat often, and most are copied from a node of ``m`` and
     its daughters, so that operands have nodes to match."""
     names = sorted(RAND_SIG.cats | RAND_SIG.words)
@@ -411,9 +411,25 @@ def _label_outsiders(rng, m):
     return Model(m.sig, CStructure(c.nodes, c.root, c.mother, c.daughters, label), m.fstruct, m.zoomin)
 
 
-def test_label_index_matches_pointwise_reference():
+def test_or_chains_match_pointwise_reference(monkeypatch):
+    # each operand is tried on the nodes no earlier one holds at, also on
+    # models with dangling daughters, unlabelled nodes and labelled outsiders;
+    # every | plan built here counts the calls of its operands' plans
+    from lfgmc import semantics
+
+    calls = [0]
+
+    def counted(p):
+        def plan(m, dom):
+            calls[0] += 1
+            return p(m, dom)
+
+        return plan
+
+    monkeypatch.setitem(
+        semantics._BUILD, Or, lambda f, plans: semantics._or_plan(f, list(map(counted, plans)))
+    )
     rng = random.Random(5151)
-    keyed = 0
     for _ in range(40):
         base = rand_model(rng)
         models = [base, _dangle_and_unlabel(rng, base), _label_outsiders(rng, base)]
@@ -421,9 +437,7 @@ def test_label_index_matches_pointwise_reference():
         for m in models:
             if m is None:
                 continue
-            phi = _rand_indexed_chain(rng, m)
-            if isinstance(phi, Or):
-                keyed += sum(len(by_kids) for by_kids in phi.by_label[1].values())
+            phi = _rand_or_chain(rng, m)
             for f in (phi, Implies(CSTRUCT, phi), Down(phi), Not(phi)):
                 try:
                     validate_names(f, m.sig)
@@ -433,38 +447,7 @@ def test_label_index_matches_pointwise_reference():
                 assert valid(m, f) == (failing[0] if failing else None), f
                 for n in m.all_nodes():
                     assert satisfies(m, n, f) == pointwise_sat(m, n, f), (f, n)
-    assert keyed > 1000
-
-
-def test_label_index_files_operands_in_chain_order():
-    a, b = CatLit("NP"), CatLit("VP")
-    det_n = And(a, Bullet((CatLit("Det"), CatLit("N"))))
-    any_np = And(a, Not(b))
-    loose = And(a, Bullet((CatLit("Det"), TRUE)))
-    other = Down(TRUE)
-    phi = _fold(Or, [det_n, other, any_np, b, loose, det_n])
-    plain, keyed = phi.by_label
-    assert plain == [other]
-    assert keyed == {
-        "NP": {("Det", "N"): [det_n, det_n], None: [any_np, loose]},
-        "VP": {None: [b]},
-    }
-
-
-def test_label_index_takes_first_literal_and_first_labelled_bullet():
-    np_, vp, det = CatLit("NP"), CatLit("VP"), CatLit("Det")
-    later_bullet = _fold(And, [np_, Bullet((TRUE,)), vp, Bullet((det, WordLit("a")))])
-    bullet_first = _fold(And, [Bullet((det,)), np_])
-    no_literal = _fold(And, [Bullet((det,)), Down(TRUE)])
-    first_bullet = _fold(And, [np_, Bullet((det,)), Bullet((TRUE,)), Bullet((vp,))])
-    word = WordLit("a")
-    phi = _fold(Or, [later_bullet, bullet_first, no_literal, first_bullet, word])
-    plain, keyed = phi.by_label
-    assert plain == [no_literal]
-    assert keyed == {
-        "NP": {("Det", "a"): [later_bullet], ("Det",): [bullet_first, first_bullet]},
-        "a": {None: [word]},
-    }
+    assert calls[0] > 50000, calls
 
 
 # --- the names walk --------------------------------------------------------
@@ -872,13 +855,13 @@ def _agrees_with_pointwise_reference(m, phi):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(st.randoms(use_true_random=False), st.sampled_from(["formula", "indexed", "patheq"]))
+@given(st.randoms(use_true_random=False), st.sampled_from(["formula", "chain", "patheq"]))
 def test_formulas_on_random_and_broken_models_match_pointwise_reference(rng, kind):
     base = rand_model(rng)
     if kind == "formula":
         phi = rand_formula(rng, RAND_SIG, depth=4)
-    elif kind == "indexed":
-        phi = _rand_indexed_chain(rng, base)
+    elif kind == "chain":
+        phi = _rand_or_chain(rng, base)
     else:
         phi = _rand_patheq(rng, mixed=True)
     for m in [base] + [corrupt(rng, base) for _code, corrupt in CORRUPTORS]:
