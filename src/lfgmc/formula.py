@@ -7,6 +7,11 @@ the tree into the feature graph, and a path-equality construct that
 relates a tree-walk-then-zoomin-then-feature-walk on its left to the
 same kind of composite on its right.
 
+The node classes are plain immutable classes, not dataclasses, so
+``dataclasses.replace`` and ``fields`` do not apply: build a new node or
+take ``copy.copy``.  A formula compares, hashes, prints and pickles
+without recursion, through one flat post-order list of its parts.
+
 Concrete syntax (EBNF; also in the README):
 
     formula   = iff ;
@@ -47,7 +52,7 @@ raised, by scanning the text again up to the token's index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
 from itertools import islice
 
@@ -55,8 +60,43 @@ from .errors import FormulaSyntaxError, SignatureError
 from .model import _IDENT_RE, RESERVED_WORDS, Signature
 
 
-@dataclass(frozen=True)
-class Formula:
+class _Frozen:
+    """An immutable record: ``__init__`` writes the fields named in
+    ``_fields`` into ``__dict__`` once, and they are compared, hashed and
+    printed as a frozen dataclass's are.  Other keys are caches."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[k] for k in self._fields])
+
+    _key = _values  # what == compares and hash hashes
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        d = self.__dict__
+        return "%s(%s)" % (type(self).__qualname__, ", ".join("%s=%r" % (k, d[k]) for k in self._fields))
+
+
+class Formula(_Frozen):
+    """A formula node.  ``==``, ``hash`` and pickling go through :func:`_flat`,
+    and ``repr`` prints along one stack (a shared part at each of its
+    places), so no depth makes them recurse."""
+
     #: the evaluation plan lfgmc.semantics builds on first use (not a field)
     _plan = None
 
@@ -69,110 +109,185 @@ class Formula:
             used[kind].add(name)
         return {kind: frozenset(names) for kind, names in used.items()}
 
-    def __getstate__(self):
-        # the evaluation plan cached by lfgmc.semantics is a closure; it is
-        # left out and built again on first use after unpickling
-        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+    def _key(self):
+        return tuple(_flat(self))
+
+    def __hash__(self):
+        # kept under "_hash", which pickling leaves out
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash(self._key())
+        return self.__dict__["_hash"]
+
+    def __reduce__(self):
+        return _unflatten, (_flat(self),)
+
+    def __repr__(self):
+        text: list[str] = []
+        stack: list = [self]  # text, and formulas still to print
+        while stack:
+            f = stack.pop()
+            if type(f) is str:
+                text.append(f)
+            elif type(f) is Bullet:  # its one field: a tuple of formulas, never empty
+                out = ["Bullet(args=("]
+                for g in f.args:
+                    out += (g if isinstance(g, Formula) else repr(g), ", ")
+                out[-1] = ",))" if len(f.args) == 1 else "))"  # in place of the last ", "
+                stack += reversed(out)
+            else:
+                out = [type(f).__qualname__ + "("]
+                for k, v in zip(f._fields, f._values()):
+                    out += ("%s=" % k if len(out) == 1 else ", %s=" % k,
+                            v if isinstance(v, Formula) else repr(v))
+                stack += reversed(out + [")"])
+        return "".join(text)
 
 
-@dataclass(frozen=True)
+def _flat(f: Formula) -> list[tuple]:
+    """Each distinct formula under ``f``, then ``f``, in post-order, as
+    ``(type, *fields)`` with a formula in a field (or in a tuple field)
+    written as its place in this list.  Equal formulas give equal lists,
+    however their parts are shared; a shared part is entered once."""
+    place: dict[int, int] = {}  # id of a formula entered -> its place
+    table: dict[tuple, int] = {}  # entry -> its place
+    stack = [(f, None)]
+    while stack:
+        g, values = stack.pop()
+        if id(g) in place:
+            continue
+        if values is None:  # first met: its parts go on top, to be placed first
+            values = g._values()
+            stack.append((g, values))
+            stack += [(h, None) for v in values for h in (v if type(v) is tuple else (v,))
+                      if isinstance(h, Formula) and id(h) not in place]
+            continue
+        entry = (type(g), *[_place(v, place) for v in values])
+        place[id(g)] = table.setdefault(entry, len(table))
+    return list(table)
+
+
+def _place(v, place: dict[int, int]):
+    """A field value as :func:`_flat` writes it; a name stays a string."""
+    if isinstance(v, Formula):
+        return place[id(v)]
+    if type(v) is tuple:
+        return tuple([_place(x, place) for x in v])
+    if type(v) is not str:
+        raise TypeError("not a formula: %r" % (v,))
+    return v
+
+
+def _unflatten(entries: list[tuple]) -> Formula:
+    """The formula :func:`_flat` wrote as ``entries``."""
+    built: list[Formula] = []
+
+    def value(v):
+        if type(v) is int:
+            return built[v]
+        return tuple(map(value, v)) if type(v) is tuple else v
+
+    for cls, *values in entries:
+        built.append(cls(*map(value, values)))
+    return built[-1]
+
+
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class CStructConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class FStructConst(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class CatLit(Formula):
-    name: str
+class _Named(Formula):
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.__dict__["name"] = name
 
 
-@dataclass(frozen=True)
-class AtomLit(Formula):
-    name: str
+class CatLit(_Named):
+    pass
 
 
-@dataclass(frozen=True)
-class WordLit(Formula):
+class AtomLit(_Named):
+    pass
+
+
+class WordLit(_Named):
     """Terminal word form used as a literal; true at leaves carrying it."""
 
-    name: str
+
+class _OneOperand(Formula):
+    _fields = ("sub",)
+
+    def __init__(self, sub: Formula):
+        self.__dict__["sub"] = sub
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    sub: Formula
+class Not(_OneOperand):
+    pass
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _TwoOperands(Formula):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self.__dict__.update(left=left, right=right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_TwoOperands):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_TwoOperands):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_TwoOperands):
+    pass
 
 
-@dataclass(frozen=True)
+class Iff(_TwoOperands):
+    pass
+
+
 class Feat(Formula):
-    feat: str
-    sub: Formula
+    _fields = ("feat", "sub")
+
+    def __init__(self, feat: str, sub: Formula):
+        self.__dict__.update(feat=feat, sub=sub)
 
 
-@dataclass(frozen=True)
-class Up(Formula):
-    sub: Formula
+class Up(_OneOperand):
+    pass
 
 
-@dataclass(frozen=True)
-class Down(Formula):
-    sub: Formula
+class Down(_OneOperand):
+    pass
 
 
-@dataclass(frozen=True)
-class Zoomin(Formula):
-    sub: Formula
+class Zoomin(_OneOperand):
+    pass
 
 
-@dataclass(frozen=True)
 class Bullet(Formula):
-    args: tuple[Formula, ...]
+    _fields = ("args",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) < 1:
+    def __init__(self, args: tuple[Formula, ...]):
+        self.__dict__["args"] = args = tuple(args)
+        if len(args) < 1:
             raise ValueError("bullet needs at least one argument")
 
 
-@dataclass(frozen=True)
 class PathEq(Formula):
     """``left_tree zoomin left_feats ~ right_tree zoomin right_feats``.
 
@@ -180,15 +295,14 @@ class PathEq(Formula):
     feature-name sequences.  All four may be empty.
     """
 
-    left_tree: tuple[str, ...] = ()
-    left_feats: tuple[str, ...] = ()
-    right_tree: tuple[str, ...] = ()
-    right_feats: tuple[str, ...] = ()
+    _fields = ("left_tree", "left_feats", "right_tree", "right_feats")
 
-    def __post_init__(self):
-        for attr in ("left_tree", "left_feats", "right_tree", "right_feats"):
-            object.__setattr__(self, attr, tuple(getattr(self, attr)))
-        for step in self.left_tree + self.right_tree:
+    def __init__(self, left_tree: tuple[str, ...] = (), left_feats: tuple[str, ...] = (),
+                 right_tree: tuple[str, ...] = (), right_feats: tuple[str, ...] = ()):
+        left_tree, right_tree = tuple(left_tree), tuple(right_tree)
+        self.__dict__.update(left_tree=left_tree, left_feats=tuple(left_feats),
+                             right_tree=right_tree, right_feats=tuple(right_feats))
+        for step in left_tree + right_tree:
             if step not in ("up", "down"):
                 raise ValueError("tree step must be 'up' or 'down', got %r" % step)
 
@@ -583,8 +697,6 @@ def _spine(f: Formula) -> list[Formula]:
 #: Signature field -> how an undeclared name of that kind is reported.
 _NAME_KINDS = {"cats": "category", "atoms": "atom", "words": "word form", "feats": "feature"}
 _LITERAL_FIELD = {CatLit: "cats", AtomLit: "atoms", WordLit: "words"}
-_TWO_OPERANDS = frozenset((And, Or, Implies, Iff))
-_ONE_OPERAND = frozenset((Not, Up, Down, Zoomin))  # and Feat, which names a feature
 
 
 def _used_names(f: Formula) -> list[tuple[str, str]]:
@@ -602,13 +714,13 @@ def _used_names(f: Formula) -> list[tuple[str, str]]:
             continue
         seen.add(id(g))
         t = type(g)
-        if t in _TWO_OPERANDS:
+        if isinstance(g, _TwoOperands):
             push(g.right)
             push(g.left)
         elif t is Feat:
             add(("feats", g.feat))
             push(g.sub)
-        elif t in _ONE_OPERAND:
+        elif isinstance(g, _OneOperand):
             push(g.sub)
         elif t in _LITERAL_FIELD:
             add((_LITERAL_FIELD[t], g.name))

@@ -21,14 +21,15 @@ and an optional start symbol:
 and come in two shapes: a path equation ``(up p...) = (down q...)``
 (``up`` / ``down`` abbreviate the empty-path forms) and an atomic value
 assignment ``(up p...) = atom``.  Lexical schemata allow the atomic
-form and semantic forms ``rel(gf, ...)``, whose arguments must be
-declared grammatical functions (multi-step ones are written
-``obl.obj``).  Only defining equations exist here; the check-only
-``=c`` variant is rejected at parse time.
+form and semantic forms, ``(up pred) = rel(gf, ...)`` on that upside
+only, whose arguments must be declared grammatical functions
+(multi-step ones are written ``obl.obj``).  Only defining equations
+exist here; the check-only ``=c`` variant is rejected at parse time.
 
-Each piece checks its shape once, when built: a rule has an element,
-semantic forms annotate entries only and ``down`` rule elements only
-(:class:`GrammarError`; any other schema object is a ``TypeError``).
+Each piece, a plain immutable class as a formula node is (see
+``lfgmc.formula``), checks its shape once, when built: a rule has an
+element, semantic forms annotate entries only and ``down`` rule elements
+only (:class:`GrammarError`; any other schema object is a ``TypeError``).
 Compilation and the search take the pieces as they are; the reader
 checks the same first, so that its errors carry a position.
 
@@ -81,6 +82,7 @@ from .formula import (
     Up,
     WordLit,
     Zoomin,
+    _Frozen,
     _is_name,
     _Reader,
 )
@@ -92,86 +94,77 @@ REL_FEAT = "rel"
 PRED_FEAT = "pred"
 
 
-@dataclass(frozen=True)
-class PathEqSchema:
+class PathEqSchema(_Frozen):
     """``(up up_path) = (down down_path)``; both paths may be empty."""
 
-    up_path: tuple[str, ...] = ()
-    down_path: tuple[str, ...] = ()
+    _fields = ("up_path", "down_path")
 
-    def __post_init__(self):
-        object.__setattr__(self, "up_path", tuple(self.up_path))
-        object.__setattr__(self, "down_path", tuple(self.down_path))
+    def __init__(self, up_path: tuple[str, ...] = (), down_path: tuple[str, ...] = ()):
+        self.__dict__.update(up_path=tuple(up_path), down_path=tuple(down_path))
 
 
-@dataclass(frozen=True)
-class AtomValueSchema:
+class AtomValueSchema(_Frozen):
     """``(up path) = value`` with an atomic right-hand side."""
 
-    path: tuple[str, ...]
-    value: str
+    _fields = ("path", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "path", tuple(self.path))
+    def __init__(self, path: tuple[str, ...], value: str):
+        self.__dict__.update(path=tuple(path), value=value)
 
 
-@dataclass(frozen=True)
-class SemForm:
+class SemForm(_Frozen):
     """``(up pred) = rel(gf, ...)``: a relation plus governed functions."""
 
-    rel: str
-    args: tuple[tuple[str, ...], ...] = ()
+    _fields = ("rel", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(map(tuple, self.args)))
+    def __init__(self, rel: str, args: tuple[tuple[str, ...], ...] = ()):
+        self.__dict__.update(rel=rel, args=tuple(map(tuple, args)))
 
 
-def _hold_schemata(piece, allowed: tuple, message: str):
-    """Hold ``piece.schemata`` as a tuple of ``allowed`` schemata: another
-    schema raises ``GrammarError(message)``, any other object ``TypeError``."""
-    object.__setattr__(piece, "schemata", schemata := tuple(piece.schemata))
+def _held_schemata(schemata, allowed: tuple, message: str) -> tuple:
+    """``schemata`` as a tuple of ``allowed`` schemata: another schema
+    raises ``GrammarError(message)``, any other object ``TypeError``."""
+    schemata = tuple(schemata)
     for s in schemata:
         if not isinstance(s, allowed):
             if isinstance(s, (PathEqSchema, AtomValueSchema, SemForm)):
                 raise GrammarError(message)
             raise TypeError("not a schema: %r" % (s,))
+    return schemata
 
 
-@dataclass(frozen=True)
-class RuleElement:
-    cat: str
-    schemata: tuple = ()
+class RuleElement(_Frozen):
+    _fields = ("cat", "schemata")
 
-    def __post_init__(self):
-        _hold_schemata(
-            self, (PathEqSchema, AtomValueSchema),
-            "semantic forms are only allowed in lexical entries",
-        )
+    def __init__(self, cat: str, schemata: tuple = ()):
+        schemata = _held_schemata(schemata, (PathEqSchema, AtomValueSchema),
+                                  "semantic forms are only allowed in lexical entries")
+        self.__dict__.update(cat=cat, schemata=schemata)
 
 
-@dataclass(frozen=True)
-class AnnotatedRule:
-    lhs: str
-    rhs: tuple[RuleElement, ...]
+class AnnotatedRule(_Frozen):
+    _fields = ("lhs", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        if not self.rhs:
-            raise GrammarError("rule for %r has an empty right-hand side" % self.lhs)
+    def __init__(self, lhs: str, rhs: tuple[RuleElement, ...]):
+        rhs = tuple(rhs)
+        self.__dict__.update(lhs=lhs, rhs=rhs)
+        if not rhs:
+            raise GrammarError("rule for %r has an empty right-hand side" % lhs)
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    word: str
-    cat: str
-    schemata: tuple = ()
+class LexEntry(_Frozen):
+    _fields = ("word", "cat", "schemata")
 
-    def __post_init__(self):
-        _hold_schemata(self, (AtomValueSchema, SemForm), "'down' cannot appear in a lexical schema")
+    def __init__(self, word: str, cat: str, schemata: tuple = ()):
+        schemata = _held_schemata(schemata, (AtomValueSchema, SemForm),
+                                  "'down' cannot appear in a lexical schema")
+        self.__dict__.update(word=word, cat=cat, schemata=schemata)
 
 
 @dataclass(frozen=True)
 class Grammar:
+    """A signature, a start category, annotated rules and a lexicon."""
+
     sig: Signature
     start: str
     rules: tuple[AnnotatedRule, ...]
@@ -621,6 +614,8 @@ class _GParser(_Reader):
         semantic = self.tok == "("
         if semantic and not lexical:
             self.err("semantic forms are only allowed in lexical entries", at)
+        if semantic and up_path != (PRED_FEAT,):
+            self.err("a semantic form can only be the value of (up %s)" % PRED_FEAT, at)
         if name not in self.atoms:
             self.err("unknown atom %r" % name, at)
         if not semantic:

@@ -70,6 +70,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The invariants a model violates; empty when it is valid."""
+
     violations: tuple[Violation, ...] = ()
 
     @property

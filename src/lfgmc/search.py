@@ -128,6 +128,9 @@ from .semantics import _least_failing, valid
 
 @dataclass(frozen=True)
 class SearchBounds:
+    """Limits on one parse: tree nodes per candidate, f-nodes per model,
+    and models returned; each at least 1."""
+
     max_tree_nodes: int = 40
     max_f_nodes: int = 80
     max_models: int = 10
@@ -149,6 +152,9 @@ class Rejection:
 
 @dataclass(frozen=True)
 class ParseOutcome:
+    """The models found, sorted by their text, whether a bound cut the
+    search, and the rejected candidates in candidate order."""
+
     models: tuple[Model, ...]
     bound_exceeded: bool
     rejections: tuple[Rejection, ...] = ()
@@ -666,6 +672,8 @@ def parse_sentence(
 
 @dataclass(frozen=True)
 class CheckEntry:
+    """One theory label and its least counterexample (None if valid)."""
+
     label: str
     counterexample: NodeId | None
 
@@ -676,6 +684,8 @@ class CheckEntry:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """The entries of ``check_parse``, one per theory label in order."""
+
     entries: tuple[CheckEntry, ...]
 
     @property

@@ -24,8 +24,8 @@ once, and a plan calls the plans of its parts directly, so
 evaluation takes one Python frame per nesting level, runs of prefix
 operators and chains none.  The names a formula uses are collected
 once per formula object; each call only checks them against the
-model's signature.  Plans are closures: a pickled formula leaves them
-out and builds them again on use.
+model's signature.  Plans are closures, which pickling (a flat list of
+parts, see ``lfgmc.formula``) leaves out; they are built again on use.
 
 A ``|`` chain is evaluated the way an ``&`` chain is, operand by operand
 in chain order: each operand only on the nodes no earlier operand holds

@@ -628,6 +628,8 @@ class _ReferenceGParser:
         if self.at("OP", "("):
             if not lexical:
                 self.err("semantic forms are only allowed in lexical entries", tok)
+            if up_path != (PRED_FEAT,):
+                self.err("a semantic form can only be the value of (up %s)" % PRED_FEAT, tok)
             if name not in self.atoms:
                 self.err("unknown atom %r" % name, tok)
             self.advance()

@@ -389,9 +389,7 @@ def test_reader_matches_reference_reader(fig_sig):
 @pytest.mark.parametrize("nouns", [500, 5000])
 def test_large_compiled_theory_reads_back(nouns):
     # the lexical axiom's disjunction over the whole lexicon is printed as
-    # one flat chain; texts are compared, as == on a theory this large
-    # still recurses along that chain (the fixture theories are compared
-    # with == in test_reader_matches_reference_reader)
+    # one flat chain, which reads back to the same text
     from generators import embedding_grammar_text
 
     grammar = parse_grammar(embedding_grammar_text(["noun%d" % k for k in range(nouns)]))
@@ -467,3 +465,77 @@ def test_render_what_the_reader_accepts_at_any_depth(fig_sig):
 def test_render_rejects_a_non_formula():
     with pytest.raises(TypeError, match="not a formula"):
         render_formula(Not(1))
+
+
+# --- ==, hash, repr and pickle without recursion ----------------------------
+
+
+def test_a_large_theory_and_a_deep_formula_compare_hash_print_and_pickle():
+    import pickle
+
+    from generators import embedding_grammar_text
+
+    text = embedding_grammar_text(["noun%d" % k for k in range(5000)])
+    grammar = parse_grammar(text)
+    theory, again = compile_grammar(grammar), compile_grammar(parse_grammar(text))
+    theory.lexical, again.lexical  # built, as read
+    deep = "!" * 991 + "true"
+    f, g = parse_formula(deep, grammar.sig), parse_formula(deep, grammar.sig)
+    for x, y in [(theory, again), (f, g)]:
+        assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and hash(copy) == hash(x) and repr(copy) == repr(x)
+    assert repr(f) == "Not(sub=" * 991 + "TrueF()" + ")" * 991
+    assert repr(theory).count("WordLit(name='noun4999')") == 2  # its entry, and the word alphabet
+    assert f != parse_formula("!" * 991 + "false", grammar.sig)
+
+
+def test_shared_parts_are_compared_hashed_and_pickled_once():
+    # two separately built 60-level DAGs of about 2**60 paths each: a walk
+    # that entered a shared part once per parent would never end (results
+    # are kept as bools, since a failing assertion would print a formula)
+    import pickle
+
+    from lfgmc import FalseF, TrueF
+
+    def dag(leaf):
+        f = leaf
+        for _ in range(60):
+            f = Implies(f, f)
+        return f
+
+    a, b = dag(TrueF()), dag(TrueF())
+    copy = pickle.loads(pickle.dumps(a))
+    got = [a == b, hash(a) == hash(b), a != dag(FalseF()), copy == b, copy.left is copy.right]
+    assert got == [True] * 5
+
+
+def test_repr_is_the_dataclass_text():
+    from lfgmc import FalseF, FStructConst, Or, TrueF, Up, Zoomin
+
+    f = Iff(
+        Implies(And(TrueF(), FalseF()), Or(CStructConst(), FStructConst())),
+        Bullet((Not(CatLit("S")), Feat("num", AtomLit("sg")), Up(Down(Zoomin(WordLit("girl")))))),
+    )
+    f = And(f, Bullet((PathEq(("up",), ("subj",), (), ("num", "pred")),)))
+    assert repr(f) == (
+        "And(left=Iff(left=Implies(left=And(left=TrueF(), right=FalseF()), "
+        "right=Or(left=CStructConst(), right=FStructConst())), right=Bullet(args=("
+        "Not(sub=CatLit(name='S')), Feat(feat='num', sub=AtomLit(name='sg')), "
+        "Up(sub=Down(sub=Zoomin(sub=WordLit(name='girl'))))))), "
+        "right=Bullet(args=(PathEq(left_tree=('up',), left_feats=('subj',), "
+        "right_tree=(), right_feats=('num', 'pred')),)))"
+    )
+
+
+def test_formula_fields_are_frozen():
+    import copy
+    from dataclasses import FrozenInstanceError
+
+    for f, name in [(CatLit("S"), "name"), (Feat("num", TRUE), "sub"), (PathEq(("up",)), "left_tree")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, TRUE)
+        with pytest.raises(FrozenInstanceError):
+            delattr(f, name)
+        twin = copy.copy(f)
+        assert twin == f and twin is not f

@@ -505,6 +505,47 @@ def test_semform_rejected_in_rule_schema():
         parse_grammar(text)
 
 
+def test_semform_only_as_the_value_of_up_pred():
+    text = """signature { cat: S NP N; atom: girl; feat: subj num pred; gf: subj; }
+rule S -> NP {(up subj)=down};
+rule NP -> N {up=down};
+lex "g" N {(up subj num)=girl()};
+"""
+    for upside in ["(up subj num)", "up", "(up)", "(up pred pred)"]:
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar(text.replace("(up subj num)", upside))
+        assert str(err.value) == "4:%d: a semantic form can only be the value of (up pred)" % (
+            13 + len(upside))
+    assert parse_grammar(text.replace("(up subj num)", "(up pred)")).lexicon[0].schemata == (
+        SemForm("girl"),)
+
+
+def test_grammar_pieces_print_as_dataclasses_and_are_frozen():
+    from dataclasses import FrozenInstanceError
+
+    from lfgmc import AnnotatedRule, LexEntry, RuleElement
+
+    element = RuleElement("NP", (PathEqSchema(("subj",), ()), AtomValueSchema(("num",), "sg")))
+    entry = LexEntry("girl", "N", (AtomValueSchema(("num",), "sg"),
+                                   SemForm("girl", (("subj",), ("obl", "obj")))))
+    assert repr(element) == (
+        "RuleElement(cat='NP', schemata=(PathEqSchema(up_path=('subj',), down_path=()), "
+        "AtomValueSchema(path=('num',), value='sg')))"
+    )
+    assert repr(entry) == (
+        "LexEntry(word='girl', cat='N', schemata=(AtomValueSchema(path=('num',), value='sg'), "
+        "SemForm(rel='girl', args=(('subj',), ('obl', 'obj')))))"
+    )
+    assert repr(AnnotatedRule("S", (RuleElement("NP"),))) == (
+        "AnnotatedRule(lhs='S', rhs=(RuleElement(cat='NP', schemata=()),))"
+    )
+    for piece, name in [(element, "cat"), (entry, "schemata"), (SemForm("girl"), "args")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(piece, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(piece, name)
+
+
 def test_syntax_errors_carry_position():
     with pytest.raises(GrammarSyntaxError) as err:
         parse_grammar("signature { cat: S; atom: x; feat: f; }\nrule S -> ;")
@@ -690,6 +731,8 @@ def test_parser_matches_reference_parser():
         sig + 'lex "b" A {(up f)=(down f)};',
         sig + 'lex "b" A {(up pred)=r(f, f.f)};',
         sig + 'lex "b" A {(up pred)=r(f,)};',
+        sig + 'lex "b" A {(up f)=r(f)};',
+        sig + 'lex "b" A {up=r()};',
         sig + 'lex "b" A {(up pred)=x(f) (up f)=x};',
         sig + 'lex "b" A {(up f)=x;;}',
         sig + "rule S -> A {(up pred)=r()};",

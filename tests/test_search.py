@@ -231,6 +231,25 @@ def test_check_parse_rows_equal_valid_on_the_500_noun_chain(monkeypatch):
     assert [_rows(check_parse(theory, m)) for m, _failing in models] == want
 
 
+def test_an_unpickled_500_noun_theory_checks_as_the_original():
+    import pickle
+
+    from lfgmc import compile_grammar, model_from_json, parse_grammar
+
+    from generators import chain_model_doc
+
+    lexicon = ["noun%03d" % k for k in range(500)]
+    theory = compile_grammar(parse_grammar(embedding_grammar_text(lexicon)))
+    theory.lexical
+    copy = pickle.loads(pickle.dumps(theory))
+    assert copy == theory
+    nouns = lexicon[7::41]
+    for swap in (None, (len(nouns) - 1, "noun250"), (0, "said")):
+        model = model_from_json(chain_model_doc(lexicon, nouns, swap)[0])
+        assert check_parse(copy, model) == check_parse(theory, model)
+        assert _valid_rows(copy, model) == _valid_rows(theory, model)
+
+
 @pytest.mark.parametrize(
     "kind,name,message",
     [

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import sys
@@ -667,7 +668,7 @@ def test_long_patheq_chains_build_plans_without_recursion(fig_model, op):
         PathEq(("up", "down"), (), ("up",), ()),
     ]
     # distinct objects, so that every operand gets a plan of its own
-    chain = _fold(op, [replace(kinds[k % len(kinds)]) for k in range(5000)])
+    chain = _fold(op, [copy.copy(kinds[k % len(kinds)]) for k in range(5000)])
     holds = {n: [pointwise_sat(fig_model, n, f) for f in kinds] for n in fig_model.all_nodes()}
     want = {n for n, got in holds.items() if (any if op is Or else all)(got)}
     failing = [n for n in fig_model.all_nodes() if n not in want]
