@@ -541,11 +541,9 @@ def fnode_names(initial, trans) -> dict:
     """The canonical f-node numbering of the nodes reachable from
     ``initial`` (none when it is None): ``f0`` for ``initial``, then
     ``f1..`` in breadth-first order, following each node's transitions
-    ``trans[w]`` (feature -> successor), which callers give in sorted
-    feature order.  Callers name the unreached nodes ``f<k>..`` after
-    these, in an order of their own.  ``canonicalize`` renames feature
-    nodes by it and the search names union-find classes by it as it
-    extracts a model, so the two agree without a second renaming pass."""
+    ``trans[w]`` (feature -> successor), given in sorted feature order.
+    ``canonicalize`` renames feature nodes by it (the unreached ones after
+    these), and the search's read-off numbers its classes alike."""
     names = {}
     if initial is not None:
         names[initial] = "f0"
@@ -640,9 +638,10 @@ def _first_cycle_node(c: CStructure) -> NodeId | None:
 # sort_keys=True) + "\n" prints for the document, with every key sorted
 # as a plain string (so "trans" and "zoomin" keys are not in node_key
 # order), lists of nodes in node order, strings in ASCII escapes, and
-# [] / {} for empty containers.  model_to_text writes it directly, because
+# [] / {} for empty containers.  _model_text writes it directly, because
 # with an indent json.dumps runs its pure-Python encoder, and the text is
-# also the dedup and sort key of parse_sentence; model_to_json parses it.
+# also the dedup and sort key of parse_sentence, whose read-off calls it
+# for each survivor; model_to_text calls it for any model.
 # ---------------------------------------------------------------------------
 
 
@@ -672,28 +671,33 @@ def _text_object(pairs, pad: str) -> str:
     ) + "\n" + pad + "}"
 
 
-def model_to_text(m: Model) -> str:
-    """The model's canonical JSON text (see the layout above)."""
-    c, f = m.cstruct, m.fstruct
-    order = m.node_order
-    tree_nodes = [
+def _tree_rows(c: CStructure, order) -> str:
+    """The text of the tree's node list: a row per node of ``order``."""
+    return _text_array([
         '{\n        "daughters": %s,\n        "id": %s,\n        "label": %s\n      }' % (
             "[\n          %s\n        ]" % ",\n          ".join(map(_quote, c.daughters[n]))
             if c.daughters.get(n) else "[]",
             _quote(n),
             _quote(c.label.get(n, "")),
         )
-        for n in order[: len(c.nodes)]
-    ]
-    f_nodes = []
-    for w in order[len(c.nodes) :]:
-        trans = "{\n          %s\n        }" % ",\n          ".join(
-            [_quote(feat) + ": " + _quote(w2) for feat, w2 in sorted(f.trans[w].items())]
-        ) if f.trans.get(w) else "{}"
-        atom = '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else ""
-        f_nodes.append(
-            '{\n        %s"id": %s,\n        "trans": %s\n      }' % (atom, _quote(w), trans)
+        for n in order
+    ], " " * 4)
+
+
+def _model_text(m: Model, trans, tree_rows: str) -> str:
+    """The text of ``m``: a row per f-node of ``trans``, in its order, with
+    the transitions it lists in sorted feature order, and ``tree_rows``."""
+    f = m.fstruct
+    f_rows = [
+        '{\n        %s"id": %s,\n        "trans": %s\n      }' % (
+            '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else "",
+            _quote(w),
+            "{\n          %s\n        }" % ",\n          ".join(
+                [_quote(feat) + ": " + _quote(w2) for feat, w2 in table.items()]
+            ) if table else "{}",
         )
+        for w, table in trans.items()
+    ]
     return (
         '{\n  "fstruct": {\n    "initial": %s,\n    "nodes": %s\n  },\n'
         '  "signature": %s,\n'
@@ -701,12 +705,20 @@ def model_to_text(m: Model) -> str:
         '  "zoomin": %s\n}\n'
     ) % (
         _quote(f.initial),
-        _text_array(f_nodes, " " * 4),
+        _text_array(f_rows, " " * 4),
         m.sig._text_block,
-        _text_array(tree_nodes, " " * 4),
-        _quote(c.root),
+        tree_rows,
+        _quote(m.cstruct.root),
         _text_object([(t, _quote(w)) for t, w in sorted(m.zoomin.items())], "  "),
     )
+
+
+def model_to_text(m: Model) -> str:
+    """The model's canonical JSON text (see the layout above)."""
+    c, f = m.cstruct, m.fstruct
+    order = m.node_order
+    trans = {w: dict(sorted(f.trans.get(w, {}).items())) for w in order[len(c.nodes):]}
+    return _model_text(m, trans, _tree_rows(c, order[: len(c.nodes)]))
 
 
 def _need(obj: dict, keys: set[str], what: str, optional: set[str] = frozenset()):

@@ -15,10 +15,10 @@ one:
    the child ends off the chart, computes the derivations of each
    (cat, i, j, budget) once on an explicit stack, and so shares
    sub-derivations between candidates.  A derivation is the grammar's
-   own data: a preterminal's is its ``LexEntry``, a phrase's the tuple
-   ``(rule, children)``.  The pieces checked their shape when built
-   (see ``lfgmc.grammar``), so the search takes them as they are.  Each
-   comes with its tree shape and entries, made from its children's;
+   own data, which checked its shape when built (see ``lfgmc.grammar``):
+   a preterminal's is its ``LexEntry``, a phrase's the tuple ``(rule,
+   children)``.  Each comes with its tree shape and entries, made from
+   its children's;
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
@@ -39,62 +39,58 @@ equations the slot is identified with it (re-entrancy).  The slot never
 *creates* the local path; a missing governed function is left for the
 completeness axiom to flag.
 
-A solved candidate's model is extracted already in the canonical
-naming: tree nodes are numbered in preorder as the tree is built, and the
-union-find classes are named ``f0..`` by ``model.fnode_names``, the
-numbering ``canonicalize`` uses.  That one model is checked against the
-theory, printed and returned, with no second renaming pass.
-
-A model built from a grammar that compiles (so its signature has no
-violations) holds by construction its theory's licensing and lexical
-axioms and all of ``validate_model`` but reachability.  Its tree has
-preorder ids ``n<k>``, the node set and mothers ``CStructure.build``
-would derive from its daughters, and labels from the declared categories
-and input words, which the signature keeps apart; f-node ids are
-``f<k>``, features and atoms come from the schemata, and ``_close``
-keeps valued classes free of transitions.  Only preterminals have a word
-daughter, so the lexical antecedent holds exactly at them and the
-licensing one (a grandchild) at phrase nodes.  The f-structure solves
-the equations, so a phrase node satisfies its rule's disjunct and a
-preterminal its entry's under ``up zoomin``; a root preterminal's entry
-has no schemata, or else it clashed.  A class the walk of
-``fnode_names`` misses is rejected as ``fstruct-unreachable``.  Tree
+A solved candidate is read off its union-find once, in canonical names:
+tree nodes are numbered in preorder as the tree is built, and one walk
+names the classes ``f0..`` as ``canonicalize`` numbers f-nodes and
+builds the tables the model's text is written from (its tree rows once a
+shape).  A model built from a grammar that compiles (so its signature
+has no violations) holds by construction its theory's licensing and
+lexical axioms and all of ``validate_model`` but reachability: preorder
+ids ``n<k>`` with the mothers ``CStructure.build`` would derive, labels
+from the declared categories and the input words, which the signature
+keeps apart, ``f<k>`` ids, features and atoms from the schemata, and
+valued classes that ``_close`` keeps free of transitions.  Only
+preterminals have a word daughter, so the lexical antecedent holds
+exactly at them and the licensing one (a grandchild) at phrase nodes;
+the f-structure solves the equations, so a phrase node satisfies its
+rule's disjunct and a preterminal its entry's under ``up zoomin`` (a
+root preterminal's entry has no schemata, or else it clashed).  A class
+the naming walk misses is rejected as ``fstruct-unreachable``.  Tree
 nodes and valued classes have no feature transitions, so only a class
 with ``pred`` can fail completeness[g] (``pred g`` resolves, ``g`` does
 not) or coherence[g] (``g`` resolves, ``pred g`` does not).  For the
 theory compiled from the grammar being parsed (``theory.source is
-grammar``) both are decided on the union-find, so no evaluator runs,
-no lexical axiom is built, and only candidates that reach the output
-are extracted.  Any other theory (built by hand or by
+grammar``) both are decided on the union-find, so no evaluator runs, no
+lexical axiom is built, and only candidates that reach the output get a
+model and a text.  Any other theory (built by hand or by
 ``dataclasses.replace``, or compiled from an equal but separate
 ``Grammar``) is foreign: the grammar is compiled once for its checks,
-and ``valid`` evaluates every label on the extracted model; if the
-theory has a ``source`` whose signature the grammar's contains, the
-lexical label is the slice (below) for the sentence's words, built once
-per call, as every candidate has the sentence as its leaves.
+and ``valid`` evaluates every label on the model read off; if the theory
+has a ``source`` whose signature the grammar's contains, the lexical
+label is the slice (below) for the sentence's words, built once per
+call, as every candidate has the sentence as its leaves.
 
-``check_parse`` rests on two lemmas.  First, a compiled theory uses
-only names its grammar's signature declares.  Compilation checks each
-name of the rules and entries, the lexical antecedent lists the
-declared words, and the completeness and coherence axioms use ``pred``
-(which ``compile_grammar`` requires beside ``gf``) and the ``gf`` steps
-(which it requires to be declared features).  So ``validate_names`` is
-skipped when the model's signature contains the grammar's (the model is
-*covered*); for other models the names of ``theory.labeled()`` are
-checked in label order, which raises the first error ``valid`` would.
-Second, for the declared words W that label a node, the *slice* (the
-lexical axiom compiled over W and W's entries, ``true`` for no W and
-consequent ``FALSE`` for no entries) fails where the whole axiom does,
-on any model: a literal or disjunct for a word outside W holds nowhere.
-So the whole axiom is built only for an uncovered model's names.
+``check_parse`` rests on two lemmas.  First, a compiled theory uses only
+names its grammar's signature declares: compilation checks each name of
+the rules and entries, the lexical antecedent lists the declared words,
+and the principles use ``pred`` and the ``gf`` steps, which
+``compile_grammar`` requires to be declared features.  So
+``validate_names`` is skipped when the model's signature contains the
+grammar's (the model is *covered*); for other models the names of
+``theory.labeled()`` are checked in label order, which raises the first
+error ``valid`` would.  Second, for the declared words W that label a
+node, the *slice* (the lexical axiom compiled over W and W's entries,
+``true`` for no W and consequent ``FALSE`` for no entries) fails where
+the whole axiom does, on any model: a literal or disjunct for a word
+outside W holds nowhere.  So the whole axiom is built only for an
+uncovered model's names.
 
-Models that fail the theory are reported as rejections
-with the failing formula label and counterexample node; a failing f-node
-is named as the least under the class-order names ``w0, w1, ..`` (the
-order the classes were made in), which the rejection lines have always
-used, and the principles are decided over the classes in that order.
-Survivors are deduplicated by their text and returned sorted by it.
-Minimality is a property of this search, not of the satisfaction
+Models that fail the theory are reported as rejections with the failing
+formula label and counterexample node; a failing f-node is named as the
+least under the class-order names ``w0, w1, ..`` (the order the classes
+were made in), and the principles are decided over the classes in that
+order.  Survivors are deduplicated by their text and returned sorted by
+it.  Minimality is a property of this search, not of the satisfaction
 relation: ``valid`` itself happily accepts models with junk material.
 """
 
@@ -104,25 +100,9 @@ from dataclasses import dataclass
 
 from .errors import GrammarError, SignatureError
 from .formula import TRUE, _NAME_KINDS, validate_names
-from .grammar import (
-    AtomValueSchema,
-    Grammar,
-    LexEntry,
-    PathEqSchema,
-    PRED_FEAT,
-    REL_FEAT,
-    Theory,
-    _lexical_axiom,
-    compile_grammar,
-)
-from .model import (
-    CStructure,
-    FStructure,
-    Model,
-    NodeId,
-    fnode_names,
-    model_to_text,
-)
+from .grammar import (AtomValueSchema, Grammar, LexEntry, PathEqSchema, PRED_FEAT, REL_FEAT,
+                      Theory, _lexical_axiom, compile_grammar)
+from .model import CStructure, FStructure, Model, NodeId, _model_text, _tree_rows
 from .semantics import _least_failing, valid
 
 
@@ -530,24 +510,6 @@ def _solve_shape(phrases, mothers, members):
         stack.append((uf, k + 1, last))  # after the copies: changed in place
 
 
-def _solved(cstruct, uf: _UnionFind):
-    """The classes in class order (as the union-find made them), their
-    transitions in sorted feature order and the entry class; or a
-    structure Rejection when the entry point is missing or not unique."""
-    if not uf.parent:
-        uf.make()  # no equations: the f-structure is one empty node
-    roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
-    succ = {r: {feat: uf.find(t) for feat, t in sorted(uf.trans[r].items())} for r in roots}
-    root_var = uf.zvar.get(cstruct.root)
-    if root_var is not None:
-        return roots, succ, uf.find(root_var)
-    incoming = {t for s in succ.values() for t in s.values()}
-    sources = [r for r in roots if r not in incoming]
-    if len(sources) != 1:
-        return Rejection("structure", "no unique entry point into the f-structure")
-    return roots, succ, sources[0]
-
-
 def _principle_failures(gf, uf: _UnionFind, roots) -> list[int | None]:
     """For completeness[g], each ``g`` of ``gf``, then coherence[g] likewise
     (``Theory.labeled``'s order): the index in ``roots`` of the first
@@ -566,46 +528,70 @@ def _principle_failures(gf, uf: _UnionFind, roots) -> list[int | None]:
     return first
 
 
-def _extract_model(sig, cstruct, uf: _UnionFind, roots, succ, name) -> Model:
-    """The least-solution model of a ``_solved`` union-find in canonical
-    names: ``name`` is ``fnode_names`` from its entry class, and the
-    classes that walk misses are named after those, in class order."""
-    for r in roots:
-        name.setdefault(r, "f%d" % len(name))
-    trans = {name[r]: {feat: name[t] for feat, t in s.items()} for r, s in succ.items()}
-    atomval = {name[r]: uf.atom[r] for r in roots if uf.atom[r] is not None}
-    fstruct = FStructure(
-        frozenset(name.values()), "f0", trans, frozenset(atomval), atomval
-    )
-    zoomin = {n: name[uf.find(v)] for n, v in uf.zvar.items()}
-    return Model(sig, cstruct, fstruct, zoomin)
-
-
-def _check(labels, trusted, gf, sig, cstruct, uf, bounds):
-    """The outcome of one solved candidate under ``labels`` (see ``parse_sentence``)."""
-    solved = _solved(cstruct, uf)
-    if isinstance(solved, Rejection):
-        return solved
-    roots, succ, initial = solved
-    if len(roots) > bounds.max_f_nodes:
+def _read_off(sig, cstruct, tree, uf: _UnionFind, bounds, gf, principles):
+    """The first rejection among the entry point (the root node's class,
+    else the one class without incoming transitions), the f-node bound (None
+    past it), reachability and the ``principles`` over ``gf``; else the
+    least-solution model in canonical names as ``(text, model, name)``,
+    ``name`` mapping the classes, in class order, to f-nodes.  One walk,
+    breadth-first over sorted features, names the classes as ``fnode_names``
+    numbers nodes and builds the tables the text lists, in walk order,
+    beside ``tree``, the tree rows' text."""
+    if not uf.parent:
+        uf.make()  # no equations: the f-structure is one empty node
+    trans, atoms = uf.trans, uf.atom
+    rep = list(map(uf.find, range(len(uf.parent))))
+    name = dict.fromkeys(rep)  # the classes in class order
+    root_var = uf.zvar.get(cstruct.root)
+    if root_var is not None:
+        entry = rep[root_var]
+    else:
+        incoming = {rep[t] for r in name for t in trans[r].values()}
+        sources = [r for r in name if r not in incoming]
+        if len(sources) != 1:
+            return Rejection("structure", "no unique entry point into the f-structure")
+        entry = sources[0]
+    if len(name) > bounds.max_f_nodes:
         return None
-    name = fnode_names(initial, succ)
-    if len(name) < len(roots):
+    name[entry] = "f0"
+    queue, tables, atomval = [entry], {}, {}
+    for r in queue:  # grows while it is walked
+        table = tables[name[r]] = {}
+        for feat, t in sorted(trans[r].items()):
+            t = rep[t]
+            w = name[t]
+            if w is None:
+                w = name[t] = "f%d" % len(queue)
+                queue.append(t)
+            table[feat] = w
+        if atoms[r] is not None:
+            atomval[name[r]] = atoms[r]
+    if len(queue) < len(name):
         return Rejection("structure", "fstruct-unreachable")
-    if trusted:
-        for (label, _f), k in zip(labels, _principle_failures(gf, uf, roots)):
+    if principles:
+        for (label, _f), k in zip(principles, _principle_failures(gf, uf, name)):
             if k is not None:
                 return Rejection("formula", label, "w%d" % k)
-    model = _extract_model(sig, cstruct, uf, roots, succ, name)
-    if not trusted:
-        for label, f in labels:
-            node = valid(model, f)
-            if node is not None:
-                if node in model.fstruct.nodes:
-                    classes = [name[r] for r in roots]
-                    node = "w%d" % classes.index(_least_failing(model, f, classes))
-                return Rejection("formula", label, node)
-    return model_to_text(model), model
+    fstruct = FStructure(frozenset(tables), "f0", tables, frozenset(atomval), atomval)
+    model = Model(sig, cstruct, fstruct, {n: name[rep[v]] for n, v in uf.zvar.items()})
+    return _model_text(model, tables, tree), model, name
+
+
+def _check(labels, trusted, gf, sig, cstruct, tree, uf, bounds):
+    """The outcome of one solved candidate under ``labels`` (see ``parse_sentence``):
+    a Rejection, None past the f-node bound, or its ``(text, model)``."""
+    read = _read_off(sig, cstruct, tree, uf, bounds, gf, labels if trusted else ())
+    if not isinstance(read, tuple):
+        return read
+    text, model, name = read
+    for label, f in () if trusted else labels:
+        node = valid(model, f)
+        if node is not None:
+            if node in model.fstruct.nodes:
+                classes = list(name.values())
+                node = "w%d" % classes.index(_least_failing(model, f, classes))
+            return Rejection("formula", label, node)
+    return text, model
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +632,12 @@ def parse_sentence(
     outcomes: list = [None] * len(derivations)
     for members in shapes.values():
         cstruct, phrases, mothers = _build_tree(derivations[members[0][0]][0])
+        tree = _tree_rows(cstruct, cstruct.label)  # labelled in preorder, the node order
         for group, solved in _solve_shape(phrases, mothers, members):
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)
-                    else _check(labels, trusted, theory.gf, grammar.sig, cstruct, solved, bounds)
+                    else _check(labels, trusted, theory.gf, grammar.sig, cstruct, tree, solved, bounds)
                 )
 
     rejections: list[Rejection] = []

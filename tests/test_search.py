@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from lfgmc import (
+    FStructure,
     GrammarError,
+    Model,
     SearchBounds,
     SignatureError,
     Theory,
@@ -785,21 +787,30 @@ def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
     # the search builds each survivor from the rules and entries whose
     # disjuncts the licensing and lexical axioms state, and decides
     # completeness and coherence on the solved union-find, so it calls no
-    # evaluator and extracts only the candidates that reach the output;
-    # every model still satisfies the whole theory and every invariant
+    # evaluator and builds models only for the candidates that reach the
+    # output; every model still satisfies the whole theory and every
+    # invariant
     from lfgmc import compile_grammar, parse_grammar, search
 
     calls = _count_valid_calls(monkeypatch)
     least, extracted = [], []
     monkeypatch.setattr(search, "_least_failing", lambda *args: least.append(args))
-    extract = search._extract_model
-    monkeypatch.setattr(search, "_extract_model", lambda *args: extracted.append(args) or extract(*args))
+    read_off = search._read_off
+
+    def spy(*args):
+        read = read_off(*args)
+        if isinstance(read, tuple):
+            extracted.append(read[1])
+        return read
+
+    monkeypatch.setattr(search, "_read_off", spy)
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     theory = compile_grammar(g)
     out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
     assert len(out.models) == 5 and len(out.rejections) == 75  # clashes
     assert len(extracted) == len(out.models)
-    # candidates that fail a principle are rejected unextracted
+    assert all(any(m is e for e in extracted) for m in out.models)
+    # candidates that fail a principle are rejected with no model built
     obl = parse_grammar(OBL_GRAMMAR_TEXT)
     for words in ("a girl relies on", "a girl waits on a book"):
         rejected = _same_as_two_phase(compile_grammar(obl), obl, words.split(), SearchBounds())
@@ -1349,14 +1360,39 @@ def test_foreign_parse_under_an_equal_grammar_matches_two_phase_on_fixture_gramm
         assert _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds)) == out
 
 
+def _every_class_model(sig, cstruct, uf, classes):
+    """The model of a closed union-find with all its ``classes`` (in class
+    order), the ones the numbering walk misses named after the rest in
+    class order, and their names in class order; None without a unique
+    entry point."""
+    from lfgmc.model import fnode_names
+
+    succ = {r: {feat: uf.find(t) for feat, t in sorted(uf.trans[r].items())} for r in classes}
+    root_var = uf.zvar.get(cstruct.root)
+    sources = {uf.find(root_var)} if root_var is not None else (
+        set(classes) - {t for s in succ.values() for t in s.values()})
+    if len(sources) != 1:
+        return None
+    name = fnode_names(*sources, succ)
+    for r in classes:
+        name.setdefault(r, "f%d" % len(name))
+    trans = {name[r]: {feat: name[t] for feat, t in s.items()} for r, s in succ.items()}
+    atomval = {name[r]: uf.atom[r] for r in classes if uf.atom[r] is not None}
+    fstruct = FStructure(frozenset(name.values()), "f0", trans, frozenset(atomval), atomval)
+    zoomin = {n: name[uf.find(v)] for n, v in uf.zvar.items()}
+    return Model(sig, cstruct, fstruct, zoomin), [name[r] for r in classes]
+
+
 def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     """On every solved candidate, each completeness and coherence label
-    is decided on the union-find as ``valid`` decides it on the extracted
-    model, and names the least failing class in class order."""
-    from lfgmc.model import fnode_names
+    is decided on the union-find as ``valid`` decides it on the model
+    with every class, and names the least failing class in class order.
+    Where every class is reached, that model is the one ``_read_off``
+    builds."""
+    from lfgmc.model import _tree_rows
     from lfgmc.search import (
-        Rejection, _SkeletonEnumerator, _build_tree, _extract_model, _principle_failures,
-        _solve_shape, _solved,
+        Rejection, _SkeletonEnumerator, _build_tree, _principle_failures, _read_off,
+        _solve_shape,
     )
     from lfgmc.semantics import _least_failing
 
@@ -1367,13 +1403,22 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     for idx, (deriv, _count, _shape, entries) in enumerate(derivations):
         cstruct, phrases, mothers = _build_tree(deriv)
         [(_, uf)] = _solve_shape(phrases, mothers, [(idx, entries)])
-        solved = uf if isinstance(uf, Rejection) else _solved(cstruct, uf)
-        if isinstance(solved, Rejection):
+        if isinstance(uf, Rejection):
             continue
-        roots, succ, initial = solved
-        name = fnode_names(initial, succ)
-        model = _extract_model(grammar.sig, cstruct, uf, roots, succ, name)
-        classes = [name[r] for r in roots]
+        # no principles and no f-node bound
+        read = _read_off(grammar.sig, cstruct, _tree_rows(cstruct, cstruct.label), uf,
+                         SearchBounds(max_f_nodes=len(uf.parent) + 1), theory.gf, ())
+        roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
+        whole = _every_class_model(grammar.sig, cstruct, uf, roots)
+        if whole is None:
+            assert read.detail == "no unique entry point into the f-structure"
+            continue
+        model, classes = whole
+        if isinstance(read, tuple):
+            assert read[1] == model and list(read[2].values()) == classes
+        else:
+            assert read.detail == "fstruct-unreachable"
+            seen["unreachable"] = seen.get("unreachable", 0) + 1
         want = []
         for label, f in labels:
             node = valid(model, f)
@@ -1390,8 +1435,10 @@ def test_principles_decided_on_the_union_find_match_valid_on_random_grammars():
     seen = {}
     for grammar, theory, tokens, bounds in _random_corpus():
         _principles_match_valid(theory, grammar, tokens, bounds, seen)
-    # both principles fail, also at classes after the first one
-    for kind in ("completeness", "coherence", "completeness past w0", "coherence past w0"):
+    # both principles fail, also at classes after the first one, and some
+    # candidates leave a class unreached
+    for kind in ("completeness", "coherence", "completeness past w0", "coherence past w0",
+                 "unreachable"):
         assert seen.get(kind, 0) >= 20, seen
 
 
@@ -1407,6 +1454,57 @@ def test_principles_decided_on_the_union_find_match_valid_on_fixture_grammars(
     for tokens in sentences:
         _principles_match_valid(theory, grammar, tokens, SearchBounds(*bounds), seen)
     assert seen["candidates"] > 0
+
+
+def _read_off_models(monkeypatch):
+    """Each ``(text, model, the root node has no variable)`` that
+    ``_read_off`` returns, in call order."""
+    from lfgmc import search
+
+    read_off, seen = search._read_off, []
+
+    def spy(sig, cstruct, tree, uf, *rest):
+        read = read_off(sig, cstruct, tree, uf, *rest)
+        if isinstance(read, tuple):
+            seen.append((read[0], read[1], cstruct.root not in uf.zvar))
+        return read
+
+    monkeypatch.setattr(search, "_read_off", spy)
+    return seen
+
+
+def _parse_and_check_read_off(theory, grammar, tokens, bounds, seen):
+    """Parse; every model returned was read off, and every model read off
+    is canonical and valid, written as ``model_to_text`` writes it."""
+    start = len(seen)
+    out = parse_sentence(theory, grammar, tokens, bounds)
+    read = seen[start:]
+    assert all(any(m is r for _, r, _ in read) for m in out.models)
+    for text, model, _ in read:
+        assert text == model_to_text(model)
+        assert canonicalize(model) == model
+        assert validate_model(model).ok
+
+
+@FIXTURE_CASES
+def test_read_off_text_is_model_to_text_on_fixture_grammars(monkeypatch, text, sentences, bounds):
+    from lfgmc import compile_grammar, parse_grammar
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    seen = _read_off_models(monkeypatch)
+    for tokens in sentences:
+        _parse_and_check_read_off(theory, grammar, tokens, SearchBounds(*bounds), seen)
+    assert seen
+
+
+def test_read_off_text_is_model_to_text_on_random_grammars(monkeypatch):
+    seen = _read_off_models(monkeypatch)
+    for grammar, theory, tokens, bounds in _random_corpus():
+        _parse_and_check_read_off(theory, grammar, tokens, bounds, seen)
+    # also models whose root node has no variable, entered at the one
+    # class without incoming transitions
+    assert len(seen) >= 100 and sum(no_root_var for _, _, no_root_var in seen) >= 20
 
 
 def test_multi_step_functions_match_two_phase():
