@@ -22,6 +22,7 @@ on a terminal and can be disabled with ``LFGMC_COLOR=0``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the structural invariants of a model file")
     p.add_argument("model")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check", help="evaluate a formula or a compiled grammar on a model")
     p.add_argument("model")
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--formula", help="formula in concrete syntax")
     group.add_argument("--grammar", help="grammar file to compile and check")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("parse", help="enumerate models of the grammar for a token string")
     p.add_argument("grammar")
@@ -229,20 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-models", type=int, default=10, dest="max_models")
     p.add_argument("--out", help="directory for the emitted model files")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("compile", help="print the compiled theory of a grammar")
     p.add_argument("grammar")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
-    p.set_defaults(func=cmd_compile)
 
     return top
 
 
+_parser = functools.cache(build_parser)  # one per process, built on first use
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = globals()["cmd_" + args.command](args)  # looked up now, not when built
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -36,9 +36,13 @@ checks the same first, so that its errors carry a position.
 The file is read in one pass by the reader the formula syntax uses too
 (see ``lfgmc.formula``): one ``findall`` over the whole text yields the
 tokens as plain strings, and a parser holding the current token and the
-declared names in sets reads them front to back.  A syntax or name error
-is a :class:`GrammarSyntaxError` at the first token that cannot be read;
-only then is its position found, by scanning the text again up to it.
+declared names in sets reads them front to back.  A ``lex`` statement of
+the common shapes, with only spaces and tabs inside, is one *statement
+token*, whose entry is built from its text after the checks its plain
+tokens get.  On any doubt, a failed check or any error, the text is read
+again with plain tokens only.  So a syntax or name error is always that
+reader's :class:`GrammarSyntaxError` at the first token that cannot be
+read; only then is its position found, by scanning the text again up to it.
 
 Compilation produces a :class:`Theory`:
 
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
 from .formula import (
@@ -232,20 +236,6 @@ class Theory:
 # ---------------------------------------------------------------------------
 
 
-def _and_fold(parts: list[Formula]) -> Formula:
-    f = parts[0]
-    for p in parts[1:]:
-        f = And(f, p)
-    return f
-
-
-def _or_fold(parts: list[Formula]) -> Formula:
-    f = parts[0]
-    for p in parts[1:]:
-        f = Or(f, p)
-    return f
-
-
 def _feat_chain(path, inner: Formula) -> Formula:
     f = inner
     for name in reversed(tuple(path)):
@@ -284,7 +274,7 @@ def _compile_schema(schema) -> Formula:
     # a semantic form
     parts: list[Formula] = [Feat(REL_FEAT, AtomLit(schema.rel))]
     parts += [_feat_chain(g, TRUE) for g in schema.args]
-    return Up(Zoomin(Feat(PRED_FEAT, _and_fold(parts))))
+    return Up(Zoomin(Feat(PRED_FEAT, reduce(And, parts))))
 
 
 def compile_rule(rule: AnnotatedRule, sig: Signature) -> Formula:
@@ -299,7 +289,7 @@ def compile_rule(rule: AnnotatedRule, sig: Signature) -> Formula:
             raise SignatureError("unknown category %r" % elem.cat)
         for schema in elem.schemata:
             _check_schema(schema, sig)
-        args.append(_and_fold([CatLit(elem.cat), *map(_compile_schema, elem.schemata)]))
+        args.append(reduce(And, [CatLit(elem.cat), *map(_compile_schema, elem.schemata)]))
     return And(CatLit(rule.lhs), Bullet(tuple(args)))
 
 
@@ -336,12 +326,12 @@ def compile_lexicon(lexicon, sig: Signature) -> Formula:
 def _lexical_axiom(entries, words) -> Formula:
     """The lexical axiom over checked ``entries`` and the word alphabet
     ``words`` (not empty); with no entries its consequent is ``FALSE``."""
-    word_shape = Bullet((_or_fold([WordLit(w) for w in sorted(words)]),))
+    word_shape = Bullet((reduce(Or, [WordLit(w) for w in sorted(words)]),))
     disjuncts = [
-        _and_fold([CatLit(e.cat), Bullet((WordLit(e.word),)), *map(_compile_schema, e.schemata)])
+        reduce(And, [CatLit(e.cat), Bullet((WordLit(e.word),)), *map(_compile_schema, e.schemata)])
         for e in entries
     ]
-    return Implies(And(CSTRUCT, word_shape), _or_fold(disjuncts) if disjuncts else FALSE)
+    return Implies(And(CSTRUCT, word_shape), reduce(Or, disjuncts) if disjuncts else FALSE)
 
 
 def completeness_axioms(sig: Signature) -> list[Formula]:
@@ -389,7 +379,7 @@ def compile_grammar(grammar: Grammar) -> Theory:
             raise SignatureError(_spelling_fault(kind, sorted(names)))
     licensing = Implies(
         And(CSTRUCT, Down(Down(TRUE))),
-        _or_fold([compile_rule(r, grammar.sig) for r in grammar.rules]),
+        reduce(Or, [compile_rule(r, grammar.sig) for r in grammar.rules]),
     )
     if grammar.lexicon:  # checked now, built when first read
         _check_lexicon(grammar.lexicon, sig)
@@ -415,19 +405,35 @@ def compile_grammar(grammar: Grammar) -> Theory:
 #: are not decimal, which :meth:`_Reader.scan` rejects.  ``=c`` is an
 #: operator unless a name character follows (``=cat`` is ``=`` then
 #: ``cat``).  A lone ``"`` and any other character are bad tokens.
-_G_TOKEN_RE = re.compile(
-    r"""(?:[ \t\r\n]|\#[^\n]*)*
-    ( ->|=c(?!\w)|[{}();:,.=]
+_G_TOKEN = r"""(?:[ \t\r\n]|\#[^\n]*)*
+    ( %s->|=c(?!\w)|[{}();:,.=]
     | "[^"\n]*"
     | [^\W\d]\w*
     | .
-    | \Z )""",
-    re.VERBOSE,
-)
+    | \Z )"""
+_G_TOKEN_RE = re.compile(_G_TOKEN % "", re.VERBOSE)
+
+#: ``_G_TOKEN_RE`` with one more first alternative, a statement token:
+#: ``lex "w" C;`` or ``lex "w" C {S; ...};`` with a word that is not empty
+#: and only spaces and tabs between its plain tokens, each schema ``<s>``
+#: either ``(up f ...)=atom`` or ``(up pred)=rel(g, ...)`` (``<a>`` an
+#: argument, ``<n>`` a name).  A name ends where the plain scanner ends it,
+#: and ``=`` is not read where it reads ``=c``.
+_G_STATEMENT_RE = re.compile(_G_TOKEN % (
+    r'lex[ \t]*"[^"\n]+"[ \t]*<n>[ \t]*(?:\{[ \t]*<s>(?:[ \t]*;[ \t]*<s>)*[ \t]*\}[ \t]*)?;|'
+    .replace("<s>", r"\([ \t]*up(?:[ \t]+<n>)*[ \t]*\)[ \t]*=(?!c(?!\w))[ \t]*<n>"
+                    r"(?:[ \t]*\([ \t]*(?:<a>(?:[ \t]*,[ \t]*<a>)*)?[ \t]*\))?")
+    .replace("<a>", r"<n>(?:[ \t]*\.[ \t]*<n>)*").replace("<n>", r"[^\W\d]\w*")), re.VERBOSE)
+
+#: The parts of each schema of a statement token: the path after ``up``,
+#: the atom or relation, and a semantic form's ``(`` and arguments.
+_SCHEMA_PARTS_RE = re.compile(r"\([ \t]*up([^)]*)\)[ \t]*=[ \t]*(\w+)[ \t]*(?:(\()([^)]*))?")
 
 
 class _GParser(_Reader):
-    """Reads a grammar file, holding the signature's names in sets."""
+    """Reads a grammar file, holding the signature's names in sets: with
+    plain tokens only, or, as :class:`_GStatementParser`, with statement
+    tokens too, which a name is never taken for."""
 
     TOKEN_RE = _G_TOKEN_RE
     OPS = frozenset(("->", "=c", "{", "}", "(", ")", ";", ":", ",", ".", "="))
@@ -445,7 +451,7 @@ class _GParser(_Reader):
         self.have_signature = False
 
     def ident(self, what) -> str:
-        if not _is_name(self.tok):
+        if not _is_name(self.tok) or '"' in self.tok:  # nor a statement token
             self.err_got(what)
         return self.advance()
 
@@ -453,7 +459,9 @@ class _GParser(_Reader):
 
     def parse(self) -> Grammar:
         while self.tok:
-            if self.tok == "lex":
+            if self.tok[-1] == ";" != self.tok:  # a statement token
+                self.parse_lex_statement()
+            elif self.tok == "lex":
                 self.parse_lex()
             elif self.tok == "rule":
                 self.parse_rule()
@@ -571,6 +579,31 @@ class _GParser(_Reader):
         self.expect(";")
         self.lexicon.append(LexEntry(word, cat, schemata))
 
+    def parse_lex_statement(self):
+        """A statement token, read as ``parse_lex`` reads its plain tokens;
+        a failed check raises a bare error, and the text is read again."""
+        _, word, rest = self.advance().split('"')
+        cat, _, body = rest.partition("{")
+        cat = cat.strip(" \t;")
+        ok = cat in self.cats  # so the signature came first
+        schemata = []
+        for path, name, semantic, args in _SCHEMA_PARTS_RE.findall(body):
+            path = tuple(path.split())
+            if not self.feats.issuperset(path):  # pred and rel are declared by their use
+                ok = ok and not set(path) - self.feats - {PRED_FEAT, REL_FEAT}
+                self.feats.update(path)
+            ok = ok and name in self.atoms
+            if semantic:
+                args = "".join(args.split())
+                args = [tuple(a.split(".")) for a in args.split(",")] if args else ()
+                ok = ok and path == (PRED_FEAT,) and all(map(self.gf.__contains__, args))
+                schemata.append(SemForm(name, args))
+            else:
+                schemata.append(AtomValueSchema(path, name))
+        if not ok:
+            raise self.ERROR("a statement token fails a check")
+        self.lexicon.append(LexEntry(word, cat, schemata))
+
     def parse_schemata(self, lexical: bool):
         self.advance()  # the '{' the caller saw
         out = []
@@ -636,6 +669,13 @@ class _GParser(_Reader):
         return SemForm(name, tuple(args))
 
 
+class _GStatementParser(_GParser):
+    TOKEN_RE = _G_STATEMENT_RE  # a statement token reads as one string
+
+
 def parse_grammar(text: str) -> Grammar:
     """Parse a grammar file into its source representation."""
-    return _GParser(text).parse()
+    try:
+        return _GStatementParser(text).parse()
+    except GrammarSyntaxError:  # the plain reader names the error
+        return _GParser(text).parse()

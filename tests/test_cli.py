@@ -655,3 +655,44 @@ def test_check_reports_a_used_name_the_model_lacks(fig_files, kind, name):
     what = {"cats": "category", "atoms": "atom", "feats": "feature", "words": "word form"}
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: unknown %s %r\n" % (what[kind], name)
+
+
+def test_one_parser_serves_many_calls(monkeypatch, capsys, tmp_path, fig_files):
+    # main builds its argument parser once and looks the command up at
+    # each call; every call prints what the console script prints
+    from lfgmc import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    grammar, model = (str(path) for path in fig_files)
+    (tmp_path / "chain").mkdir()
+    chain_model, chain_grammar = _check_files(tmp_path / "chain", "perturbed")
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    pinned = [
+        (["check", model, "--grammar", grammar], 0,
+         "5882e8e56388484de49421bb880e7491679a525e925a97c825900e1d934b4239"),
+        (["check", chain_model, "--grammar", chain_grammar, "--format", "json"], 1,
+         "e83ce891b7da489ce7e55a8ac76410518a77424611aca7df3a0e155ca3c3a333"),
+        (["parse", grammar, "a", "girl", "walks"], 0,
+         "069c0d744e2970fdc0e8e43d57d62689f3b8c310e27ea905defe2092895eb681"),
+        (["compile", grammar], 0, digest(FIG_COMPILED)),
+        (["validate", model], 0, digest("ok\n")),
+    ]
+    exits = [(["check", model], 2), (["--help"], 0)]
+    console = {tuple(argv): run_cli(*argv, env_extra={"COLUMNS": "80"}) for argv, _ in exits}
+    cli._parser.cache_clear()
+    for _ in range(2):
+        for argv, code, sha256 in pinned:
+            assert cli.main(argv) == code
+            out, err = capsys.readouterr()
+            assert digest(out) == sha256 and err == "", argv
+        for argv, code in exits:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == code == console[tuple(argv)].returncode
+            out, err = capsys.readouterr()
+            assert (out, err) == (console[tuple(argv)].stdout, console[tuple(argv)].stderr)
+    assert cli._parser.cache_info().misses == 1
+    # a command replaced after the parser was built is the one that runs
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: print("replaced") or 5)
+    assert cli.main(["validate", model]) == 5
+    assert capsys.readouterr().out == "replaced\n"

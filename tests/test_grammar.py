@@ -749,3 +749,134 @@ def test_parser_matches_reference_parser():
     # the edits reach the parser's error paths, not only the scanner's
     assert len(edited) > 1000 and errors > 3000 and checked - errors > 7
 
+
+
+# --- statement tokens: a common lex statement read as one token -------------
+
+_EDGE_SIG = ("signature { cat: S A; atom: x r c c1 cat x²; feat: f obl obj;"
+             " gf: f obl.obj; }\nrule S -> A;\n")
+
+
+def _edge_corpus():
+    """Texts on the edges of the statement tokens, each with a grammar
+    that reads as plain tokens would read it, or an error to name."""
+    lex = [
+        'lex\t"b"\tA\t{\t(\tup\tf\t)\t=\tx\t}\t;',
+        'lex   "b"  A  {  ( up  f )  =  x ;  ( up pred ) = r ( f , obl . obj ) }  ;',
+        'lex "b" A {(up f)=x;\r\n(up f)=x};', 'lex "b"\r\nA;', 'lex "b" A;\r\nlex "b" A;\r\n',
+        'lex "b" A # c\n{(up f)=x};', 'lex "b"\nA;', 'lex "b" A; # c\nlex "b" A;#c',
+        'lex # "c"\n"b" A;', 'lex "b" # "c" A;\nA;',
+        'lex "b" A {(up f)=x} # c\n;', 'lex "b" A {(up f)=x;};', 'lex "b" A {};',
+        'lex "b" A {(up f)=c; (up f)=x};', 'lex "b" A {(up f)=c};', 'lex "b" A {(up f)= c};',
+        'lex "b" A {(up f)=cat};', 'lex "b" A {(up f)=c1};', 'lex "b" A {(up pred)=c()};',
+        'lex "b" A {(up f)=x²};', 'lex "b" A {(up f)=²x};', 'lex "b" ²A;', 'lex "b" A {(up ²f)=x};',
+        'lex "#;}" A {(up f)=x};', 'lex ";" A;', 'lex "" A;', 'lex "" A {(up f)=x};',
+        'lex "b\r" A;', 'lex"b"A{(up)=x};', 'lex "b" A {up=x};',
+        'lex "b" B;', 'lex "b" A {(up f)=y};', 'lex "b" A {(up g)=x};',
+        'lex "b" A {(up pred)=x};', 'lex "b" A {(up rel)=x};',
+        'lex "b" A {(up rel f)=x};\nrule S -> A {(up rel)=down};',
+        'lex "b" A {(up up)=x};', 'lex "b" A {(up f)=down};', 'lex "b" A {(up f)=up};',
+        'lex "b" A {(up f)=r()};', 'lex "b" A {(up pred f)=r()};', 'lex "b" A {(up pred)=r(obl)};',
+        'lex "b" A {(up pred)=r(f, obl.obj)};', 'lex "b" A {(up pred)=r( obl . obj ,f )};',
+        'lex "b" A {(up pred)=r(f) (up f)=x};', 'lex "b" A {(up pred)=y()};',
+        'rule S -> A lex "b" A;', 'start lex "b" A;', 'lexeme "b" A;',
+    ]
+    return (
+        [_EDGE_SIG + text for text in lex]
+        + ['lex "b" A;\n' + _EDGE_SIG, 'rule S -> A;\nlex "b" A;\n' + _EDGE_SIG]
+        + ["signature { cat: S A lex; atom: x; feat: f; gf: ; }\nrule S -> lex;\n" + text
+           for text in ('lex "b" lex;', 'lex "b" lex {(up f)=x};', 'rule lex -> A lex "b" A;')]
+        + ["signature { cat: S A lexeme; atom: x; feat: f; gf: ; }\nrule S -> A;\n" + text
+           for text in ('lex "b" lexeme;', 'lexeme "b" A;')]
+        + ['signature { cat: S A lex "b" A; B; atom: x; feat: f; }\nlex "b" A;',
+           'signature { cat: S A; atom: lex "b" A; x; feat: f; }\nlex "b" A;']
+    )
+
+
+def _big_lexicons():
+    """500-entry lexicons whose middle or last entry is bad, and one whose
+    last entry only plain tokens read."""
+    from generators import embedding_grammar_text
+
+    nouns = ["noun%d" % k for k in range(496)]
+    good = embedding_grammar_text(nouns)
+    return [
+        good.replace('lex "noun248" N', 'lex "noun248" NP2'),
+        good.replace("=noun248()", "=noun248(subj, spec)"),
+        good.replace("=noun495()", "=noun999()"),
+        good.replace('lex "noun495" N {(up pred)', 'lex "noun495" N {(up pred pred)'),
+        good.replace('lex "noun495" N {', 'lex "noun495" N #\n{'),
+    ]
+
+
+def _is_statement(tok):
+    return tok[-1:] == ";" != tok
+
+
+def _statement_tokens(text):
+    """The statement tokens of ``text``; none if it does not scan."""
+    from lfgmc.grammar import _GStatementParser
+
+    try:
+        return [tok for tok in _GStatementParser.scan(text) if _is_statement(tok)]
+    except GrammarSyntaxError:
+        return []
+
+
+def test_statement_tokens_match_reference_parser_on_edges():
+    from generators import embedding_grammar_text
+    from oracles import reference_parse_grammar
+
+    big = _big_lexicons()
+    assert all(len(text.split("\nlex ")) == 501 for text in big)  # 500 entries
+    corpus = _edge_corpus() + big
+    edits = list(_token_edits(embedding_grammar_text(["noun%d" % k for k in range(20)])))
+    outcomes = []
+    for text in corpus + edits:
+        got = _parse_outcome(parse_grammar, text)
+        assert got == _parse_outcome(reference_parse_grammar, text), repr(text)
+        outcomes.append(got[0])
+    # the texts meet statement tokens, both where they read and where the
+    # plain reader must name an error
+    fast = [o for t, o in zip(corpus + edits, outcomes) if _statement_tokens(t)]
+    assert fast.count("ok") > 15 and fast.count("error") > 300
+
+
+def test_statement_tokens_scan_as_their_plain_tokens():
+    from conftest import DEVOUR_GRAMMAR_TEXT, MICRO_GRAMMAR_TEXT
+    from generators import embedding_grammar_text
+    from lfgmc.grammar import _GParser, _GStatementParser
+
+    texts = [FIG_GRAMMAR_TEXT, DEVOUR_GRAMMAR_TEXT, MICRO_GRAMMAR_TEXT, PP_AGREE_GRAMMAR_TEXT,
+             OBL_GRAMMAR_TEXT, *(embedding_grammar_text(["noun%d" % k for k in range(n)])
+                                 for n in (500, 5000))]
+    statements = 0
+    for text in texts + _edge_corpus() + _totality_corpus() + _scanner_corpus():
+        try:
+            plain = _GParser.scan(text)
+        except GrammarSyntaxError:
+            continue
+        # each statement token stands for the plain tokens of its characters
+        expanded = []
+        for tok in _GStatementParser.scan(text):
+            expanded += _GParser.scan(tok)[:-1] if _is_statement(tok) else [tok]
+            statements += _is_statement(tok)
+        assert expanded == plain, repr(text)
+    assert statements > 5550
+
+
+def test_a_large_lexicon_is_read_without_plain_lex_statements(monkeypatch):
+    from generators import embedding_grammar_text
+    from lfgmc.grammar import _GParser
+    from oracles import reference_parse_grammar
+
+    calls = []
+    plain = _GParser.parse_lex
+    monkeypatch.setattr(_GParser, "parse_lex", lambda self: calls.append(1) or plain(self))
+    text = embedding_grammar_text(["noun%d" % k for k in range(500)])
+    grammar = parse_grammar(text)
+    assert len(grammar.lexicon) == 504 and calls == []
+    assert grammar == reference_parse_grammar(text)
+    # a statement the tokens cannot read is read by the plain reader
+    assert parse_grammar(text.replace('lex "that" C;', 'lex "that" C {};')) == grammar
+    assert len(calls) == 1
