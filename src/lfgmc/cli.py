@@ -176,8 +176,6 @@ def cmd_parse(args) -> int:
 def cmd_compile(args) -> int:
     theory = compile_grammar(parse_grammar(_read(args.grammar)))
     if args.format == "json":
-        comp = [label for label, _ in theory.labeled() if label.startswith("completeness")]
-        coh = [label for label, _ in theory.labeled() if label.startswith("coherence")]
         _emit_json(
             {
                 "licensing": render_formula(theory.licensing),
@@ -185,7 +183,7 @@ def cmd_compile(args) -> int:
                 "completeness": [render_formula(f) for f in theory.completeness],
                 "coherence": [render_formula(f) for f in theory.coherence],
                 "gf": [".".join(g) for g in theory.gf],
-                "labels": comp + coh,
+                "labels": [label for label, _ in theory.principles()],
             }
         )
     else:

@@ -7,10 +7,10 @@ the tree into the feature graph, and a path-equality construct that
 relates a tree-walk-then-zoomin-then-feature-walk on its left to the
 same kind of composite on its right.
 
-The node classes are plain immutable classes, not dataclasses, so
-``dataclasses.replace`` and ``fields`` do not apply: build a new node or
-take ``copy.copy``.  A formula compares, hashes, prints and pickles
-without recursion, through one flat post-order list of its parts.
+The node classes are immutable records on ``lfgmc.model._Frozen``: a
+changed copy is built by ``replace`` or by the constructor.  A formula
+compares, hashes, prints and pickles without recursion, through one flat
+post-order list of its parts.
 
 Concrete syntax (EBNF; also in the README):
 
@@ -52,44 +52,11 @@ raised, by scanning the text again up to the token's index.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from functools import cached_property, partial
 from itertools import islice
 
 from .errors import FormulaSyntaxError, SignatureError
-from .model import _IDENT_RE, RESERVED_WORDS, Signature
-
-
-class _Frozen:
-    """An immutable record: ``__init__`` writes the fields named in
-    ``_fields`` into ``__dict__`` once, and they are compared, hashed and
-    printed as a frozen dataclass's are.  Other keys are caches."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def _values(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[k] for k in self._fields])
-
-    _key = _values  # what == compares and hash hashes
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        d = self.__dict__
-        return "%s(%s)" % (type(self).__qualname__, ", ".join("%s=%r" % (k, d[k]) for k in self._fields))
+from .model import _IDENT_RE, RESERVED_WORDS, Signature, _Frozen
 
 
 class Formula(_Frozen):

@@ -64,7 +64,6 @@ a suitable preterminal simply fail to license it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 
 from .errors import GrammarError, GrammarSyntaxError, SignatureError
@@ -86,11 +85,10 @@ from .formula import (
     Up,
     WordLit,
     Zoomin,
-    _Frozen,
     _is_name,
     _Reader,
 )
-from .model import RESERVED_WORDS, Signature, _spelling_fault
+from .model import RESERVED_WORDS, Signature, _Frozen, _spelling_fault
 
 #: Feature holding the relation name inside a compiled semantic form.
 REL_FEAT = "rel"
@@ -165,18 +163,14 @@ class LexEntry(_Frozen):
         self.__dict__.update(word=word, cat=cat, schemata=schemata)
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(_Frozen):
     """A signature, a start category, annotated rules and a lexicon."""
 
-    sig: Signature
-    start: str
-    rules: tuple[AnnotatedRule, ...]
-    lexicon: tuple[LexEntry, ...]
+    _fields = ("sig", "start", "rules", "lexicon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "lexicon", tuple(self.lexicon))
+    def __init__(self, sig: Signature, start: str, rules: tuple[AnnotatedRule, ...],
+                 lexicon: tuple[LexEntry, ...]):
+        self.__dict__.update(sig=sig, start=start, rules=tuple(rules), lexicon=tuple(lexicon))
 
     def entries_for(self, word: str) -> tuple[LexEntry, ...]:
         """The entries for ``word``, in lexicon order."""
@@ -190,36 +184,40 @@ class Grammar:
         return {w: tuple(es) for w, es in by_word.items()}
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(_Frozen):
     """The compiled constraint set whose joint validity is grammaticality.
-    ``source``: the grammar ``compile_grammar`` compiled it from (None for
-    a theory built otherwise); ``parse_sentence`` trusts the axioms of a
-    theory compiled from the grammar it parses (see ``lfgmc.search``).
-    ``compile_grammar`` gives ``lexical`` as a ``partial``, called when it
-    is first read (by ``labeled``, ``==``, ``hash`` or ``repr`` too) and
-    kept; a covered ``check_parse`` evaluates only the model's words' slice."""
+    ``source`` is not a field: the grammar ``compile_grammar`` compiled it
+    from (None for a theory built otherwise, ``replace`` included);
+    ``parse_sentence`` trusts the axioms of a theory compiled from the
+    grammar it parses (see ``lfgmc.search``).  ``compile_grammar`` gives
+    ``lexical`` as a ``partial`` that builds it, called when ``lexical`` is
+    first read (by ``labeled``, ``==``, ``hash``, ``repr`` or ``replace``
+    too) and then kept; until then the theory pickles without it, and a
+    covered ``check_parse`` evaluates only the model's words' slice."""
 
-    licensing: Formula
-    lexical: Formula
-    completeness: tuple[Formula, ...] = ()
-    coherence: tuple[Formula, ...] = ()
-    gf: tuple[tuple[str, ...], ...] = ()
-    source: Grammar | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("licensing", "lexical", "completeness", "coherence", "gf")
+    source: Grammar | None = None
 
-    def __post_init__(self):
-        # one completeness and one coherence axiom per grammatical function
-        for attr in ("gf", "completeness", "coherence"):
-            object.__setattr__(self, attr, held := tuple(getattr(self, attr)))
-            if len(held) != len(self.gf):
+    def __init__(self, licensing: Formula, lexical: Formula, completeness: tuple[Formula, ...] = (),
+                 coherence: tuple[Formula, ...] = (), gf: tuple[tuple[str, ...], ...] = ()):
+        d = self.__dict__
+        d.update(licensing=licensing, completeness=tuple(completeness),
+                 coherence=tuple(coherence), gf=tuple(map(tuple, gf)))
+        d["_lexical" if type(lexical) is partial else "lexical"] = lexical
+        for name in ("completeness", "coherence"):  # one axiom per grammatical function
+            if len(d[name]) != len(d["gf"]):
                 raise ValueError("%s has %d formulas for %d grammatical functions"
-                                 % (attr, len(held), len(self.gf)))
+                                 % (name, len(d[name]), len(d["gf"])))
 
-    def __getattribute__(self, name):
-        value = object.__getattribute__(self, name)
-        if type(value) is partial:  # a field given unbuilt: build it once, now
-            value = self.__dict__[name] = value()
-        return value
+    @cached_property
+    def lexical(self) -> Formula:
+        return self.__dict__.pop("_lexical")()
+
+    def _values(self) -> tuple:
+        self.lexical  # built now, if it was given unbuilt
+        return super()._values()
+
+    _key = _values
 
     def labeled(self) -> tuple[tuple[str, Formula], ...]:
         return (("licensing", self.licensing), ("lexical", self.lexical), *self.principles())
@@ -390,7 +388,7 @@ def compile_grammar(grammar: Grammar) -> Theory:
         coherence=tuple(coherence_axioms(grammar.sig)),
         gf=grammar.sig.gf,
     )
-    object.__setattr__(theory, "source", grammar)
+    theory.__dict__["source"] = grammar
     return theory
 
 

@@ -9,11 +9,12 @@ A :class:`Model` bundles the three ingredients of an LFG-style analysis:
   designated final nodes,
 * ``zoomin``, a partial map from tree nodes to feature nodes.
 
-Structures are frozen plain data and nothing is enforced at
-construction time.  A constructor keeps the very dicts it is given, so
-their owner must not change them afterwards; only ``nodes`` and
-``final`` go through ``frozenset`` (a no-op on a frozenset), so that set
-algebra works on a model built from a set or a list.
+Structures are immutable records on :class:`_Frozen`, the one record
+base of the package, and nothing is enforced at construction time.  A
+constructor keeps the very dicts it is given, so their owner must not
+change them afterwards; only ``nodes`` and ``final`` go through
+``frozenset`` (a no-op on a frozenset), so that set algebra works on a
+model built from a set or a list.
 :func:`validate_model` inspects a candidate model and reports every
 violated invariant as data, so deliberately broken structures can be
 built and shown to be caught.  The uniqueness principle (one value per
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -55,24 +55,70 @@ def node_key(node: NodeId):
     return (len(node), node)
 
 
-@dataclass(frozen=True)
-class Violation:
+class _Frozen:
+    """An immutable record: ``__init__`` writes the fields named in
+    ``_fields`` into ``__dict__`` once, and they are compared, hashed and
+    printed in that order (``Name(field=value, ...)``).  Other keys are
+    caches; pickling and ``copy.copy`` keep the whole ``__dict__``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[k] for k in self._fields])
+
+    _key = _values  # what == compares and hash hashes
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join(map("%s=%r".__mod__, zip(self._fields, self._values()))))
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, built by the constructor,
+        so its conversions and checks run again."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # loaded only to be raised
+
+    raise FrozenInstanceError("cannot %s field %r" % (verb, name))
+
+
+class Violation(_Frozen):
     """One violated invariant, with the offending node ids."""
 
-    code: str
-    message: str
-    nodes: tuple[NodeId, ...] = ()
+    _fields = ("code", "message", "nodes")
+
+    def __init__(self, code: str, message: str, nodes: tuple[NodeId, ...] = ()):
+        self.__dict__.update(code=code, message=message, nodes=nodes)
 
     def __str__(self):
         where = " [%s]" % ", ".join(self.nodes) if self.nodes else ""
         return "%s: %s%s" % (self.code, self.message, where)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Frozen):
     """The invariants a model violates; empty when it is valid."""
 
-    violations: tuple[Violation, ...] = ()
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -88,8 +134,7 @@ class ValidationReport:
         return len(self.violations)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Frozen):
     """The symbol inventory every other structure is read against.
 
     ``gf`` lists the governable grammatical functions as feature-name
@@ -98,18 +143,12 @@ class Signature:
     word forms; it may be empty, as may ``gf``.
     """
 
-    cats: frozenset[str]
-    atoms: frozenset[str]
-    feats: frozenset[str]
-    gf: tuple[tuple[str, ...], ...] = ()
-    words: frozenset[str] = frozenset()
+    _fields = ("cats", "atoms", "feats", "gf", "words")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cats", frozenset(self.cats))
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        object.__setattr__(self, "feats", frozenset(self.feats))
-        object.__setattr__(self, "gf", tuple(tuple(g) for g in self.gf))
-        object.__setattr__(self, "words", frozenset(self.words))
+    def __init__(self, cats: frozenset[str], atoms: frozenset[str], feats: frozenset[str],
+                 gf: tuple[tuple[str, ...], ...] = (), words: frozenset[str] = frozenset()):
+        self.__dict__.update(cats=frozenset(cats), atoms=frozenset(atoms), feats=frozenset(feats),
+                             gf=tuple(map(tuple, gf)), words=frozenset(words))
 
     def violations(self) -> list[Violation]:
         out = []
@@ -177,8 +216,7 @@ class Signature:
         )
 
 
-@dataclass(frozen=True)
-class CStructure:
+class CStructure(_Frozen):
     """A finite ordered tree with labelled nodes.
 
     ``mother`` and ``daughters`` are stored separately (and redundantly)
@@ -186,14 +224,12 @@ class CStructure:
     :meth:`build` to derive ``mother`` and ``nodes`` from a daughter map.
     """
 
-    nodes: frozenset[NodeId]
-    root: NodeId
-    mother: dict[NodeId, NodeId]
-    daughters: dict[NodeId, tuple[NodeId, ...]]
-    label: dict[NodeId, str]
+    _fields = ("nodes", "root", "mother", "daughters", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
+    def __init__(self, nodes: frozenset[NodeId], root: NodeId, mother: dict[NodeId, NodeId],
+                 daughters: dict[NodeId, tuple[NodeId, ...]], label: dict[NodeId, str]):
+        self.__dict__.update(nodes=frozenset(nodes), root=root, mother=mother,
+                             daughters=daughters, label=label)
 
     @classmethod
     def build(cls, root: NodeId, daughters: dict, label: dict) -> "CStructure":
@@ -209,35 +245,33 @@ class CStructure:
         return cls(frozenset(nodes), root, mother, full, label)
 
 
-@dataclass(frozen=True)
-class FStructure:
+class FStructure(_Frozen):
     """A finite rooted feature graph.
 
     ``trans[w]`` maps feature names to the unique successor of ``w``
     under that feature; the dict representation is what makes every
     feature a partial function.  ``final`` is the set of value-bearing
-    nodes and ``atomval`` their atomic values.
+    nodes and ``atomval`` their atomic values (a new empty dict when not
+    given).
     """
 
-    nodes: frozenset[NodeId]
-    initial: NodeId
-    trans: dict[NodeId, dict[str, NodeId]]
-    final: frozenset[NodeId] = frozenset()
-    atomval: dict[NodeId, str] = field(default_factory=dict)
+    _fields = ("nodes", "initial", "trans", "final", "atomval")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "final", frozenset(self.final))
+    def __init__(self, nodes: frozenset[NodeId], initial: NodeId,
+                 trans: dict[NodeId, dict[str, NodeId]], final: frozenset[NodeId] = frozenset(),
+                 atomval: dict[NodeId, str] | None = None):
+        self.__dict__.update(nodes=frozenset(nodes), initial=initial, trans=trans,
+                             final=frozenset(final), atomval={} if atomval is None else atomval)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Frozen):
     """A signature, a tree, a feature graph, and the zoomin link."""
 
-    sig: Signature
-    cstruct: CStructure
-    fstruct: FStructure
-    zoomin: dict[NodeId, NodeId]
+    _fields = ("sig", "cstruct", "fstruct", "zoomin")
+
+    def __init__(self, sig: Signature, cstruct: CStructure, fstruct: FStructure,
+                 zoomin: dict[NodeId, NodeId]):
+        self.__dict__.update(sig=sig, cstruct=cstruct, fstruct=fstruct, zoomin=zoomin)
 
     @cached_property
     def node_order(self) -> tuple[NodeId, ...]:

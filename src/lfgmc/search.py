@@ -63,7 +63,7 @@ theory compiled from the grammar being parsed (``theory.source is
 grammar``) both are decided on the union-find, so no evaluator runs, no
 lexical axiom is built, and only candidates that reach the output get a
 model and a text.  Any other theory (built by hand or by
-``dataclasses.replace``, or compiled from an equal but separate
+``replace``, or compiled from an equal but separate
 ``Grammar``) is foreign: the grammar is compiled once for its checks,
 and ``valid`` evaluates every label on the model read off; if the theory
 has a ``source`` whose signature the grammar's contains, the lexical
@@ -96,48 +96,47 @@ relation: ``valid`` itself happily accepts models with junk material.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GrammarError, SignatureError
 from .formula import TRUE, _NAME_KINDS, validate_names
 from .grammar import (AtomValueSchema, Grammar, LexEntry, PathEqSchema, PRED_FEAT, REL_FEAT,
                       Theory, _lexical_axiom, compile_grammar)
-from .model import CStructure, FStructure, Model, NodeId, _model_text, _tree_rows
+from .model import CStructure, FStructure, Model, NodeId, _Frozen, _model_text, _tree_rows
 from .semantics import _least_failing, valid
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(_Frozen):
     """Limits on one parse: tree nodes per candidate, f-nodes per model,
     and models returned; each at least 1."""
 
-    max_tree_nodes: int = 40
-    max_f_nodes: int = 80
-    max_models: int = 10
+    _fields = ("max_tree_nodes", "max_f_nodes", "max_models")
 
-    def __post_init__(self):
-        for name in ("max_tree_nodes", "max_f_nodes", "max_models"):
-            if getattr(self, name) < 1:
+    def __init__(self, max_tree_nodes: int = 40, max_f_nodes: int = 80, max_models: int = 10):
+        self.__dict__.update(max_tree_nodes=max_tree_nodes, max_f_nodes=max_f_nodes,
+                             max_models=max_models)
+        for name, value in zip(self._fields, self._values()):
+            if value < 1:
                 raise ValueError("%s must be at least 1" % name)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    """Why a candidate structure was not returned."""
+class Rejection(_Frozen):
+    """Why a candidate was not returned: ``reason`` is "clash", "structure"
+    or "formula", ``detail`` a description or the failing formula label."""
 
-    reason: str  # "clash" | "structure" | "formula"
-    detail: str  # description, or the failing formula label
-    node: NodeId | None = None
+    _fields = ("reason", "detail", "node")
+
+    def __init__(self, reason: str, detail: str, node: NodeId | None = None):
+        self.__dict__.update(reason=reason, detail=detail, node=node)
 
 
-@dataclass(frozen=True)
-class ParseOutcome:
+class ParseOutcome(_Frozen):
     """The models found, sorted by their text, whether a bound cut the
     search, and the rejected candidates in candidate order."""
 
-    models: tuple[Model, ...]
-    bound_exceeded: bool
-    rejections: tuple[Rejection, ...] = ()
+    _fields = ("models", "bound_exceeded", "rejections")
+
+    def __init__(self, models: tuple[Model, ...], bound_exceeded: bool,
+                 rejections: tuple[Rejection, ...] = ()):
+        self.__dict__.update(models=models, bound_exceeded=bound_exceeded, rejections=rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -657,23 +656,26 @@ def parse_sentence(
     return ParseOutcome(tuple(models), bound_exceeded, tuple(rejections))
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(_Frozen):
     """One theory label and its least counterexample (None if valid)."""
 
-    label: str
-    counterexample: NodeId | None
+    _fields = ("label", "counterexample")
+
+    def __init__(self, label: str, counterexample: NodeId | None):
+        self.__dict__.update(label=label, counterexample=counterexample)
 
     @property
     def ok(self) -> bool:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Frozen):
     """The entries of ``check_parse``, one per theory label in order."""
 
-    entries: tuple[CheckEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[CheckEntry, ...]):
+        self.__dict__["entries"] = entries
 
     @property
     def ok(self) -> bool:

@@ -211,9 +211,39 @@ def build_fig_model() -> Model:
 
 
 def lexical_unbuilt(theory) -> bool:
-    """Whether ``theory`` still holds its lexical axiom unbuilt, as the
-    ``partial`` that ``compile_grammar`` gives it."""
-    return type(vars(theory)["lexical"]) is partial
+    """Whether ``theory`` still holds its lexical axiom unbuilt: ``lexical``
+    was not read yet, and the ``partial`` that ``compile_grammar`` gives
+    to build it is kept under ``_lexical``."""
+    held = vars(theory)
+    return "lexical" not in held and type(held["_lexical"]) is partial
+
+
+def assert_frozen_record(record, twin, text: str, hashable: bool = True):
+    """``record`` and ``twin`` (built apart, e.g. one positionally, one by
+    keywords) print as ``text`` and are equal, as are the copies pickling
+    and ``copy.copy`` make; they hash alike, or, when not ``hashable``,
+    hashing raises ``TypeError`` on a dict field; and a field can be
+    neither assigned nor deleted."""
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    assert repr(record) == repr(twin) == text
+    assert record == twin and not record != twin and record is not twin
+    assert record != text
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert copied == record and type(copied) is type(record) and repr(copied) == text
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
+    for name in [*record._fields, "extra"]:
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field %r" % name):
+            setattr(record, name, None)
+        with pytest.raises(FrozenInstanceError, match="cannot delete field %r" % name):
+            delattr(record, name)
+    assert repr(record) == text
 
 
 def build_tiny_model() -> Model:

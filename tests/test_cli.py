@@ -696,3 +696,12 @@ def test_one_parser_serves_many_calls(monkeypatch, capsys, tmp_path, fig_files):
     monkeypatch.setattr(cli, "cmd_validate", lambda args: print("replaced") or 5)
     assert cli.main(["validate", model]) == 5
     assert capsys.readouterr().out == "replaced\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a one-shot lfgmc process pays to import every module it loads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, lfgmc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

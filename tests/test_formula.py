@@ -539,3 +539,14 @@ def test_formula_fields_are_frozen():
             delattr(f, name)
         twin = copy.copy(f)
         assert twin == f and twin is not f
+
+
+def test_formula_replace_builds_through_the_constructor():
+    from lfgmc import FALSE
+
+    assert Feat("num", TRUE).replace(sub=FALSE) == Feat("num", FALSE)
+    assert PathEq(("up",)).replace(right_feats=["num"]) == PathEq(("up",), (), (), ("num",))
+    with pytest.raises(ValueError, match="^tree step must be 'up' or 'down', got 'side'$"):
+        PathEq(("up",)).replace(left_tree=("side",))
+    with pytest.raises(ValueError, match="^bullet needs at least one argument$"):
+        Bullet((TRUE,)).replace(args=())

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -37,6 +36,7 @@ from conftest import (
     FIG_GRAMMAR_TEXT,
     OBL_GRAMMAR_TEXT,
     PP_AGREE_GRAMMAR_TEXT,
+    assert_frozen_record,
     lexical_unbuilt,
 )
 
@@ -122,8 +122,6 @@ def test_compile_walks_entry(fig_grammar):
 
 
 def test_theory_needs_one_axiom_per_grammatical_function(fig_theory, fig_model):
-    from dataclasses import replace
-
     from lfgmc import FALSE, Theory, TrueF, check_parse
 
     th = fig_theory
@@ -132,26 +130,82 @@ def test_theory_needs_one_axiom_per_grammatical_function(fig_theory, fig_model):
     with pytest.raises(ValueError, match="coherence has 0 formulas for 1"):
         Theory(th.licensing, th.lexical, th.completeness, (), th.gf)
     with pytest.raises(ValueError, match="completeness has 0 formulas for 1"):
-        replace(th, completeness=())
+        th.replace(completeness=())
     assert Theory(TrueF(), TrueF()).labeled() == (("licensing", TrueF()), ("lexical", TrueF()))
     # lists are held as tuples, and a replaced axiom of the right length is checked
     built = Theory(th.licensing, th.lexical, list(th.completeness), list(th.coherence), list(th.gf))
     assert built == th and type(built.gf) is tuple
-    stricter = replace(th, completeness=(FALSE,))
+    stricter = th.replace(completeness=(FALSE,))
     report = {e.label: e.counterexample for e in check_parse(stricter, fig_model)}
     assert report["completeness[subj]"] == fig_model.node_order[0]
 
 
-def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
-    from dataclasses import replace
+def test_theory_holds_its_gf_sequences_as_tuples():
+    from lfgmc import Theory
 
+    listed = Theory(TRUE, TRUE, [TRUE], [TRUE], [["subj"]])
+    held = Theory(TRUE, TRUE, [TRUE], [TRUE], [("subj",)])
+    assert listed.gf == (("subj",),) and type(listed.gf[0]) is tuple
+    assert listed == held and hash(listed) == hash(held)
+    assert listed.principles() == held.principles()
+
+
+_SIG_TEXT = ("Signature(cats=frozenset({'S'}), atoms=frozenset({'sg'}), feats=frozenset({'num'}), "
+             "gf=(('num',),), words=frozenset({'go'}))")
+
+
+def _grammar_records():
+    """(id, record built positionally, twin built by keywords, repr text),
+    as the dataclass versions printed them."""
+    from lfgmc import AnnotatedRule, FALSE, Grammar, LexEntry, RuleElement, Theory
+
+    sig = Signature({"S"}, {"sg"}, {"num"}, (("num",),), {"go"})
+    rules, lexicon = [AnnotatedRule("S", (RuleElement("S"),))], [LexEntry("go", "S")]
+    return [
+        ("Grammar", Grammar(sig, "S", rules, lexicon),
+         Grammar(sig=sig, start="S", rules=tuple(rules), lexicon=tuple(lexicon)),
+         "Grammar(sig=%s, start='S', rules=(AnnotatedRule(lhs='S', rhs=(RuleElement(cat='S', "
+         "schemata=()),)),), lexicon=(LexEntry(word='go', cat='S', schemata=()),))" % _SIG_TEXT),
+        ("Theory", Theory(TRUE, FALSE, [TRUE], [FALSE], [["num"]]),
+         Theory(licensing=TRUE, lexical=FALSE, completeness=(TRUE,), coherence=(FALSE,),
+                gf=(("num",),)),
+         "Theory(licensing=TrueF(), lexical=FalseF(), completeness=(TrueF(),), "
+         "coherence=(FalseF(),), gf=(('num',),))"),
+        ("Theory-defaults", Theory(TRUE, TRUE),
+         Theory(licensing=TRUE, lexical=TRUE, completeness=(), coherence=(), gf=()),
+         "Theory(licensing=TrueF(), lexical=TrueF(), completeness=(), coherence=(), gf=())"),
+    ]
+
+
+@pytest.mark.parametrize("case", _grammar_records(), ids=lambda case: case[0])
+def test_grammar_records_print_compare_copy_and_stay_frozen(case):
+    _, record, twin, text = case
+    assert_frozen_record(record, twin, text)
+
+
+def test_grammar_records_replace_through_their_constructors(fig_grammar):
+    from lfgmc import AnnotatedRule, FALSE, RuleElement
+
+    extra = AnnotatedRule("S", (RuleElement("NP"),))
+    wider = fig_grammar.replace(rules=[*fig_grammar.rules, extra])
+    assert type(wider.rules) is tuple and wider.rules[-1] is extra
+    assert wider.lexicon is fig_grammar.lexicon and wider != fig_grammar
+    theory = compile_grammar(fig_grammar)
+    with pytest.raises(ValueError, match="^coherence has 1 formulas for 2 grammatical functions$"):
+        theory.replace(gf=[["subj"], ["obj"]], completeness=[TRUE, TRUE])
+    stricter = theory.replace(coherence=[FALSE])
+    assert stricter.coherence == (FALSE,) and stricter.source is None
+    assert stricter.lexical is theory.lexical  # replace read it, so it is built once
+
+
+def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
     from conftest import FIG_GRAMMAR_TEXT, OVERLAP_GRAMMAR_TEXT
 
     theory = compile_grammar(fig_grammar)
     assert theory.source is fig_grammar
     again = compile_grammar(parse_grammar(FIG_GRAMMAR_TEXT))
     assert again.source is not fig_grammar
-    copy = replace(theory)
+    copy = theory.replace()
     assert copy.source is None
     assert copy == theory == again and hash(copy) == hash(theory)
     assert repr(copy) == repr(theory) and "source" not in repr(theory)
@@ -322,8 +376,6 @@ def test_non_identifier_names_rejected_at_compile_time(section, name, kind):
 def _shape_error_cases():
     """(id, call, error class, message) for each check a hand-built rule,
     entry or signature can fail when built or compiled."""
-    from dataclasses import replace
-
     from lfgmc import AnnotatedRule, Grammar, LexEntry, RuleElement
 
     sig = Signature({"S", "A"}, {"x", "eat"}, {"f", "subj", "pred", "rel"}, (("subj",),), {"b"})
@@ -364,26 +416,26 @@ def _shape_error_cases():
         ("unknown-relation", grammar(lexicon=[LexEntry("b", "A", (SemForm("sleep"),))]),
          SignatureError, "unknown atom 'sleep'"),
         ("semform-without-rel",
-         grammar(lexicon=[LexEntry("b", "A", (SemForm("eat"),))], sig=replace(sig, feats={"f", "pred"}, gf=())),
+         grammar(lexicon=[LexEntry("b", "A", (SemForm("eat"),))], sig=sig.replace(feats={"f", "pred"}, gf=())),
          SignatureError, "semantic forms need the 'pred' and 'rel' features"),
         ("semform-arg-not-gf", grammar(lexicon=[LexEntry("b", "A", (SemForm("eat", (("f",),)),))]),
          SignatureError, "semantic-form argument 'f' is not a declared grammatical function"),
         ("undeclared-word", grammar(lexicon=[LexEntry("c", "A")]), SignatureError,
          "word form 'c' is not declared"),
         ("empty-lexicon", lambda: compile_lexicon((), sig), GrammarError, "lexicon is empty"),
-        ("no-word-forms", grammar(sig=replace(sig, words=())), GrammarError,
+        ("no-word-forms", grammar(sig=sig.replace(words=())), GrammarError,
          "signature declares no word forms"),
         # a signature with violations has no models, so it does not compile
-        ("signature-overlap", grammar(sig=replace(sig, words={"b", "A"})), SignatureError,
+        ("signature-overlap", grammar(sig=sig.replace(words={"b", "A"})), SignatureError,
          "names used as both word and cat: A"),
-        ("signature-empty", grammar(sig=replace(sig, atoms=())), SignatureError,
+        ("signature-empty", grammar(sig=sig.replace(atoms=())), SignatureError,
          "atom set is empty"),
-        ("signature-gf-feature", grammar(sig=replace(sig, gf=(("subj",), ("obj",)))),
+        ("signature-gf-feature", grammar(sig=sig.replace(gf=(("subj",), ("obj",)))),
          SignatureError, "gf step 'obj' is not a declared feature"),
     ] + [
         # the grammar reader rejects reserved words as names; a printed
         # theory would read one back as formula syntax
-        ("reserved-" + section, grammar(sig=replace(sig, **{section: getattr(sig, section) | {"zoomin", "down"}})),
+        ("reserved-" + section, grammar(sig=sig.replace(**{section: getattr(sig, section) | {"zoomin", "down"}})),
          SignatureError, "%s name 'down' collides with reserved formula syntax" % kind)
         for section, kind in [("cats", "category"), ("atoms", "atom"), ("feats", "feature")]
     ]
@@ -405,11 +457,13 @@ def test_compile_grammar_builds_the_lexical_axiom_when_first_read(fig_grammar):
     assert lexical_unbuilt(theory)
     lexical = theory.lexical
     assert not lexical_unbuilt(theory) and theory.lexical is lexical
+    assert "_lexical" not in vars(theory)  # the builder is dropped once called
     assert lexical == compile_lexicon(fig_grammar.lexicon, fig_grammar.sig)
     # a hand-built theory holds what it is given; a lexicon-free grammar compiles to true
     from lfgmc import Grammar, Theory, TrueF
 
-    assert vars(Theory(TrueF(), lexical))["lexical"] is lexical
+    hand = Theory(TrueF(), lexical)
+    assert vars(hand)["lexical"] is lexical and "_lexical" not in vars(hand)
     bare = Grammar(fig_grammar.sig, "S", fig_grammar.rules, ())
     assert vars(compile_grammar(bare))["lexical"] == TrueF()
 
@@ -444,7 +498,7 @@ def test_compile_grammar_checks_the_last_of_500_entries(case):
         with pytest.raises(SignatureError) as err:
             call()
         assert str(err.value) == message
-    good = compile_grammar(replace(grammar, lexicon=lexicon[:-1]))
+    good = compile_grammar(grammar.replace(lexicon=lexicon[:-1]))
     assert lexical_unbuilt(good)
 
 
@@ -467,7 +521,7 @@ def test_a_theory_is_the_same_whether_or_not_its_lexical_axiom_was_read(text):
     assert unread().labeled() == read.labeled()
     assert render_formula(unread().lexical) == render_formula(read.lexical)
     assert repr(unread()) == repr(read)
-    assert replace(unread()) == read
+    assert unread().replace() == read
     # a pickled theory builds its lexical axiom when the copy reads it
     copy = pickle.loads(pickle.dumps(unread()))
     assert lexical_unbuilt(copy) and copy == read and copy.source == grammar

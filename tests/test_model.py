@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -12,6 +11,8 @@ from lfgmc import (
     Signature,
     SignatureError,
     UnknownNodeError,
+    ValidationReport,
+    Violation,
     canonicalize,
     feature_image,
     model_from_json,
@@ -24,7 +25,7 @@ from lfgmc import (
 from lfgmc.errors import ModelFormatError
 
 from generators import CORRUPTORS, rand_model
-from conftest import PP_AGREE_GRAMMAR_TEXT, build_fig_model
+from conftest import PP_AGREE_GRAMMAR_TEXT, assert_frozen_record, build_fig_model
 from oracles import (
     _reference_model_json,
     reference_canonicalize,
@@ -52,6 +53,80 @@ def test_constructors_keep_the_containers_they_are_given():
     m = model_from_json(doc)
     assert m.zoomin is doc["zoomin"]
     assert all(m.fstruct.trans[nd["id"]] is nd["trans"] for nd in doc["fstruct"]["nodes"])
+
+
+# --- the records: repr text as the dataclass versions printed it ------------
+
+_SIG_TEXT = ("Signature(cats=frozenset({'S'}), atoms=frozenset({'sg'}), feats=frozenset({'num'}), "
+             "gf=(('num',),), words=frozenset({'go'}))")
+_TREE_TEXT = ("CStructure(nodes=frozenset({'n0'}), root='n0', mother={}, daughters={'n0': ()}, "
+              "label={'n0': 'S'})")
+_FSTRUCT_TEXT = ("FStructure(nodes=frozenset({'f0'}), initial='f0', trans={}, "
+                 "final=frozenset({'f0'}), atomval={'f0': 'sg'})")
+_VIOLATION_TEXT = "Violation(code='tree-cycle', message='daughter links form a cycle', nodes=('n0',))"
+
+
+def _model_records():
+    """(id, record built positionally, twin built by keywords, repr text,
+    hashable), one-element sets throughout so that no set order shows."""
+    sig = Signature({"S"}, ["sg"], ("num",), [["num"]], {"go"})
+    tree = CStructure(["n0"], "n0", {}, {"n0": ()}, {"n0": "S"})
+    fstruct = FStructure({"f0"}, "f0", {}, ["f0"], {"f0": "sg"})
+    violation = Violation("tree-cycle", "daughter links form a cycle", ("n0",))
+    return [
+        ("Signature", sig, Signature(cats={"S"}, atoms={"sg"}, feats={"num"}, gf=(("num",),),
+                                     words=frozenset({"go"})), _SIG_TEXT, True),
+        ("Signature-defaults", Signature({"S"}, {"sg"}, {"num"}),
+         Signature(cats={"S"}, atoms={"sg"}, feats={"num"}, gf=(), words=()),
+         "Signature(cats=frozenset({'S'}), atoms=frozenset({'sg'}), feats=frozenset({'num'}), "
+         "gf=(), words=frozenset())", True),
+        ("CStructure", tree, CStructure(nodes=frozenset({"n0"}), root="n0", mother={},
+                                        daughters={"n0": ()}, label={"n0": "S"}), _TREE_TEXT, False),
+        ("FStructure", fstruct, FStructure(nodes=frozenset({"f0"}), initial="f0", trans={},
+                                           final={"f0"}, atomval={"f0": "sg"}), _FSTRUCT_TEXT, False),
+        ("FStructure-defaults", FStructure({"f0"}, "f0", {}),
+         FStructure(nodes={"f0"}, initial="f0", trans={}, final=frozenset(), atomval={}),
+         "FStructure(nodes=frozenset({'f0'}), initial='f0', trans={}, final=frozenset(), atomval={})",
+         False),
+        ("Model", Model(sig, tree, fstruct, {"n0": "f0"}),
+         Model(sig=sig, cstruct=tree, fstruct=fstruct, zoomin={"n0": "f0"}),
+         "Model(sig=%s, cstruct=%s, fstruct=%s, zoomin={'n0': 'f0'})"
+         % (_SIG_TEXT, _TREE_TEXT, _FSTRUCT_TEXT), False),
+        ("Violation", violation, Violation(code="tree-cycle", message="daughter links form a cycle",
+                                           nodes=("n0",)), _VIOLATION_TEXT, True),
+        ("Violation-defaults", Violation("fstruct-empty", "f-structure has no nodes"),
+         Violation(code="fstruct-empty", message="f-structure has no nodes", nodes=()),
+         "Violation(code='fstruct-empty', message='f-structure has no nodes', nodes=())", True),
+        ("ValidationReport", ValidationReport((violation,)),
+         ValidationReport(violations=(violation,)),
+         "ValidationReport(violations=(%s,))" % _VIOLATION_TEXT, True),
+        ("ValidationReport-defaults", ValidationReport(), ValidationReport(violations=()),
+         "ValidationReport(violations=())", True),
+    ]
+
+
+@pytest.mark.parametrize("case", _model_records(), ids=lambda case: case[0])
+def test_model_records_print_compare_copy_and_stay_frozen(case):
+    _, record, twin, text, hashable = case
+    assert_frozen_record(record, twin, text, hashable)
+
+
+def test_model_records_replace_through_their_constructors():
+    built = {case[0]: case[1] for case in _model_records()}
+    sig, tree, fstruct = built["Signature"], built["CStructure"], built["FStructure"]
+    model, violation = built["Model"], built["Violation"]
+    wider = sig.replace(words=["go", "went"], gf=[["num"], []])
+    assert wider.words == {"go", "went"} and type(wider.words) is frozenset
+    assert wider.gf == (("num",), ()) and sig.words == {"go"}
+    assert tree.replace(nodes=["n0"]) == tree and type(tree.replace(nodes=["n0"]).nodes) is frozenset
+    assert fstruct.replace(final=[]).final == frozenset() and fstruct.replace().atomval is fstruct.atomval
+    # a new empty dict for each f-structure built without values
+    assert FStructure({"f0"}, "f0", {}).atomval is not FStructure({"f0"}, "f0", {}).atomval
+    assert model.replace(zoomin={}) == Model(sig, tree, fstruct, {})
+    assert model.replace(sig=wider).sig is wider and model.replace(sig=wider).cstruct is tree
+    assert str(violation.replace(nodes=())) == "tree-cycle: daughter links form a cycle"
+    with pytest.raises(TypeError):
+        violation.replace(node=())
 
 
 def test_fig_model_is_valid(fig_model):
@@ -110,14 +185,14 @@ def _near_misses(m):
     final = sorted(f.final)[0]
     top = f.initial
     trees = {
-        "repeated daughter": replace(c, daughters={**c.daughters, inner: c.daughters[inner] + (leaf,)}),
-        "mother not the inverse": replace(c, mother={**c.mother, leaf: other}),
-        "mother of a non-node": replace(c, mother={**c.mother, "x9": c.root}),
-        "daughter not a node": replace(c, daughters={**c.daughters, inner: ("x9",)}),
-        "label missing": replace(c, label={n: lab for n, lab in c.label.items() if n != leaf}),
-        "internal word label": replace(c, label={**c.label, inner: "walks"}),
-        "label outside the signature": replace(c, label={**c.label, leaf: "Zz"}),
-        "root is a daughter": replace(c, daughters={**c.daughters, leaf: (c.root,)}),
+        "repeated daughter": c.replace(daughters={**c.daughters, inner: c.daughters[inner] + (leaf,)}),
+        "mother not the inverse": c.replace(mother={**c.mother, leaf: other}),
+        "mother of a non-node": c.replace(mother={**c.mother, "x9": c.root}),
+        "daughter not a node": c.replace(daughters={**c.daughters, inner: ("x9",)}),
+        "label missing": c.replace(label={n: lab for n, lab in c.label.items() if n != leaf}),
+        "internal word label": c.replace(label={**c.label, inner: "walks"}),
+        "label outside the signature": c.replace(label={**c.label, leaf: "Zz"}),
+        "root is a daughter": c.replace(daughters={**c.daughters, leaf: (c.root,)}),
         "cycle away from the root": CStructure.build(
             c.root, {**c.daughters, "x8": ("x9",), "x9": ("x8",)}, {**c.label, "x8": "S", "x9": "S"}
         ),
@@ -126,19 +201,19 @@ def _near_misses(m):
         ),
     }
     for name, tree in trees.items():
-        yield name, replace(m, cstruct=tree)
+        yield name, m.replace(cstruct=tree)
     fstructs = {
-        "atom outside the signature": replace(f, atomval={**f.atomval, final: "zz"}),
-        "final without value": replace(f, atomval={w: a for w, a in f.atomval.items() if w != final}),
-        "value on a non-final": replace(f, final=f.final - {final}),
-        "final with transitions": replace(f, trans={**f.trans, final: {"num": top}}),
-        "undeclared feature": replace(f, trans={**f.trans, top: {**f.trans[top], "zz": final}}),
-        "transition to a non-node": replace(f, trans={**f.trans, top: {**f.trans[top], "obj": "x9"}}),
+        "atom outside the signature": f.replace(atomval={**f.atomval, final: "zz"}),
+        "final without value": f.replace(atomval={w: a for w, a in f.atomval.items() if w != final}),
+        "value on a non-final": f.replace(final=f.final - {final}),
+        "final with transitions": f.replace(trans={**f.trans, final: {"num": top}}),
+        "undeclared feature": f.replace(trans={**f.trans, top: {**f.trans[top], "zz": final}}),
+        "transition to a non-node": f.replace(trans={**f.trans, top: {**f.trans[top], "obj": "x9"}}),
     }
     for name, fs in fstructs.items():
-        yield name, replace(m, fstruct=fs)
-    yield "zoomin to a missing node", replace(m, zoomin={**m.zoomin, c.root: "x9"})
-    yield "zoomin from a non-tree id", replace(m, zoomin={**m.zoomin, "x9": top})
+        yield name, m.replace(fstruct=fs)
+    yield "zoomin to a missing node", m.replace(zoomin={**m.zoomin, c.root: "x9"})
+    yield "zoomin from a non-tree id", m.replace(zoomin={**m.zoomin, "x9": top})
 
 
 def test_validator_matches_reference_on_near_misses(fig_model):

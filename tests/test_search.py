@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -30,7 +29,9 @@ from conftest import (
     OVERLAP_GRAMMAR_TEXT,
     PP_AGREE_GRAMMAR_TEXT,
     PP_SENTENCE,
+    assert_frozen_record,
     build_fig_model,
+    build_tiny_model,
     lexical_unbuilt,
 )
 from generators import embedding_grammar_text, rand_grammar
@@ -264,9 +265,9 @@ def test_an_unpickled_500_noun_theory_checks_as_the_original():
 def test_check_parse_reports_a_used_name_the_model_lacks(
     fig_theory, fig_model, kind, name, message
 ):
-    sig = replace(fig_model.sig, **{kind: getattr(fig_model.sig, kind) - {name}})
+    sig = fig_model.sig.replace(**{kind: getattr(fig_model.sig, kind) - {name}})
     with pytest.raises(SignatureError) as exc:
-        check_parse(fig_theory, replace(fig_model, sig=sig))
+        check_parse(fig_theory, fig_model.replace(sig=sig))
     assert str(exc.value) == message
 
 
@@ -293,7 +294,7 @@ def test_check_parse_walks_the_names_of_a_replaced_theory(monkeypatch, fig_theor
     calls = []
     monkeypatch.setattr(search, "valid", lambda m, f: calls.append(f) or valid(m, f))
     assert check_parse(fig_theory, fig_model).ok and calls == []
-    copy = replace(fig_theory)
+    copy = fig_theory.replace()
     assert check_parse(copy, fig_model).ok
     assert calls == [f for _label, f in copy.labeled()]
 
@@ -305,7 +306,7 @@ def _oracle_rows(theory, model):
 
 
 def _with_words(model, words):
-    return replace(model, sig=replace(model.sig, words=model.sig.words | set(words)))
+    return model.replace(sig=model.sig.replace(words=model.sig.words | set(words)))
 
 
 def _leaf(model, word):
@@ -389,7 +390,7 @@ def test_check_parse_evaluates_a_replaced_theory_whole(monkeypatch, fig_theory):
 
     model = build_fig_model()
     model = _relabelled(model, _leaf(model, "girl"), "walks")
-    copy = replace(fig_theory)
+    copy = fig_theory.replace()
     calls = []
     monkeypatch.setattr(search, "valid", lambda m, f: calls.append(f) or valid(m, f))
     got = _rows(check_parse(copy, model))
@@ -440,7 +441,7 @@ def test_uncovered_check_parse_rows_equal_valid_and_the_oracle(text, sentences):
     errors = 0
     for kind in _NAME_KINDS:
         for name in sorted(getattr(m.sig, kind)):
-            lacking = replace(m, sig=replace(m.sig, **{kind: getattr(m.sig, kind) - {name}}))
+            lacking = m.replace(sig=m.sig.replace(**{kind: getattr(m.sig, kind) - {name}}))
             got = _raised(lambda: _rows(check_parse(theory, lacking)))
             assert got == _raised(_valid_rows, theory, lacking), (kind, name)
             errors += type(got) is str
@@ -516,6 +517,59 @@ def test_bounds_monotonic(fig_theory, fig_grammar):
 def test_bounds_validate():
     with pytest.raises(ValueError):
         SearchBounds(0, 1, 1)
+    for name in ("max_tree_nodes", "max_f_nodes", "max_models"):
+        with pytest.raises(ValueError, match="^%s must be at least 1$" % name):
+            SearchBounds().replace(**{name: 0})
+    assert SearchBounds(5, 6).replace(max_models=7) == SearchBounds(5, 6, 7)
+
+
+_REJECTION_TEXT = "Rejection(reason='formula', detail='licensing', node='n0')"
+
+
+def _search_records():
+    """(id, record built positionally, twin built by keywords, repr text,
+    hashable), as the dataclass versions printed them."""
+    from lfgmc import CheckEntry, CheckReport, ParseOutcome, Rejection
+
+    model = build_tiny_model()
+    rejection = Rejection("formula", "licensing", "n0")
+    return [
+        ("SearchBounds", SearchBounds(), SearchBounds(max_tree_nodes=40, max_f_nodes=80, max_models=10),
+         "SearchBounds(max_tree_nodes=40, max_f_nodes=80, max_models=10)", True),
+        ("Rejection", rejection, Rejection(reason="formula", detail="licensing", node="n0"),
+         _REJECTION_TEXT, True),
+        ("Rejection-defaults", Rejection("clash", "x"), Rejection(reason="clash", detail="x", node=None),
+         "Rejection(reason='clash', detail='x', node=None)", True),
+        ("ParseOutcome", ParseOutcome((), True, (rejection,)),
+         ParseOutcome(models=(), bound_exceeded=True, rejections=(rejection,)),
+         "ParseOutcome(models=(), bound_exceeded=True, rejections=(%s,))" % _REJECTION_TEXT, True),
+        ("ParseOutcome-model", ParseOutcome((model,), False),
+         ParseOutcome(models=(model,), bound_exceeded=False, rejections=()),
+         "ParseOutcome(models=(%r,), bound_exceeded=False, rejections=())" % model, False),
+        ("CheckEntry", CheckEntry("lexical", None), CheckEntry(label="lexical", counterexample=None),
+         "CheckEntry(label='lexical', counterexample=None)", True),
+        ("CheckReport", CheckReport((CheckEntry("lexical", "n1"),)),
+         CheckReport(entries=(CheckEntry(label="lexical", counterexample="n1"),)),
+         "CheckReport(entries=(CheckEntry(label='lexical', counterexample='n1'),))", True),
+    ]
+
+
+@pytest.mark.parametrize("case", _search_records(), ids=lambda case: case[0])
+def test_search_records_print_compare_copy_and_stay_frozen(case):
+    _, record, twin, text, hashable = case
+    assert_frozen_record(record, twin, text, hashable)
+
+
+def test_search_records_replace_through_their_constructors():
+    from lfgmc import CheckEntry, CheckReport, ParseOutcome, Rejection
+
+    rejection = Rejection("clash", "x")
+    assert rejection.replace(node="n3") == Rejection("clash", "x", "n3")
+    outcome = ParseOutcome((), False).replace(rejections=(rejection,))
+    assert outcome.rejections == (rejection,) and not outcome.bound_exceeded
+    failing = CheckReport((CheckEntry("lexical", None),)).replace(entries=(CheckEntry("lexical", "n4"),))
+    assert not failing.ok and [e.label for e in failing] == ["lexical"]
+    assert CheckEntry("lexical", "n4").replace(counterexample=None).ok
 
 
 # --- micro grammar: primary vs saturation oracle vs blind enumeration -----
@@ -752,8 +806,8 @@ def test_foreign_theory_raises_what_the_grammar_compile_raises():
     entries = (LexEntry("b", "A"),)
     undeclared = Grammar(sig, "S", rules, (LexEntry("b", "A", (AtomValueSchema(("g",), "y"),)),))
     ruleless = Grammar(sig, "A", (), entries)
-    no_pred = Grammar(replace(sig, gf=(("f",),)), "S", rules, entries)
-    reserved = Grammar(replace(sig, cats={"S", "A", "down"}), "S", rules, entries)
+    no_pred = Grammar(sig.replace(gf=(("f",),)), "S", rules, entries)
+    reserved = Grammar(sig.replace(cats={"S", "A", "down"}), "S", rules, entries)
     theory = Theory(TrueF(), TrueF())
     assert theory.source is None
     for g, error, message in [
@@ -831,7 +885,7 @@ def test_replaced_theory_is_checked_in_full():
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     compiled = compile_grammar(g)
     extra = parse_formula("!(NP & bullet(NP, PP))", g.sig)
-    theory = replace(compiled, licensing=And(compiled.licensing, extra))
+    theory = compiled.replace(licensing=And(compiled.licensing, extra))
     assert theory.source is None
     assert not hasattr(search, "validate_model")
     out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
@@ -1233,7 +1287,7 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
         if n % 5 == 0:
             # a foreign theory evaluates every label with valid; the
             # reference also runs the validator on every model it extracts
-            replaced = _same_as_two_phase(replace(theory), grammar, tokens, bounds)
+            replaced = _same_as_two_phase(theory.replace(), grammar, tokens, bounds)
             # an equal grammar's theory evaluates the slice, and builds no more
             equal = compile_grammar(Grammar(grammar.sig, grammar.start, grammar.rules,
                                             grammar.lexicon))
@@ -1292,7 +1346,7 @@ def test_formula_counterexample_keeps_the_class_order_name():
     ]
     # with the axiom replaced by true the model survives: in its canonical names the
     # least failing node is Y's f-structure
-    (m,) = parse_sentence(replace(theory, completeness=(TrueF(),)), g, ["u", "v"]).models
+    (m,) = parse_sentence(theory.replace(completeness=(TrueF(),)), g, ["u", "v"]).models
     assert (m.zoomin["n1"], m.zoomin["n4"]) == ("f2", "f1")
     assert valid(m, theory.completeness[0]) == "f1"
 
@@ -1340,7 +1394,7 @@ def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bo
     theory = compile_grammar(grammar)
     for tokens in sentences:
         _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds))
-        _same_as_two_phase(replace(theory), grammar, tokens, SearchBounds(*bounds))  # foreign
+        _same_as_two_phase(theory.replace(), grammar, tokens, SearchBounds(*bounds))  # foreign
 
 
 @FIXTURE_CASES
@@ -1528,7 +1582,7 @@ def test_multi_step_functions_match_two_phase():
         assert [(r.reason, r.detail, r.node) for r in out.rejections] == rejections
         assert len(out.models) == (not rejections)
     waits_on_a_book = _same_as_two_phase(
-        replace(theory, coherence=(TrueF(),) * 3), g, "a girl waits on a book".split(), SearchBounds()
+        theory.replace(coherence=(TrueF(),) * 3), g, "a girl waits on a book".split(), SearchBounds()
     )
     (m,) = waits_on_a_book.models
     f = m.fstruct
@@ -1901,7 +1955,7 @@ def test_rule_without_elements_is_a_grammar_error():
 
     g = parse_grammar(UNARY_CYCLE_GRAMMAR_TEXT)
     with pytest.raises(GrammarError) as err:
-        replace(g, rules=g.rules + (AnnotatedRule("S", ()),))
+        g.replace(rules=g.rules + (AnnotatedRule("S", ()),))
     assert str(err.value) == "rule for 'S' has an empty right-hand side"
 
 

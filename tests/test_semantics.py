@@ -2,7 +2,6 @@ import copy
 import pickle
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -333,7 +332,7 @@ def test_first_undeclared_name_in_preorder_is_reported(fig_model, phi, message):
 
 def test_name_check_follows_the_model_signature(fig_model):
     # the names of a formula are cached on it; the verdict is not
-    narrow = replace(fig_model.sig, cats=fig_model.sig.cats - {"NP"})
+    narrow = fig_model.sig.replace(cats=fig_model.sig.cats - {"NP"})
     other = Model(narrow, fig_model.cstruct, fig_model.fstruct, fig_model.zoomin)
     phi = Implies(CatLit("NP"), Bullet((CatLit("Det"), CatLit("N"))))
     assert valid(fig_model, phi) is None
@@ -472,7 +471,7 @@ def test_names_walk_matches_reference(fig_theory):
     def keep_two(ks):
         return {k: frozenset(rng.sample(sorted(getattr(RAND_SIG, k)), 2)) for k in ks}
 
-    narrow = [replace(RAND_SIG, **keep_two(ks)) for ks in [(k,) for k in fields] + [fields] * 8]
+    narrow = [RAND_SIG.replace(**keep_two(ks)) for ks in [(k,) for k in fields] + [fields] * 8]
     formulas = [rand_formula(rng, RAND_SIG, depth=rng.randint(0, 7)) for _ in range(1500)]
     for f in formulas:
         assert f.names == reference_names(f), f
@@ -543,7 +542,7 @@ def test_names_walk_matches_reference_on_shared_parts():
         assert f.names == names, f
         for kind, used in names.items():
             for name in sorted(used):
-                sig = replace(RAND_SIG, **{kind: getattr(RAND_SIG, kind) - {name}})
+                sig = RAND_SIG.replace(**{kind: getattr(RAND_SIG, kind) - {name}})
                 got = outcome(validate_names, f, sig)
                 assert got == outcome(reference_validate_names, f, sig), f
                 raised += got is not None
