@@ -105,7 +105,7 @@ class Violation(_Frozen):
     _fields = ("code", "message", "nodes")
 
     def __init__(self, code: str, message: str, nodes: tuple[NodeId, ...] = ()):
-        self.__dict__.update(code=code, message=message, nodes=nodes)
+        self.__dict__.update(code=code, message=message, nodes=tuple(nodes))
 
     def __str__(self):
         where = " [%s]" % ", ".join(self.nodes) if self.nodes else ""
@@ -118,7 +118,7 @@ class ValidationReport(_Frozen):
     _fields = ("violations",)
 
     def __init__(self, violations: tuple[Violation, ...] = ()):
-        self.__dict__["violations"] = violations
+        self.__dict__["violations"] = tuple(violations)
 
     @property
     def ok(self) -> bool:
@@ -672,10 +672,10 @@ def _first_cycle_node(c: CStructure) -> NodeId | None:
 # sort_keys=True) + "\n" prints for the document, with every key sorted
 # as a plain string (so "trans" and "zoomin" keys are not in node_key
 # order), lists of nodes in node order, strings in ASCII escapes, and
-# [] / {} for empty containers.  _model_text writes it directly, because
-# with an indent json.dumps runs its pure-Python encoder, and the text is
-# also the dedup and sort key of parse_sentence, whose read-off calls it
-# for each survivor; model_to_text calls it for any model.
+# [] / {} for empty containers.  _fstruct_text and _model_tail write its
+# two halves directly, because with an indent json.dumps runs its
+# pure-Python encoder; model_to_text joins them for any model, and
+# parse_sentence sorts and deduplicates its survivors on them.
 # ---------------------------------------------------------------------------
 
 
@@ -718,11 +718,11 @@ def _tree_rows(c: CStructure, order) -> str:
     ], " " * 4)
 
 
-def _model_text(m: Model, trans, tree_rows: str) -> str:
-    """The text of ``m``: a row per f-node of ``trans``, in its order, with
-    the transitions it lists in sorted feature order, and ``tree_rows``."""
-    f = m.fstruct
-    f_rows = [
+def _fstruct_text(f: FStructure, trans) -> str:
+    """The model text up to and with its ``"fstruct"`` member: a row per
+    f-node of ``trans``, in its order, with the transitions it lists in
+    sorted feature order.  With a row its last lines are ``    ]``, ``  },``."""
+    rows = [
         '{\n        %s"id": %s,\n        "trans": %s\n      }' % (
             '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else "",
             _quote(w),
@@ -732,19 +732,16 @@ def _model_text(m: Model, trans, tree_rows: str) -> str:
         )
         for w, table in trans.items()
     ]
-    return (
-        '{\n  "fstruct": {\n    "initial": %s,\n    "nodes": %s\n  },\n'
-        '  "signature": %s,\n'
-        '  "tree": {\n    "nodes": %s,\n    "root": %s\n  },\n'
-        '  "zoomin": %s\n}\n'
-    ) % (
-        _quote(f.initial),
-        _text_array(f_rows, " " * 4),
-        m.sig._text_block,
-        tree_rows,
-        _quote(m.cstruct.root),
-        _text_object([(t, _quote(w)) for t, w in sorted(m.zoomin.items())], "  "),
-    )
+    return '{\n  "fstruct": {\n    "initial": %s,\n    "nodes": %s\n  },\n' % (
+        _quote(f.initial), _text_array(rows, " " * 4))
+
+
+def _model_tail(m: Model, tree_rows: str) -> str:
+    """The model text after :func:`_fstruct_text`: the signature,
+    ``tree_rows``, the root and zoomin."""
+    zoomin = _text_object([(t, _quote(w)) for t, w in sorted(m.zoomin.items())], "  ")
+    return ('  "signature": %s,\n  "tree": {\n    "nodes": %s,\n    "root": %s\n  },\n'
+            '  "zoomin": %s\n}\n') % (m.sig._text_block, tree_rows, _quote(m.cstruct.root), zoomin)
 
 
 def model_to_text(m: Model) -> str:
@@ -752,7 +749,7 @@ def model_to_text(m: Model) -> str:
     c, f = m.cstruct, m.fstruct
     order = m.node_order
     trans = {w: dict(sorted(f.trans.get(w, {}).items())) for w in order[len(c.nodes):]}
-    return _model_text(m, trans, _tree_rows(c, order[: len(c.nodes)]))
+    return _fstruct_text(f, trans) + _model_tail(m, _tree_rows(c, order[: len(c.nodes)]))
 
 
 def _need(obj: dict, keys: set[str], what: str, optional: set[str] = frozenset()):

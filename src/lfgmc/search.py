@@ -30,40 +30,44 @@ one:
    follow one preterminal at a time over a trie of the variants' entry
    tuples, so a clash under a shared prefix rejects all of its variants
    at once (after Maxwell & Kaplan 1991).  Each candidate still meets
-   its equations in the order it would alone.
+   its equations in the order it would alone.  A ``(up .. f)=down`` with
+   ``f`` missing binds ``f`` to the daughter's class (made there if new,
+   so the class order holds).  Only a step or binding out of a valued
+   class, an atom on a class with transitions, or a union leaving both on
+   one root sets ``mixed``; only then does ``_close`` scan for uniqueness.
 
 Semantic forms get one special reading, mirroring how argument lists
 behave in LFG proper: ``walk(subj)`` makes the slot ``pred subj`` exist,
 and when the local ``subj`` path is itself defined by the other
-equations the slot is identified with it (re-entrancy).  The slot never
-*creates* the local path; a missing governed function is left for the
-completeness axiom to flag.
+equations the slot is identified with it (re-entrancy), in passes over
+the slots until one links none or none waits for its path.  The slot
+never *creates* the local path; a missing governed function is left for
+the completeness axiom to flag.
 
 A solved candidate is read off its union-find once, in canonical names:
 tree nodes are numbered in preorder as the tree is built, and one walk
 names the classes ``f0..`` as ``canonicalize`` numbers f-nodes and
-builds the tables the model's text is written from (its tree rows once a
-shape).  A model built from a grammar that compiles (so its signature
-has no violations) holds by construction its theory's licensing and
-lexical axioms and all of ``validate_model`` but reachability: preorder
-ids ``n<k>`` with the mothers ``CStructure.build`` would derive, labels
-from the declared categories and the input words, which the signature
-keeps apart, ``f<k>`` ids, features and atoms from the schemata, and
-valued classes that ``_close`` keeps free of transitions.  Only
-preterminals have a word daughter, so the lexical antecedent holds
-exactly at them and the licensing one (a grandchild) at phrase nodes;
-the f-structure solves the equations, so a phrase node satisfies its
-rule's disjunct and a preterminal its entry's under ``up zoomin`` (a
-root preterminal's entry has no schemata, or else it clashed).  A class
-the naming walk misses is rejected as ``fstruct-unreachable``.  Tree
-nodes and valued classes have no feature transitions, so only a class
-with ``pred`` can fail completeness[g] (``pred g`` resolves, ``g`` does
-not) or coherence[g] (``g`` resolves, ``pred g`` does not).  For the
-theory compiled from the grammar being parsed (``theory.source is
-grammar``) both are decided on the union-find, so no evaluator runs, no
-lexical axiom is built, and only candidates that reach the output get a
-model and a text.  Any other theory (built by hand or by
-``replace``, or compiled from an equal but separate
+builds the tables in the order the model's text lists them.  A model
+built from a grammar that compiles (so its signature has no violations)
+holds by construction its theory's licensing and lexical axioms and all
+of ``validate_model`` but reachability: preorder ids ``n<k>`` with the
+mothers ``CStructure.build`` would derive, labels from the declared
+categories and the input words, which the signature keeps apart,
+``f<k>`` ids, features and atoms from the schemata, and valued classes
+that ``_close`` keeps free of transitions.  Only preterminals have a
+word daughter, so the lexical antecedent holds exactly at them and the
+licensing one (a grandchild) at phrase nodes; the f-structure solves the
+equations, so a phrase node satisfies its rule's disjunct and a
+preterminal its entry's under ``up zoomin`` (a root preterminal's entry
+has no schemata, or else it clashed).  A class the naming walk misses is
+rejected as ``fstruct-unreachable``.  Tree nodes and valued classes have
+no feature transitions, so only a class with ``pred`` can fail
+completeness[g] (``pred g`` resolves, ``g`` does not) or coherence[g]
+(``g`` resolves, ``pred g`` does not).  For the theory compiled from the
+grammar being parsed (``theory.source is grammar``) both are decided on
+the union-find, so no evaluator runs, no lexical axiom is built, and
+only candidates that reach the output get a model.  Any other theory
+(built by hand or by ``replace``, or compiled from an equal but separate
 ``Grammar``) is foreign: the grammar is compiled once for its checks,
 and ``valid`` evaluates every label on the model read off; if the theory
 has a ``source`` whose signature the grammar's contains, the lexical
@@ -89,9 +93,17 @@ Models that fail the theory are reported as rejections with the failing
 formula label and counterexample node; a failing f-node is named as the
 least under the class-order names ``w0, w1, ..`` (the order the classes
 were made in), and the principles are decided over the classes in that
-order.  Survivors are deduplicated by their text and returned sorted by
-it.  Minimality is a property of this search, not of the satisfaction
-relation: ``valid`` itself happily accepts models with junk material.
+order.  Survivors are deduplicated by their text, the first candidate of
+a text kept, and returned sorted by it, but only what decides the order
+is written.  The text is an f-structure part, whose last lines are
+``    ]`` and ``  },``, then a tail.  A line ``    ]`` ends the node list
+and occurs nowhere else in a part (rows are indented deeper, strings are
+escaped), so no part is a proper prefix of another, and sorting by
+(part, tail) sorts by the text: one survivor gets no text, and only
+survivors whose parts tie get a tail, with the tree rows of each of
+their shapes written once.  Minimality is a property of this search, not
+of the satisfaction relation: ``valid`` itself happily accepts models
+with junk material.
 """
 
 from __future__ import annotations
@@ -100,7 +112,8 @@ from .errors import GrammarError, SignatureError
 from .formula import TRUE, _NAME_KINDS, validate_names
 from .grammar import (AtomValueSchema, Grammar, LexEntry, PathEqSchema, PRED_FEAT, REL_FEAT,
                       Theory, _lexical_axiom, compile_grammar)
-from .model import CStructure, FStructure, Model, NodeId, _Frozen, _model_text, _tree_rows
+from .model import (CStructure, FStructure, Model, NodeId, _Frozen, _fstruct_text, _model_tail,
+                    _tree_rows)
 from .semantics import _least_failing, valid
 
 
@@ -136,7 +149,8 @@ class ParseOutcome(_Frozen):
 
     def __init__(self, models: tuple[Model, ...], bound_exceeded: bool,
                  rejections: tuple[Rejection, ...] = ()):
-        self.__dict__.update(models=models, bound_exceeded=bound_exceeded, rejections=rejections)
+        self.__dict__.update(models=tuple(models), bound_exceeded=bound_exceeded,
+                             rejections=tuple(rejections))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +363,8 @@ class _Clash(Exception):
 class _UnionFind:
     """f-structure skeleton under construction: classes with functional
     transition tables and optional atoms, merged with congruence, plus
-    the tree nodes' variables and the semantic-form slots to close."""
+    the tree nodes' variables and the semantic-form slots to close.
+    ``mixed`` is set once a root may hold an atom and transitions."""
 
     def __init__(self):
         self.parent: list[int] = []
@@ -357,11 +372,12 @@ class _UnionFind:
         self.atom: list[str | None] = []
         self.zvar: dict[NodeId, int] = {}
         self.semform_args: list[tuple[int, tuple[str, ...]]] = []
+        self.mixed = False
 
     def copy(self) -> _UnionFind:
         c = _UnionFind()
         c.parent, c.atom, c.semform_args = self.parent[:], self.atom[:], self.semform_args[:]
-        c.trans, c.zvar = [t.copy() for t in self.trans], self.zvar.copy()
+        c.trans, c.zvar, c.mixed = [t.copy() for t in self.trans], self.zvar.copy(), self.mixed
         return c
 
     def make(self) -> int:
@@ -396,6 +412,8 @@ class _UnionFind:
                     queue.append((self.trans[ra][feat], tgt))
                 else:
                     self.trans[ra][feat] = tgt
+            if self.atom[ra] is not None and self.trans[ra]:
+                self.mixed = True
 
     def walk(self, i: int, path, create: bool):
         """Follow ``path`` from ``i``, making missing steps if ``create`` (else None)."""
@@ -408,17 +426,28 @@ class _UnionFind:
                 return None
             else:
                 i = self.trans[r][feat] = self.make()
+                self.mixed = self.mixed or self.atom[r] is not None
         return i
+
+    def bind(self, i: int, path, n: NodeId):
+        """Identify the end of the non-empty ``path`` from ``i`` with tree
+        node ``n``'s variable: a missing last step leads straight to it, made
+        where that step's class would be (see the module docstring)."""
+        r = self.find(self.walk(i, path[:-1], create=True))
+        j = self.trans[r].get(path[-1])
+        if j is not None:
+            self.union(j, self.z(n))
+        else:
+            self.trans[r][path[-1]] = self.z(n)
+            self.mixed = self.mixed or self.atom[r] is not None
 
     def set_atom(self, i: int, value: str):
         r = self.find(i)
+        self.mixed = self.mixed or bool(self.trans[r])
         if self.atom[r] is None:
             self.atom[r] = value
         elif self.atom[r] != value:
-            raise _Clash(
-                "distinct atoms %r and %r forced onto one node"
-                % (self.atom[r], value)
-            )
+            raise _Clash("distinct atoms %r and %r forced onto one node" % (self.atom[r], value))
 
 
 def _solve_phrases(phrases) -> _UnionFind:
@@ -427,12 +456,13 @@ def _solve_phrases(phrases) -> _UnionFind:
     for n, rule, kids in phrases:
         for elem, kid in zip(rule.rhs, kids):
             for schema in elem.schemata:
-                if isinstance(schema, PathEqSchema):
-                    a = uf.walk(uf.z(n), schema.up_path, create=True)
-                    b = uf.walk(uf.z(kid), schema.down_path, create=True)
-                    uf.union(a, b)
-                else:
+                if not isinstance(schema, PathEqSchema):
                     uf.set_atom(uf.walk(uf.z(n), schema.path, create=True), schema.value)
+                elif schema.down_path or not schema.up_path:
+                    uf.union(uf.walk(uf.z(n), schema.up_path, create=True),
+                             uf.walk(uf.z(kid), schema.down_path, create=True))
+                else:  # (up ... f)=down
+                    uf.bind(uf.z(n), schema.up_path, kid)
     return uf
 
 
@@ -457,19 +487,21 @@ def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry):
 def _close(uf: _UnionFind):
     """Link the semantic-form slots and check uniqueness, or raise _Clash."""
     # argument slots link up with local paths that the other equations
-    # define; iterate because one identification can define another path
-    changed = True
-    while changed:
-        changed = False
+    # define; pass again only when a union may have defined a missing one
+    changed = missing = True
+    while changed and missing:
+        changed = missing = False
         for base, g in uf.semform_args:
             slot = uf.walk(base, (PRED_FEAT,) + g, create=False)
             local = uf.walk(base, g, create=False)
-            if local is not None and uf.find(slot) != uf.find(local):
+            if local is None:
+                missing = True
+            elif uf.find(slot) != uf.find(local):
                 uf.union(slot, local)
                 changed = True
 
     # uniqueness: an atom may not share a node with outgoing transitions
-    for i in range(len(uf.parent)):
+    for i in range(len(uf.parent)) if uf.mixed else ():
         r = uf.find(i)
         if uf.atom[r] is not None and uf.trans[r]:
             raise _Clash("atom %r forced onto a node with outgoing transitions" % uf.atom[r])
@@ -527,15 +559,15 @@ def _principle_failures(gf, uf: _UnionFind, roots) -> list[int | None]:
     return first
 
 
-def _read_off(sig, cstruct, tree, uf: _UnionFind, bounds, gf, principles):
+def _read_off(sig, cstruct, uf: _UnionFind, bounds, gf, principles):
     """The first rejection among the entry point (the root node's class,
     else the one class without incoming transitions), the f-node bound (None
     past it), reachability and the ``principles`` over ``gf``; else the
-    least-solution model in canonical names as ``(text, model, name)``,
-    ``name`` mapping the classes, in class order, to f-nodes.  One walk,
+    least-solution model in canonical names as ``(model, name)``, ``name``
+    mapping the classes, in class order, to f-nodes.  One walk,
     breadth-first over sorted features, names the classes as ``fnode_names``
-    numbers nodes and builds the tables the text lists, in walk order,
-    beside ``tree``, the tree rows' text."""
+    numbers nodes and builds the tables in walk order, the order the
+    model's text lists them."""
     if not uf.parent:
         uf.make()  # no equations: the f-structure is one empty node
     trans, atoms = uf.trans, uf.atom
@@ -572,17 +604,16 @@ def _read_off(sig, cstruct, tree, uf: _UnionFind, bounds, gf, principles):
             if k is not None:
                 return Rejection("formula", label, "w%d" % k)
     fstruct = FStructure(frozenset(tables), "f0", tables, frozenset(atomval), atomval)
-    model = Model(sig, cstruct, fstruct, {n: name[rep[v]] for n, v in uf.zvar.items()})
-    return _model_text(model, tables, tree), model, name
+    return Model(sig, cstruct, fstruct, {n: name[rep[v]] for n, v in uf.zvar.items()}), name
 
 
-def _check(labels, trusted, gf, sig, cstruct, tree, uf, bounds):
+def _check(labels, trusted, gf, sig, cstruct, uf, bounds):
     """The outcome of one solved candidate under ``labels`` (see ``parse_sentence``):
-    a Rejection, None past the f-node bound, or its ``(text, model)``."""
-    read = _read_off(sig, cstruct, tree, uf, bounds, gf, labels if trusted else ())
+    a Rejection, None past the f-node bound, or its model."""
+    read = _read_off(sig, cstruct, uf, bounds, gf, labels if trusted else ())
     if not isinstance(read, tuple):
         return read
-    text, model, name = read
+    model, name = read
     for label, f in () if trusted else labels:
         node = valid(model, f)
         if node is not None:
@@ -590,7 +621,30 @@ def _check(labels, trusted, gf, sig, cstruct, tree, uf, bounds):
                 classes = list(name.values())
                 node = "w%d" % classes.index(_least_failing(model, f, classes))
             return Rejection("formula", label, node)
-    return text, model
+    return model
+
+
+def _text_order(models):
+    """``models`` deduplicated by their text, the first of a text kept,
+    and sorted by it, of which only what decides the order is written (see
+    the module docstring)."""
+    if len(models) < 2:
+        return models
+    heads: dict[str, list[Model]] = {}
+    for m in models:
+        heads.setdefault(_fstruct_text(m.fstruct, m.fstruct.trans), []).append(m)
+    out, trees = [], {}
+    for _head, tied in sorted(heads.items()):
+        if len(tied) > 1:
+            tails: dict[str, Model] = {}
+            for m in tied:
+                c = m.cstruct
+                if id(c) not in trees:
+                    trees[id(c)] = _tree_rows(c, c.label)  # labelled in preorder, the node order
+                tails.setdefault(_model_tail(m, trees[id(c)]), m)
+            tied = [tails[t] for t in sorted(tails)]
+        out.extend(tied)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -627,33 +681,22 @@ def parse_sentence(
     for idx, (_deriv, _count, shape, entries) in enumerate(derivations):
         shapes.setdefault(shape, []).append((idx, entries))
     # each candidate's outcome: a Rejection, None when it exceeds the
-    # f-node bound, or its canonical (text, model) pair
+    # f-node bound, or its canonical model
     outcomes: list = [None] * len(derivations)
     for members in shapes.values():
         cstruct, phrases, mothers = _build_tree(derivations[members[0][0]][0])
-        tree = _tree_rows(cstruct, cstruct.label)  # labelled in preorder, the node order
         for group, solved in _solve_shape(phrases, mothers, members):
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)
-                    else _check(labels, trusted, theory.gf, grammar.sig, cstruct, tree, solved, bounds)
+                    else _check(labels, trusted, theory.gf, grammar.sig, cstruct, solved, bounds)
                 )
 
-    rejections: list[Rejection] = []
-    found: dict[str, Model] = {}
-    for outcome in outcomes:
-        if outcome is None:
-            bound_exceeded = True
-        elif isinstance(outcome, Rejection):
-            rejections.append(outcome)
-        else:
-            found.setdefault(*outcome)
-
-    models = [found[k] for k in sorted(found)]
-    if len(models) > bounds.max_models:
-        models = models[: bounds.max_models]
-        bound_exceeded = True
-    return ParseOutcome(tuple(models), bound_exceeded, tuple(rejections))
+    models = _text_order([m for m in outcomes if isinstance(m, Model)])
+    bound_exceeded = bound_exceeded or len(models) > bounds.max_models or any(
+        m is None for m in outcomes)
+    return ParseOutcome(models[: bounds.max_models], bound_exceeded,
+                        [r for r in outcomes if isinstance(r, Rejection)])
 
 
 class CheckEntry(_Frozen):
@@ -675,7 +718,7 @@ class CheckReport(_Frozen):
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[CheckEntry, ...]):
-        self.__dict__["entries"] = entries
+        self.__dict__["entries"] = tuple(entries)
 
     @property
     def ok(self) -> bool:

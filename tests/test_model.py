@@ -102,6 +102,11 @@ def _model_records():
          "ValidationReport(violations=(%s,))" % _VIOLATION_TEXT, True),
         ("ValidationReport-defaults", ValidationReport(), ValidationReport(violations=()),
          "ValidationReport(violations=())", True),
+        # a sequence field given as a list is held as a tuple
+        ("Violation-list", Violation("tree-cycle", "daughter links form a cycle", ["n0"]),
+         violation, _VIOLATION_TEXT, True),
+        ("ValidationReport-list", ValidationReport([violation]), ValidationReport((violation,)),
+         "ValidationReport(violations=(%s,))" % _VIOLATION_TEXT, True),
     ]
 
 

@@ -551,6 +551,12 @@ def _search_records():
         ("CheckReport", CheckReport((CheckEntry("lexical", "n1"),)),
          CheckReport(entries=(CheckEntry(label="lexical", counterexample="n1"),)),
          "CheckReport(entries=(CheckEntry(label='lexical', counterexample='n1'),))", True),
+        # a sequence field given as a list is held as a tuple
+        ("ParseOutcome-lists", ParseOutcome([], True, [rejection]), ParseOutcome((), True, (rejection,)),
+         "ParseOutcome(models=(), bound_exceeded=True, rejections=(%s,))" % _REJECTION_TEXT, True),
+        ("CheckReport-list", CheckReport([CheckEntry("lexical", "n1")]),
+         CheckReport((CheckEntry("lexical", "n1"),)),
+         "CheckReport(entries=(CheckEntry(label='lexical', counterexample='n1'),))", True),
     ]
 
 
@@ -854,7 +860,7 @@ def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
     def spy(*args):
         read = read_off(*args)
         if isinstance(read, tuple):
-            extracted.append(read[1])
+            extracted.append(read[0])
         return read
 
     monkeypatch.setattr(search, "_read_off", spy)
@@ -1443,7 +1449,6 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     with every class, and names the least failing class in class order.
     Where every class is reached, that model is the one ``_read_off``
     builds."""
-    from lfgmc.model import _tree_rows
     from lfgmc.search import (
         Rejection, _SkeletonEnumerator, _build_tree, _principle_failures, _read_off,
         _solve_shape,
@@ -1460,8 +1465,8 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
         if isinstance(uf, Rejection):
             continue
         # no principles and no f-node bound
-        read = _read_off(grammar.sig, cstruct, _tree_rows(cstruct, cstruct.label), uf,
-                         SearchBounds(max_f_nodes=len(uf.parent) + 1), theory.gf, ())
+        read = _read_off(grammar.sig, cstruct, uf, SearchBounds(max_f_nodes=len(uf.parent) + 1),
+                         theory.gf, ())
         roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
         whole = _every_class_model(grammar.sig, cstruct, uf, roots)
         if whole is None:
@@ -1469,7 +1474,7 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
             continue
         model, classes = whole
         if isinstance(read, tuple):
-            assert read[1] == model and list(read[2].values()) == classes
+            assert read[0] == model and list(read[1].values()) == classes
         else:
             assert read.detail == "fstruct-unreachable"
             seen["unreachable"] = seen.get("unreachable", 0) + 1
@@ -1512,15 +1517,21 @@ def test_principles_decided_on_the_union_find_match_valid_on_fixture_grammars(
 
 def _read_off_models(monkeypatch):
     """Each ``(text, model, the root node has no variable)`` that
-    ``_read_off`` returns, in call order."""
+    ``_read_off`` returns, in call order, the text joined from the two
+    halves the search writes: the f-structure part from the model's own
+    tables, in their order, and the tail from the tree rows in the order
+    of ``cstruct.label``."""
     from lfgmc import search
 
     read_off, seen = search._read_off, []
 
-    def spy(sig, cstruct, tree, uf, *rest):
-        read = read_off(sig, cstruct, tree, uf, *rest)
+    def spy(sig, cstruct, uf, *rest):
+        read = read_off(sig, cstruct, uf, *rest)
         if isinstance(read, tuple):
-            seen.append((read[0], read[1], cstruct.root not in uf.zvar))
+            model = read[0]
+            text = search._fstruct_text(model.fstruct, model.fstruct.trans) + search._model_tail(
+                model, search._tree_rows(cstruct, cstruct.label))
+            seen.append((text, model, cstruct.root not in uf.zvar))
         return read
 
     monkeypatch.setattr(search, "_read_off", spy)
@@ -1559,6 +1570,122 @@ def test_read_off_text_is_model_to_text_on_random_grammars(monkeypatch):
     # also models whose root node has no variable, entered at the one
     # class without incoming transitions
     assert len(seen) >= 100 and sum(no_root_var for _, _, no_root_var in seen) >= 20
+
+
+# --- survivors ordered on the two halves of their text --------------------
+
+
+def _text_order_inputs(monkeypatch):
+    """The survivors, in candidate order, that each parse hands to
+    ``_text_order``, one list a parse."""
+    from lfgmc import search
+
+    text_order, seen = search._text_order, []
+
+    def spy(models):
+        seen.append(list(models))
+        return text_order(models)
+
+    monkeypatch.setattr(search, "_text_order", spy)
+    return seen
+
+
+def _parse_in_text_order(theory, grammar, tokens, bounds, survivors, seen):
+    """Parse: the models are the survivors' distinct texts in sorted order,
+    each the first survivor of its text, up to ``max_models``.  Every
+    survivor's text starts with its f-structure part, which ends in the
+    closing lines of the node list; the parts go into ``seen["parts"]``."""
+    from lfgmc.model import _fstruct_text
+
+    start = len(survivors)
+    out = parse_sentence(theory, grammar, tokens, bounds)
+    [found] = survivors[start:]
+    texts = [model_to_text(m) for m in found]
+    first = {}
+    for text, m in zip(texts, found):
+        first.setdefault(text, m)
+    want = sorted(dict.fromkeys(texts))[: bounds.max_models]
+    assert [model_to_text(m) for m in out.models] == want, tokens
+    assert all(m is first[text] for m, text in zip(out.models, want))
+    parts = [_fstruct_text(m.fstruct, m.fstruct.trans) for m in found]
+    for part, text in zip(parts, texts):
+        assert part.endswith("\n    ]\n  },\n") and text.startswith(part)
+    seen["parts"].update(parts)
+    seen["tied"] += len(set(parts)) < len(parts)
+    seen["equal texts"] += len(first) < len(texts)
+
+
+def _no_part_is_a_proper_prefix(parts):
+    # a proper prefix sorts right before its extensions and all that lies
+    # between them, so neighbours in sorted order suffice
+    ordered = sorted(parts)
+    assert not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
+
+
+@FIXTURE_CASES
+def test_models_come_back_in_text_order_on_fixture_grammars(monkeypatch, text, sentences, bounds):
+    from lfgmc import compile_grammar, parse_grammar
+
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    survivors, seen = _text_order_inputs(monkeypatch), {"parts": set(), "tied": 0, "equal texts": 0}
+    for tokens in sentences:
+        _parse_in_text_order(theory, grammar, tokens, SearchBounds(*bounds), survivors, seen)
+    assert seen["parts"]
+    _no_part_is_a_proper_prefix(seen["parts"])
+
+
+def test_models_come_back_in_text_order_on_random_grammars(monkeypatch):
+    survivors, seen = _text_order_inputs(monkeypatch), {"parts": set(), "tied": 0, "equal texts": 0}
+    for grammar, theory, tokens, bounds in _random_corpus():
+        _parse_in_text_order(theory, grammar, tokens, bounds, survivors, seen)
+    _no_part_is_a_proper_prefix(seen["parts"])
+    # f-structure parts tie, and whole texts repeat, in some parses
+    assert len(seen["parts"]) >= 20 and seen["tied"] >= 15 and seen["equal texts"] >= 5, (
+        len(seen["parts"]), seen["tied"], seen["equal texts"])
+
+
+def _text_writes(monkeypatch):
+    """The arguments of each call the search makes to the text writers."""
+    from lfgmc import search
+
+    calls = {"_fstruct_text": [], "_model_tail": [], "_tree_rows": []}
+    for name, seen in calls.items():
+        def spy(*args, _real=getattr(search, name), _seen=seen):
+            _seen.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(search, name, spy)
+    return calls
+
+
+def test_a_parse_with_one_survivor_writes_no_text(monkeypatch, fig_theory, fig_grammar):
+    calls = _text_writes(monkeypatch)
+    assert len(parse_sentence(fig_theory, fig_grammar, ["a", "girl", "walks"]).models) == 1
+    assert calls == {"_fstruct_text": [], "_model_tail": [], "_tree_rows": []}
+
+
+def test_tree_rows_are_written_only_for_shapes_whose_fstructure_parts_tie(monkeypatch):
+    # PP attachment with 3 PPs: 14 trees, but PPs adjoined to one VP or NP
+    # share its single adj value, so only 9 f-structures
+    from collections import Counter
+
+    from lfgmc import compile_grammar, parse_grammar
+    from lfgmc.model import _fstruct_text
+
+    g = parse_grammar(PP_GRAMMAR_TEXT)
+    theory = compile_grammar(g)
+    calls = _text_writes(monkeypatch)
+    out = _same_as_two_phase(theory, g, _pp_sentences("tel")[3], SearchBounds(64, 256, 64))
+    part = {id(m): _fstruct_text(m.fstruct, m.fstruct.trans) for m in out.models}
+    ties = Counter(part.values())
+    assert len(out.models) == 14 and len(ties) == 9
+    tied = [m for m in out.models if ties[part[id(m)]] > 1]
+    assert len(calls["_fstruct_text"]) == 14
+    assert sorted(id(m) for m, _ in calls["_model_tail"]) == sorted(id(m) for m in tied)
+    # one tree per shape, and only for the shapes of tied models
+    assert sorted(id(c) for c, _ in calls["_tree_rows"]) == sorted(id(m.cstruct) for m in tied)
+    assert 0 < len(tied) < 14
 
 
 def test_multi_step_functions_match_two_phase():
@@ -1654,6 +1781,83 @@ def test_clashes_found_only_by_closing_the_semantic_form_slots(monkeypatch):
     assert sorted(raised) == sorted(r.detail for r in out.rejections)
     # the variants without the slot atom are models
     assert len(out.models) == 2
+
+
+# one grammar for each place that sets ``mixed``: only there does an atom
+# meet a transition on one class, so only a scan it turns on finds the clash
+MIXED_SIGNATURE = "signature { cat: S X Y A B; atom: a b p; feat: f g pred rel; gf: f; }"
+MIXED_CASES = {
+    # an atom set on a class with a transition
+    "set_atom": ('rule S -> A {(up f g)=a; (up f)=b}; lex "u" A;', ["u"], "b"),
+    # a step made out of a valued class
+    "walk": ('rule S -> A {(up f)=b; (up f g)=a}; lex "u" A;', ["u"], "b"),
+    # a missing (up f)=down bound straight to the daughter from a valued class
+    "bind": ('rule S -> A {up=a} B {(up f)=down}; lex "u" A; lex "v" B;', ["u", "v"], "a"),
+    # a union of a valued class and one with a transition
+    "union": ('rule S -> X {(up f)=down} Y {(up f)=down}; rule X -> A {up=a};'
+              'rule Y -> B {(up g)=b}; lex "u" A; lex "v" B;', ["u", "v"], "a"),
+    # the same union, made only when a semantic-form slot links up
+    "slot": ('rule S -> X {up=down} Y {(up f)=down}; rule X -> A; rule Y -> B;'
+             'lex "u" A {(up pred)=p(f); (up pred f)=a}; lex "v" B {(up g)=b};', ["u", "v"], "a"),
+}
+
+
+@pytest.mark.parametrize("case", MIXED_CASES.values(), ids=MIXED_CASES)
+def test_each_place_that_mixes_an_atom_and_a_transition_turns_the_scan_on(case):
+    from lfgmc import compile_grammar, parse_grammar
+
+    statements, tokens, atom = case
+    g = parse_grammar(MIXED_SIGNATURE + "\n" + statements)
+    out = _same_as_two_phase(compile_grammar(g), g, tokens, SearchBounds())
+    assert out.models == ()
+    assert [(r.reason, r.detail) for r in out.rejections] == [
+        ("clash", "atom %r forced onto a node with outgoing transitions" % atom)]
+
+
+# the slot g links pred g to the local g, which is the clause itself, and
+# so gives the clause the f that pred g has: only then is the local f of
+# the slot f, met first, defined
+LATE_SLOT_GRAMMAR_TEXT = """
+signature { cat: S A; atom: a p; feat: f g pred rel; gf: f g; }
+rule S -> A {up=down; (up g)=down};
+lex "u" A {(up pred)=p(f, g); (up pred g f)=a};
+"""
+
+
+def test_close_passes_again_only_while_a_slot_waits_for_its_local_path(
+    monkeypatch, devour_theory, devour_grammar
+):
+    # walks(subj) links its one slot in the first pass, so a second pass
+    # could find nothing; devours(subj, obj) has no local obj, so the subj
+    # link makes one more pass, which changes nothing; in the late-slot
+    # grammar the second pass links f, and as no slot waits, it is the last
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    passes, close = [], search._close
+
+    def spy(uf):
+        walks, walk = [], uf.walk
+        uf.walk = lambda *args, **kwargs: walks.append(args) or walk(*args, **kwargs)
+        try:
+            close(uf)
+        finally:
+            del uf.walk
+        passes.append(len(walks) / (2 * len(uf.semform_args)))
+
+    monkeypatch.setattr(search, "_close", spy)
+    late = parse_grammar(LATE_SLOT_GRAMMAR_TEXT)
+    for theory, grammar, words, want in (
+        (devour_theory, devour_grammar, "a girl walks", [1]),
+        (devour_theory, devour_grammar, "a girl devours", [2]),
+        (compile_grammar(late), late, "u", [2]),
+    ):
+        passes.clear()
+        _same_as_two_phase(theory, grammar, words.split(), SearchBounds())
+        assert passes == want, words
+    (m,) = _same_as_two_phase(compile_grammar(late), late, ["u"], SearchBounds()).models
+    f = m.fstruct
+    pred = f.trans["f0"]["pred"]
+    assert f.trans[pred]["f"] == f.trans["f0"]["f"] and f.trans[pred]["g"] == "f0"
 
 
 def test_lexical_schemata_need_a_node_above_a_root_preterminal():
