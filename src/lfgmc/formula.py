@@ -54,6 +54,7 @@ from __future__ import annotations
 import re
 from functools import cached_property, partial
 from itertools import islice
+from operator import itemgetter
 
 from .errors import FormulaSyntaxError, SignatureError
 from .model import _IDENT_RE, RESERVED_WORDS, Signature, _Frozen
@@ -321,10 +322,12 @@ class _Reader:
         toks = cls.TOKEN_RE.findall(text)
         if toks[-2:] == ["", ""]:  # blanks at the end match, then the end again
             del toks[-1]
+        distinct = set(toks) - cls.OPS
+        firsts = "".join(set(map(itemgetter(slice(1)), distinct)) - {"_", '"'})
         odd = [  # neither an operator, nor a string literal, nor a name
-            tok for tok in set(toks) - cls.OPS
+            tok for tok in distinct
             if tok[:1] != '"' and not tok[:1].isalpha() and tok[:1] != "_" or tok == '"'
-        ]
+        ] if firsts and not firsts.isalpha() or '"' in distinct else ()  # else none can be
         bad = [tok for tok in odd if cls.fault(tok)]
         if bad:
             at = min(map(toks.index, bad))

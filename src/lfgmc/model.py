@@ -675,7 +675,7 @@ def _first_cycle_node(c: CStructure) -> NodeId | None:
 # [] / {} for empty containers.  _fstruct_text and _model_tail write its
 # two halves directly, because with an indent json.dumps runs its
 # pure-Python encoder; model_to_text joins them for any model, and
-# parse_sentence sorts and deduplicates its survivors on them.
+# parse_sentence orders its survivors on them and on single _tree_row rows.
 # ---------------------------------------------------------------------------
 
 
@@ -705,17 +705,18 @@ def _text_object(pairs, pad: str) -> str:
     ) + "\n" + pad + "}"
 
 
+def _tree_row(c: CStructure, n: NodeId) -> str:
+    """The row of tree node ``n`` in the tree's node list; it ends in
+    ``\\n      }``, which occurs nowhere else in a row."""
+    ds = c.daughters.get(n)
+    return '{\n        "daughters": %s,\n        "id": %s,\n        "label": %s\n      }' % (
+        "[\n          %s\n        ]" % ",\n          ".join(map(_quote, ds)) if ds else "[]",
+        _quote(n), _quote(c.label.get(n, "")))
+
+
 def _tree_rows(c: CStructure, order) -> str:
     """The text of the tree's node list: a row per node of ``order``."""
-    return _text_array([
-        '{\n        "daughters": %s,\n        "id": %s,\n        "label": %s\n      }' % (
-            "[\n          %s\n        ]" % ",\n          ".join(map(_quote, c.daughters[n]))
-            if c.daughters.get(n) else "[]",
-            _quote(n),
-            _quote(c.label.get(n, "")),
-        )
-        for n in order
-    ], " " * 4)
+    return _text_array([_tree_row(c, n) for n in order], " " * 4)
 
 
 def _fstruct_text(f: FStructure, trans) -> str:

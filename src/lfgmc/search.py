@@ -30,11 +30,14 @@ one:
    follow one preterminal at a time over a trie of the variants' entry
    tuples, so a clash under a shared prefix rejects all of its variants
    at once (after Maxwell & Kaplan 1991).  Each candidate still meets
-   its equations in the order it would alone.  A ``(up .. f)=down`` with
-   ``f`` missing binds ``f`` to the daughter's class (made there if new,
-   so the class order holds).  Only a step or binding out of a valued
-   class, an atom on a class with transitions, or a union leaving both on
-   one root sets ``mixed``; only then does ``_close`` scan for uniqueness.
+   its equations in the order it would alone, and each class keeps its
+   least member, so the class order holds: a ``(up .. f)=down`` with
+   ``f`` missing binds ``f`` to the daughter's class (made there if new),
+   and ``up=down`` binds a side without a variable to the other's class
+   (one class made for two), uniting only two made ones.  Only a step or
+   binding out of a valued class, an atom on a class with transitions, or
+   a union leaving both on one root sets ``mixed``; only then does
+   ``_close`` scan for uniqueness.
 
 Semantic forms get one special reading, mirroring how argument lists
 behave in LFG proper: ``walk(subj)`` makes the slot ``pred subj`` exist,
@@ -65,14 +68,15 @@ no feature transitions, so only a class with ``pred`` can fail
 completeness[g] (``pred g`` resolves, ``g`` does not) or coherence[g]
 (``g`` resolves, ``pred g`` does not).  For the theory compiled from the
 grammar being parsed (``theory.source is grammar``) both are decided on
-the union-find, so no evaluator runs, no lexical axiom is built, and
-only candidates that reach the output get a model.  Any other theory
-(built by hand or by ``replace``, or compiled from an equal but separate
-``Grammar``) is foreign: the grammar is compiled once for its checks,
-and ``valid`` evaluates every label on the model read off; if the theory
-has a ``source`` whose signature the grammar's contains, the lexical
-label is the slice (below) for the sentence's words, built once per
-call, as every candidate has the sentence as its leaves.
+the walk's tables, which name every class once reachability holds, over
+the classes in class order; so no evaluator runs, no lexical axiom is
+built, and only survivors get a model.  Any other theory (built by hand
+or by ``replace``, or compiled from an equal but separate ``Grammar``)
+is foreign: the grammar is compiled once for its checks, and ``valid``
+evaluates every label on the model read off; if the theory has a
+``source`` whose signature the grammar's contains, the lexical label is
+the slice (below) for the sentence's words, built once per call, as
+every candidate has the sentence as its leaves.
 
 ``check_parse`` rests on two lemmas.  First, a compiled theory uses only
 names its grammar's signature declares: compilation checks each name of
@@ -99,21 +103,28 @@ is written.  The text is an f-structure part, whose last lines are
 ``    ]`` and ``  },``, then a tail.  A line ``    ]`` ends the node list
 and occurs nowhere else in a part (rows are indented deeper, strings are
 escaped), so no part is a proper prefix of another, and sorting by
-(part, tail) sorts by the text: one survivor gets no text, and only
-survivors whose parts tie get a tail, with the tree rows of each of
-their shapes written once.  Minimality is a property of this search, not
-of the satisfaction relation: ``valid`` itself happily accepts models
-with junk material.
+(part, tail) sorts by the text.  Names are canonical, so equal
+f-structures have equal parts: survivors are grouped by theirs and a
+group's part is written once, if there are two.  Tails in a group share
+the signature.  A tree row ends in ``\\n      }``, found nowhere else in
+it, so no row is a proper prefix of another, and a node list ends in
+``\\n    ]``, so a list that runs out first sorts first: tails compare
+row by row, each row written when first reached, and root and zoomin
+only for equal rows.  Minimality is a property of this search, not of
+the satisfaction relation: ``valid`` accepts models with junk.
 """
 
 from __future__ import annotations
+
+from functools import cmp_to_key
+from itertools import count
 
 from .errors import GrammarError, SignatureError
 from .formula import TRUE, _NAME_KINDS, validate_names
 from .grammar import (AtomValueSchema, Grammar, LexEntry, PathEqSchema, PRED_FEAT, REL_FEAT,
                       Theory, _lexical_axiom, compile_grammar)
 from .model import (CStructure, FStructure, Model, NodeId, _Frozen, _fstruct_text, _model_tail,
-                    _tree_rows)
+                    _tree_row)
 from .semantics import _least_failing, valid
 
 
@@ -441,6 +452,14 @@ class _UnionFind:
             self.trans[r][path[-1]] = self.z(n)
             self.mixed = self.mixed or self.atom[r] is not None
 
+    def identify(self, n: NodeId, d: NodeId):
+        """``up=down`` for mother ``n`` and daughter ``d`` (see the module docstring)."""
+        i, j = self.zvar.get(n), self.zvar.get(d)
+        if i is not None and j is not None:
+            return self.union(i, j)
+        k = j if i is None else i
+        self.zvar[n] = self.zvar[d] = self.make() if k is None else k
+
     def set_atom(self, i: int, value: str):
         r = self.find(i)
         self.mixed = self.mixed or bool(self.trans[r])
@@ -458,11 +477,13 @@ def _solve_phrases(phrases) -> _UnionFind:
             for schema in elem.schemata:
                 if not isinstance(schema, PathEqSchema):
                     uf.set_atom(uf.walk(uf.z(n), schema.path, create=True), schema.value)
-                elif schema.down_path or not schema.up_path:
+                elif schema.down_path:
                     uf.union(uf.walk(uf.z(n), schema.up_path, create=True),
                              uf.walk(uf.z(kid), schema.down_path, create=True))
-                else:  # (up ... f)=down
+                elif schema.up_path:  # (up ... f)=down
                     uf.bind(uf.z(n), schema.up_path, kid)
+                else:
+                    uf.identify(n, kid)
     return uf
 
 
@@ -541,19 +562,22 @@ def _solve_shape(phrases, mothers, members):
         stack.append((uf, k + 1, last))  # after the copies: changed in place
 
 
-def _principle_failures(gf, uf: _UnionFind, roots) -> list[int | None]:
+def _principle_failures(gf, tables, names) -> list[int | None]:
     """For completeness[g], each ``g`` of ``gf``, then coherence[g] likewise
-    (``Theory.labeled``'s order): the index in ``roots`` of the first
-    class that fails it, or None (see the module docstring)."""
+    (``Theory.labeled``'s order): the index in ``names`` of the first
+    f-node whose table fails it, or None (see the module docstring)."""
     first: list[int | None] = [None] * (2 * len(gf))
-    for k, r in enumerate(roots):
-        pred = uf.trans[r].get(PRED_FEAT)
+    for k, w in enumerate(names):
+        pred = tables[w].get(PRED_FEAT)
         if pred is None:
             continue
         for i, g in enumerate(gf):
-            has_g = uf.walk(r, g, create=False) is not None
-            if has_g != (uf.walk(pred, g, create=False) is not None):
-                label = i + len(gf) * has_g  # the coherence labels come second
+            has_g, has_pred_g = w, pred
+            for feat in g:
+                has_g = has_g and tables[has_g].get(feat)
+                has_pred_g = has_pred_g and tables[has_pred_g].get(feat)
+            if (has_g is None) != (has_pred_g is None):
+                label = i + len(gf) * (has_g is not None)  # the coherence labels come second
                 if first[label] is None:
                     first[label] = k
     return first
@@ -567,7 +591,7 @@ def _read_off(sig, cstruct, uf: _UnionFind, bounds, gf, principles):
     mapping the classes, in class order, to f-nodes.  One walk,
     breadth-first over sorted features, names the classes as ``fnode_names``
     numbers nodes and builds the tables in walk order, the order the
-    model's text lists them."""
+    model's text lists them; the principles are decided on the tables."""
     if not uf.parent:
         uf.make()  # no equations: the f-structure is one empty node
     trans, atoms = uf.trans, uf.atom
@@ -600,7 +624,7 @@ def _read_off(sig, cstruct, uf: _UnionFind, bounds, gf, principles):
     if len(queue) < len(name):
         return Rejection("structure", "fstruct-unreachable")
     if principles:
-        for (label, _f), k in zip(principles, _principle_failures(gf, uf, name)):
+        for (label, _f), k in zip(principles, _principle_failures(gf, tables, name.values())):
             if k is not None:
                 return Rejection("formula", label, "w%d" % k)
     fstruct = FStructure(frozenset(tables), "f0", tables, frozenset(atomval), atomval)
@@ -625,24 +649,41 @@ def _check(labels, trusted, gf, sig, cstruct, uf, bounds):
 
 
 def _text_order(models):
-    """``models`` deduplicated by their text, the first of a text kept,
-    and sorted by it, of which only what decides the order is written (see
-    the module docstring)."""
-    if len(models) < 2:
-        return models
-    heads: dict[str, list[Model]] = {}
+    """``models`` deduplicated by their text, the first of a text kept, and
+    sorted by it (see the module docstring)."""
+    ties, by_lengths = [], {}  # each f-structure's models; its tables' lengths -> those lists
     for m in models:
-        heads.setdefault(_fstruct_text(m.fstruct, m.fstruct.trans), []).append(m)
-    out, trees = [], {}
-    for _head, tied in sorted(heads.items()):
+        bucket = by_lengths.setdefault(tuple(map(len, m.fstruct.trans.values())), [])
+        tied = next((t for t in bucket if t[0].fstruct == m.fstruct), None)
+        if tied is None:
+            bucket.append(tied := [])
+            ties.append(tied)
+        tied.append(m)
+    if len(ties) > 1:
+        ties.sort(key=lambda tied: _fstruct_text(tied[0].fstruct, tied[0].fstruct.trans))
+    rows: dict[int, list[str]] = {}  # id(tree) -> its rows written so far, asked for in order
+
+    def row(c, k):
+        written = rows.setdefault(id(c), [])
+        if k == len(written) < len(c.label):
+            written.append(_tree_row(c, "n%d" % k))  # preorder ids: the node order
+        return written[k] if k < len(written) else ""
+
+    def cmp(a, b):
+        x = y = None
+        for k in count() if a.cstruct is not b.cstruct else ():
+            x, y = row(a.cstruct, k), row(b.cstruct, k)  # "" sorts before every row
+            if x != y or not x:
+                break
+        if x == y:  # equal tree rows: the root and zoomin decide
+            x, y = _model_tail(a, ""), _model_tail(b, "")
+        return (x > y) - (x < y)
+
+    out = []
+    for tied in ties:
         if len(tied) > 1:
-            tails: dict[str, Model] = {}
-            for m in tied:
-                c = m.cstruct
-                if id(c) not in trees:
-                    trees[id(c)] = _tree_rows(c, c.label)  # labelled in preorder, the node order
-                tails.setdefault(_model_tail(m, trees[id(c)]), m)
-            tied = [tails[t] for t in sorted(tails)]
+            tied = sorted(tied, key=cmp_to_key(cmp))  # stable: the first of a text leads
+            tied = [m for k, m in enumerate(tied) if k == 0 or cmp(tied[k - 1], m)]
         out.extend(tied)
     return out
 

@@ -146,13 +146,17 @@ def rand_formula(rng: random.Random, sig: Signature = RAND_SIG, depth=5):
     return rec(depth)
 
 
-def rand_grammar(rng: random.Random) -> str:
+def rand_grammar(rng: random.Random, adjunct: bool = False) -> str:
     """The text of a small random grammar over the words u, v, w: every
     word has one to three entries, often of one category with different
     schemata, so candidates come in lexical variants of one tree shape;
     rule elements carry path equations and atom assignments (the empty
     path included); entries carry atoms and semantic forms; rules may be
-    unary, cycles included."""
+    unary, cycles included.  With ``adjunct`` the grammar also has the
+    adjunction rule ``S -> S {up=down} Y {(up f)=down}``, ``Y`` most often
+    ``S``, whose attachment ambiguity gives one sentence many models, and
+    the governable function ``g.f`` of two steps; both are drawn after the
+    rest, so a seed gives the same other statements in either mode."""
     cats = ["S", "A", "B"]
 
     def path(*must):
@@ -190,6 +194,9 @@ def rand_grammar(rng: random.Random) -> str:
             if rng.random() < 0.3:
                 cat = rng.choice(cats)
             lines.append('lex "%s" %s%s;' % (word, cat, block(atom_schema, semform=True)))
+    if adjunct:
+        lines[0] = lines[0].replace("gf: f g;", "gf: f g g.f;")
+        lines.append("rule S -> S {up=down} %s {(up f)=down};" % rng.choice(["S"] + cats))
     return "\n".join(lines) + "\n"
 
 

@@ -1282,6 +1282,24 @@ def _random_corpus():
         yield grammar, compile_grammar(grammar), tokens, bounds
 
 
+def _adjunct_corpus():
+    """1000 random grammars with the adjunction rule of ``rand_grammar``,
+    each compiled, with a sentence of two to four words that have an ``S``
+    entry (any words when none has) and bounds that admit at most two tree
+    nodes more than the least tree of binary rules over the sentence."""
+    from lfgmc import compile_grammar, parse_grammar
+
+    rng = random.Random(2029)
+    for _ in range(1000):
+        grammar = parse_grammar(rand_grammar(rng, adjunct=True))
+        words = sorted({e.word for e in grammar.lexicon if e.cat == "S"}) or list("uvw")
+        tokens = [rng.choice(words) for _ in range(rng.randint(2, 4))]
+        bounds = SearchBounds(
+            3 * len(tokens) - 1 + rng.choice((0, 1, 2)), rng.choice((8, 80)), rng.choice((2, 10))
+        )
+        yield grammar, compile_grammar(grammar), tokens, bounds
+
+
 def test_shape_sharing_matches_two_phase_on_random_grammars():
     from lfgmc import Grammar, compile_grammar
     from lfgmc.search import _SkeletonEnumerator
@@ -1325,6 +1343,24 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
     assert min(seen.values()) >= 20, seen
     for kind in ("models", "clash", "fstruct-unreachable", "formula"):
         assert foreign.get(kind, 0) >= 20, foreign
+
+
+def test_shape_sharing_matches_two_phase_on_adjunct_grammars():
+    # attachment ambiguity: parses with many models, against 16 of the 2000
+    # parses of the plain corpus
+    seen = {"models": 0, "parses with models": 0, "multi-model parses": 0, "bound": 0}
+    for grammar, theory, tokens, bounds in _adjunct_corpus():
+        out = _same_as_two_phase(theory, grammar, tokens, bounds)
+        seen["models"] += len(out.models)
+        seen["parses with models"] += bool(out.models)
+        seen["multi-model parses"] += len(out.models) > 1
+        seen["bound"] += out.bound_exceeded
+        for r in out.rejections:
+            kind = r.detail.split(" ")[0] if r.reason == "clash" else r.reason
+            seen[kind] = seen.get(kind, 0) + 1
+    assert seen["multi-model parses"] >= 160, seen
+    for kind in ("distinct", "atom", "structure", "formula"):
+        assert seen.get(kind, 0) >= 20, seen
 
 
 def test_formula_counterexample_keeps_the_class_order_name():
@@ -1445,10 +1481,11 @@ def _every_class_model(sig, cstruct, uf, classes):
 
 def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     """On every solved candidate, each completeness and coherence label
-    is decided on the union-find as ``valid`` decides it on the model
-    with every class, and names the least failing class in class order.
-    Where every class is reached, that model is the one ``_read_off``
-    builds."""
+    is decided on the f-node tables of the model with every class as
+    ``valid`` decides it on that model, and names the least failing class
+    in class order.  Where every class is reached, that model is the one
+    ``_read_off`` builds, and ``_read_off`` rejects it under the first
+    failing label, at that class."""
     from lfgmc.search import (
         Rejection, _SkeletonEnumerator, _build_tree, _principle_failures, _read_off,
         _solve_shape,
@@ -1456,6 +1493,7 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     from lfgmc.semantics import _least_failing
 
     labels = theory.labeled()[2:]
+    assert tuple(labels) == tuple(theory.principles())
     derivations = _SkeletonEnumerator(grammar, tokens).derive(
         grammar.start, 0, len(tokens), bounds.max_tree_nodes
     )
@@ -1465,8 +1503,8 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
         if isinstance(uf, Rejection):
             continue
         # no principles and no f-node bound
-        read = _read_off(grammar.sig, cstruct, uf, SearchBounds(max_f_nodes=len(uf.parent) + 1),
-                         theory.gf, ())
+        unbounded = SearchBounds(max_f_nodes=len(uf.parent) + 1)
+        read = _read_off(grammar.sig, cstruct, uf, unbounded, theory.gf, ())
         roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
         whole = _every_class_model(grammar.sig, cstruct, uf, roots)
         if whole is None:
@@ -1486,7 +1524,15 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
             if node is not None:
                 kind = label.split("[")[0] + (" past w0" if want[-1] else "")
                 seen[kind] = seen.get(kind, 0) + 1
-        assert _principle_failures(theory.gf, uf, roots) == want, (tokens, grammar)
+                if "." in label:
+                    seen["multi-step"] = seen.get("multi-step", 0) + 1
+        assert _principle_failures(theory.gf, model.fstruct.trans, classes) == want, (
+            tokens, grammar)
+        if isinstance(read, tuple):
+            first = [Rejection("formula", label, "w%d" % k)
+                     for (label, _f), k in zip(labels, want) if k is not None][:1]
+            decided = _read_off(grammar.sig, cstruct, uf, unbounded, theory.gf, labels)
+            assert [decided] == first if first else isinstance(decided, tuple)
         seen["candidates"] = seen.get("candidates", 0) + 1
 
 
@@ -1498,6 +1544,16 @@ def test_principles_decided_on_the_union_find_match_valid_on_random_grammars():
     # candidates leave a class unreached
     for kind in ("completeness", "coherence", "completeness past w0", "coherence past w0",
                  "unreachable"):
+        assert seen.get(kind, 0) >= 20, seen
+
+
+def test_principles_decided_on_the_tables_match_valid_on_adjunct_grammars():
+    # the adjunct corpus also declares the two-step function g.f
+    seen = {}
+    for grammar, theory, tokens, bounds in _adjunct_corpus():
+        _principles_match_valid(theory, grammar, tokens, bounds, seen)
+    for kind in ("completeness", "coherence", "completeness past w0", "coherence past w0",
+                 "unreachable", "multi-step"):
         assert seen.get(kind, 0) >= 20, seen
 
 
@@ -1522,6 +1578,7 @@ def _read_off_models(monkeypatch):
     tables, in their order, and the tail from the tree rows in the order
     of ``cstruct.label``."""
     from lfgmc import search
+    from lfgmc.model import _fstruct_text, _model_tail, _tree_rows
 
     read_off, seen = search._read_off, []
 
@@ -1529,8 +1586,8 @@ def _read_off_models(monkeypatch):
         read = read_off(sig, cstruct, uf, *rest)
         if isinstance(read, tuple):
             model = read[0]
-            text = search._fstruct_text(model.fstruct, model.fstruct.trans) + search._model_tail(
-                model, search._tree_rows(cstruct, cstruct.label))
+            text = _fstruct_text(model.fstruct, model.fstruct.trans) + _model_tail(
+                model, _tree_rows(cstruct, cstruct.label))
             seen.append((text, model, cstruct.root not in uf.zvar))
         return read
 
@@ -1594,8 +1651,11 @@ def _parse_in_text_order(theory, grammar, tokens, bounds, survivors, seen):
     """Parse: the models are the survivors' distinct texts in sorted order,
     each the first survivor of its text, up to ``max_models``.  Every
     survivor's text starts with its f-structure part, which ends in the
-    closing lines of the node list; the parts go into ``seen["parts"]``."""
-    from lfgmc.model import _fstruct_text
+    closing lines of the node list, and two survivors have equal parts
+    exactly when their f-structures are equal; the parts go into
+    ``seen["parts"]``.  Where parts tie but trees differ, the index of the
+    first tree row that differs goes into ``seen["first differing rows"]``."""
+    from lfgmc.model import _fstruct_text, _tree_row
 
     start = len(survivors)
     out = parse_sentence(theory, grammar, tokens, bounds)
@@ -1610,9 +1670,23 @@ def _parse_in_text_order(theory, grammar, tokens, bounds, survivors, seen):
     parts = [_fstruct_text(m.fstruct, m.fstruct.trans) for m in found]
     for part, text in zip(parts, texts):
         assert part.endswith("\n    ]\n  },\n") and text.startswith(part)
+    for (a, part_a), (b, part_b) in itertools.combinations(zip(found, parts), 2):
+        assert (a.fstruct == b.fstruct) == (part_a == part_b), tokens
     seen["parts"].update(parts)
     seen["tied"] += len(set(parts)) < len(parts)
     seen["equal texts"] += len(first) < len(texts)
+    trees = {}  # part -> the distinct row lists of its survivors' trees
+    for part, m in zip(parts, found):
+        rows = tuple(_tree_row(m.cstruct, n) for n in m.cstruct.label)
+        trees.setdefault(part, set()).add(rows)
+    for tied in trees.values():
+        for a, b in itertools.combinations(sorted(tied), 2):
+            differing = next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+            seen["first differing rows"].add(differing)
+
+
+def _text_order_counts():
+    return {"parts": set(), "tied": 0, "equal texts": 0, "first differing rows": set()}
 
 
 def _no_part_is_a_proper_prefix(parts):
@@ -1628,7 +1702,7 @@ def test_models_come_back_in_text_order_on_fixture_grammars(monkeypatch, text, s
 
     grammar = parse_grammar(text)
     theory = compile_grammar(grammar)
-    survivors, seen = _text_order_inputs(monkeypatch), {"parts": set(), "tied": 0, "equal texts": 0}
+    survivors, seen = _text_order_inputs(monkeypatch), _text_order_counts()
     for tokens in sentences:
         _parse_in_text_order(theory, grammar, tokens, SearchBounds(*bounds), survivors, seen)
     assert seen["parts"]
@@ -1636,7 +1710,7 @@ def test_models_come_back_in_text_order_on_fixture_grammars(monkeypatch, text, s
 
 
 def test_models_come_back_in_text_order_on_random_grammars(monkeypatch):
-    survivors, seen = _text_order_inputs(monkeypatch), {"parts": set(), "tied": 0, "equal texts": 0}
+    survivors, seen = _text_order_inputs(monkeypatch), _text_order_counts()
     for grammar, theory, tokens, bounds in _random_corpus():
         _parse_in_text_order(theory, grammar, tokens, bounds, survivors, seen)
     _no_part_is_a_proper_prefix(seen["parts"])
@@ -1645,11 +1719,23 @@ def test_models_come_back_in_text_order_on_random_grammars(monkeypatch):
         len(seen["parts"]), seen["tied"], seen["equal texts"])
 
 
+def test_models_come_back_in_text_order_on_adjunct_grammars(monkeypatch):
+    survivors, seen = _text_order_inputs(monkeypatch), _text_order_counts()
+    for grammar, theory, tokens, bounds in _adjunct_corpus():
+        _parse_in_text_order(theory, grammar, tokens, bounds, survivors, seen)
+    _no_part_is_a_proper_prefix(seen["parts"])
+    counts = (len(seen["parts"]), seen["tied"], seen["equal texts"],
+              sorted(seen["first differing rows"]))
+    # tied parts whose trees first differ at several rows, and whole texts repeat
+    assert len(seen["parts"]) >= 200 and seen["tied"] >= 50 and seen["equal texts"] >= 20, counts
+    assert len(seen["first differing rows"]) >= 3, counts
+
+
 def _text_writes(monkeypatch):
     """The arguments of each call the search makes to the text writers."""
     from lfgmc import search
 
-    calls = {"_fstruct_text": [], "_model_tail": [], "_tree_rows": []}
+    calls = {"_fstruct_text": [], "_model_tail": [], "_tree_row": []}
     for name, seen in calls.items():
         def spy(*args, _real=getattr(search, name), _seen=seen):
             _seen.append(args)
@@ -1662,12 +1748,15 @@ def _text_writes(monkeypatch):
 def test_a_parse_with_one_survivor_writes_no_text(monkeypatch, fig_theory, fig_grammar):
     calls = _text_writes(monkeypatch)
     assert len(parse_sentence(fig_theory, fig_grammar, ["a", "girl", "walks"]).models) == 1
-    assert calls == {"_fstruct_text": [], "_model_tail": [], "_tree_rows": []}
+    assert calls == {"_fstruct_text": [], "_model_tail": [], "_tree_row": []}
 
 
 def test_tree_rows_are_written_only_for_shapes_whose_fstructure_parts_tie(monkeypatch):
-    # PP attachment with 3 PPs: 14 trees, but PPs adjoined to one VP or NP
-    # share its single adj value, so only 9 f-structures
+    # PP attachment with 3 and 4 PPs: 14 and 42 trees, but PPs adjoined to
+    # one VP or NP share its single adj value, so only 9 and 14 f-structures.
+    # Each distinct part is written once; tied models are told apart by the
+    # first tree row that differs, so only some rows of their trees are
+    # written, and no tail (nor its zoomin) is
     from collections import Counter
 
     from lfgmc import compile_grammar, parse_grammar
@@ -1676,16 +1765,23 @@ def test_tree_rows_are_written_only_for_shapes_whose_fstructure_parts_tie(monkey
     g = parse_grammar(PP_GRAMMAR_TEXT)
     theory = compile_grammar(g)
     calls = _text_writes(monkeypatch)
-    out = _same_as_two_phase(theory, g, _pp_sentences("tel")[3], SearchBounds(64, 256, 64))
-    part = {id(m): _fstruct_text(m.fstruct, m.fstruct.trans) for m in out.models}
-    ties = Counter(part.values())
-    assert len(out.models) == 14 and len(ties) == 9
-    tied = [m for m in out.models if ties[part[id(m)]] > 1]
-    assert len(calls["_fstruct_text"]) == 14
-    assert sorted(id(m) for m, _ in calls["_model_tail"]) == sorted(id(m) for m in tied)
-    # one tree per shape, and only for the shapes of tied models
-    assert sorted(id(c) for c, _ in calls["_tree_rows"]) == sorted(id(m.cstruct) for m in tied)
-    assert 0 < len(tied) < 14
+    for pps, n_models, n_parts, n_tied, n_rows in ((3, 14, 9, 8, 67), (4, 42, 14, 35, 374)):
+        for seen in calls.values():
+            seen.clear()
+        out = _same_as_two_phase(theory, g, _pp_sentences("tel", pps + 1)[pps],
+                                 SearchBounds(64, 256, 64))
+        part = {id(m): _fstruct_text(m.fstruct, m.fstruct.trans) for m in out.models}
+        ties = Counter(part.values())
+        tied = [m for m in out.models if ties[part[id(m)]] > 1]
+        assert (len(out.models), len(ties), len(tied)) == (n_models, n_parts, n_tied)
+        written = [_fstruct_text(f, trans) for f, trans in calls["_fstruct_text"]]
+        assert sorted(written) == sorted(ties)
+        assert calls["_model_tail"] == []
+        # rows only of tied models' trees, each written once, and far from all
+        rows = [(id(c), n) for c, n in calls["_tree_row"]]
+        assert len(rows) == len(set(rows)) == n_rows
+        assert {c for c, _ in rows} <= {id(m.cstruct) for m in tied}
+        assert n_rows < sum(len(m.cstruct.label) for m in tied) / 4
 
 
 def test_multi_step_functions_match_two_phase():
@@ -1812,6 +1908,51 @@ def test_each_place_that_mixes_an_atom_and_a_transition_turns_the_scan_on(case):
     assert out.models == ()
     assert [(r.reason, r.detail) for r in out.rejections] == [
         ("clash", "atom %r forced onto a node with outgoing transitions" % atom)]
+
+
+# one grammar for each case of up=down on a rule element: neither tree
+# node's variable made yet, only the mother's, only the daughter's, or
+# both; then both valued, so that the clash names the mother's atom first.
+# A variable not yet made joins the other's class, so only "both" unites.
+UPDOWN_SIGNATURE = "signature { cat: S X Y A B; atom: a b p q; feat: f g pred rel; gf: f g; }"
+UPDOWN_LEX = ('lex "u" A {(up pred)=p(f)}; lex "u" A {(up pred)=p(g)};'
+              'lex "v" B {(up pred)=q()}; lex "v" B {(up pred)=q(g)};')
+_G_AT = [("formula", "completeness[g]", w) for w in ("w0", "w1", "w0")]
+UPDOWN_CASES = {
+    "neither": ((False, False), "rule S -> X {up=down} Y {(up f)=down}; rule X -> A; rule Y -> B;"
+                + UPDOWN_LEX, "u v", 1, [_G_AT[1], _G_AT[0], _G_AT[0]]),
+    "mother": ((True, False), "rule S -> Y {(up f)=down} X {up=down}; rule X -> A; rule Y -> B;"
+               + UPDOWN_LEX, "v u", 1, _G_AT),
+    "daughter": ((False, True), "rule S -> X {up=down}; rule X -> Y {(up f)=down} A; rule Y -> B;"
+                 + UPDOWN_LEX, "v u", 1, _G_AT),
+    "both": ((True, True), "rule S -> X {(up g)=down} Y {up=down}; rule X -> A;"
+             "rule Y -> B {(up f)=down}; lex \"u\" A {(up pred)=p()}; lex \"u\" A {(up pred)=p(f)};"
+             "lex \"v\" B {(up pred)=q(f, g)}; lex \"v\" B {(up pred)=q(f)};", "u v", 1,
+             [("formula", "coherence[g]", "w0")] + [("formula", "completeness[f]", "w2")] * 2),
+    "both-valued": ((True, True), "rule S -> A {up=a} Y {up=down}; rule Y -> B {up=b};"
+                    "lex \"u\" A; lex \"v\" B;", "u v", 0,
+                    [("clash", "distinct atoms 'a' and 'b' forced onto one node", None)]),
+}
+
+
+@pytest.mark.parametrize("case", UPDOWN_CASES.values(), ids=UPDOWN_CASES)
+def test_up_equals_down_binds_a_variable_not_yet_made(monkeypatch, case):
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    made, statements, words, n_models, rejections = case
+    identify, seen = search._UnionFind.identify, set()
+
+    def spy(uf, n, d):
+        seen.add((n in uf.zvar, d in uf.zvar))
+        return identify(uf, n, d)
+
+    monkeypatch.setattr(search._UnionFind, "identify", spy)
+    g = parse_grammar(UPDOWN_SIGNATURE + "\n" + statements)
+    # models, rejections in order and their class-order names as the reference's
+    out = _same_as_two_phase(compile_grammar(g), g, words.split(), SearchBounds())
+    assert seen == {made}
+    assert len(out.models) == n_models
+    assert [(r.reason, r.detail, r.node) for r in out.rejections] == rejections
 
 
 # the slot g links pred g to the local g, which is the clause itself, and
