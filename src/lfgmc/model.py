@@ -573,22 +573,19 @@ def validate_model(m: Model) -> ValidationReport:
 
 def fnode_names(initial, trans) -> dict:
     """The canonical f-node numbering of the nodes reachable from
-    ``initial`` (none when it is None): ``f0`` for ``initial``, then
-    ``f1..`` in breadth-first order, following each node's transitions
-    ``trans[w]`` (feature -> successor), given in sorted feature order.
-    ``canonicalize`` renames feature nodes by it (the unreached ones after
-    these), and the search's read-off numbers its classes alike."""
-    names = {}
-    if initial is not None:
-        names[initial] = "f0"
-        queue = [initial]
-        for w in queue:  # grows while it is walked
-            table = trans.get(w)
-            if table:
-                for w2 in table.values():
-                    if w2 not in names:
-                        names[w2] = "f%d" % len(names)
-                        queue.append(w2)
+    ``initial``: ``f0`` for ``initial``, then ``f1..`` in breadth-first
+    order, following each node's transitions ``trans[w]`` (feature ->
+    successor), given in sorted feature order.  ``canonicalize`` renames
+    feature nodes by it (the unreached ones after these), and the search's
+    read-off numbers its classes alike."""
+    names, queue = {initial: "f0"}, [initial]
+    for w in queue:  # grows while it is walked
+        table = trans.get(w)
+        if table:
+            for w2 in table.values():
+                if w2 not in names:
+                    names[w2] = "f%d" % len(names)
+                    queue.append(w2)
     return names
 
 
@@ -598,10 +595,12 @@ def canonicalize(m: Model) -> Model:
     the initial node following features in sorted order).
 
     Intended for valid models; unreachable f-nodes, if any, are appended
-    in their old order so the operation is total.  A tree node reached
-    twice from the root has no single preorder name, so it raises
-    :class:`ModelFormatError`: daughter links that form a cycle name the
-    node that closes it, and a shared daughter is named itself.
+    in their old order.  A tree node reached twice from the root has no
+    single preorder name, so it raises :class:`ModelFormatError`: daughter
+    links that form a cycle name the node that closes it, and a shared
+    daughter is named itself.  So does an id that names no node, the first
+    of: the initial f-node, the transition sources, the final f-nodes (in
+    node order), the zoomin sources (tree nodes) and targets (f-nodes).
     """
     c, f = m.cstruct, m.fstruct
 
@@ -617,8 +616,14 @@ def canonicalize(m: Model) -> Model:
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 
+    fids = (f.initial, *f.trans, *sorted(f.final, key=node_key))
+    for ids, nodes, kind in ((fids, f.nodes, "an f-node"), (m.zoomin, c.nodes, "a tree node"),
+                             (m.zoomin.values(), f.nodes, "an f-node")):
+        for w in ids:
+            if w not in nodes:
+                raise ModelFormatError("%r is not %s" % (w, kind))
     by_feat = {w: dict(sorted(t.items())) for w, t in f.trans.items()}
-    fmap = fnode_names(f.initial if f.initial in f.nodes else None, by_feat)
+    fmap = fnode_names(f.initial, by_feat)
     for w in sorted(f.nodes, key=node_key):
         fmap.setdefault(w, "f%d" % len(fmap))
 

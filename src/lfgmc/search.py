@@ -11,14 +11,15 @@ one:
    (cat, i, j) as the ascending ends of each category at each start.
    It is built once by agenda-driven deduction (Earley 1970; Shieber,
    Schabes & Pereira 1995), start by start from right to left, so its
-   work grows with the edges, not with the spans.  The enumerator reads
-   the child ends off the chart, computes the derivations of each
-   (cat, i, j, budget) once on an explicit stack, and so shares
-   sub-derivations between candidates.  A derivation is the grammar's
-   own data, which checked its shape when built (see ``lfgmc.grammar``):
-   a preterminal's is its ``LexEntry``, a phrase's the tuple ``(rule,
-   children)``.  Each comes with its tree shape and entries, made from
-   its children's;
+   work grows with the edges, not with the spans.  It is the
+   enumerator's only table: a rule element's ends are those from which
+   the later elements reach the span's end, read off the chart when a
+   key needs them.  The derivations of each (cat, i, j, budget) are
+   computed once on an explicit stack, so candidates share
+   sub-derivations.  A derivation is the grammar's own data, which
+   checked its shape when built (see ``lfgmc.grammar``): a preterminal's
+   is its ``LexEntry``, a phrase's the tuple ``(rule, children)``.  Each
+   comes with its tree shape and entries, made from its children's;
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
@@ -130,7 +131,7 @@ from .semantics import _least_failing, valid
 
 class SearchBounds(_Frozen):
     """Limits on one parse: tree nodes per candidate, f-nodes per model,
-    and models returned; each at least 1."""
+    and models returned; each an int (not a bool), at least 1."""
 
     _fields = ("max_tree_nodes", "max_f_nodes", "max_models")
 
@@ -138,6 +139,8 @@ class SearchBounds(_Frozen):
         self.__dict__.update(max_tree_nodes=max_tree_nodes, max_f_nodes=max_f_nodes,
                              max_models=max_models)
         for name, value in zip(self._fields, self._values()):
+            if type(value) is not int:
+                raise TypeError("%s must be an int, not %s" % (name, type(value).__name__))
             if value < 1:
                 raise ValueError("%s must be at least 1" % name)
 
@@ -169,23 +172,21 @@ class ParseOutcome(_Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _reaches(ends, cats, pos: int, j: int) -> bool:
-    """Whether chart edges of the categories ``cats`` (at least one), in
-    order, lead from ``pos`` to ``j``."""
-    reached = {pos}
-    for c in cats[:-1]:
-        reached = {e for p in reached for e in ends[p].get(c, ()) if e < j}
-    return any(j in ends[p].get(cats[-1], ()) for p in reached)
+def _live_ends(ends, cats, pos: int, j: int) -> list[int]:
+    """The ends ``e``, ascending, of the chart edges (cats[0], pos, e) from
+    which the later categories ``cats[1:]`` have live ends in turn, the
+    last one ``j``: the ends of a rule element that can complete the span."""
+    found, later = ends[pos].get(cats[0], ()), cats[1:]
+    if not later:
+        return [j] if j in found else []
+    return [e for e in found if e < j and _live_ends(ends, later, e, j)]
 
 
 def _chart(grammar: Grammar, tokens):
     """Budget-free derivability: ``ends[i][cat]`` lists, ascending, the
     ends ``j`` of the edges (cat, i, j), the spans tokens[i:j] that ``cat``
-    derives, and ``firsts[i][(id(rule), j)]`` lists, ascending, the ends
-    of the first element of ``rule`` over tokens[i:j] from which its later
-    elements reach ``j`` (absent when the rule does not derive the span).
-    Starts come from right to left, and each is closed by an agenda
-    seeded with its token's lexical edges.  A popped edge (c, i, k)
+    derives.  Starts come from right to left, and each is closed by an
+    agenda seeded with its token's lexical edges.  A popped edge (c, i, k)
     extends only the rules whose first element is ``c``; every rule
     element covers at least one token, so the later elements start at or
     after ``k`` and their ends are read off rows already finished.  A
@@ -196,9 +197,8 @@ def _chart(grammar: Grammar, tokens):
         by_first.setdefault(rule.rhs[0].cat, []).append((rule, [e.cat for e in rule.rhs[1:]]))
     n = len(tokens)
     ends: list[dict[str, list[int]]] = [{} for _ in range(n + 1)]
-    firsts: list[dict[tuple[int, int], list[int]]] = [{} for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        row, split = ends[i], firsts[i]
+        row = ends[i]
         seen = set()
         agenda = [(entry.cat, i + 1) for entry in grammar.entries_for(tokens[i])]
         while agenda:
@@ -212,12 +212,10 @@ def _chart(grammar: Grammar, tokens):
                 reached = (k,)
                 for c in later:
                     reached = {j for pos in reached for j in ends[pos].get(c, ())}
-                for j in reached:
-                    agenda.append((rule.lhs, j))
-                    split.setdefault((id(rule), j), []).append(k)
-        for found in (*row.values(), *split.values()):
+                agenda.extend((rule.lhs, j) for j in reached)
+        for found in row.values():
             found.sort()
-    return ends, firsts
+    return ends
 
 
 class _SkeletonEnumerator:
@@ -225,7 +223,10 @@ class _SkeletonEnumerator:
         self.grammar = grammar
         self.tokens = tokens
         self.bound_hit = False
-        self.ends, self.firsts = _chart(grammar, tokens)
+        self.ends = _chart(grammar, tokens)
+        self.rules: dict[str, list] = {}  # lhs -> (rule, its element categories), in order
+        for rule in grammar.rules:
+            self.rules.setdefault(rule.lhs, []).append((rule, tuple(e.cat for e in rule.rhs)))
         self.memo: dict[tuple[str, int, int, int], list] = {}
         self.shapes: dict[tuple, int] = {}  # (id(rule),) + children's shapes -> shape id
 
@@ -239,13 +240,13 @@ class _SkeletonEnumerator:
         Results are memoised per (cat, i, j, budget), so sub-derivations
         are shared objects across parents and the returned list must not
         be mutated.  Only what can complete a tree is entered: a span with
-        an edge in the chart, a rule the chart records over the span, and
-        an element's end from which the later elements reach the span's
-        end.  So a bound cut always loses a tree, and ``bound_hit`` is set
-        only then.  Each child's ends are read off the chart in ascending
-        order.  The keys under computation are kept on an explicit
-        stack, innermost last; a key needs only keys of smaller budgets,
-        so it never recurs while it is computed."""
+        an edge in the chart, and each rule element's ends, ascending, from
+        which the later elements reach the span's end (``_live_ends``, on
+        the chart alone); a rule derives the span when its first element
+        has such an end.  So a bound cut always loses a tree, and
+        ``bound_hit`` is set only then.  The keys under computation are
+        kept on an explicit stack, innermost last; a key needs only keys of
+        smaller budgets, so it never recurs while it is computed."""
         if j not in self.ends[i].get(cat, ()):
             return []
         key = (cat, i, j, budget)
@@ -283,29 +284,16 @@ class _SkeletonEnumerator:
                     out.extend((e, 2, e.cat, (e,)) for e in entries)
                 else:
                     self.bound_hit = True
-        firsts = self.firsts[i]
-        for rule in self.grammar.rules:
-            live = firsts.get((id(rule), j)) if rule.lhs == cat else None
-            if live is None:
+        for rule, cats in self.rules.get(cat, ()):
+            if budget < 1 + 2 * (j - i):  # no tree fits: a cut if the rule derives the span
+                self.bound_hit = self.bound_hit or bool(_live_ends(self.ends, cats, i, j))
                 continue
-            if budget < 1 + 2 * (j - i):
-                self.bound_hit = True
-                continue
-            last = len(rule.rhs) - 1
             # (children so far, shape key, entries, their end, budget left)
             partial = [((), (id(rule),), (), i, budget - 1)]
-            for idx, elem in enumerate(rule.rhs):
-                c = elem.cat
+            for idx, c in enumerate(cats):
                 grown = []
                 for kids, key, ents, pos, avail in partial:
-                    if idx == 0:
-                        ends = live
-                    elif idx == last:
-                        ends = (j,)
-                    else:  # a middle element: the ends the later ones carry on to j
-                        later = [e.cat for e in rule.rhs[idx + 1:]]
-                        ends = [e for e in self.ends[pos].get(c, ()) if _reaches(self.ends, later, e, j)]
-                    for end in ends:
+                    for end in _live_ends(self.ends, cats[idx:], pos, j):
                         reserve = 2 * (j - end)  # least any continuation can cost
                         need = (c, pos, end, avail - reserve)
                         derivs = memo.get(need)

@@ -547,7 +547,15 @@ def test_canonicalize_matches_reference():
     # the reference renames it on each visit.  Every other corruption is
     # compared with the reference.  Half the models are numbered in
     # preorder before they are broken, so the corruption hits trees
-    # canonicalize would otherwise keep.
+    # canonicalize would otherwise keep.  An initial f-node or a zoomin
+    # source or target that names no node is named in a ModelFormatError,
+    # where the reference raises a bare KeyError.
+    ghosts = {
+        "fstruct-initial-unknown": "'w_ghost' is not an f-node",
+        "fstruct-empty": "'w_ghost' is not an f-node",
+        "zoomin-domain": "'t_ghost' is not a tree node",
+        "zoomin-range": "'w_ghost' is not an f-node",
+    }
     cases = list(_broken_models(32, 100, 14))
     rng = random.Random(33)
     for _ in range(100):
@@ -555,7 +563,7 @@ def test_canonicalize_matches_reference():
         cases.append((None, m))
         cases.extend((name, corrupt(rng, m)) for name, corrupt in CORRUPTORS)
     cases.append((None, _odd_model()))
-    checked = cycles = shared = 0
+    checked = cycles = shared = named = 0
     for name, m in cases:
         if m is None:
             continue
@@ -565,6 +573,11 @@ def test_canonicalize_matches_reference():
             assert got == (ModelFormatError, (message,))
             cycles += 1
             continue
+        if name in ghosts:
+            assert got == (ModelFormatError, (ghosts[name],)), name
+            assert _outcome(reference_canonicalize, m)[0] is KeyError, name
+            named += 1
+            continue
         twice = _reached_twice(m.cstruct)
         if twice is not None:
             message = "tree node %r is reached twice from the root" % twice
@@ -573,7 +586,30 @@ def test_canonicalize_matches_reference():
             continue
         assert got == _outcome(reference_canonicalize, m), name
         checked += 1
-    assert checked > 3000 and cycles > 150 and shared > 150
+    assert checked > 3000 and cycles > 150 and shared > 150 and named == 4 * 200
+
+
+def test_canonicalize_names_the_first_id_that_names_no_node(fig_model):
+    # the initial f-node, the transition sources, the final f-nodes in
+    # node order, the zoomin sources and then their targets
+    m, f = fig_model, fig_model.fstruct
+
+    def broken(initial=f.initial, trans=f.trans, final=f.final, zoomin=m.zoomin):
+        fstruct = FStructure(f.nodes, initial, trans, final, f.atomval)
+        return Model(m.sig, m.cstruct, fstruct, zoomin)
+
+    cases = [
+        (broken(initial="w9", trans={**f.trans, "w8": {}}), "'w9' is not an f-node"),
+        (broken(trans={**f.trans, "w8": {}}, final=f.final | {"w7", "w6"}), "'w8' is not an f-node"),
+        (broken(final=f.final | {"w7", "w10"}, zoomin={**m.zoomin, "n99": "w5"}),
+         "'w7' is not an f-node"),
+        (broken(zoomin={**m.zoomin, "n99": "w5"}), "'n99' is not a tree node"),
+        (broken(zoomin={**m.zoomin, "n0": "w5"}), "'w5' is not an f-node"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ModelFormatError) as err:
+            canonicalize(bad)
+        assert err.value.args == (message,)
 
 
 def test_canonicalize_names_the_node_closing_a_cycle():

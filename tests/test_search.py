@@ -521,6 +521,15 @@ def test_bounds_validate():
         with pytest.raises(ValueError, match="^%s must be at least 1$" % name):
             SearchBounds().replace(**{name: 0})
     assert SearchBounds(5, 6).replace(max_models=7) == SearchBounds(5, 6, 7)
+    # a field that is not an int (a bool included) is refused, before the
+    # range check
+    for name in ("max_tree_nodes", "max_f_nodes", "max_models"):
+        for bad in (2.5, "3", True, None, 0.0):
+            message = "^%s must be an int, not %s$" % (name, type(bad).__name__)
+            with pytest.raises(TypeError, match=message):
+                SearchBounds(**{name: bad})
+            with pytest.raises(TypeError, match=message):
+                SearchBounds().replace(**{name: bad})
 
 
 _REJECTION_TEXT = "Rejection(reason='formula', detail='licensing', node='n0')"
@@ -2310,6 +2319,29 @@ def _long_chain(clauses):
     for k in range(clauses - 1):
         tokens += ["the", nouns[k % 499], "said", "that"]
     return embedding_grammar_text(nouns), tokens + ["the", nouns[-1], "slept"]
+
+
+def test_enumerating_a_long_chain_keeps_its_memory_small():
+    # 241 clauses, 963 tokens: the chart keeps only the ends of each
+    # category at each start, and the enumerator works out a rule
+    # element's live ends from them when a key needs them, so the peak,
+    # chart included, is about 5 MB; a table per chart edge would not fit
+    import tracemalloc
+
+    from lfgmc import parse_grammar
+    from lfgmc.search import _SkeletonEnumerator
+
+    text, tokens = _long_chain(241)
+    grammar = parse_grammar(text)
+    tracemalloc.start()
+    try:
+        enum = _SkeletonEnumerator(grammar, tokens)
+        derivations = enum.derive(grammar.start, 0, len(tokens), 100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(derivations) == 1 and not enum.bound_hit and len(enum.memo) == 1926
+    assert peak <= 8_000_000, peak
 
 
 @pytest.mark.parametrize("clauses", [121, 241])
