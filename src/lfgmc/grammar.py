@@ -186,17 +186,19 @@ class Grammar(_Frozen):
 
 class Theory(_Frozen):
     """The compiled constraint set whose joint validity is grammaticality.
-    ``source`` is not a field: the grammar ``compile_grammar`` compiled it
-    from (None for a theory built otherwise, ``replace`` included);
-    ``parse_sentence`` trusts the axioms of a theory compiled from the
-    grammar it parses (see ``lfgmc.search``).  ``compile_grammar`` gives
-    ``lexical`` as a ``partial`` that builds it, called when ``lexical`` is
-    first read (by ``labeled``, ``==``, ``hash``, ``repr`` or ``replace``
-    too) and then kept; until then the theory pickles without it, and a
-    covered ``check_parse`` evaluates only the model's words' slice."""
+    Outside the fields, ``source`` is the grammar ``compile_grammar``
+    compiled it from (None for a theory built otherwise) and ``compiled``
+    names the fields still as it made them; ``replace`` keeps ``source``
+    and drops each field given another object (by identity: ``==`` would
+    walk the lexical axiom).  The search decides each label by them (see
+    ``lfgmc.search``).  ``compile_grammar`` gives ``lexical`` as a
+    ``partial`` that builds it when first read (by ``labeled``, ``==``,
+    ``hash`` or ``repr`` too); until then the theory pickles and
+    ``replace`` copies without it."""
 
     _fields = ("licensing", "lexical", "completeness", "coherence", "gf")
     source: Grammar | None = None
+    compiled: frozenset[str] = frozenset()
 
     def __init__(self, licensing: Formula, lexical: Formula, completeness: tuple[Formula, ...] = (),
                  coherence: tuple[Formula, ...] = (), gf: tuple[tuple[str, ...], ...] = ()):
@@ -218,6 +220,16 @@ class Theory(_Frozen):
         return super()._values()
 
     _key = _values
+
+    def replace(self, **changes):
+        """``_Frozen.replace``, keeping ``source`` and the ``compiled``
+        fields that ``changes`` gives no other object for."""
+        d = self.__dict__
+        old = {k: d[k] if k in d else d["_lexical"] for k in self._fields}
+        copy = type(self)(**{**old, **changes})
+        changed = {k for k, v in changes.items() if v is not old[k]}
+        copy.__dict__.update(source=self.source, compiled=self.compiled - changed)
+        return copy
 
     def labeled(self) -> tuple[tuple[str, Formula], ...]:
         return (("licensing", self.licensing), ("lexical", self.lexical), *self.principles())
@@ -388,7 +400,7 @@ def compile_grammar(grammar: Grammar) -> Theory:
         coherence=tuple(coherence_axioms(grammar.sig)),
         gf=grammar.sig.gf,
     )
-    theory.__dict__["source"] = grammar
+    theory.__dict__.update(source=grammar, compiled=frozenset(Theory._fields))
     return theory
 
 

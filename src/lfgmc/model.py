@@ -327,19 +327,19 @@ def validate_model(m: Model) -> ValidationReport:
     c, f, sig = m.cstruct, m.fstruct, m.sig
     tree_order = m.node_order[: len(c.nodes)]
 
+    def add(code, message, nodes=()):
+        out.append(Violation(code, message, nodes))
+
+    def ordered(ids):
+        return tuple(sorted(ids, key=node_key))
+
     shared = c.nodes & f.nodes
     if shared:
-        out.append(
-            Violation(
-                "duplicate-node-id",
-                "ids used in both tree and f-structure",
-                tuple(sorted(shared, key=node_key)),
-            )
-        )
+        add("duplicate-node-id", "ids used in both tree and f-structure", ordered(shared))
 
     # --- tree shape ---
     if c.root not in c.nodes:
-        out.append(Violation("tree-root-unknown", "root %r is not a node" % c.root))
+        add("tree-root-unknown", "root %r is not a node" % c.root)
     bad_refs = set()
     for n, ds in c.daughters.items():
         if n not in c.nodes:
@@ -348,59 +348,36 @@ def validate_model(m: Model) -> ValidationReport:
         seen = set()
         for d in ds:
             if d in seen:
-                out.append(
-                    Violation(
-                        "tree-duplicate-daughter",
-                        "node occurs twice among the daughters of %r" % n,
-                        (d,),
-                    )
-                )
+                add("tree-duplicate-daughter", "node occurs twice among the daughters of %r" % n,
+                    (d,))
             seen.add(d)
     for d, mo in c.mother.items():
         if d not in c.nodes or mo not in c.nodes:
             bad_refs.update(x for x in (d, mo) if x not in c.nodes)
     if bad_refs:
-        out.append(
-            Violation(
-                "tree-unknown-ref",
-                "links mention ids that are not tree nodes",
-                tuple(sorted(bad_refs, key=node_key)),
-            )
-        )
+        add("tree-unknown-ref", "links mention ids that are not tree nodes", ordered(bad_refs))
 
     for n in tree_order:
         if n not in c.label:
-            out.append(Violation("tree-label-missing", "node has no label", (n,)))
+            add("tree-label-missing", "node has no label", (n,))
 
     # mother and daughters must tell the same story
     for n, ds in c.daughters.items():
         for d in ds:
             if c.mother.get(d) != n:
-                out.append(
-                    Violation(
-                        "tree-mother-daughters-mismatch",
-                        "%r is listed as a daughter of %r but records a "
-                        "different mother" % (d, n),
-                        (d, n),
-                    )
-                )
+                add("tree-mother-daughters-mismatch",
+                    "%r is listed as a daughter of %r but records a different mother" % (d, n),
+                    (d, n))
     for d, mo in c.mother.items():
         if d not in c.daughters.get(mo, ()):
-            out.append(
-                Violation(
-                    "tree-mother-daughters-mismatch",
-                    "%r records mother %r but is not among its daughters" % (d, mo),
-                    (d, mo),
-                )
-            )
+            add("tree-mother-daughters-mismatch",
+                "%r records mother %r but is not among its daughters" % (d, mo), (d, mo))
 
     if c.mother.get(c.root) is not None:
-        out.append(Violation("tree-root-has-mother", "root has a mother", (c.root,)))
+        add("tree-root-has-mother", "root has a mother", (c.root,))
     for n in tree_order:
         if n != c.root and n not in c.mother:
-            out.append(
-                Violation("tree-orphan", "non-root node has no mother", (n,))
-            )
+            add("tree-orphan", "non-root node has no mother", (n,))
 
     # connectivity and acyclicity, walked from the root
     if c.root in c.nodes:
@@ -426,53 +403,25 @@ def validate_model(m: Model) -> ValidationReport:
             else:
                 on_path.discard(n)
         if cyclic:
-            out.append(
-                Violation(
-                    "tree-cycle",
-                    "daughter links form a cycle",
-                    tuple(sorted(cyclic, key=node_key)),
-                )
-            )
+            add("tree-cycle", "daughter links form a cycle", ordered(cyclic))
         unreached = c.nodes - visited
         if unreached:
-            out.append(
-                Violation(
-                    "tree-disconnected",
-                    "nodes not reachable from the root",
-                    tuple(sorted(unreached, key=node_key)),
-                )
-            )
+            add("tree-disconnected", "nodes not reachable from the root", ordered(unreached))
 
     for n in tree_order:
         lab = c.label.get(n)
         if lab in sig.words and c.daughters.get(n, ()):
-            out.append(
-                Violation(
-                    "tree-word-label-internal",
-                    "word form %r labels a node with daughters" % lab,
-                    (n,),
-                )
-            )
+            add("tree-word-label-internal", "word form %r labels a node with daughters" % lab, (n,))
         if lab is not None and lab not in sig.cats and lab not in sig.words:
-            out.append(
-                Violation(
-                    "label-not-in-signature",
-                    "label %r is neither a category nor a word form" % lab,
-                    (n,),
-                )
-            )
+            add("label-not-in-signature", "label %r is neither a category nor a word form" % lab,
+                (n,))
 
     # --- feature graph ---
     if not f.nodes:
-        out.append(Violation("fstruct-empty", "f-structure has no nodes"))
+        add("fstruct-empty", "f-structure has no nodes")
     else:
         if f.initial not in f.nodes:
-            out.append(
-                Violation(
-                    "fstruct-initial-unknown",
-                    "initial node %r is not a node" % f.initial,
-                )
-            )
+            add("fstruct-initial-unknown", "initial node %r is not a node" % f.initial)
         bad = set()
         for w, table in f.trans.items():
             if w not in f.nodes:
@@ -481,23 +430,13 @@ def validate_model(m: Model) -> ValidationReport:
                 if w2 not in f.nodes:
                     bad.add(w2)
                 if feat not in sig.feats:
-                    out.append(
-                        Violation(
-                            "feat-not-in-signature",
-                            "transition uses undeclared feature %r" % feat,
-                            (w,),
-                        )
-                    )
+                    add("feat-not-in-signature", "transition uses undeclared feature %r" % feat,
+                        (w,))
         bad.update(w for w in f.final if w not in f.nodes)
         bad.update(w for w in f.atomval if w not in f.nodes)
         if bad:
-            out.append(
-                Violation(
-                    "fstruct-unknown-ref",
-                    "links mention ids that are not f-structure nodes",
-                    tuple(sorted(bad, key=node_key)),
-                )
-            )
+            add("fstruct-unknown-ref", "links mention ids that are not f-structure nodes",
+                ordered(bad))
 
         if f.initial in f.nodes:
             reach = {f.initial}
@@ -510,63 +449,28 @@ def validate_model(m: Model) -> ValidationReport:
                         frontier.append(w2)
             unreached = f.nodes - reach
             if unreached:
-                out.append(
-                    Violation(
-                        "fstruct-unreachable",
-                        "nodes not reachable from the initial node",
-                        tuple(sorted(unreached, key=node_key)),
-                    )
-                )
+                add("fstruct-unreachable", "nodes not reachable from the initial node",
+                    ordered(unreached))
 
         for w in sorted(f.final, key=node_key):
             if f.trans.get(w):
-                out.append(
-                    Violation(
-                        "fstruct-final-transition",
-                        "final node has outgoing transitions",
-                        (w,),
-                    )
-                )
+                add("fstruct-final-transition", "final node has outgoing transitions", (w,))
         for w in sorted(f.atomval, key=node_key):
             if w not in f.final:
-                out.append(
-                    Violation(
-                        "fstruct-valuation-nonfinal",
-                        "valuation on non-final node",
-                        (w,),
-                    )
-                )
+                add("fstruct-valuation-nonfinal", "valuation on non-final node", (w,))
         for w in sorted(f.final, key=node_key):
             if w not in f.atomval:
-                out.append(
-                    Violation(
-                        "fstruct-final-unvalued",
-                        "final node carries no atomic value",
-                        (w,),
-                    )
-                )
+                add("fstruct-final-unvalued", "final node carries no atomic value", (w,))
         for w, a in sorted(f.atomval.items(), key=lambda kv: node_key(kv[0])):
             if a not in sig.atoms:
-                out.append(
-                    Violation(
-                        "atom-not-in-signature",
-                        "atomic value %r is not declared" % a,
-                        (w,),
-                    )
-                )
+                add("atom-not-in-signature", "atomic value %r is not declared" % a, (w,))
 
     # --- zoomin ---
     for t, w in sorted(m.zoomin.items(), key=lambda kv: node_key(kv[0])):
         if t not in c.nodes:
-            out.append(
-                Violation("zoomin-domain", "zoomin defined on a non-tree id", (t,))
-            )
+            add("zoomin-domain", "zoomin defined on a non-tree id", (t,))
         if w not in f.nodes:
-            out.append(
-                Violation(
-                    "zoomin-range", "zoomin target is not an f-structure node", (t, w)
-                )
-            )
+            add("zoomin-range", "zoomin target is not an f-structure node", (t, w))
 
     return ValidationReport(tuple(out))
 
@@ -599,8 +503,11 @@ def canonicalize(m: Model) -> Model:
     single preorder name, so it raises :class:`ModelFormatError`: daughter
     links that form a cycle name the node that closes it, and a shared
     daughter is named itself.  So does an id that names no node, the first
-    of: the initial f-node, the transition sources, the final f-nodes (in
-    node order), the zoomin sources (tree nodes) and targets (f-nodes).
+    of: the initial f-node, the transition sources, the final f-nodes and
+    the atoms' f-nodes (in node order), the zoomin sources (tree nodes) and
+    targets (f-nodes); then an id of the mother, daughter, label or zoomin
+    tables the root does not reach, and a transition target (from an
+    f-node the initial one does not reach) that is no f-node.
     """
     c, f = m.cstruct, m.fstruct
 
@@ -616,16 +523,21 @@ def canonicalize(m: Model) -> Model:
         tmap[n] = "n%d" % len(tmap)
         stack.extend(reversed(c.daughters.get(n, ())))
 
-    fids = (f.initial, *f.trans, *sorted(f.final, key=node_key))
-    for ids, nodes, kind in ((fids, f.nodes, "an f-node"), (m.zoomin, c.nodes, "a tree node"),
-                             (m.zoomin.values(), f.nodes, "an f-node")):
-        for w in ids:
-            if w not in nodes:
-                raise ModelFormatError("%r is not %s" % (w, kind))
     by_feat = {w: dict(sorted(t.items())) for w, t in f.trans.items()}
     fmap = fnode_names(f.initial, by_feat)
     for w in sorted(f.nodes, key=node_key):
         fmap.setdefault(w, "f%d" % len(fmap))
+    fids = (f.initial, *f.trans, *sorted(f.final, key=node_key), *sorted(f.atomval, key=node_key))
+    tids = (*c.mother, *c.mother.values(), *c.daughters, *c.label, *m.zoomin)
+    targets = [w for t in f.trans.values() for w in t.values()]
+    for ids, nodes, kind in ((fids, f.nodes, "is not an f-node"),
+                             (m.zoomin, c.nodes, "is not a tree node"),
+                             (m.zoomin.values(), f.nodes, "is not an f-node"),
+                             (tids, tmap, "is not reached from the root"),
+                             (targets, fmap, "is not an f-node")):
+        for w in ids:
+            if w not in nodes:
+                raise ModelFormatError("%r %s" % (w, kind))
 
     cstruct = CStructure(
         nodes=frozenset(tmap.values()),

@@ -53,46 +53,44 @@ tree nodes are numbered in preorder as the tree is built, and one walk
 names the classes ``f0..`` as ``canonicalize`` numbers f-nodes and
 builds the tables in the order the model's text lists them.  A model
 built from a grammar that compiles (so its signature has no violations)
-holds by construction its theory's licensing and lexical axioms and all
-of ``validate_model`` but reachability: preorder ids ``n<k>`` with the
-mothers ``CStructure.build`` would derive, labels from the declared
-categories and the input words, which the signature keeps apart,
-``f<k>`` ids, features and atoms from the schemata, and valued classes
-that ``_close`` keeps free of transitions.  Only preterminals have a
-word daughter, so the lexical antecedent holds exactly at them and the
-licensing one (a grandchild) at phrase nodes; the f-structure solves the
-equations, so a phrase node satisfies its rule's disjunct and a
-preterminal its entry's under ``up zoomin`` (a root preterminal's entry
-has no schemata, or else it clashed).  A class the naming walk misses is
-rejected as ``fstruct-unreachable``.  Tree nodes and valued classes have
-no feature transitions, so only a class with ``pred`` can fail
-completeness[g] (``pred g`` resolves, ``g`` does not) or coherence[g]
-(``g`` resolves, ``pred g`` does not).  For the theory compiled from the
-grammar being parsed (``theory.source is grammar``) both are decided on
-the walk's tables, which name every class once reachability holds, over
-the classes in class order; so no evaluator runs, no lexical axiom is
-built, and only survivors get a model.  Any other theory (built by hand
-or by ``replace``, or compiled from an equal but separate ``Grammar``)
-is foreign: the grammar is compiled once for its checks, and ``valid``
-evaluates every label on the model read off; if the theory has a
-``source`` whose signature the grammar's contains, the lexical label is
-the slice (below) for the sentence's words, built once per call, as
-every candidate has the sentence as its leaves.
+holds by construction the licensing and lexical axioms compiled from it
+and all of ``validate_model`` but reachability: preorder ids ``n<k>``
+with the mothers ``CStructure.build`` would derive, labels from the
+declared categories and the input words, which the signature keeps
+apart, ``f<k>`` ids, features and atoms from the schemata, and valued
+classes that ``_close`` keeps free of transitions.  Only preterminals
+have a word daughter, so the lexical antecedent holds exactly at them
+and the licensing one (a grandchild) at phrase nodes; the f-structure
+solves the equations, so a phrase node satisfies its rule's disjunct and
+a preterminal its entry's under ``up zoomin`` (a root preterminal's
+entry has no schemata, or else it clashed).  A class the naming walk
+misses is rejected as ``fstruct-unreachable``.  Tree nodes and valued
+classes have no feature transitions, so only a class with ``pred`` can
+fail completeness[g] (``pred g`` resolves, ``g`` does not) or
+coherence[g] (``g`` resolves, ``pred g`` does not), which the walk's
+tables decide, as they name every class once reachability holds.
 
-``check_parse`` rests on two lemmas.  First, a compiled theory uses only
-names its grammar's signature declares: compilation checks each name of
-the rules and entries, the lexical antecedent lists the declared words,
-and the principles use ``pred`` and the ``gf`` steps, which
-``compile_grammar`` requires to be declared features.  So
-``validate_names`` is skipped when the model's signature contains the
-grammar's (the model is *covered*); for other models the names of
-``theory.labeled()`` are checked in label order, which raises the first
-error ``valid`` would.  Second, for the declared words W that label a
-node, the *slice* (the lexical axiom compiled over W and W's entries,
-``true`` for no W and consequent ``FALSE`` for no entries) fails where
-the whole axiom does, on any model: a literal or disjunct for a word
-outside W holds nowhere.  So the whole axiom is built only for an
-uncovered model's names.
+Each label is decided one way (``_deciders``).  ``compile_grammar``
+records its grammar as ``theory.source`` and every field as kept
+(``theory.compiled``); ``replace`` drops the fields it changes.  Under
+the grammar being parsed, a kept licensing or lexical label holds by
+construction and a kept principle (``gf`` kept too) is decided on the
+tables; any other label is evaluated on the model read off, built only
+then or for a survivor, a kept lexical one on its slice.  Another theory
+has the grammar compiled once, for its checks.  Two lemmas serve
+``check_parse`` too.  First, a kept label uses only names its source's
+signature declares (compilation checks each name of the rules and
+entries, the lexical antecedent lists the declared words, and the
+principles use ``pred`` and the ``gf`` steps, which must be declared
+features), so the names walk of ``valid`` is skipped for it on a model
+whose signature contains the source's (a *covered* model); any other
+label's names are walked first, raising the first error ``valid`` would.
+Second, for the declared words W that label a node, the *slice* (the
+lexical axiom over W and W's entries, ``true`` for no W, consequent
+``FALSE`` for no entries) fails where the whole axiom does, on any
+model: a literal or disjunct for a word outside W holds nowhere.  So the
+whole axiom is built only for an uncovered model's names walk, or when
+lexical is not kept.
 
 Models that fail the theory are reported as rejections with the failing
 formula label and counterexample node; a failing f-node is named as the
@@ -126,7 +124,7 @@ from .grammar import (AtomValueSchema, Grammar, LexEntry, PathEqSchema, PRED_FEA
                       Theory, _lexical_axiom, compile_grammar)
 from .model import (CStructure, FStructure, Model, NodeId, _Frozen, _fstruct_text, _model_tail,
                     _tree_row)
-from .semantics import _least_failing, valid
+from .semantics import _least_failing
 
 
 class SearchBounds(_Frozen):
@@ -571,15 +569,14 @@ def _principle_failures(gf, tables, names) -> list[int | None]:
     return first
 
 
-def _read_off(sig, cstruct, uf: _UnionFind, bounds, gf, principles):
+def _read_off(cstruct, uf: _UnionFind, bounds):
     """The first rejection among the entry point (the root node's class,
     else the one class without incoming transitions), the f-node bound (None
-    past it), reachability and the ``principles`` over ``gf``; else the
-    least-solution model in canonical names as ``(model, name)``, ``name``
-    mapping the classes, in class order, to f-nodes.  One walk,
-    breadth-first over sorted features, names the classes as ``fnode_names``
-    numbers nodes and builds the tables in walk order, the order the
-    model's text lists them; the principles are decided on the tables."""
+    past it) and reachability; else ``(name, tables, atomval)`` in canonical
+    names, ``name`` mapping the classes, in class order, to f-nodes.  One
+    walk, breadth-first over sorted features, names the classes as
+    ``fnode_names`` numbers nodes and builds the tables in walk order, the
+    order the model's text lists them."""
     if not uf.parent:
         uf.make()  # no equations: the f-structure is one empty node
     trans, atoms = uf.trans, uf.atom
@@ -611,29 +608,43 @@ def _read_off(sig, cstruct, uf: _UnionFind, bounds, gf, principles):
             atomval[name[r]] = atoms[r]
     if len(queue) < len(name):
         return Rejection("structure", "fstruct-unreachable")
-    if principles:
-        for (label, _f), k in zip(principles, _principle_failures(gf, tables, name.values())):
-            if k is not None:
-                return Rejection("formula", label, "w%d" % k)
+    return name, tables, atomval
+
+
+def _model(sig, cstruct, uf: _UnionFind, name, tables, atomval) -> Model:
+    """The least-solution model that ``_read_off`` named."""
     fstruct = FStructure(frozenset(tables), "f0", tables, frozenset(atomval), atomval)
-    return Model(sig, cstruct, fstruct, {n: name[rep[v]] for n, v in uf.zvar.items()}), name
+    return Model(sig, cstruct, fstruct, {n: name[uf.find(v)] for n, v in uf.zvar.items()})
 
 
-def _check(labels, trusted, gf, sig, cstruct, uf, bounds):
-    """The outcome of one solved candidate under ``labels`` (see ``parse_sentence``):
-    a Rejection, None past the f-node bound, or its model."""
-    read = _read_off(sig, cstruct, uf, bounds, gf, labels if trusted else ())
+def _check(deciders, gf, sig, cstruct, uf, bounds):
+    """The outcome of one solved candidate: the rejection ``_read_off``
+    gives (None past the f-node bound), else one under the first label
+    that fails as ``deciders`` decide it, else its model, built at the
+    first label evaluated on it or for a survivor."""
+    read = _read_off(cstruct, uf, bounds)
     if not isinstance(read, tuple):
         return read
-    model, name = read
-    for label, f in () if trusted else labels:
-        node = valid(model, f)
-        if node is not None:
+    name, tables, _atomval = read
+    failures = model = None
+    for label, walk, decider in deciders:
+        if decider is None:
+            continue  # holds by construction
+        if type(decider) is int:
+            failures = failures or _principle_failures(gf, tables, name.values())
+            node = failures[decider]
+            node = node if node is None else "w%d" % node
+        else:
+            model = model or _model(sig, cstruct, uf, *read)
+            if walk is not None:
+                validate_names(walk, sig)  # the error valid would raise
+            node = _least_failing(model, decider)
             if node in model.fstruct.nodes:
                 classes = list(name.values())
-                node = "w%d" % classes.index(_least_failing(model, f, classes))
+                node = "w%d" % classes.index(_least_failing(model, decider, classes))
+        if node is not None:
             return Rejection("formula", label, node)
-    return model
+    return model or _model(sig, cstruct, uf, *read)
 
 
 def _text_order(models):
@@ -692,14 +703,9 @@ def parse_sentence(
     for tok in tokens:
         if tok not in grammar.sig.words:
             raise SignatureError("unknown token %r" % tok)
-    trusted = theory.source is grammar
-    if trusted:
-        labels = theory.principles()
-    else:
+    if theory.source is not grammar:
         compile_grammar(grammar)  # raises what the grammar breaks, else its structure holds
-        source = theory.source
-        covered = source is not None and _covers(grammar.sig, source.sig)
-        labels = _sliced(theory, tokens) if covered else theory.labeled()
+    deciders = _deciders(theory, grammar, grammar.sig, tokens)
 
     enum = _SkeletonEnumerator(grammar, tokens)
     derivations = enum.derive(grammar.start, 0, len(tokens), bounds.max_tree_nodes)
@@ -718,7 +724,7 @@ def parse_sentence(
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)
-                    else _check(labels, trusted, theory.gf, grammar.sig, cstruct, solved, bounds)
+                    else _check(deciders, theory.gf, grammar.sig, cstruct, solved, bounds)
                 )
 
     models = _text_order([m for m in outcomes if isinstance(m, Model)])
@@ -759,26 +765,43 @@ class CheckReport(_Frozen):
 
 def _covers(sig, inner) -> bool:
     """Whether ``sig`` declares every name ``inner`` declares."""
-    return all(getattr(inner, k) <= getattr(sig, k) for k in _NAME_KINDS)
+    return sig is inner or all(getattr(inner, k) <= getattr(sig, k) for k in _NAME_KINDS)
 
 
-def _sliced(theory: Theory, labels):
-    """``theory.labeled()`` with the lexical axiom cut to its slice for the
-    declared words W among ``labels`` (see the module docstring)."""
+def _deciders(theory: Theory, grammar, sig, words):
+    """Each label of ``theory`` in order as ``(label, walk, decider)`` (see
+    the module docstring).  ``walk``: the formula whose names ``valid``
+    would check, None for a kept label when ``sig`` covers the source's.
+    ``decider``: None when the label holds by construction, the principle's
+    index when the read-off tables decide it, else the formula to evaluate,
+    for a kept lexical label its slice for the declared words in ``words``."""
     g = theory.source
-    words = g.sig.words.intersection(labels)
-    entries = [e for e in g.lexicon if e.word in words]
-    lexical = _lexical_axiom(entries, words) if g.lexicon and words else TRUE
-    return (("licensing", theory.licensing), ("lexical", lexical), *theory.principles())
+    kept = theory.compiled if g is not None else frozenset()
+    named = kept if kept and _covers(sig, g.sig) else frozenset()
+    built = kept if g is grammar else frozenset()
+    if "lexical" in built:
+        lexical = None
+    elif "lexical" in kept:
+        words = g.sig.words.intersection(words)
+        entries = [e for e in g.lexicon if e.word in words]
+        lexical = _lexical_axiom(entries, words) if g.lexicon and words else TRUE
+    else:
+        lexical = theory.lexical
+    out = [("licensing", None if "licensing" in named else theory.licensing,
+            None if "licensing" in built else theory.licensing),
+           ("lexical", None if "lexical" in named else theory.lexical, lexical)]
+    for k, (label, f) in enumerate(theory.principles()):
+        field = "completeness" if k < len(theory.gf) else "coherence"
+        out.append((label, None if field in named else f, k if {field, "gf"} <= built else f))
+    return out
 
 
 def check_parse(theory: Theory, model: Model) -> CheckReport:
-    """Re-verify a model against every theory formula."""
-    g, sig = theory.source, model.sig
-    if g is None:
-        return CheckReport(tuple(CheckEntry(lb, valid(model, f)) for lb, f in theory.labeled()))
-    if not _covers(sig, g.sig):
-        for _label, f in theory.labeled():  # the first error ``valid`` would raise
-            validate_names(f, sig)
-    labels = _sliced(theory, model.cstruct.label.values())
-    return CheckReport(tuple(CheckEntry(label, _least_failing(model, f)) for label, f in labels))
+    """Re-verify a model against every theory formula (see the module
+    docstring)."""
+    sig, entries = model.sig, []
+    for label, walk, f in _deciders(theory, None, sig, model.cstruct.label.values()):
+        if walk is not None:
+            validate_names(walk, sig)  # the error valid would raise
+        entries.append(CheckEntry(label, _least_failing(model, f)))
+    return CheckReport(tuple(entries))

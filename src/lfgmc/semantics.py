@@ -31,9 +31,9 @@ A ``|`` chain is evaluated the way an ``&`` chain is, operand by operand
 in chain order: each operand only on the nodes no earlier operand holds
 at, as each conjunct only on the nodes every earlier one holds at.  The
 lexical axiom of a compiled theory, one disjunct per lexicon entry, is
-the one big chain; ``check_parse`` and a parse under a foreign theory
-evaluate only its slice for the model's words, and the trusted parse
-evaluates no formula (see ``lfgmc.search``).
+the one big chain; where it is still the compiled one, ``check_parse``
+and the search evaluate at most its slice for the model's words (see
+``lfgmc.search``).
 
 ``valid(m, phi)`` evaluates ``phi`` on every node of both domains and,
 when it fails somewhere, returns the least failing node in the

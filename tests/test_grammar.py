@@ -194,11 +194,16 @@ def test_grammar_records_replace_through_their_constructors(fig_grammar):
     with pytest.raises(ValueError, match="^coherence has 1 formulas for 2 grammatical functions$"):
         theory.replace(gf=[["subj"], ["obj"]], completeness=[TRUE, TRUE])
     stricter = theory.replace(coherence=[FALSE])
-    assert stricter.coherence == (FALSE,) and stricter.source is None
-    assert stricter.lexical is theory.lexical  # replace read it, so it is built once
+    assert stricter.coherence == (FALSE,) and stricter.source is fig_grammar
+    assert stricter.compiled == {"licensing", "lexical", "completeness", "gf"}
+    # replace passes the unbuilt lexical axiom through: neither theory builds it
+    assert lexical_unbuilt(theory) and lexical_unbuilt(stricter)
+    assert stricter.replace(coherence=theory.coherence) == theory
 
 
 def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
+    from lfgmc import Theory
+
     from conftest import FIG_GRAMMAR_TEXT, OVERLAP_GRAMMAR_TEXT
 
     theory = compile_grammar(fig_grammar)
@@ -206,9 +211,10 @@ def test_compiled_theory_records_its_grammar_outside_equality(fig_grammar):
     again = compile_grammar(parse_grammar(FIG_GRAMMAR_TEXT))
     assert again.source is not fig_grammar
     copy = theory.replace()
-    assert copy.source is None
+    assert copy.source is fig_grammar and copy.compiled == theory.compiled == set(theory._fields)
     assert copy == theory == again and hash(copy) == hash(theory)
     assert repr(copy) == repr(theory) and "source" not in repr(theory)
+    assert "compiled" not in repr(theory) and Theory(TRUE, TRUE).compiled == set()
     # a signature with violations does not compile
     with pytest.raises(SignatureError, match="^names used as both word and cat: N$"):
         compile_grammar(parse_grammar(OVERLAP_GRAMMAR_TEXT))

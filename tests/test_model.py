@@ -549,7 +549,8 @@ def test_canonicalize_matches_reference():
     # preorder before they are broken, so the corruption hits trees
     # canonicalize would otherwise keep.  An initial f-node or a zoomin
     # source or target that names no node is named in a ModelFormatError,
-    # where the reference raises a bare KeyError.
+    # where the reference raises a bare KeyError, and so is the first id of
+    # the tree's tables that the root does not reach.
     ghosts = {
         "fstruct-initial-unknown": "'w_ghost' is not an f-node",
         "fstruct-empty": "'w_ghost' is not an f-node",
@@ -563,7 +564,7 @@ def test_canonicalize_matches_reference():
         cases.append((None, m))
         cases.extend((name, corrupt(rng, m)) for name, corrupt in CORRUPTORS)
     cases.append((None, _odd_model()))
-    checked = cycles = shared = named = 0
+    checked = cycles = shared = named = unreached = 0
     for name, m in cases:
         if m is None:
             continue
@@ -584,9 +585,16 @@ def test_canonicalize_matches_reference():
             assert got == (ModelFormatError, (message,)), name
             shared += 1
             continue
-        assert got == _outcome(reference_canonicalize, m), name
+        want = _outcome(reference_canonicalize, m)
+        if name in ("tree-disconnected", "tree-root-unknown"):
+            assert want[0] is KeyError, name
+            # still checked against the reference: it names the id the reference raises for
+            assert got == (ModelFormatError, ("%r is not reached from the root" % want[1][0],)), name
+            unreached += 1
+        else:
+            assert got == want, name
         checked += 1
-    assert checked > 3000 and cycles > 150 and shared > 150 and named == 4 * 200
+    assert checked > 3000 and cycles > 150 and shared > 150 and named == unreached * 2 == 4 * 200
 
 
 def test_canonicalize_names_the_first_id_that_names_no_node(fig_model):
@@ -610,6 +618,24 @@ def test_canonicalize_names_the_first_id_that_names_no_node(fig_model):
         with pytest.raises(ModelFormatError) as err:
             canonicalize(bad)
         assert err.value.args == (message,)
+
+
+def test_canonicalize_names_an_id_its_tables_use_that_it_cannot_name(fig_model):
+    # a tree node the root does not reach, an atom on an id that is no
+    # f-node, and a transition from an unreachable f-node to one that is
+    # no f-node: the reference raises a bare KeyError on each
+    m, c, f = fig_model, fig_model.cstruct, fig_model.fstruct
+    stray = CStructure(c.nodes | {"n9"}, c.root, c.mother, {**c.daughters, "n9": ()},
+                       {**c.label, "n9": "S"})
+    cases = [
+        (m.replace(cstruct=stray), "'n9' is not reached from the root"),
+        (m.replace(fstruct=f.replace(atomval={**f.atomval, "w9": "sing"})), "'w9' is not an f-node"),
+        (m.replace(fstruct=f.replace(nodes=f.nodes | {"w8"}, trans={**f.trans, "w8": {"num": "w9"}})),
+         "'w9' is not an f-node"),
+    ]
+    for bad, message in cases:
+        assert _outcome(reference_canonicalize, bad)[0] is KeyError
+        assert _outcome(canonicalize, bad) == (ModelFormatError, (message,))
 
 
 def test_canonicalize_names_the_node_closing_a_cycle():
@@ -639,8 +665,10 @@ def test_canonicalize_keeps_a_preorder_tree(fig_model):
     ]
     for tree in stray:
         m = Model(once.sig, tree, once.fstruct, once.zoomin)
-        got = _outcome(canonicalize, m)
-        assert got == _outcome(reference_canonicalize, m)
+        want = _outcome(reference_canonicalize, m)
+        if want[0] is KeyError:  # the id is named instead
+            want = (ModelFormatError, ("%r is not reached from the root" % want[1][0],))
+        assert _outcome(canonicalize, m) == want
 
 
 def test_parsing_never_calls_json_dumps(monkeypatch, fig_grammar, fig_theory):

@@ -174,8 +174,8 @@ def _valid_rows(theory, model):
     return [(label, valid(model, f)) for label, f in theory.labeled()]
 
 
-def _no_names_walk(model, phi):
-    raise AssertionError("valid (and its names walk) called for a covered model")
+def _no_names_walk(phi, sig):
+    raise AssertionError("names walked for a covered model")
 
 
 def _relabelled(model, node, label):
@@ -212,7 +212,7 @@ def test_check_parse_rows_equal_valid_without_the_names_walk(monkeypatch, text, 
             cases += [_relabelled(m, n, x) for x in sorted(names - {m.cstruct.label[n]})]
     want = [_valid_rows(theory, m) for m in cases]
     assert any(node is not None for rows in want for _label, node in rows)
-    monkeypatch.setattr(search, "valid", _no_names_walk)
+    monkeypatch.setattr(search, "validate_names", _no_names_walk)
     assert [_rows(check_parse(theory, m)) for m in cases] == want
 
 
@@ -230,7 +230,7 @@ def test_check_parse_rows_equal_valid_on_the_500_noun_chain(monkeypatch):
         models.append((model_from_json(doc), failing))
     want = [_valid_rows(theory, m) for m, _failing in models]
     assert [dict(rows)["lexical"] for rows in want] == [f for _m, f in models]
-    monkeypatch.setattr(search, "valid", _no_names_walk)
+    monkeypatch.setattr(search, "validate_names", _no_names_walk)
     assert [_rows(check_parse(theory, m)) for m, _failing in models] == want
 
 
@@ -289,14 +289,16 @@ def test_check_parse_accepts_a_model_without_an_unused_declared_name(fig_model):
 
 
 def test_check_parse_walks_the_names_of_a_replaced_theory(monkeypatch, fig_theory, fig_model):
-    from lfgmc import search
+    # replace() keeps every label it is not given another object for: on a
+    # covered model the names of those are not walked, a changed label's are
+    from lfgmc import And
 
-    calls = []
-    monkeypatch.setattr(search, "valid", lambda m, f: calls.append(f) or valid(m, f))
-    assert check_parse(fig_theory, fig_model).ok and calls == []
+    _evaluated, walked = _count_evaluations(monkeypatch)
+    assert check_parse(fig_theory, fig_model).ok and walked == []
     copy = fig_theory.replace()
-    assert check_parse(copy, fig_model).ok
-    assert calls == [f for _label, f in copy.labeled()]
+    assert check_parse(copy, fig_model).ok and walked == []
+    wider = fig_theory.replace(licensing=And(fig_theory.licensing, TrueF()))
+    assert check_parse(wider, fig_model).ok and walked == [wider.licensing]
 
 
 # --- check_parse on the lexical axiom's slice for the model's words ---------
@@ -322,7 +324,7 @@ def test_trusted_parse_and_covered_check_leave_the_lexical_axiom_unbuilt(monkeyp
     grammar = parse_grammar(FIG_GRAMMAR_TEXT)
     theory = compile_grammar(grammar)
     [model] = parse_sentence(theory, grammar, ["a", "girl", "walks"]).models
-    monkeypatch.setattr(search, "valid", _no_names_walk)
+    monkeypatch.setattr(search, "validate_names", _no_names_walk)
     walks = _relabelled(model, _leaf(model, "girl"), "walks")
     assert check_parse(theory, model).ok and not check_parse(theory, walks).ok
     assert lexical_unbuilt(theory)
@@ -375,7 +377,7 @@ def test_check_parse_slice_rows_equal_valid_and_the_oracle(monkeypatch, fig_gram
             model = _relabelled(model, _leaf(model, word), "N")
     else:
         theory, model = _hand_built_word_grammar()
-    monkeypatch.setattr(search, "valid", _no_names_walk)
+    monkeypatch.setattr(search, "validate_names", _no_names_walk)
     got = _rows(check_parse(theory, model))
     assert lexical_unbuilt(theory)
     monkeypatch.undo()
@@ -385,16 +387,25 @@ def test_check_parse_slice_rows_equal_valid_and_the_oracle(monkeypatch, fig_gram
                        "no-word-leaves": None, "declared-word-no-entries": "n1"}[case]
 
 
-def test_check_parse_evaluates_a_replaced_theory_whole(monkeypatch, fig_theory):
-    from lfgmc import search
+def test_check_parse_evaluates_a_replaced_theory_whole(monkeypatch, fig_grammar):
+    # a replace() copy with no change is checked as the compiled theory:
+    # each label evaluated once, the lexical one on its slice, no names
+    # walked, and the rows valid and the oracle give
+    from lfgmc import compile_grammar
 
+    theory = compile_grammar(fig_grammar)
     model = build_fig_model()
     model = _relabelled(model, _leaf(model, "girl"), "walks")
-    copy = fig_theory.replace()
-    calls = []
-    monkeypatch.setattr(search, "valid", lambda m, f: calls.append(f) or valid(m, f))
+    copy = theory.replace()
+    evaluated, walked = _count_evaluations(monkeypatch)
     got = _rows(check_parse(copy, model))
-    assert calls == [f for _label, f in copy.labeled()]
+    assert got == _rows(check_parse(theory, model)) and walked == []
+    principles = [f for _label, f in copy.principles()]
+    for once in (evaluated[: len(got)], evaluated[len(got):]):
+        assert once[0] is copy.licensing and once[2:] == principles
+        assert once[1] is not copy.__dict__["_lexical"] and once[1] not in principles
+    assert lexical_unbuilt(copy) and lexical_unbuilt(theory)
+    monkeypatch.undo()
     assert got == _valid_rows(copy, model) == _oracle_rows(copy, model)
     assert dict(got)["lexical"] == "n4"
 
@@ -838,18 +849,20 @@ def test_foreign_theory_raises_what_the_grammar_compile_raises():
         assert str(compiled.value) == str(parsed.value) == message
 
 
-def _count_valid_calls(monkeypatch):
-    """The formulas the search passes to ``valid``, in call order."""
+def _count_evaluations(monkeypatch):
+    """The formulas the search evaluates (``_least_failing``, which ``valid``
+    runs after its names walk) and the formulas whose names it walks
+    (``validate_names``), each in call order."""
     from lfgmc import search
+    from lfgmc.formula import validate_names
+    from lfgmc.semantics import _least_failing
 
-    calls = []
-
-    def counted(m, f):
-        calls.append(f)
-        return valid(m, f)
-
-    monkeypatch.setattr(search, "valid", counted)
-    return calls
+    evaluated, walked = [], []
+    monkeypatch.setattr(search, "_least_failing",
+                        lambda m, f, *nodes: evaluated.append(f) or _least_failing(m, f, *nodes))
+    monkeypatch.setattr(search, "validate_names",
+                        lambda f, sig: walked.append(f) or validate_names(f, sig))
+    return evaluated, walked
 
 
 def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
@@ -861,18 +874,10 @@ def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
     # invariant
     from lfgmc import compile_grammar, parse_grammar, search
 
-    calls = _count_valid_calls(monkeypatch)
-    least, extracted = [], []
-    monkeypatch.setattr(search, "_least_failing", lambda *args: least.append(args))
-    read_off = search._read_off
-
-    def spy(*args):
-        read = read_off(*args)
-        if isinstance(read, tuple):
-            extracted.append(read[0])
-        return read
-
-    monkeypatch.setattr(search, "_read_off", spy)
+    evaluated, walked = _count_evaluations(monkeypatch)
+    extracted = []
+    build = search._model
+    monkeypatch.setattr(search, "_model", lambda *args: extracted.append(build(*args)) or extracted[-1])
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     theory = compile_grammar(g)
     out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
@@ -885,25 +890,32 @@ def test_trusted_theory_skips_licensing_and_lexical(monkeypatch):
         rejected = _same_as_two_phase(compile_grammar(obl), obl, words.split(), SearchBounds())
         assert [r.reason for r in rejected.rejections] == ["formula"]
     assert len(extracted) == len(out.models)
-    assert calls == [] and least == []
+    assert evaluated == [] and walked == []
     for m in out.models:
         assert check_parse(theory, m).ok
         assert reference_validate_model(m).ok
 
 
-def test_replaced_theory_is_checked_in_full():
-    # a theory that replace() made from the compiled one has no source,
-    # so its stronger licensing axiom is evaluated: no NP is built from
-    # NP PP, which every attachment of a PP to an object NP breaks
+def test_replaced_theory_is_checked_in_full(monkeypatch):
+    # replace() keeps the source and every label it does not change, so
+    # only the stronger licensing axiom is evaluated, after its names walk:
+    # no NP is built from NP PP, which every attachment of a PP to an
+    # object NP breaks
     from lfgmc import And, compile_grammar, parse_formula, parse_grammar, search
 
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     compiled = compile_grammar(g)
     extra = parse_formula("!(NP & bullet(NP, PP))", g.sig)
     theory = compiled.replace(licensing=And(compiled.licensing, extra))
-    assert theory.source is None
+    assert theory.source is g and theory.compiled == {"lexical", "completeness", "coherence", "gf"}
     assert not hasattr(search, "validate_model")
-    out = _same_as_two_phase(theory, g, PP_SENTENCE, SearchBounds(64, 256, 64))
+    bounds = SearchBounds(64, 256, 64)
+    evaluated, walked = _count_evaluations(monkeypatch)
+    out = parse_sentence(theory, g, PP_SENTENCE, bounds)
+    assert evaluated and evaluated == walked and all(f is theory.licensing for f in evaluated)
+    assert lexical_unbuilt(theory)
+    monkeypatch.undo()
+    assert _same_as_two_phase(theory, g, PP_SENTENCE, bounds) == out
     assert len(out.models) == 1
     formula = [r for r in out.rejections if r.reason == "formula"]
     assert len(formula) == 4 and {r.detail for r in formula} == {"licensing"}
@@ -911,8 +923,10 @@ def test_replaced_theory_is_checked_in_full():
 
 def test_theory_of_an_equal_grammar_is_checked_in_full(monkeypatch):
     # trust needs the very grammar object the theory was compiled from;
-    # an equal one parsed separately gets every label, with the same
-    # output, the lexical one on its slice for the sentence's words
+    # an equal one parsed separately gets every label evaluated, with the
+    # same output, the lexical one on its slice for the sentence's words;
+    # its labels are kept and the grammar's signature covers its source's,
+    # so no names are walked
     from lfgmc import compile_grammar, parse_grammar, render_formula
     from lfgmc.grammar import _lexical_axiom
 
@@ -921,9 +935,9 @@ def test_theory_of_an_equal_grammar_is_checked_in_full(monkeypatch):
     bounds = SearchBounds(64, 256, 64)
     trusted = parse_sentence(compile_grammar(g), g, PP_SENTENCE, bounds)
     theory = compile_grammar(other)
-    calls = _count_valid_calls(monkeypatch)
+    calls, walked = _count_evaluations(monkeypatch)
     out = parse_sentence(theory, g, PP_SENTENCE, bounds)
-    assert lexical_unbuilt(theory)
+    assert lexical_unbuilt(theory) and walked == []  # the labels are kept and covered
     assert [model_to_text(m) for m in out.models] == [model_to_text(m) for m in trusted.models]
     assert out.rejections == trusted.rejections
     assert out.bound_exceeded == trusted.bound_exceeded
@@ -1277,6 +1291,13 @@ def _same_as_two_phase(theory, grammar, tokens, bounds):
     return got
 
 
+def _foreign(theory):
+    """``theory`` built again by its constructor: it has no ``source``, so
+    every label is evaluated, after its names walk."""
+    return Theory(theory.licensing, theory.lexical, theory.completeness, theory.coherence,
+                  theory.gf)
+
+
 def _random_corpus():
     """2000 random grammars, each compiled, with a sentence and bounds."""
     from lfgmc import compile_grammar, parse_grammar
@@ -1318,9 +1339,9 @@ def test_shape_sharing_matches_two_phase_on_random_grammars():
     for n, (grammar, theory, tokens, bounds) in enumerate(_random_corpus()):
         out = _same_as_two_phase(theory, grammar, tokens, bounds)
         if n % 5 == 0:
-            # a foreign theory evaluates every label with valid; the
+            # a foreign theory evaluates every label as valid does; the
             # reference also runs the validator on every model it extracts
-            replaced = _same_as_two_phase(theory.replace(), grammar, tokens, bounds)
+            replaced = _same_as_two_phase(_foreign(theory), grammar, tokens, bounds)
             # an equal grammar's theory evaluates the slice, and builds no more
             equal = compile_grammar(Grammar(grammar.sig, grammar.start, grammar.rules,
                                             grammar.lexicon))
@@ -1445,7 +1466,7 @@ def test_shape_sharing_matches_two_phase_on_fixture_grammars(text, sentences, bo
     theory = compile_grammar(grammar)
     for tokens in sentences:
         _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds))
-        _same_as_two_phase(theory.replace(), grammar, tokens, SearchBounds(*bounds))  # foreign
+        _same_as_two_phase(_foreign(theory), grammar, tokens, SearchBounds(*bounds))
 
 
 @FIXTURE_CASES
@@ -1463,6 +1484,114 @@ def test_foreign_parse_under_an_equal_grammar_matches_two_phase_on_fixture_gramm
     assert lexical_unbuilt(theory)
     for tokens, out in zip(sentences, got):
         assert _same_as_two_phase(theory, grammar, tokens, SearchBounds(*bounds)) == out
+
+
+def _parses_as_compiled(theory, grammar, tokens, bounds, evaluations):
+    """``theory.replace()`` parses ``tokens`` as the compiled ``theory``
+    does: the same outcome, no formula evaluated or names walked, the
+    lexical axiom unbuilt, and every model it returns checks clean under
+    both theories."""
+    evaluated, walked = evaluations
+    copy = theory.replace()
+    out = parse_sentence(copy, grammar, tokens, bounds)
+    assert evaluated == walked == []
+    assert lexical_unbuilt(copy) or not grammar.lexicon
+    assert out == parse_sentence(theory, grammar, tokens, bounds)
+    for m in out.models:
+        assert check_parse(theory, m).ok and check_parse(copy, m).ok
+    del evaluated[:], walked[:]
+    return out
+
+
+def test_an_unchanged_replace_parses_as_the_compiled_theory_on_random_grammars(monkeypatch):
+    evaluations = _count_evaluations(monkeypatch)
+    models = 0
+    for grammar, theory, tokens, bounds in _random_corpus():
+        models += len(_parses_as_compiled(theory, grammar, tokens, bounds, evaluations).models)
+    assert models >= 100
+
+
+@FIXTURE_CASES
+def test_an_unchanged_replace_parses_as_the_compiled_theory_on_fixture_grammars(
+    monkeypatch, text, sentences, bounds
+):
+    from lfgmc import compile_grammar, parse_grammar
+
+    evaluations = _count_evaluations(monkeypatch)
+    grammar = parse_grammar(text)
+    theory = compile_grammar(grammar)
+    for tokens in sentences:
+        _parses_as_compiled(theory, grammar, tokens, SearchBounds(*bounds), evaluations)
+
+
+def _one_field_changes():
+    """(grammar text, sentence, field, its new value from the compiled
+    theory and the grammar's signature, the label it rejects under)."""
+    from lfgmc import And, FALSE, parse_formula
+
+    return {
+        "licensing": (PP_AGREE_GRAMMAR_TEXT, PP_SENTENCE, "licensing", lambda th, sig: And(
+            th.licensing, parse_formula("!(NP & bullet(NP, PP))", sig)), "licensing"),
+        "completeness": (FIG_GRAMMAR_TEXT, ["a", "girl", "walks"], "completeness",
+                         lambda th, sig: (FALSE,), "completeness[subj]"),
+        # fails at every f-node with a num feature, so it names a w<k>
+        "coherence": (PP_AGREE_GRAMMAR_TEXT, PP_SENTENCE[:5], "coherence", lambda th, sig: (
+            th.coherence[0], parse_formula("!<num> true", sig)), "coherence[obj]"),
+    }
+
+
+@pytest.mark.parametrize("case", _one_field_changes().values(), ids=_one_field_changes())
+def test_a_replace_that_changes_one_field_evaluates_only_that_field(monkeypatch, case):
+    from lfgmc import AtomLit, Or, compile_grammar, parse_grammar
+
+    text, tokens, field, change, label = case
+    grammar = parse_grammar(text)
+    compiled = compile_grammar(grammar)
+    theory = compiled.replace(**{field: change(compiled, grammar.sig)})
+    assert theory.compiled == set(Theory._fields) - {field}
+    changed = getattr(theory, field)
+    changed = changed if isinstance(changed, tuple) else (changed,)
+    bounds = SearchBounds(64, 256, 64)
+    evaluated, walked = _count_evaluations(monkeypatch)
+    out = parse_sentence(theory, grammar, tokens, bounds)
+    assert evaluated and all(any(f is c for c in changed) for f in evaluated + walked)
+    assert lexical_unbuilt(theory)
+    monkeypatch.undo()
+    # the rejections name the first failing label in label order
+    assert _same_as_two_phase(theory, grammar, tokens, bounds) == out
+    assert label in {r.detail for r in out.rejections if r.reason == "formula"}
+    # a changed label using a name the model lacks: the error valid raises,
+    # on a covered model too
+    [model, *_] = parse_sentence(compiled, grammar, tokens, bounds).models
+    bad = tuple(Or(f, AtomLit("zz")) for f in changed)
+    broken = theory.replace(**{field: bad if field != "licensing" else bad[0]})
+    with pytest.raises(SignatureError) as want:
+        valid(model, bad[0])
+    for call in (lambda: check_parse(broken, model),
+                 lambda: parse_sentence(broken, grammar, tokens, bounds),
+                 lambda: reference_two_phase_parse(broken, grammar, tokens, bounds)):
+        with pytest.raises(SignatureError) as got:
+            call()
+        assert str(got.value) == str(want.value) == "unknown atom 'zz'"
+
+
+def test_a_replace_of_gf_alone_evaluates_the_kept_principles(monkeypatch, fig_grammar):
+    # the tables decide the principles only under the gf they were compiled
+    # for: under another gf the kept formulas are evaluated, with no names
+    # walk, and the model the tables would reject under coherence[spec]
+    # (its subject has a spec and no pred spec) is returned
+    from lfgmc import compile_grammar
+
+    theory = compile_grammar(fig_grammar).replace(gf=[["spec"]])
+    assert theory.compiled == set(Theory._fields) - {"gf"}
+    principles = [f for _label, f in theory.principles()]
+    tokens, bounds = ["a", "girl", "walks"], SearchBounds()
+    evaluated, walked = _count_evaluations(monkeypatch)
+    out = parse_sentence(theory, fig_grammar, tokens, bounds)
+    assert evaluated == principles and walked == []
+    monkeypatch.undo()
+    assert _same_as_two_phase(theory, fig_grammar, tokens, bounds) == out
+    assert len(out.models) == 1 and not out.rejections
 
 
 def _every_class_model(sig, cstruct, uf, classes):
@@ -1493,11 +1622,11 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     is decided on the f-node tables of the model with every class as
     ``valid`` decides it on that model, and names the least failing class
     in class order.  Where every class is reached, that model is the one
-    ``_read_off`` builds, and ``_read_off`` rejects it under the first
-    failing label, at that class."""
+    ``_model`` builds from what ``_read_off`` names, and ``_check`` rejects
+    it under the first failing label, at that class."""
     from lfgmc.search import (
-        Rejection, _SkeletonEnumerator, _build_tree, _principle_failures, _read_off,
-        _solve_shape,
+        Rejection, _SkeletonEnumerator, _build_tree, _check, _deciders, _model,
+        _principle_failures, _read_off, _solve_shape,
     )
     from lfgmc.semantics import _least_failing
 
@@ -1511,9 +1640,9 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
         [(_, uf)] = _solve_shape(phrases, mothers, [(idx, entries)])
         if isinstance(uf, Rejection):
             continue
-        # no principles and no f-node bound
+        # no f-node bound
         unbounded = SearchBounds(max_f_nodes=len(uf.parent) + 1)
-        read = _read_off(grammar.sig, cstruct, uf, unbounded, theory.gf, ())
+        read = _read_off(cstruct, uf, unbounded)
         roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
         whole = _every_class_model(grammar.sig, cstruct, uf, roots)
         if whole is None:
@@ -1521,7 +1650,8 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
             continue
         model, classes = whole
         if isinstance(read, tuple):
-            assert read[0] == model and list(read[1].values()) == classes
+            assert _model(grammar.sig, cstruct, uf, *read) == model
+            assert list(read[0].values()) == classes
         else:
             assert read.detail == "fstruct-unreachable"
             seen["unreachable"] = seen.get("unreachable", 0) + 1
@@ -1540,8 +1670,9 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
         if isinstance(read, tuple):
             first = [Rejection("formula", label, "w%d" % k)
                      for (label, _f), k in zip(labels, want) if k is not None][:1]
-            decided = _read_off(grammar.sig, cstruct, uf, unbounded, theory.gf, labels)
-            assert [decided] == first if first else isinstance(decided, tuple)
+            deciders = _deciders(theory, grammar, grammar.sig, tokens)
+            decided = _check(deciders, theory.gf, grammar.sig, cstruct, uf, unbounded)
+            assert [decided] == first if first else decided == model
         seen["candidates"] = seen.get("candidates", 0) + 1
 
 
@@ -1582,25 +1713,23 @@ def test_principles_decided_on_the_union_find_match_valid_on_fixture_grammars(
 
 def _read_off_models(monkeypatch):
     """Each ``(text, model, the root node has no variable)`` that
-    ``_read_off`` returns, in call order, the text joined from the two
+    ``_model`` builds, in call order, the text joined from the two
     halves the search writes: the f-structure part from the model's own
     tables, in their order, and the tail from the tree rows in the order
     of ``cstruct.label``."""
     from lfgmc import search
     from lfgmc.model import _fstruct_text, _model_tail, _tree_rows
 
-    read_off, seen = search._read_off, []
+    build, seen = search._model, []
 
     def spy(sig, cstruct, uf, *rest):
-        read = read_off(sig, cstruct, uf, *rest)
-        if isinstance(read, tuple):
-            model = read[0]
-            text = _fstruct_text(model.fstruct, model.fstruct.trans) + _model_tail(
-                model, _tree_rows(cstruct, cstruct.label))
-            seen.append((text, model, cstruct.root not in uf.zvar))
-        return read
+        model = build(sig, cstruct, uf, *rest)
+        text = _fstruct_text(model.fstruct, model.fstruct.trans) + _model_tail(
+            model, _tree_rows(cstruct, cstruct.label))
+        seen.append((text, model, cstruct.root not in uf.zvar))
+        return model
 
-    monkeypatch.setattr(search, "_read_off", spy)
+    monkeypatch.setattr(search, "_model", spy)
     return seen
 
 
