@@ -511,17 +511,25 @@ def canonicalize(m: Model) -> Model:
     """
     c, f = m.cstruct, m.fstruct
 
+    # preorder from the root; a node met again while its walk is open
+    # closes a cycle, the first met again once closed is shared
     tmap: dict[NodeId, NodeId] = {}
-    stack = [c.root]
+    closed, shared = set(), None
+    stack: list[tuple[NodeId, bool]] = [(c.root, True)]
     while stack:
-        n = stack.pop()
-        if n in tmap:
-            cycle_at = _first_cycle_node(c)
-            if cycle_at is not None:
-                raise ModelFormatError("daughter links form a cycle through node %r" % cycle_at)
-            raise ModelFormatError("tree node %r is reached twice from the root" % n)
-        tmap[n] = "n%d" % len(tmap)
-        stack.extend(reversed(c.daughters.get(n, ())))
+        n, entering = stack.pop()
+        if not entering:
+            closed.add(n)
+        elif n not in tmap:
+            tmap[n] = "n%d" % len(tmap)
+            stack.append((n, False))
+            stack.extend((d, True) for d in reversed(c.daughters.get(n, ())))
+        elif n not in closed:
+            raise ModelFormatError("daughter links form a cycle through node %r" % n)
+        elif shared is None:
+            shared = n
+    if shared is not None:
+        raise ModelFormatError("tree node %r is reached twice from the root" % shared)
 
     by_feat = {w: dict(sorted(t.items())) for w, t in f.trans.items()}
     fmap = fnode_names(f.initial, by_feat)
@@ -555,25 +563,6 @@ def canonicalize(m: Model) -> Model:
     )
     zoomin = {tmap[t]: fmap[w] for t, w in m.zoomin.items()}
     return Model(m.sig, cstruct, fstruct, zoomin)
-
-
-def _first_cycle_node(c: CStructure) -> NodeId | None:
-    """The first node, in preorder from the root, that a daughter link
-    leads back to while it is still open (an ancestor of that link's
-    source or its source itself); None when the links form no cycle."""
-    state: dict[NodeId, bool] = {}  # True while open, False once closed
-    stack: list[tuple[NodeId, bool]] = [(c.root, True)]
-    while stack:
-        n, entering = stack.pop()
-        if not entering:
-            state[n] = False
-        elif state.get(n) is None:
-            state[n] = True
-            stack.append((n, False))
-            stack.extend((d, True) for d in reversed(c.daughters.get(n, ())))
-        elif state[n]:
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ one:
    tuples, so a clash under a shared prefix rejects all of its variants
    at once (after Maxwell & Kaplan 1991).  Each candidate still meets
    its equations in the order it would alone, and each class keeps its
-   least member, so the class order holds: a ``(up .. f)=down`` with
-   ``f`` missing binds ``f`` to the daughter's class (made there if new),
-   and ``up=down`` binds a side without a variable to the other's class
-   (one class made for two), uniting only two made ones.  Only a step or
-   binding out of a valued class, an atom on a class with transitions, or
+   least member, so the class order holds.  ``(up p)=down``, ``p``
+   possibly empty, is one ``link``: its end (the mother's variable, or
+   the last step of ``p`` from it), when missing, becomes the daughter's
+   class (made there if new, one class for both sides); a present end
+   becomes the daughter's variable when it has none; only two made sides
+   are united, so no class is made only to be merged.  Only a step or
+   link out of a valued class, an atom on a class with transitions, or
    a union leaving both on one root sets ``mixed``; only then does
    ``_close`` scan for uniqueness.
 
@@ -44,9 +46,10 @@ Semantic forms get one special reading, mirroring how argument lists
 behave in LFG proper: ``walk(subj)`` makes the slot ``pred subj`` exist,
 and when the local ``subj`` path is itself defined by the other
 equations the slot is identified with it (re-entrancy), in passes over
-the slots until one links none or none waits for its path.  The slot
-never *creates* the local path; a missing governed function is left for
-the completeness axiom to flag.
+the slots until one links none or none waits for its path; a linked
+slot stays linked, so a later pass walks only the waiting ones.  The
+slot never *creates* the local path; a missing governed function is
+left for the completeness axiom to flag.
 
 A solved candidate is read off its union-find once, in canonical names:
 tree nodes are numbered in preorder as the tree is built, and one walk
@@ -95,14 +98,17 @@ lexical is not kept.
 Models that fail the theory are reported as rejections with the failing
 formula label and counterexample node; a failing f-node is named as the
 least under the class-order names ``w0, w1, ..`` (the order the classes
-were made in), and the principles are decided over the classes in that
-order.  Survivors are deduplicated by their text, the first candidate of
-a text kept, and returned sorted by it, but only what decides the order
-is written.  The text is an f-structure part, whose last lines are
-``    ]`` and ``  },``, then a tail.  A line ``    ]`` ends the node list
-and occurs nowhere else in a part (rows are indented deeper, strings are
-escaped), so no part is a proper prefix of another, and sorting by
-(part, tail) sorts by the text.  Names are canonical, so equal
+were made in).  The principles are decided over the classes in that
+order, and a label evaluated on the model once, over the tree nodes in
+model order and then the classes: a tree node it gives is the
+counterexample, a class is named by its place.  Survivors are
+deduplicated by their text, the first candidate of a text kept, and
+returned sorted by it, but only what decides the order is written.
+The text is an f-structure part, whose last lines are ``    ]`` and
+``  },``, then a tail.  A line ``    ]`` ends the node list and occurs
+nowhere else in a part (rows are indented deeper, strings are escaped),
+so no part is a proper prefix of another, and sorting by (part, tail)
+sorts by the text.  Names are canonical, so equal
 f-structures have equal parts: survivors are grouped by theirs and a
 group's part is written once, if there are two.  Tails in a group share
 the signature.  A tree row ends in ``\\n      }``, found nowhere else in
@@ -360,7 +366,9 @@ class _Clash(Exception):
 class _UnionFind:
     """f-structure skeleton under construction: classes with functional
     transition tables and optional atoms, merged with congruence, plus
-    the tree nodes' variables and the semantic-form slots to close.
+    the tree nodes' variables and the semantic-form slots to close.  A
+    schema is an atom (``walk`` then ``set_atom``), ``(up p)=(down q)``
+    (two walks and a ``union``) or ``(up p)=down`` (``link``).
     ``mixed`` is set once a root may hold an atom and transitions."""
 
     def __init__(self):
@@ -426,25 +434,23 @@ class _UnionFind:
                 self.mixed = self.mixed or self.atom[r] is not None
         return i
 
-    def bind(self, i: int, path, n: NodeId):
-        """Identify the end of the non-empty ``path`` from ``i`` with tree
-        node ``n``'s variable: a missing last step leads straight to it, made
-        where that step's class would be (see the module docstring)."""
-        r = self.find(self.walk(i, path[:-1], create=True))
-        j = self.trans[r].get(path[-1])
-        if j is not None:
-            self.union(j, self.z(n))
+    def link(self, n: NodeId, path, d: NodeId):
+        """``(up path)=down`` for mother ``n`` and daughter ``d``, ``path``
+        possibly empty (see the module docstring)."""
+        if path:
+            r = self.find(self.walk(self.z(n), path[:-1], create=True))
+            end = self.trans[r].get(path[-1])
         else:
-            self.trans[r][path[-1]] = self.z(n)
+            end = self.zvar.get(n)
+        if end is None and path:
+            self.trans[r][path[-1]] = self.z(d)
             self.mixed = self.mixed or self.atom[r] is not None
-
-    def identify(self, n: NodeId, d: NodeId):
-        """``up=down`` for mother ``n`` and daughter ``d`` (see the module docstring)."""
-        i, j = self.zvar.get(n), self.zvar.get(d)
-        if i is not None and j is not None:
-            return self.union(i, j)
-        k = j if i is None else i
-        self.zvar[n] = self.zvar[d] = self.make() if k is None else k
+        elif end is None:
+            self.zvar[n] = self.z(d)
+        elif d in self.zvar:
+            self.union(end, self.zvar[d])
+        else:
+            self.zvar[d] = end
 
     def set_atom(self, i: int, value: str):
         r = self.find(i)
@@ -466,10 +472,8 @@ def _solve_phrases(phrases) -> _UnionFind:
                 elif schema.down_path:
                     uf.union(uf.walk(uf.z(n), schema.up_path, create=True),
                              uf.walk(uf.z(kid), schema.down_path, create=True))
-                elif schema.up_path:  # (up ... f)=down
-                    uf.bind(uf.z(n), schema.up_path, kid)
                 else:
-                    uf.identify(n, kid)
+                    uf.link(n, schema.up_path, kid)
     return uf
 
 
@@ -494,15 +498,16 @@ def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry):
 def _close(uf: _UnionFind):
     """Link the semantic-form slots and check uniqueness, or raise _Clash."""
     # argument slots link up with local paths that the other equations
-    # define; pass again only when a union may have defined a missing one
-    changed = missing = True
-    while changed and missing:
-        changed = missing = False
-        for base, g in uf.semform_args:
+    # define; a linked slot stays linked, so a further pass walks only the
+    # slots still waiting, and only after a union that may have defined one
+    waiting, changed = uf.semform_args, True
+    while changed and waiting:
+        slots, waiting, changed = waiting, [], False
+        for base, g in slots:
             slot = uf.walk(base, (PRED_FEAT,) + g, create=False)
             local = uf.walk(base, g, create=False)
             if local is None:
-                missing = True
+                waiting.append((base, g))
             elif uf.find(slot) != uf.find(local):
                 uf.union(slot, local)
                 changed = True
@@ -626,24 +631,27 @@ def _check(deciders, gf, sig, cstruct, uf, bounds):
     if not isinstance(read, tuple):
         return read
     name, tables, _atomval = read
-    failures = model = None
+    failures = model = nodes = None
     for label, walk, decider in deciders:
         if decider is None:
             continue  # holds by construction
         if type(decider) is int:
             failures = failures or _principle_failures(gf, tables, name.values())
             node = failures[decider]
-            node = node if node is None else "w%d" % node
         else:
-            model = model or _model(sig, cstruct, uf, *read)
+            if model is None:
+                model = _model(sig, cstruct, uf, *read)
+                # the tree nodes in model order, then the classes in class order
+                nodes = model.node_order[: len(cstruct.nodes)] + tuple(name.values())
             if walk is not None:
                 validate_names(walk, sig)  # the error valid would raise
-            node = _least_failing(model, decider)
-            if node in model.fstruct.nodes:
-                classes = list(name.values())
-                node = "w%d" % classes.index(_least_failing(model, decider, classes))
+            node = _least_failing(model, decider, nodes)
+            if node in cstruct.nodes:
+                return Rejection("formula", label, node)
+            if node is not None:
+                node = nodes.index(node) - len(cstruct.nodes)
         if node is not None:
-            return Rejection("formula", label, node)
+            return Rejection("formula", label, "w%d" % node)
     return model or _model(sig, cstruct, uf, *read)
 
 

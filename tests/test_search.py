@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -2025,7 +2026,7 @@ MIXED_CASES = {
     "set_atom": ('rule S -> A {(up f g)=a; (up f)=b}; lex "u" A;', ["u"], "b"),
     # a step made out of a valued class
     "walk": ('rule S -> A {(up f)=b; (up f g)=a}; lex "u" A;', ["u"], "b"),
-    # a missing (up f)=down bound straight to the daughter from a valued class
+    # a missing (up f)=down linked straight to the daughter from a valued class
     "bind": ('rule S -> A {up=a} B {(up f)=down}; lex "u" A; lex "v" B;', ["u", "v"], "a"),
     # a union of a valued class and one with a transition
     "union": ('rule S -> X {(up f)=down} Y {(up f)=down}; rule X -> A {up=a};'
@@ -2078,19 +2079,76 @@ def test_up_equals_down_binds_a_variable_not_yet_made(monkeypatch, case):
     from lfgmc import compile_grammar, parse_grammar, search
 
     made, statements, words, n_models, rejections = case
-    identify, seen = search._UnionFind.identify, set()
+    link, seen = search._UnionFind.link, set()
 
-    def spy(uf, n, d):
-        seen.add((n in uf.zvar, d in uf.zvar))
-        return identify(uf, n, d)
+    def spy(uf, n, path, d):
+        if not path:  # up=down
+            seen.add((n in uf.zvar, d in uf.zvar))
+        return link(uf, n, path, d)
 
-    monkeypatch.setattr(search._UnionFind, "identify", spy)
+    monkeypatch.setattr(search._UnionFind, "link", spy)
     g = parse_grammar(UPDOWN_SIGNATURE + "\n" + statements)
     # models, rejections in order and their class-order names as the reference's
     out = _same_as_two_phase(compile_grammar(g), g, words.split(), SearchBounds())
     assert seen == {made}
     assert len(out.models) == n_models
     assert [(r.reason, r.detail, r.node) for r in out.rejections] == rejections
+
+
+# one grammar for each case of (up f)=down where f exists: the daughter's
+# variable not yet made, so it takes f's class and three classes are
+# made in all, or already made by the daughter's own rule, so the two
+# are united and five are made
+LINK_SIGNATURE = "signature { cat: S A B C; atom: a b; feat: f g h; gf: ; }"
+LINK_CASES = {
+    "daughter-not-made": (False, 'rule S -> A {(up f g)=a} B {(up f)=down};'
+                          'lex "u" A; lex "v" B;', 3),
+    "daughter-made": (True, 'rule S -> A {(up f g)=a} B {(up f)=down}; rule B -> C {(up h)=b};'
+                      'lex "u" A; lex "v" C;', 5),
+}
+
+
+@pytest.mark.parametrize("case", LINK_CASES.values(), ids=LINK_CASES)
+def test_up_path_equals_down_makes_no_class_only_to_unite_it(monkeypatch, case):
+    from lfgmc import compile_grammar, parse_grammar, search
+
+    made, statements, classes = case
+    link, make, seen, calls = search._UnionFind.link, search._UnionFind.make, [], [0]
+
+    def spy(uf, n, path, d):
+        seen.append((path, d in uf.zvar))
+        return link(uf, n, path, d)
+
+    def counted_make(uf):
+        calls[0] += 1
+        return make(uf)
+
+    monkeypatch.setattr(search._UnionFind, "link", spy)
+    monkeypatch.setattr(search._UnionFind, "make", counted_make)
+    g = parse_grammar(LINK_SIGNATURE + "\n" + statements)
+    out = _same_as_two_phase(compile_grammar(g), g, ["u", "v"], SearchBounds())
+    assert seen == [(("f",), made)]
+    assert calls == [classes]
+    assert len(out.models) == 1 and out.rejections == ()
+
+
+def test_a_failing_evaluated_label_is_evaluated_once():
+    # the replaced completeness labels are evaluated on the model; each
+    # fails at the clause's f-node, which one evaluation over the tree
+    # nodes and then the classes names w0
+    from lfgmc import TRUE, Feat, Not, compile_grammar, parse_grammar
+
+    g = parse_grammar(PP_GRAMMAR_TEXT)
+    compiled = compile_grammar(g)
+    theory = compiled.replace(completeness=(Not(Feat("pred", TRUE)),) * len(compiled.gf))
+    words = "the man saw the man with the tel".split()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        evaluated, walked = _count_evaluations(monkeypatch)
+        out = parse_sentence(theory, g, words, SearchBounds())
+    assert [(r.reason, r.detail, r.node) for r in out.rejections] == [
+        ("formula", "completeness[subj]", "w0")] * 2
+    assert evaluated == [theory.completeness[0]] * 2 and walked == evaluated
+    assert _same_as_two_phase(theory, g, words, SearchBounds()) == out
 
 
 # the slot g links pred g to the local g, which is the clause itself, and
@@ -2108,8 +2166,9 @@ def test_close_passes_again_only_while_a_slot_waits_for_its_local_path(
 ):
     # walks(subj) links its one slot in the first pass, so a second pass
     # could find nothing; devours(subj, obj) has no local obj, so the subj
-    # link makes one more pass, which changes nothing; in the late-slot
-    # grammar the second pass links f, and as no slot waits, it is the last
+    # link makes one more pass, which walks only obj and changes nothing;
+    # in the late-slot grammar the second pass walks and links only f, and
+    # as no slot waits, it is the last.  A pass walks two paths per slot.
     from lfgmc import compile_grammar, parse_grammar, search
 
     passes, close = [], search._close
@@ -2121,14 +2180,15 @@ def test_close_passes_again_only_while_a_slot_waits_for_its_local_path(
             close(uf)
         finally:
             del uf.walk
-        passes.append(len(walks) / (2 * len(uf.semform_args)))
+        # a slot walked in the last pass was walked in every pass
+        passes.append((max(Counter(walks).values()), len(walks)))
 
     monkeypatch.setattr(search, "_close", spy)
     late = parse_grammar(LATE_SLOT_GRAMMAR_TEXT)
     for theory, grammar, words, want in (
-        (devour_theory, devour_grammar, "a girl walks", [1]),
-        (devour_theory, devour_grammar, "a girl devours", [2]),
-        (compile_grammar(late), late, "u", [2]),
+        (devour_theory, devour_grammar, "a girl walks", [(1, 2)]),
+        (devour_theory, devour_grammar, "a girl devours", [(2, 6)]),
+        (compile_grammar(late), late, "u", [(2, 6)]),
     ):
         passes.clear()
         _same_as_two_phase(theory, grammar, words.split(), SearchBounds())
