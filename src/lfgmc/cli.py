@@ -221,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="enumerate models of the grammar for a token string")
     p.add_argument("grammar")
     p.add_argument("tokens", nargs="+")
-    p.add_argument("--max-tree", type=int, default=40, dest="max_tree")
-    p.add_argument("--max-fnodes", type=int, default=80, dest="max_fnodes")
-    p.add_argument("--max-models", type=int, default=10, dest="max_models")
+    bounds = SearchBounds()  # the defaults
+    p.add_argument("--max-tree", type=int, default=bounds.max_tree_nodes, dest="max_tree")
+    p.add_argument("--max-fnodes", type=int, default=bounds.max_f_nodes, dest="max_fnodes")
+    p.add_argument("--max-models", type=int, default=bounds.max_models, dest="max_models")
     p.add_argument("--out", help="directory for the emitted model files")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
 

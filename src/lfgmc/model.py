@@ -233,13 +233,12 @@ class CStructure(_Frozen):
 
     @classmethod
     def build(cls, root: NodeId, daughters: dict, label: dict) -> "CStructure":
-        nodes = {root} | set(label)
-        for n, ds in daughters.items():
-            nodes.add(n)
-            nodes.update(ds)
+        nodes = dict.fromkeys([root, *label])  # first seen first: no hash order
         mother = {}
         for n, ds in daughters.items():
+            nodes[n] = None
             for d in ds:
+                nodes[d] = None
                 mother[d] = n
         full = {n: tuple(daughters.get(n, ())) for n in nodes}
         return cls(frozenset(nodes), root, mother, full, label)

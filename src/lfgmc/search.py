@@ -23,8 +23,9 @@ one:
 2. read the annotations off the chosen rules and entries as defining
    equations over f-structure variables, and close them under
    union-find-style identification with congruence.  A clash (two
-   distinct atoms, or an atom on a node with outgoing transitions) kills
-   the candidate; otherwise the closure *is* the least solution, i.e.
+   distinct atoms while solving, or an atom on a node with outgoing
+   transitions when read off) kills the candidate; otherwise the
+   closure *is* the least solution, i.e.
    the candidate f-structure contains nothing the equations do not
    force.  The lexical variants of one tree shape share its tree and
    phrase equations, which are built and solved once; the entries then
@@ -37,10 +38,7 @@ one:
    the last step of ``p`` from it), when missing, becomes the daughter's
    class (made there if new, one class for both sides); a present end
    becomes the daughter's variable when it has none; only two made sides
-   are united, so no class is made only to be merged.  Only a step or
-   link out of a valued class, an atom on a class with transitions, or
-   a union leaving both on one root sets ``mixed``; only then does
-   ``_close`` scan for uniqueness.
+   are united, so no class is made only to be merged.
 
 Semantic forms get one special reading, mirroring how argument lists
 behave in LFG proper: ``walk(subj)`` makes the slot ``pred subj`` exist,
@@ -57,11 +55,12 @@ names the classes ``f0..`` as ``canonicalize`` numbers f-nodes and
 builds the tables in the order the model's text lists them.  A model
 built from a grammar that compiles (so its signature has no violations)
 holds by construction the licensing and lexical axioms compiled from it
-and all of ``validate_model`` but reachability: preorder ids ``n<k>``
-with the mothers ``CStructure.build`` would derive, labels from the
-declared categories and the input words, which the signature keeps
-apart, ``f<k>`` ids, features and atoms from the schemata, and valued
-classes that ``_close`` keeps free of transitions.  Only preterminals
+and all of ``validate_model`` but uniqueness and reachability:
+preorder ids ``n<k>`` with the mothers ``CStructure.build`` would
+derive, labels from the declared categories and the input words, which
+the signature keeps apart, and ``f<k>`` ids, features and atoms from
+the schemata.  ``_read_off`` first rejects a valued class with
+transitions as a clash, the first in class order.  Only preterminals
 have a word daughter, so the lexical antecedent holds exactly at them
 and the licensing one (a grandchild) at phrase nodes; the f-structure
 solves the equations, so a phrase node satisfies its rule's disjunct and
@@ -254,9 +253,6 @@ class _SkeletonEnumerator:
         if j not in self.ends[i].get(cat, ()):
             return []
         key = (cat, i, j, budget)
-        out = self.memo.get(key)
-        if out is not None:
-            return out
         # each frame's generator yields the keys it needs but the memo
         # lacks, is sent their lists, and returns its own list
         frames = [(key, self._derivations(*key))]
@@ -368,8 +364,8 @@ class _UnionFind:
     transition tables and optional atoms, merged with congruence, plus
     the tree nodes' variables and the semantic-form slots to close.  A
     schema is an atom (``walk`` then ``set_atom``), ``(up p)=(down q)``
-    (two walks and a ``union``) or ``(up p)=down`` (``link``).
-    ``mixed`` is set once a root may hold an atom and transitions."""
+    (two walks and a ``union``) or ``(up p)=down`` (``link``).  Only
+    distinct atoms clash here; ``_read_off`` decides uniqueness."""
 
     def __init__(self):
         self.parent: list[int] = []
@@ -377,12 +373,11 @@ class _UnionFind:
         self.atom: list[str | None] = []
         self.zvar: dict[NodeId, int] = {}
         self.semform_args: list[tuple[int, tuple[str, ...]]] = []
-        self.mixed = False
 
     def copy(self) -> _UnionFind:
         c = _UnionFind()
         c.parent, c.atom, c.semform_args = self.parent[:], self.atom[:], self.semform_args[:]
-        c.trans, c.zvar, c.mixed = [t.copy() for t in self.trans], self.zvar.copy(), self.mixed
+        c.trans, c.zvar = [t.copy() for t in self.trans], self.zvar.copy()
         return c
 
     def make(self) -> int:
@@ -417,8 +412,6 @@ class _UnionFind:
                     queue.append((self.trans[ra][feat], tgt))
                 else:
                     self.trans[ra][feat] = tgt
-            if self.atom[ra] is not None and self.trans[ra]:
-                self.mixed = True
 
     def walk(self, i: int, path, create: bool):
         """Follow ``path`` from ``i``, making missing steps if ``create`` (else None)."""
@@ -431,7 +424,6 @@ class _UnionFind:
                 return None
             else:
                 i = self.trans[r][feat] = self.make()
-                self.mixed = self.mixed or self.atom[r] is not None
         return i
 
     def link(self, n: NodeId, path, d: NodeId):
@@ -444,7 +436,6 @@ class _UnionFind:
             end = self.zvar.get(n)
         if end is None and path:
             self.trans[r][path[-1]] = self.z(d)
-            self.mixed = self.mixed or self.atom[r] is not None
         elif end is None:
             self.zvar[n] = self.z(d)
         elif d in self.zvar:
@@ -454,7 +445,6 @@ class _UnionFind:
 
     def set_atom(self, i: int, value: str):
         r = self.find(i)
-        self.mixed = self.mixed or bool(self.trans[r])
         if self.atom[r] is None:
             self.atom[r] = value
         elif self.atom[r] != value:
@@ -496,7 +486,7 @@ def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry):
 
 
 def _close(uf: _UnionFind):
-    """Link the semantic-form slots and check uniqueness, or raise _Clash."""
+    """Link the semantic-form slots, or raise _Clash."""
     # argument slots link up with local paths that the other equations
     # define; a linked slot stays linked, so a further pass walks only the
     # slots still waiting, and only after a union that may have defined one
@@ -511,12 +501,6 @@ def _close(uf: _UnionFind):
             elif uf.find(slot) != uf.find(local):
                 uf.union(slot, local)
                 changed = True
-
-    # uniqueness: an atom may not share a node with outgoing transitions
-    for i in range(len(uf.parent)) if uf.mixed else ():
-        r = uf.find(i)
-        if uf.atom[r] is not None and uf.trans[r]:
-            raise _Clash("atom %r forced onto a node with outgoing transitions" % uf.atom[r])
 
 
 def _solve_shape(phrases, mothers, members):
@@ -575,18 +559,22 @@ def _principle_failures(gf, tables, names) -> list[int | None]:
 
 
 def _read_off(cstruct, uf: _UnionFind, bounds):
-    """The first rejection among the entry point (the root node's class,
-    else the one class without incoming transitions), the f-node bound (None
-    past it) and reachability; else ``(name, tables, atomval)`` in canonical
-    names, ``name`` mapping the classes, in class order, to f-nodes.  One
-    walk, breadth-first over sorted features, names the classes as
-    ``fnode_names`` numbers nodes and builds the tables in walk order, the
-    order the model's text lists them."""
+    """The first rejection among uniqueness (the first class in class
+    order with an atom and transitions clashes), the entry point (the root
+    node's class, else the one class without incoming transitions), the
+    f-node bound (None past it) and reachability; else ``(name, tables,
+    atomval)`` in canonical names, ``name`` mapping the classes, in class
+    order, to f-nodes.  One walk, breadth-first over sorted features,
+    names the classes as ``fnode_names`` numbers nodes and builds the
+    tables in walk order, the order the model's text lists them."""
     if not uf.parent:
         uf.make()  # no equations: the f-structure is one empty node
     trans, atoms = uf.trans, uf.atom
     rep = list(map(uf.find, range(len(uf.parent))))
     name = dict.fromkeys(rep)  # the classes in class order
+    for r in name:
+        if atoms[r] is not None and trans[r]:
+            return Rejection("clash", "atom %r forced onto a node with outgoing transitions" % atoms[r])
     root_var = uf.zvar.get(cstruct.root)
     if root_var is not None:
         entry = rep[root_var]

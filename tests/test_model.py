@@ -447,6 +447,60 @@ def test_reserved_signature_names_rejected(fig_model):
         model_from_text(json.dumps(doc))
 
 
+def _set(*path_and_value):
+    """A corruptor that sets ``doc[k1]..[kn]`` to the last argument."""
+    *path, key, value = path_and_value
+
+    def corrupt(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return corrupt
+
+
+def _twice(part):
+    """A corruptor that declares ``part``'s first node again."""
+    return lambda doc: doc[part]["nodes"].append(doc[part]["nodes"][0])
+
+
+# one corruption of the fig model's document for each message below
+FORMAT_ERRORS = {
+    "not-an-object": (_set("signature", []), "signature must be an object"),
+    "missing-key": (lambda doc: doc["tree"].pop("root"), "missing key(s) in tree: root"),
+    "not-a-string-list": (_set("signature", "cats", "S"), "signature.cats must be a list of strings"),
+    "gf": (_set("signature", "gf", "subj"), "signature.gf must be a list of feature-name lists"),
+    "tree-nodes": (_set("tree", "nodes", {}), "tree.nodes must be a list"),
+    "tree-root": (_set("tree", "root", 0), "tree.root must be a string"),
+    "fstruct-nodes": (_set("fstruct", "nodes", {}), "fstruct.nodes must be a list"),
+    "fstruct-initial": (_set("fstruct", "initial", None), "fstruct.initial must be a string"),
+    "tree-label": (_set("tree", "nodes", 0, "label", 1), "tree node id and label must be strings"),
+    "tree-twice": (_twice("tree"), "tree node 'n0' declared twice"),
+    "fnode-id": (_set("fstruct", "nodes", 0, "id", 0), "fstruct node id must be a string"),
+    "fnode-twice": (_twice("fstruct"), "fstruct node 'f0' declared twice"),
+    "trans": (_set("fstruct", "nodes", 0, "trans", {"pred": 1}),
+              "fstruct node trans must map strings to strings"),
+    "atom": (_set("fstruct", "nodes", 3, "atom", ["pst"]), "fstruct node atom must be a string"),
+    "zoomin": (_set("zoomin", []), "zoomin must map tree ids to f-structure ids"),
+}
+
+
+@pytest.mark.parametrize("case", FORMAT_ERRORS, ids=FORMAT_ERRORS)
+def test_each_format_error_is_raised_with_its_text(fig_model, case, tmp_path, capsys):
+    from lfgmc import cli
+
+    corrupt, message = FORMAT_ERRORS[case]
+    doc = json.loads(model_to_text(fig_model))
+    corrupt(doc)
+    with pytest.raises(ModelFormatError) as err:
+        model_from_text(json.dumps(doc))
+    assert err.value.args == (message,)
+    if case in ("missing-key", "trans"):  # the command line reports it as an input error
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def _broken_models(seed, count, max_nodes):
     """Random models, each followed by every corruption that applies to it."""
     rng = random.Random(seed)
@@ -636,6 +690,36 @@ def test_canonicalize_names_an_id_its_tables_use_that_it_cannot_name(fig_model):
     for bad, message in cases:
         assert _outcome(reference_canonicalize, bad)[0] is KeyError
         assert _outcome(canonicalize, bad) == (ModelFormatError, (message,))
+
+
+_UNREACHED_UNDER_A_SEED = """
+from lfgmc import CStructure, FStructure, Model, Signature, canonicalize
+from lfgmc.errors import ModelFormatError
+c = CStructure.build("n0", {"n0": ("n1",), "t1": (), "t3": (), "t5": (), "t7": ()},
+                     {"n0": "S", "n1": "a"})
+sig = Signature(cats={"S"}, atoms=set(), feats=set(), words={"a"})
+try:
+    canonicalize(Model(sig, c, FStructure({"f0"}, "f0", {"f0": {}}), {}))
+except ModelFormatError as err:
+    print(err.args[0], list(c.daughters))
+"""
+
+
+def test_build_orders_the_tree_by_its_inputs_under_any_hash_seed():
+    # the first unreached id in the tables is the first one the inputs
+    # name, whatever order a set of the ids would have
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed),
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out.add(subprocess.run([sys.executable, "-c", _UNREACHED_UNDER_A_SEED], env=env,
+                               capture_output=True, text=True, check=True).stdout)
+    assert out == {"'t1' is not reached from the root ['n0', 'n1', 't1', 't3', 't5', 't7']\n"}
 
 
 def test_canonicalize_names_the_node_closing_a_cycle():

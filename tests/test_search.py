@@ -1644,6 +1644,8 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
         # no f-node bound
         unbounded = SearchBounds(max_f_nodes=len(uf.parent) + 1)
         read = _read_off(cstruct, uf, unbounded)
+        if isinstance(read, Rejection) and read.reason == "clash":
+            continue  # uniqueness, decided first on reading off
         roots = list(dict.fromkeys(map(uf.find, range(len(uf.parent)))))
         whole = _every_class_model(grammar.sig, cstruct, uf, roots)
         if whole is None:
@@ -1996,30 +1998,43 @@ def test_clashes_found_only_by_closing_the_semantic_form_slots(monkeypatch):
     from lfgmc import compile_grammar, parse_grammar, search
 
     g = parse_grammar(SLOT_GRAMMAR_TEXT)
-    raised = []
-    close = search._close
+    raised, linked, read = [], {}, []
+    close, read_off = search._close, search._read_off
 
-    def spy(uf):
+    def close_spy(uf):
+        classes = len(set(map(uf.find, range(len(uf.parent)))))
         try:
             close(uf)
         except search._Clash as clash:
             raised.append(clash.args[0])
             raise
+        finally:  # keyed by the object, kept alive: no id is reused
+            linked[id(uf)] = uf, len(set(map(uf.find, range(len(uf.parent))))) < classes
 
-    monkeypatch.setattr(search, "_close", spy)
+    def read_off_spy(cstruct, uf, bounds):
+        out = read_off(cstruct, uf, bounds)
+        if isinstance(out, search.Rejection):
+            read.append((out.detail, linked[id(uf)][1]))
+        return out
+
+    monkeypatch.setattr(search, "_close", close_spy)
+    monkeypatch.setattr(search, "_read_off", read_off_spy)
     out = _same_as_two_phase(compile_grammar(g), g, ["u", "v"], SearchBounds())
     # candidates in enumeration order: (u1, v1), (u1, v2), (u2, v1), (u2, v2)
     assert [(r.reason, r.detail) for r in out.rejections] == [
         ("clash", "distinct atoms 'a' and 'b' forced onto one node"),
         ("clash", "atom 'a' forced onto a node with outgoing transitions"),
     ]
-    assert sorted(raised) == sorted(r.detail for r in out.rejections)
+    # closing raises the atoms' clash; reading off finds uniqueness
+    # broken only on a candidate whose slot closing linked up
+    assert raised == ["distinct atoms 'a' and 'b' forced onto one node"]
+    assert read == [("atom 'a' forced onto a node with outgoing transitions", True)]
     # the variants without the slot atom are models
     assert len(out.models) == 2
 
 
-# one grammar for each place that sets ``mixed``: only there does an atom
-# meet a transition on one class, so only a scan it turns on finds the clash
+# one grammar for each way an atom meets a transition on one class: each
+# leaves a valued class with transitions, which ``_read_off`` rejects
 MIXED_SIGNATURE = "signature { cat: S X Y A B; atom: a b p; feat: f g pred rel; gf: f; }"
 MIXED_CASES = {
     # an atom set on a class with a transition
@@ -2045,6 +2060,20 @@ def test_each_place_that_mixes_an_atom_and_a_transition_turns_the_scan_on(case):
     g = parse_grammar(MIXED_SIGNATURE + "\n" + statements)
     out = _same_as_two_phase(compile_grammar(g), g, tokens, SearchBounds())
     assert out.models == ()
+    assert [(r.reason, r.detail) for r in out.rejections] == [
+        ("clash", "atom %r forced onto a node with outgoing transitions" % atom)]
+
+
+@pytest.mark.parametrize("case", ["set_atom", "union"])
+def test_a_uniqueness_clash_wins_over_the_f_node_bound(case):
+    # each candidate has more classes than the bound allows, yet it is
+    # rejected by its clash, and no bound is reported as cut
+    from lfgmc import compile_grammar, parse_grammar
+
+    statements, tokens, atom = MIXED_CASES[case]
+    g = parse_grammar(MIXED_SIGNATURE + "\n" + statements)
+    out = _same_as_two_phase(compile_grammar(g), g, tokens, SearchBounds(max_f_nodes=1))
+    assert out.models == () and not out.bound_exceeded
     assert [(r.reason, r.detail) for r in out.rejections] == [
         ("clash", "atom %r forced onto a node with outgoing transitions" % atom)]
 
