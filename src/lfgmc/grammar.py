@@ -183,6 +183,46 @@ class Grammar(_Frozen):
             by_word.setdefault(e.word, []).append(e)
         return {w: tuple(es) for w, es in by_word.items()}
 
+    @cached_property
+    def _plan(self) -> _ParsePlan:
+        return _ParsePlan(self)
+
+    def __getstate__(self):  # a copy's pieces have other ids: it builds its own plan
+        return {k: v for k, v in self.__dict__.items() if k != "_plan"}
+
+
+ATOM_OP, EQ_OP, LINK_OP = range(3)  # the kinds of a rule's ops in a _ParsePlan
+
+
+class _ParsePlan:
+    """What the search reads of a grammar, built once per grammar:
+    ``ops[id(piece)]``, a rule's or an entry's schemata as ops, in schema
+    order, and the rules in order by their first element's category
+    (``by_first``, with the later elements' categories) and by their
+    left-hand side (``by_lhs``, with all their elements' categories)."""
+
+    def __init__(self, grammar: Grammar):
+        self.ops, self.by_first, self.by_lhs = {}, {}, {}
+        for rule in grammar.rules:
+            cats = tuple(e.cat for e in rule.rhs)
+            self.by_first.setdefault(cats[0], []).append((rule, cats[1:]))
+            self.by_lhs.setdefault(rule.lhs, []).append((rule, cats))
+            # k indexes the annotated element; LINK_OP is (up p)=down
+            self.ops[id(rule)] = tuple(
+                (ATOM_OP, k, s.path, s.value) if isinstance(s, AtomValueSchema)
+                else (EQ_OP, k, s.up_path, s.down_path) if s.down_path
+                else (LINK_OP, k, s.up_path, None)
+                for k, e in enumerate(rule.rhs) for s in e.schemata)
+        for entry in grammar.lexicon:
+            ops = []  # (path, value, None) for an atom, ((pred,) + g, None, g) for a slot
+            for s in entry.schemata:
+                if isinstance(s, AtomValueSchema):
+                    ops.append((s.path, s.value, None))
+                else:
+                    ops.append(((PRED_FEAT, REL_FEAT), s.rel, None))
+                    ops.extend(((PRED_FEAT,) + g, None, g) for g in s.args)
+            self.ops[id(entry)] = tuple(ops)
+
 
 class Theory(_Frozen):
     """The compiled constraint set whose joint validity is grammaticality.

@@ -580,7 +580,7 @@ def canonicalize(m: Model) -> Model:
 # [] / {} for empty containers.  _fstruct_text and _model_tail write its
 # two halves directly, because with an indent json.dumps runs its
 # pure-Python encoder; model_to_text joins them for any model, and
-# parse_sentence orders its survivors on them and on single _tree_row rows.
+# parse_sentence orders its survivors on single _fnode_row and _tree_row rows.
 # ---------------------------------------------------------------------------
 
 
@@ -624,20 +624,23 @@ def _tree_rows(c: CStructure, order) -> str:
     return _text_array([_tree_row(c, n) for n in order], " " * 4)
 
 
+def _fnode_row(f: FStructure, w: NodeId, table) -> str:
+    """The row of f-node ``w``, with the transitions ``table`` lists in sorted
+    feature order; it ends in ``\\n      }``, found nowhere else in a row."""
+    return '{\n        %s"id": %s,\n        "trans": %s\n      }' % (
+        '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else "",
+        _quote(w),
+        "{\n          %s\n        }" % ",\n          ".join(
+            [_quote(feat) + ": " + _quote(w2) for feat, w2 in table.items()]
+        ) if table else "{}",
+    )
+
+
 def _fstruct_text(f: FStructure, trans) -> str:
     """The model text up to and with its ``"fstruct"`` member: a row per
-    f-node of ``trans``, in its order, with the transitions it lists in
-    sorted feature order.  With a row its last lines are ``    ]``, ``  },``."""
-    rows = [
-        '{\n        %s"id": %s,\n        "trans": %s\n      }' % (
-            '"atom": %s,\n        ' % _quote(f.atomval[w]) if w in f.atomval else "",
-            _quote(w),
-            "{\n          %s\n        }" % ",\n          ".join(
-                [_quote(feat) + ": " + _quote(w2) for feat, w2 in table.items()]
-            ) if table else "{}",
-        )
-        for w, table in trans.items()
-    ]
+    f-node of ``trans``, in its order.  With a row its last lines are
+    ``    ]``, ``  },``."""
+    rows = [_fnode_row(f, w, table) for w, table in trans.items()]
     return '{\n  "fstruct": {\n    "initial": %s,\n    "nodes": %s\n  },\n' % (
         _quote(f.initial), _text_array(rows, " " * 4))
 

@@ -20,15 +20,18 @@ one:
    checked its shape when built (see ``lfgmc.grammar``): a preterminal's
    is its ``LexEntry``, a phrase's the tuple ``(rule, children)``.  Each
    comes with its tree shape and entries, made from its children's;
-2. read the annotations off the chosen rules and entries as defining
-   equations over f-structure variables, and close them under
-   union-find-style identification with congruence.  A clash (two
-   distinct atoms while solving, or an atom on a node with outgoing
-   transitions when read off) kills the candidate; otherwise the
-   closure *is* the least solution, i.e.
-   the candidate f-structure contains nothing the equations do not
-   force.  The lexical variants of one tree shape share its tree and
-   phrase equations, which are built and solved once; the entries then
+2. solve the annotations of the chosen rules and entries, as defining
+   equations over f-structure variables, by union-find-style
+   identification with congruence.  A clash (two distinct atoms while
+   solving, or an atom on a node with outgoing transitions when read
+   off) kills the candidate; otherwise the closure *is* the least
+   solution: the f-structure holds nothing the equations do not force.
+   The equations are the grammar's plan (``Grammar._plan``), built once
+   per grammar after the compiled unification of Ait-Kaci's WAM and
+   Carpenter & Penn (1996): each rule's and entry's schemata as one
+   tuple of ops, classified when built, so solving tests no schema's
+   class and builds no path.  The lexical variants of one tree shape
+   share its tree and phrase equations, solved once; the entries then
    follow one preterminal at a time over a trie of the variants' entry
    tuples, so a clash under a shared prefix rejects all of its variants
    at once (after Maxwell & Kaplan 1991).  Each candidate still meets
@@ -102,32 +105,31 @@ order, and a label evaluated on the model once, over the tree nodes in
 model order and then the classes: a tree node it gives is the
 counterexample, a class is named by its place.  Survivors are
 deduplicated by their text, the first candidate of a text kept, and
-returned sorted by it, but only what decides the order is written.
-The text is an f-structure part, whose last lines are ``    ]`` and
-``  },``, then a tail.  A line ``    ]`` ends the node list and occurs
-nowhere else in a part (rows are indented deeper, strings are escaped),
-so no part is a proper prefix of another, and sorting by (part, tail)
-sorts by the text.  Names are canonical, so equal
-f-structures have equal parts: survivors are grouped by theirs and a
-group's part is written once, if there are two.  Tails in a group share
-the signature.  A tree row ends in ``\\n      }``, found nowhere else in
-it, so no row is a proper prefix of another, and a node list ends in
-``\\n    ]``, so a list that runs out first sorts first: tails compare
-row by row, each row written when first reached, and root and zoomin
-only for equal rows.  Minimality is a property of this search, not of
-the satisfaction relation: ``valid`` accepts models with junk.
+returned sorted by it, but only the rows that decide the order are
+written.  The text is an f-structure part, then a tail; each holds a node
+list.  Names are canonical: f-nodes ``f<k>`` and tree nodes ``n<k>`` are
+numbered in list order, so row k of two lists has one id and is decided
+by the node's atom and transitions (its daughters and label), and equal
+f-structures have equal parts.  A row ends in ``\\n      }``, found
+nowhere else in it, and a list in ``\\n    ]``, so the first row that
+differs decides, and a list that runs out first sorts first.  Survivors
+are grouped by f-structure; groups are ordered on their first differing
+f-node row, and a group's survivors, whose tails share the signature, on
+their first differing tree row.  Each row compared is written once, and
+root and zoomin only for equal trees.  Minimality is a property of this
+search, not of the satisfaction relation: ``valid`` accepts models with
+junk.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from itertools import count
 
 from .errors import GrammarError, SignatureError
 from .formula import TRUE, _NAME_KINDS, validate_names
-from .grammar import (AtomValueSchema, Grammar, LexEntry, PathEqSchema, PRED_FEAT, REL_FEAT,
-                      Theory, _lexical_axiom, compile_grammar)
-from .model import (CStructure, FStructure, Model, NodeId, _Frozen, _fstruct_text, _model_tail,
+from .grammar import (ATOM_OP, EQ_OP, Grammar, LexEntry, PRED_FEAT, Theory, _lexical_axiom,
+                      compile_grammar)
+from .model import (CStructure, FStructure, Model, NodeId, _Frozen, _fnode_row, _model_tail,
                     _tree_row)
 from .semantics import _least_failing
 
@@ -195,9 +197,6 @@ def _chart(grammar: Grammar, tokens):
     after ``k`` and their ends are read off rows already finished.  A
     per-start seen set absorbs unary rule cycles.  The work grows with
     the edges found, not with the spans."""
-    by_first: dict[str, list] = {}  # first element category -> (rule, later categories)
-    for rule in grammar.rules:
-        by_first.setdefault(rule.rhs[0].cat, []).append((rule, [e.cat for e in rule.rhs[1:]]))
     n = len(tokens)
     ends: list[dict[str, list[int]]] = [{} for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
@@ -211,7 +210,7 @@ def _chart(grammar: Grammar, tokens):
             seen.add(edge)
             cat, k = edge
             row.setdefault(cat, []).append(k)
-            for rule, later in by_first.get(cat, ()):
+            for rule, later in grammar._plan.by_first.get(cat, ()):
                 reached = (k,)
                 for c in later:
                     reached = {j for pos in reached for j in ends[pos].get(c, ())}
@@ -227,9 +226,7 @@ class _SkeletonEnumerator:
         self.tokens = tokens
         self.bound_hit = False
         self.ends = _chart(grammar, tokens)
-        self.rules: dict[str, list] = {}  # lhs -> (rule, its element categories), in order
-        for rule in grammar.rules:
-            self.rules.setdefault(rule.lhs, []).append((rule, tuple(e.cat for e in rule.rhs)))
+        self.rules = grammar._plan.by_lhs
         self.memo: dict[tuple[str, int, int, int], list] = {}
         self.shapes: dict[tuple, int] = {}  # (id(rule),) + children's shapes -> shape id
 
@@ -293,7 +290,9 @@ class _SkeletonEnumerator:
             for idx, c in enumerate(cats):
                 grown = []
                 for kids, key, ents, pos, avail in partial:
-                    for end in _live_ends(self.ends, cats[idx:], pos, j):
+                    # past the first element pos is a live end, so the last one ends at j
+                    for end in (j,) if 0 < idx == len(cats) - 1 else _live_ends(
+                            self.ends, cats[idx:], pos, j):
                         reserve = 2 * (j - end)  # least any continuation can cost
                         need = (c, pos, end, avail - reserve)
                         derivs = memo.get(need)
@@ -305,6 +304,15 @@ class _SkeletonEnumerator:
             out.extend(((rule, kids), budget - avail, shapes.setdefault(key, len(shapes)), ents)
                        for kids, key, ents, _, avail in partial)
         return out
+
+
+class _NodeIds(dict):
+    def __missing__(self, k: int) -> str:  # "n<k>", made once for every tree
+        self[k] = "n%d" % k
+        return self[k]
+
+
+_NODE_IDS = _NodeIds()
 
 
 def _build_tree(deriv):
@@ -329,7 +337,7 @@ def _build_tree(deriv):
             daughters[d] = kids = tuple(ids)
             phrases.append((d, up, kids))
             continue
-        nid = "n%d" % len(labels)
+        nid = _NODE_IDS[len(labels)]
         ids.append(nid)
         if up is not None:
             mother[nid] = up
@@ -340,7 +348,7 @@ def _build_tree(deriv):
             stack.append((nid, rule, kids))
             stack.extend((c, nid, kids) for c in reversed(children))
         else:
-            leaf = "n%d" % (len(labels) + 1)
+            leaf = _NODE_IDS[len(labels) + 1]
             labels[nid] = d.cat
             labels[leaf] = d.word
             mother[leaf] = nid
@@ -372,7 +380,7 @@ class _UnionFind:
         self.trans: list[dict[str, int]] = []
         self.atom: list[str | None] = []
         self.zvar: dict[NodeId, int] = {}
-        self.semform_args: list[tuple[int, tuple[str, ...]]] = []
+        self.semform_args: list[tuple[int, tuple[str, ...], tuple[str, ...]]] = []
 
     def copy(self) -> _UnionFind:
         c = _UnionFind()
@@ -414,23 +422,30 @@ class _UnionFind:
                     self.trans[ra][feat] = tgt
 
     def walk(self, i: int, path, create: bool):
-        """Follow ``path`` from ``i``, making missing steps if ``create`` (else None)."""
+        """The class reached by ``path`` from ``i``, making missing steps if
+        ``create`` (else None), as ``find`` and ``make`` would."""
+        parent, trans = self.parent, self.trans
         for feat in path:
-            r = self.find(i)
-            i = self.trans[r].get(feat)
-            if i is not None:
-                i = self.find(i)
-            elif not create:
-                return None
-            else:
-                i = self.trans[r][feat] = self.make()
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            step = trans[i].get(feat)
+            if step is None:
+                if not create:
+                    return None
+                step = trans[i][feat] = len(parent)
+                parent.append(step)
+                trans.append({})
+                self.atom.append(None)
+            i = step
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
         return i
 
     def link(self, n: NodeId, path, d: NodeId):
         """``(up path)=down`` for mother ``n`` and daughter ``d``, ``path``
         possibly empty (see the module docstring)."""
         if path:
-            r = self.find(self.walk(self.z(n), path[:-1], create=True))
+            r = self.walk(self.z(n), path[:-1], create=True)
             end = self.trans[r].get(path[-1])
         else:
             end = self.zvar.get(n)
@@ -443,46 +458,45 @@ class _UnionFind:
         else:
             self.zvar[d] = end
 
-    def set_atom(self, i: int, value: str):
-        r = self.find(i)
+    def set_atom(self, r: int, value: str):
+        """Give the class whose root is ``r`` the atom ``value``."""
         if self.atom[r] is None:
             self.atom[r] = value
         elif self.atom[r] != value:
             raise _Clash("distinct atoms %r and %r forced onto one node" % (self.atom[r], value))
 
 
-def _solve_phrases(phrases) -> _UnionFind:
-    """The union-find of a tree shape's rule equations, or raise _Clash."""
+def _solve_phrases(phrases, ops) -> _UnionFind:
+    """The union-find of a tree shape's rule equations, run as the rules'
+    ``ops`` (see ``Grammar._plan``), or raise _Clash."""
     uf = _UnionFind()
+    walk, z = uf.walk, uf.z
     for n, rule, kids in phrases:
-        for elem, kid in zip(rule.rhs, kids):
-            for schema in elem.schemata:
-                if not isinstance(schema, PathEqSchema):
-                    uf.set_atom(uf.walk(uf.z(n), schema.path, create=True), schema.value)
-                elif schema.down_path:
-                    uf.union(uf.walk(uf.z(n), schema.up_path, create=True),
-                             uf.walk(uf.z(kid), schema.down_path, create=True))
-                else:
-                    uf.link(n, schema.up_path, kid)
+        for op, k, path, x in ops[id(rule)]:
+            if op == ATOM_OP:
+                uf.set_atom(walk(z(n), path, True), x)
+            elif op == EQ_OP:
+                uf.union(walk(z(n), path, True), walk(z(kids[k]), x, True))
+            else:
+                uf.link(n, path, kids[k])
     return uf
 
 
-def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry):
-    """Add one preterminal's lexical equations; ``mother`` is the node
-    above the preterminal."""
-    if not entry.schemata:
+def _solve_entry(uf: _UnionFind, mother: NodeId | None, entry: LexEntry, ops):
+    """Add one preterminal's lexical equations, run as the entry's ``ops``;
+    ``mother`` is the node above the preterminal."""
+    entry_ops = ops[id(entry)]
+    if not entry_ops:
         return
     if mother is None:
         raise _Clash("lexical schemata of %r need a node above the preterminal" % entry.word)
     base = uf.z(mother)
-    for schema in entry.schemata:
-        if isinstance(schema, AtomValueSchema):
-            uf.set_atom(uf.walk(base, schema.path, create=True), schema.value)
+    for path, value, g in entry_ops:
+        end = uf.walk(base, path, True)
+        if g is None:
+            uf.set_atom(end, value)
         else:
-            uf.set_atom(uf.walk(base, (PRED_FEAT, REL_FEAT), create=True), schema.rel)
-            for g in schema.args:
-                uf.walk(base, (PRED_FEAT,) + g, create=True)
-                uf.semform_args.append((base, g))
+            uf.semform_args.append((base, path, g))
 
 
 def _close(uf: _UnionFind):
@@ -493,21 +507,21 @@ def _close(uf: _UnionFind):
     waiting, changed = uf.semform_args, True
     while changed and waiting:
         slots, waiting, changed = waiting, [], False
-        for base, g in slots:
-            slot = uf.walk(base, (PRED_FEAT,) + g, create=False)
+        for base, path, g in slots:  # path: pred g
+            slot = uf.walk(base, path, create=False)
             local = uf.walk(base, g, create=False)
             if local is None:
-                waiting.append((base, g))
-            elif uf.find(slot) != uf.find(local):
+                waiting.append((base, path, g))
+            elif slot != local:
                 uf.union(slot, local)
                 changed = True
 
 
-def _solve_shape(phrases, mothers, members):
+def _solve_shape(phrases, mothers, members, ops):
     """Solve every lexical variant of one tree shape (step 2 above) from
-    its ``_build_tree`` parts.  ``members`` are (candidate index, entries)
-    pairs; yields (members, union-find or clash Rejection) pairs.  The
-    union-find is copied only where the trie of entry tuples branches."""
+    its ``_build_tree`` parts and the plan's ``ops``.  ``members`` are
+    (candidate index, entries) pairs; yields (members, union-find or clash
+    Rejection) pairs, copying the union-find only where the trie branches."""
     # (union-find, k, members): the members share entries[:k], all
     # added to the union-find except the last one (or the phrases, k=0)
     stack = [(None, 0, members)]
@@ -516,11 +530,11 @@ def _solve_shape(phrases, mothers, members):
         entries = members[0][1]
         try:
             if uf is None:
-                uf = _solve_phrases(phrases)
+                uf = _solve_phrases(phrases, ops)
             else:
-                _solve_entry(uf, mothers[k - 1], entries[k - 1])
+                _solve_entry(uf, mothers[k - 1], entries[k - 1], ops)
             while len(members) == 1 and k < len(mothers):  # no branch below
-                _solve_entry(uf, mothers[k], entries[k])
+                _solve_entry(uf, mothers[k], entries[k], ops)
                 k += 1
             if k == len(mothers):
                 _close(uf)
@@ -654,31 +668,36 @@ def _text_order(models):
             bucket.append(tied := [])
             ties.append(tied)
         tied.append(m)
-    if len(ties) > 1:
-        ties.sort(key=lambda tied: _fstruct_text(tied[0].fstruct, tied[0].fstruct.trans))
-    rows: dict[int, list[str]] = {}  # id(tree) -> its rows written so far, asked for in order
+    written: dict[tuple[int, NodeId], str] = {}  # (id(structure), node id) -> its row
 
-    def row(c, k):
-        written = rows.setdefault(id(c), [])
-        if k == len(written) < len(c.label):
-            written.append(_tree_row(c, "n%d" % k))  # preorder ids: the node order
-        return written[k] if k < len(written) else ""
-
-    def cmp(a, b):
-        x = y = None
-        for k in count() if a.cstruct is not b.cstruct else ():
-            x, y = row(a.cstruct, k), row(b.cstruct, k)  # "" sorts before every row
-            if x != y or not x:
-                break
-        if x == y:  # equal tree rows: the root and zoomin decide
-            x, y = _model_tail(a, ""), _model_tail(b, "")
+    def by_row(a, b, n, write):  # the first row that differs decides, each written once
+        x, y = [written.get((id(s), n)) or written.setdefault((id(s), n), write(s, n))
+                for s in (a, b)]
         return (x > y) - (x < y)
 
+    def by_part(p, q):  # two tied lists, by their f-structures' parts
+        a, b = p[0].fstruct, q[0].fstruct
+        for (w, x), y in zip(a.trans.items(), b.trans.values()):  # the same ids, in order
+            if x != y or a.atomval.get(w) != b.atomval.get(w):
+                return by_row(a, b, w, lambda f, w: _fnode_row(f, w, f.trans[w]))
+        return len(a.trans) - len(b.trans)  # unequal: the shorter list ends first
+
+    def by_tail(ma, mb):
+        a, b = ma.cstruct, mb.cstruct
+        for (n, x), y in zip(a.label.items(), b.label.values()):  # preorder ids
+            if x != y or a.daughters[n] != b.daughters[n]:
+                return by_row(a, b, n, _tree_row)
+        if len(a.label) != len(b.label):
+            return len(a.label) - len(b.label)
+        x, y = _model_tail(ma, ""), _model_tail(mb, "")  # equal tree rows: root and zoomin
+        return (x > y) - (x < y)
+
+    ties.sort(key=cmp_to_key(by_part))
     out = []
     for tied in ties:
         if len(tied) > 1:
-            tied = sorted(tied, key=cmp_to_key(cmp))  # stable: the first of a text leads
-            tied = [m for k, m in enumerate(tied) if k == 0 or cmp(tied[k - 1], m)]
+            tied = sorted(tied, key=cmp_to_key(by_tail))  # stable: the first of a text leads
+            tied = [m for k, m in enumerate(tied) if k == 0 or by_tail(tied[k - 1], m)]
         out.extend(tied)
     return out
 
@@ -716,7 +735,7 @@ def parse_sentence(
     outcomes: list = [None] * len(derivations)
     for members in shapes.values():
         cstruct, phrases, mothers = _build_tree(derivations[members[0][0]][0])
-        for group, solved in _solve_shape(phrases, mothers, members):
+        for group, solved in _solve_shape(phrases, mothers, members, grammar._plan.ops):
             for idx, _entries in group:
                 outcomes[idx] = (
                     solved if isinstance(solved, Rejection)

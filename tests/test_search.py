@@ -1638,7 +1638,7 @@ def _principles_match_valid(theory, grammar, tokens, bounds, seen):
     )
     for idx, (deriv, _count, _shape, entries) in enumerate(derivations):
         cstruct, phrases, mothers = _build_tree(deriv)
-        [(_, uf)] = _solve_shape(phrases, mothers, [(idx, entries)])
+        [(_, uf)] = _solve_shape(phrases, mothers, [(idx, entries)], grammar._plan.ops)
         if isinstance(uf, Rejection):
             continue
         # no f-node bound
@@ -1873,31 +1873,37 @@ def test_models_come_back_in_text_order_on_adjunct_grammars(monkeypatch):
 
 
 def _text_writes(monkeypatch):
-    """The arguments of each call the search makes to the text writers."""
-    from lfgmc import search
+    """The arguments of each call the search makes to the row and tail
+    writers, and of each call anything makes to the f-structure part's."""
+    from lfgmc import model, search
 
-    calls = {"_fstruct_text": [], "_model_tail": [], "_tree_row": []}
+    calls = {"_fstruct_text": [], "_fnode_row": [], "_model_tail": [], "_tree_row": []}
     for name, seen in calls.items():
-        def spy(*args, _real=getattr(search, name), _seen=seen):
+        module = model if name == "_fstruct_text" else search
+
+        def spy(*args, _real=getattr(module, name), _seen=seen):
             _seen.append(args)
             return _real(*args)
 
-        monkeypatch.setattr(search, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
 def test_a_parse_with_one_survivor_writes_no_text(monkeypatch, fig_theory, fig_grammar):
     calls = _text_writes(monkeypatch)
     assert len(parse_sentence(fig_theory, fig_grammar, ["a", "girl", "walks"]).models) == 1
-    assert calls == {"_fstruct_text": [], "_model_tail": [], "_tree_row": []}
+    assert calls == {"_fstruct_text": [], "_fnode_row": [], "_model_tail": [], "_tree_row": []}
 
 
 def test_tree_rows_are_written_only_for_shapes_whose_fstructure_parts_tie(monkeypatch):
     # PP attachment with 3 and 4 PPs: 14 and 42 trees, but PPs adjoined to
     # one VP or NP share its single adj value, so only 9 and 14 f-structures.
-    # Each distinct part is written once; tied models are told apart by the
-    # first tree row that differs, so only some rows of their trees are
-    # written, and no tail (nor its zoomin) is
+    # Distinct f-structures are told apart by the first f-node row that
+    # differs, and tied models by the first tree row that differs: only
+    # those rows are written, each once, no whole f-structure part is,
+    # and no tail (nor its zoomin) is.  Writing every part takes 239 and
+    # 434 f-node rows, and comparing tied trees on their rows written in
+    # order takes 67 and 374 tree rows.
     from collections import Counter
 
     from lfgmc import compile_grammar, parse_grammar
@@ -1906,23 +1912,117 @@ def test_tree_rows_are_written_only_for_shapes_whose_fstructure_parts_tie(monkey
     g = parse_grammar(PP_GRAMMAR_TEXT)
     theory = compile_grammar(g)
     calls = _text_writes(monkeypatch)
-    for pps, n_models, n_parts, n_tied, n_rows in ((3, 14, 9, 8, 67), (4, 42, 14, 35, 374)):
+    for pps, n_models, n_parts, n_tied, n_fnode_rows, n_tree_rows in (
+        (3, 14, 9, 8, 25, 8), (4, 42, 14, 35, 45, 47)
+    ):
         for seen in calls.values():
             seen.clear()
-        out = _same_as_two_phase(theory, g, _pp_sentences("tel", pps + 1)[pps],
-                                 SearchBounds(64, 256, 64))
+        tokens, bounds = _pp_sentences("tel", pps + 1)[pps], SearchBounds(64, 256, 64)
+        out = parse_sentence(theory, g, tokens, bounds)
+        assert calls["_fstruct_text"] == [] and calls["_model_tail"] == []
+        fnode_rows = [(id(f), w) for f, w, _table in calls["_fnode_row"]]
+        tree_rows = [(id(c), n) for c, n in calls["_tree_row"]]
+        assert _same_as_two_phase(theory, g, tokens, bounds) == out
         part = {id(m): _fstruct_text(m.fstruct, m.fstruct.trans) for m in out.models}
         ties = Counter(part.values())
         tied = [m for m in out.models if ties[part[id(m)]] > 1]
         assert (len(out.models), len(ties), len(tied)) == (n_models, n_parts, n_tied)
-        written = [_fstruct_text(f, trans) for f, trans in calls["_fstruct_text"]]
-        assert sorted(written) == sorted(ties)
-        assert calls["_model_tail"] == []
+        # rows of the distinct f-structures, each written once, and far from all
+        assert len(fnode_rows) == len(set(fnode_rows)) == n_fnode_rows
+        assert {f for f, _ in fnode_rows} <= {id(m.fstruct) for m in out.models}
+        assert n_fnode_rows < sum(part.count('"id"') for part in ties) / 5
         # rows only of tied models' trees, each written once, and far from all
-        rows = [(id(c), n) for c, n in calls["_tree_row"]]
-        assert len(rows) == len(set(rows)) == n_rows
-        assert {c for c, _ in rows} <= {id(m.cstruct) for m in tied}
-        assert n_rows < sum(len(m.cstruct.label) for m in tied) / 4
+        assert len(tree_rows) == len(set(tree_rows)) == n_tree_rows
+        assert {c for c, _ in tree_rows} <= {id(m.cstruct) for m in tied}
+        assert n_tree_rows < sum(len(m.cstruct.label) for m in tied) / 10
+
+
+# a postposition is a preterminal P over its word, or a phrase P over the
+# preterminal z over it, so each attachment's trees come in tied twins.
+# Where only the last PP's twins differ, the twins first differ at the
+# node under its P, a word leaf in one and z in the other.  Written, z's
+# row sorts first: its daughters list is first in the row, and a newline
+# after "[" sorts before "]".  Compared raw, the leaf would come first:
+# its daughters () before ("n23",), and its label "with" before "z".  The
+# word \u00e9th is written with the escape \u00e9, whose backslash sorts
+# before "z" too, though the raw U+00E9 sorts after it
+ESCAPED_PP_GRAMMAR_TEXT = """
+signature {
+  cat: S NP VP PP Det N V P z;
+  atom: the man tel saw with;
+  feat: subj obj adj spec pred rel;
+  gf: subj obj;
+}
+start S;
+rule S -> NP {(up subj)=down} VP {up=down};
+rule NP -> Det N;
+rule NP -> NP {up=down} PP {(up adj)=down};
+rule VP -> V {up=down} NP {(up obj)=down};
+rule VP -> VP {up=down} PP {(up adj)=down};
+rule PP -> NP {(up obj)=down} P {up=down};
+rule P -> z {up=down};
+lex "the" Det {(up spec)=the};
+lex "man" N {(up pred)=man()};
+lex "t\u00e9l\\" N {(up pred)=tel()};
+lex "saw" V {(up pred)=saw(subj, obj)};
+lex "with" P {(up pred)=with(obj)};
+lex "with" z {(up pred)=with(obj)};
+lex "\u00e9th" P {(up pred)=with(obj)};
+lex "\u00e9th" z {(up pred)=with(obj)};
+"""
+
+
+def test_tied_trees_are_ordered_on_their_written_rows_under_escaped_labels():
+    from lfgmc import compile_grammar, parse_grammar
+
+    g = parse_grammar(ESCAPED_PP_GRAMMAR_TEXT)
+    theory = compile_grammar(g)
+    for posts, n_models in ((["\u00e9th"], 4), (["\u00e9th", "with"], 12),
+                            (["with", "with", "\u00e9th"], 32)):
+        tokens = "the man saw the man".split()
+        for post in posts:
+            tokens += ["the", "t\u00e9l\\", post]
+        out = _same_as_two_phase(theory, g, tokens, SearchBounds(64, 256, 64))
+        texts = [model_to_text(m) for m in out.models]
+        assert len(set(texts)) == len(texts) == n_models and texts == sorted(texts)
+        firsts = Counter()  # the labels of tied neighbours' first differing rows
+        for a, b in zip(out.models, out.models[1:]):
+            ca, cb = a.cstruct, b.cstruct
+            if a.fstruct == b.fstruct:
+                n = next(n for n in ca.label if (ca.label[n], ca.daughters[n]) != (
+                    cb.label.get(n), cb.daughters.get(n)))
+                firsts[ca.label[n], cb.label[n]] += 1
+        assert firsts[("z", posts[-1])] >= n_models // 8, firsts
+        assert not any(b == "z" for _, b in firsts), firsts
+
+
+def test_a_grammar_builds_its_parse_plan_once(monkeypatch):
+    # the plan is a cached property of the grammar, and solving runs its
+    # ops without reading a schema's class.  The ops are keyed by the ids
+    # of the grammar's pieces, so a pickled copy builds a plan of its own
+    import pickle
+
+    from lfgmc import compile_grammar, grammar, parse_grammar, search
+
+    built, init = [], grammar._ParsePlan.__init__
+
+    def counted_init(plan, g):
+        built.append(g)
+        init(plan, g)
+
+    monkeypatch.setattr(grammar._ParsePlan, "__init__", counted_init)
+    g = parse_grammar(PP_GRAMMAR_TEXT)
+    theory = compile_grammar(g)
+    for tokens in _pp_sentences("tel"):
+        assert parse_sentence(theory, g, tokens, SearchBounds(64, 256, 64)).models
+    assert len(built) == 1 and built[0] is g
+    copy = pickle.loads(pickle.dumps(theory))
+    tokens = _pp_sentences("tel")[-1]
+    assert parse_sentence(copy, copy.source, tokens) == parse_sentence(theory, g, tokens)
+    assert len(built) == 2 and built[1] is copy.source
+    for solve in (search._solve_phrases, search._solve_entry):
+        names = set(solve.__code__.co_names)
+        assert not names & {"PathEqSchema", "AtomValueSchema", "SemForm", "isinstance"}, names
 
 
 def test_multi_step_functions_match_two_phase():
@@ -2137,27 +2237,46 @@ LINK_CASES = {
 }
 
 
+def _classes_made(monkeypatch):
+    """A function giving the number of union-find classes made so far: the
+    sizes of all union-finds, less the classes each copy started with."""
+    from lfgmc import search
+
+    init, copy, made, inherited = search._UnionFind.__init__, search._UnionFind.copy, [], []
+
+    def counted_init(uf):
+        init(uf)
+        made.append(uf)
+
+    def counted_copy(uf):
+        c = copy(uf)
+        inherited.append(len(c.parent))
+        return c
+
+    monkeypatch.setattr(search._UnionFind, "__init__", counted_init)
+    monkeypatch.setattr(search._UnionFind, "copy", counted_copy)
+    return lambda: sum(len(uf.parent) for uf in made) - sum(inherited)
+
+
 @pytest.mark.parametrize("case", LINK_CASES.values(), ids=LINK_CASES)
 def test_up_path_equals_down_makes_no_class_only_to_unite_it(monkeypatch, case):
     from lfgmc import compile_grammar, parse_grammar, search
 
     made, statements, classes = case
-    link, make, seen, calls = search._UnionFind.link, search._UnionFind.make, [], [0]
+    link, seen = search._UnionFind.link, []
 
     def spy(uf, n, path, d):
         seen.append((path, d in uf.zvar))
         return link(uf, n, path, d)
 
-    def counted_make(uf):
-        calls[0] += 1
-        return make(uf)
-
     monkeypatch.setattr(search._UnionFind, "link", spy)
-    monkeypatch.setattr(search._UnionFind, "make", counted_make)
     g = parse_grammar(LINK_SIGNATURE + "\n" + statements)
-    out = _same_as_two_phase(compile_grammar(g), g, ["u", "v"], SearchBounds())
+    theory = compile_grammar(g)
+    count = _classes_made(monkeypatch)
+    out = parse_sentence(theory, g, ["u", "v"], SearchBounds())
     assert seen == [(("f",), made)]
-    assert calls == [classes]
+    assert count() == classes
+    assert _same_as_two_phase(theory, g, ["u", "v"], SearchBounds()) == out
     assert len(out.models) == 1 and out.rejections == ()
 
 
@@ -2268,26 +2387,22 @@ def test_f_node_bound_hit_by_one_lexical_variant():
 def test_each_tree_shape_is_built_and_solved_once(monkeypatch):
     from lfgmc import compile_grammar, parse_grammar, search
 
-    calls = {"build": 0, "make": 0}
-    build, make = search._build_tree, search._UnionFind.make
+    calls = {"build": 0}
+    build = search._build_tree
 
     def counted_build(deriv):
         calls["build"] += 1
         return build(deriv)
 
-    def counted_make(self):
-        calls["make"] += 1
-        return make(self)
-
     monkeypatch.setattr(search, "_build_tree", counted_build)
-    monkeypatch.setattr(search._UnionFind, "make", counted_make)
+    classes = _classes_made(monkeypatch)
     g = parse_grammar(PP_AGREE_GRAMMAR_TEXT)
     out = parse_sentence(compile_grammar(g), g, PP_SENTENCE)
     assert len(out.models) == 5 and len(out.rejections) == 75
-    # one tree per shape; building and solving each of the 80 candidates
-    # on its own takes 80 trees and 2310 union-find classes
+    # one tree per shape and 192 union-find classes; building and solving
+    # each of the 80 candidates on its own takes 80 trees and 2310 classes
     assert calls["build"] == 5
-    assert calls["make"] < 400
+    assert classes() == 192
 
 
 def test_deep_unary_derivation_builds_without_recursion():
@@ -2312,7 +2427,7 @@ def test_deep_unary_derivation_builds_without_recursion():
     assert mothers == ["n4999"]
     # phrases in postorder: the lowest first
     assert [n for n, _, _ in phrases] == ["n%d" % k for k in range(4999, -1, -1)]
-    [(members, uf)] = _solve_shape(phrases, mothers, [(0, entries)])
+    [(members, uf)] = _solve_shape(phrases, mothers, [(0, entries)], g._plan.ops)
     assert members == [(0, entries)]
     assert len({uf.find(v) for v in uf.zvar.values()}) == 1
 
